@@ -1,13 +1,15 @@
 //! Criterion micro-benchmarks for the index kernels: tag-aware reachability
-//! (Def. 3), cut-filter construction and filtering (§6.2), and RR-Graph
+//! (Def. 3), the compiled per-user view of §6.2 — its build on user switch,
+//! its candidate scan and one whole INDEXEST+ estimate on it — and RR-Graph
 //! recovery (Algo. 4).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pitex_datasets::{DatasetProfile, UserGroup, UserGroups};
 use pitex_index::prune::CutFilter;
 use pitex_index::rrgraph::ReachScratch;
-use pitex_index::{delay, IndexBudget, RrIndex};
+use pitex_index::{delay, IndexBudget, IndexPlusEstimator, RrIndex};
 use pitex_model::{PosteriorEdgeProbs, TagSet};
+use pitex_sampling::{SamplingParams, SpreadEstimator};
 use pitex_support::EpochVisited;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -22,8 +24,10 @@ fn bench_index(c: &mut Criterion) {
     let posterior = model.posterior(&tags);
     let mut cache = model.new_prob_cache();
 
-    let member_graphs: Vec<_> =
-        index.graphs_containing(user).iter().map(|&gid| &index.graphs()[gid as usize]).collect();
+    let members_of = |user| -> Vec<_> {
+        index.graphs_containing(user).iter().map(|&gid| &index.graphs()[gid as usize]).collect()
+    };
+    let member_graphs = members_of(user);
 
     c.bench_function("tag_aware_reachability_all_members", |b| {
         let mut scratch = ReachScratch::new();
@@ -40,11 +44,28 @@ fn bench_index(c: &mut Criterion) {
         })
     });
 
-    c.bench_function("cut_filter_build", |b| {
-        b.iter(|| {
-            black_box(CutFilter::build(user, member_graphs.iter().copied(), model.edge_topics()))
-        })
-    });
+    // The view of one mid user and of the user in the most RR-Graphs: what
+    // a user switch costs, and one estimate on the compiled view.
+    let heavy = (0..index.num_nodes() as u32)
+        .max_by_key(|&u| index.membership_count(u))
+        .expect("the graph has users");
+    let params = SamplingParams::best_effort(0.7, 1000.0, model.num_tags(), tags.len());
+    for (tier, user) in [("mid", user), ("heavy", heavy)] {
+        let graphs = members_of(user);
+        c.bench_function(&format!("user_view_build_{tier}"), |b| {
+            b.iter(|| {
+                black_box(CutFilter::build(user, graphs.iter().copied(), model.edge_topics()))
+            })
+        });
+        c.bench_function(&format!("user_view_estimate_{tier}"), |b| {
+            let mut plus = IndexPlusEstimator::new(&index, model.edge_topics());
+            b.iter(|| {
+                let mut probs =
+                    PosteriorEdgeProbs::new(model.edge_topics(), &posterior, &mut cache);
+                black_box(plus.estimate(model.graph(), user, &mut probs, &params))
+            })
+        });
+    }
 
     let filter = CutFilter::build(user, member_graphs.iter().copied(), model.edge_topics());
     c.bench_function("cut_filter_candidates", |b| {

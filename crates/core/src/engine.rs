@@ -8,9 +8,11 @@ use crate::registry::{self, EngineParts};
 use crate::OrdF64;
 use pitex_graph::NodeId;
 use pitex_index::{DelayMatIndex, RrIndex};
-use pitex_model::bound::UpperBoundEdgeProbs;
+use pitex_model::bound::{BoundedPosterior, UpperBoundEdgeProbs};
 use pitex_model::combi::KSubsets;
-use pitex_model::{BoundOracle, EdgeProbCache, PosteriorEdgeProbs, TagId, TagSet, TicModel};
+use pitex_model::{
+    BoundOracle, EdgeProbCache, PosteriorEdgeProbs, TagId, TagSet, TicModel, TopicPosterior,
+};
 use pitex_sampling::{SamplingParams, SpreadEstimator};
 use pitex_support::Timer;
 use std::cmp::Reverse;
@@ -61,6 +63,10 @@ pub struct PitexEngine<'a> {
     estimator: Box<dyn SpreadEstimator + 'a>,
     oracle: BoundOracle,
     cache: EdgeProbCache,
+    /// The posterior / bound weights of the tag set being estimated; one
+    /// allocation each for the hundreds of tag sets of a query.
+    posterior: TopicPosterior,
+    bounded: BoundedPosterior,
     config: PitexConfig,
 }
 
@@ -73,7 +79,15 @@ impl<'a> PitexEngine<'a> {
     ) -> Self {
         let oracle = BoundOracle::new(model.tag_topic());
         let cache = model.new_prob_cache();
-        Self { model, estimator, oracle, cache, config }
+        Self {
+            model,
+            estimator,
+            oracle,
+            cache,
+            posterior: TopicPosterior::default(),
+            bounded: BoundedPosterior::default(),
+            config,
+        }
     }
 
     /// Builds an engine for any concrete backend through the
@@ -290,14 +304,14 @@ impl<'a> PitexEngine<'a> {
         params: &SamplingParams,
         stats: &mut QueryStats,
     ) -> f64 {
-        let posterior = self.model.posterior(tags);
-        if posterior.is_empty() {
+        self.posterior.recompute(self.model.tag_topic(), tags);
+        if self.posterior.is_empty() {
             stats.tag_sets_infeasible += 1;
             return 1.0;
         }
         stats.tag_sets_evaluated += 1;
         let mut probs =
-            PosteriorEdgeProbs::new(self.model.edge_topics(), &posterior, &mut self.cache);
+            PosteriorEdgeProbs::new(self.model.edge_topics(), &self.posterior, &mut self.cache);
         let est = self.estimator.estimate(self.model.graph(), user, &mut probs, params);
         stats.absorb(&est);
         est.spread
@@ -313,14 +327,14 @@ impl<'a> PitexEngine<'a> {
         params: &SamplingParams,
         stats: &mut QueryStats,
     ) -> f64 {
-        let bounded = self.oracle.bounded_posterior(tags, k);
-        if bounded.is_empty() || bounded.entries().iter().all(|&(_, w)| w == 0.0) {
+        self.oracle.bounded_posterior_into(tags, k, &mut self.bounded);
+        if self.bounded.entries().iter().all(|&(_, w)| w == 0.0) {
             // No topic can carry any completion: every edge bound is 0.
             return 1.0;
         }
         stats.bounds_computed += 1;
         let mut probs =
-            UpperBoundEdgeProbs::new(self.model.edge_topics(), &bounded, &mut self.cache);
+            UpperBoundEdgeProbs::new(self.model.edge_topics(), &self.bounded, &mut self.cache);
         let est = self.estimator.estimate(self.model.graph(), user, &mut probs, params);
         stats.absorb(&est);
         est.spread

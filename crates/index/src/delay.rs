@@ -30,8 +30,8 @@
 //! > the one-forward-sample-per-graph cost of the paper's scheme.
 
 use crate::build::IndexBudget;
-use crate::prune::CutFilter;
-use crate::rrgraph::{ReachScratch, RrGraph};
+use crate::prune::{CutPolicy, UserView};
+use crate::rrgraph::RrGraph;
 use pitex_graph::{DiGraph, EdgeId, NodeId};
 use pitex_model::{EdgeProbs, EdgeTopics, TicModel};
 use pitex_sampling::{Estimate, SamplingParams, SpreadEstimator};
@@ -222,19 +222,20 @@ pub struct DelayMatEstimator<'a> {
     index: &'a DelayMatIndex,
     edge_topics: &'a EdgeTopics,
     seed: u64,
-    cached: Option<(NodeId, RecoveredSet, CutFilter)>,
-    scratch: ReachScratch,
-    marks: EpochVisited,
+    /// The graphs recovered for the user `view` is compiled for.
+    recovered: RecoveredSet,
+    view: UserView,
     recover_visited: EpochVisited,
-    candidate_buf: Vec<u32>,
 }
 
 /// The per-user recovered graphs with their importance weights.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 struct RecoveredSet {
     graphs: Vec<RrGraph>,
     weights: Vec<u32>,
     total_weight: f64,
+    /// Weight of the graphs whose target is the user (always hits).
+    self_hit_weight: f64,
 }
 
 impl<'a> DelayMatEstimator<'a> {
@@ -243,44 +244,48 @@ impl<'a> DelayMatEstimator<'a> {
             index,
             edge_topics,
             seed,
-            cached: None,
-            scratch: ReachScratch::new(),
-            marks: EpochVisited::new(0),
+            recovered: RecoveredSet::default(),
+            view: UserView::default(),
             recover_visited: EpochVisited::new(0),
-            candidate_buf: Vec::new(),
         }
     }
 
     /// Recovered graphs for the current user (test hook).
     pub fn recovered_for(&mut self, graph: &DiGraph, user: NodeId) -> &[RrGraph] {
         self.ensure(graph, user);
-        &self.cached.as_ref().unwrap().1.graphs
+        &self.recovered.graphs
+    }
+
+    /// Importance weights `|V′|` of the graphs last recovered, in their
+    /// order (test hook).
+    pub fn recovered_weights(&self) -> &[u32] {
+        &self.recovered.weights
     }
 
     fn ensure(&mut self, graph: &DiGraph, user: NodeId) {
-        let stale = !matches!(self.cached, Some((u, _, _)) if u == user);
-        if stale {
-            let mut rng = StdRng::seed_from_u64(
-                self.seed ^ (user as u64).wrapping_mul(0xE703_7ED1_A0B4_28DB),
-            );
-            let count = self.index.count(user);
-            let mut graphs = Vec::with_capacity(count as usize);
-            let mut weights = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                let (rr, w) = recover_rr_graph(
-                    graph,
-                    self.edge_topics,
-                    user,
-                    &mut rng,
-                    &mut self.recover_visited,
-                );
-                graphs.push(rr);
-                weights.push(w);
-            }
-            let total_weight: f64 = weights.iter().map(|&w| w as f64).sum();
-            let filter = CutFilter::build(user, graphs.iter(), self.edge_topics);
-            self.cached = Some((user, RecoveredSet { graphs, weights, total_weight }, filter));
+        if self.view.is_for(user) {
+            return;
         }
+        let mut rng =
+            StdRng::seed_from_u64(self.seed ^ (user as u64).wrapping_mul(0xE703_7ED1_A0B4_28DB));
+        let RecoveredSet { graphs, weights, total_weight, self_hit_weight } = &mut self.recovered;
+        graphs.clear();
+        weights.clear();
+        for _ in 0..self.index.count(user) {
+            let (rr, w) = recover_rr_graph(
+                graph,
+                self.edge_topics,
+                user,
+                &mut rng,
+                &mut self.recover_visited,
+            );
+            graphs.push(rr);
+            weights.push(w);
+        }
+        *total_weight = weights.iter().map(|&w| w as f64).sum();
+        self.view.compile(user, graphs.iter(), Some((self.edge_topics, CutPolicy::Best)));
+        *self_hit_weight =
+            self.view.self_hits().iter().map(|&pos| weights[pos as usize] as f64).sum();
     }
 }
 
@@ -294,22 +299,14 @@ impl SpreadEstimator for DelayMatEstimator<'_> {
     ) -> Estimate {
         debug_assert_eq!(graph.num_nodes(), self.index.num_nodes());
         self.ensure(graph, user);
-        let (_, recovered, filter) = self.cached.as_ref().unwrap();
-
-        let mut candidates = std::mem::take(&mut self.candidate_buf);
-        filter.candidates(probs, &mut self.marks, &mut candidates);
+        let recovered = &self.recovered;
 
         // Self-normalized importance estimate (see module docs):
-        // Ê = |V| · (θ(u)/θ) · Σ 1_i·w_i / Σ w_i.
-        let mut hit_weight = 0.0f64;
-        let mut edges_visited = 0u64;
-        for &pos in &candidates {
-            let rr = &recovered.graphs[pos as usize];
-            if rr.reaches_target(user, probs, &mut self.scratch, &mut edges_visited) {
-                hit_weight += recovered.weights[pos as usize] as f64;
-            }
-        }
-        self.candidate_buf = candidates;
+        // Ê = |V| · (θ(u)/θ) · Σ 1_i·w_i / Σ w_i. The weights are integers,
+        // so the order the hits are summed in cannot change the sum.
+        let mut hit_weight = recovered.self_hit_weight;
+        let verified =
+            self.view.verify(probs, |pos| hit_weight += recovered.weights[pos as usize] as f64);
         let theta_u = recovered.graphs.len() as f64;
         let spread = if recovered.total_weight > 0.0 {
             self.index.num_nodes() as f64
@@ -321,7 +318,7 @@ impl SpreadEstimator for DelayMatEstimator<'_> {
         Estimate {
             spread,
             samples_used: recovered.graphs.len() as u64,
-            edges_visited,
+            edges_visited: verified.edges_visited,
             reachable: 0,
         }
     }
@@ -334,6 +331,7 @@ impl SpreadEstimator for DelayMatEstimator<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rrgraph::ReachScratch;
     use pitex_model::{MaxEdgeProbs, PosteriorEdgeProbs, TagSet, TicModel};
     use pitex_sampling::exact_spread;
 

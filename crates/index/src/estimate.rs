@@ -2,26 +2,66 @@
 //! online phase): the paper's INDEXEST.
 
 use crate::build::RrIndex;
-use crate::rrgraph::ReachScratch;
+use crate::prune::{CutPolicy, UserView};
 use pitex_graph::{DiGraph, NodeId};
-use pitex_model::EdgeProbs;
+use pitex_model::{EdgeProbs, EdgeTopics};
 use pitex_sampling::{Estimate, SamplingParams, SpreadEstimator};
+
+/// The compiled view of the most recent query user over a materialized
+/// [`RrIndex`]: the shared body of INDEXEST (`cuts = None`, every member
+/// graph is traversed) and INDEXEST+.
+#[derive(Debug)]
+pub(crate) struct IndexView<'a> {
+    index: &'a RrIndex,
+    view: UserView,
+}
+
+impl<'a> IndexView<'a> {
+    pub(crate) fn new(index: &'a RrIndex) -> Self {
+        Self { index, view: UserView::default() }
+    }
+
+    /// `(Σᵢ 1[u ⇝ vᵢ | G^RR_{vᵢ}, W]) / θ · |V|` over the RR-Graphs that
+    /// contain `user`, and how many of them the filter did not rule out.
+    pub(crate) fn estimate(
+        &mut self,
+        graph: &DiGraph,
+        user: NodeId,
+        probs: &mut dyn EdgeProbs,
+        cuts: Option<(&EdgeTopics, CutPolicy)>,
+    ) -> (Estimate, u64) {
+        debug_assert_eq!(graph.num_nodes(), self.index.num_nodes());
+        let member_ids = self.index.graphs_containing(user);
+        if !self.view.is_for(user) {
+            let graphs = self.index.graphs();
+            self.view.compile(user, member_ids.iter().map(|&gid| &graphs[gid as usize]), cuts);
+        }
+        let mut hits = self.view.self_hits().len() as u64;
+        let verified = self.view.verify(probs, |_| hits += 1);
+        let estimate = Estimate {
+            spread: hits as f64 / self.index.theta() as f64 * self.index.num_nodes() as f64,
+            samples_used: member_ids.len() as u64,
+            edges_visited: verified.edges_visited,
+            reachable: 0, // not computed: avoiding the full-graph BFS is the point
+        };
+        (estimate, verified.candidates)
+    }
+}
 
 /// Estimates `E[I(u|W)]` as `(Σᵢ 1[u ⇝ vᵢ | G^RR_{vᵢ}, W]) / θ · |V|`,
 /// checking tag-aware reachability only in the RR-Graphs that contain `u`.
 #[derive(Debug)]
 pub struct IndexEstimator<'a> {
-    index: &'a RrIndex,
-    scratch: ReachScratch,
+    view: IndexView<'a>,
 }
 
 impl<'a> IndexEstimator<'a> {
     pub fn new(index: &'a RrIndex) -> Self {
-        Self { index, scratch: ReachScratch::new() }
+        Self { view: IndexView::new(index) }
     }
 
     pub fn index(&self) -> &'a RrIndex {
-        self.index
+        self.view.index
     }
 }
 
@@ -33,22 +73,7 @@ impl SpreadEstimator for IndexEstimator<'_> {
         probs: &mut dyn EdgeProbs,
         _params: &SamplingParams,
     ) -> Estimate {
-        debug_assert_eq!(graph.num_nodes(), self.index.num_nodes());
-        let member_ids = self.index.graphs_containing(user);
-        let mut hits = 0u64;
-        let mut edges_visited = 0u64;
-        for &gid in member_ids {
-            let rr = &self.index.graphs()[gid as usize];
-            if rr.reaches_target(user, probs, &mut self.scratch, &mut edges_visited) {
-                hits += 1;
-            }
-        }
-        Estimate {
-            spread: hits as f64 / self.index.theta() as f64 * self.index.num_nodes() as f64,
-            samples_used: member_ids.len() as u64,
-            edges_visited,
-            reachable: 0, // not computed: avoiding the full-graph BFS is the point
-        }
+        self.view.estimate(graph, user, probs, None).0
     }
 
     fn name(&self) -> &'static str {

@@ -15,7 +15,8 @@
 //!   theoretical budget and practical per-vertex budgets;
 //! * [`estimate`] — `EstimateInfluence+` (Algo. 3): the plain index-based
 //!   estimator (the paper's INDEXEST);
-//! * [`prune`] — edge-cut filtering with inverted lists (§6.2, INDEXEST+);
+//! * [`prune`] — edge-cut filtering with inverted lists (§6.2, INDEXEST+),
+//!   on the compiled per-user view all three index estimators traverse;
 //! * [`delay`] — delay materialization (§6.3, Algo. 4, DELAYMAT): store one
 //!   counter per user, recover the RR-Graphs at query time;
 //! * [`serial`] — index persistence (Table 3 reports sizes).

@@ -1,8 +1,9 @@
-//! Edge-cut filtering with inverted lists (§6.2) — the paper's INDEXEST+.
+//! Edge-cut filtering on a compiled per-user view (§6.2) — the paper's
+//! INDEXEST+, and the one filter→verify loop all three index estimators run.
 //!
 //! Verifying tag-aware reachability in every RR-Graph containing `u` means
-//! one BFS per graph per tag set. The filter step picks, per RR-Graph, a
-//! small **edge cut** such that `u` can reach the target only if at least
+//! one traversal per graph per tag set. The filter step picks, per RR-Graph,
+//! a small **edge cut** such that `u` can reach the target only if at least
 //! one cut edge is live (`p(e|W) ≥ c(e)`); if every cut edge is dead the
 //! graph is pruned without traversal. Following Example 7, two candidate
 //! cuts are compared — `u`'s out-edges inside the graph versus the target's
@@ -10,16 +11,39 @@
 //! prune probability `Π_e c(e)/p(e)` (the chance that an independent
 //! `p(e|W) ~ U[0, p(e)]` misses every mark).
 //!
-//! The cut entries feed **inverted lists** `edge → [(graph, c(e))]` sorted
-//! by `c(e)` ascending, so a query scans each list only while
-//! `c(e) ≤ p(e|W)` and every unvisited graph is pruned wholesale.
+//! The paper builds the filter once per query user and reuses it for the
+//! hundreds of tag sets of the query. [`CutFilter`] compiles more than the
+//! cuts in that one pass — the BFS from `u` that finds the second cut
+//! already walks everything a verification can ever touch:
+//!
+//! * **graphs** — per member graph only the subgraph reachable from `u`,
+//!   renumbered in BFS order (so `u` is the graph's first node) and appended
+//!   to shared arenas: one offsets entry per node, and per edge `dst` (arena
+//!   node), `edge_local` and the mark `c`, each vertex's edges in stored
+//!   order. A traversal is therefore the same DFS [`RrGraph::reaches_target`]
+//!   runs — same edges probed, same count — over contiguous memory, with no
+//!   per-graph `local_id` binary searches. Graphs whose target is `u` are
+//!   hits by definition and collapse into a position list; graphs where `u`
+//!   has no out-edge can never hit and are dropped.
+//! * **edges** — every distinct global edge id of the view gets a dense
+//!   local id, **cut edges first**. Per tag set the cut-edge prefix is
+//!   evaluated by one [`EdgeProbs::fill`] call (every one of them is needed
+//!   to scan the lists); the rest are probed lazily under an epoch stamp
+//!   the first time a traversal meets them, because a heavy user's view
+//!   holds several times more edges than one estimate touches.
+//! * **inverted lists** — the chosen cuts' `(edge, c, graph)` triples,
+//!   sorted once and flattened into `list_off` / `list_c` / `list_graph`:
+//!   list `j` belongs to local edge `j` and is sorted by `c` ascending, so a
+//!   query scans it only while `c(e) ≤ p(e|W)` and every unvisited graph is
+//!   pruned wholesale.
 
 use crate::build::RrIndex;
-use crate::rrgraph::{ReachScratch, RrGraph};
+use crate::estimate::IndexView;
+use crate::rrgraph::RrGraph;
 use pitex_graph::{DiGraph, EdgeId, NodeId};
 use pitex_model::{EdgeProbs, EdgeTopics};
 use pitex_sampling::{Estimate, SamplingParams, SpreadEstimator};
-use pitex_support::{EpochVisited, FxHashMap};
+use pitex_support::EpochVisited;
 
 /// Which edge cut each RR-Graph uses (the ablation knob behind Example 7's
 /// selection heuristic).
@@ -35,23 +59,91 @@ pub enum CutPolicy {
     Best,
 }
 
-/// Per-user filter over a set of RR-Graphs: one cut per graph, indexed by
+/// Arena node id of a target the user cannot reach in the stored graph.
+const UNREACHABLE: u32 = u32::MAX;
+
+/// One traversable graph of the view.
+#[derive(Clone, Copy, Debug)]
+struct ViewGraph {
+    /// Position in the sequence the view was compiled from.
+    pos: u32,
+    /// Arena node of the user: the graph's first.
+    start: u32,
+    /// Arena node of the target, or [`UNREACHABLE`].
+    target: u32,
+}
+
+/// The compiled view of one user over a set of RR-Graphs (see the module
+/// docs): the user-reachable subgraphs, one cut per graph, and the cuts'
 /// inverted lists. Built once per query user and reused for every candidate
-/// tag set of the query.
-#[derive(Clone, Debug)]
+/// tag set of the query. The default is the view over no graphs.
+#[derive(Clone, Debug, Default)]
 pub struct CutFilter {
-    /// Graph positions that are always candidates (the user is the target —
-    /// trivially reachable — or no usable cut exists).
-    always: Vec<u32>,
-    /// `edge → [(graph position, c(e))]`, each list sorted by `c` ascending.
-    lists: Vec<(EdgeId, Vec<(u32, f32)>)>,
     num_graphs: usize,
+    /// Whether cuts were chosen; without them every graph is a candidate.
+    filtered: bool,
+    /// Positions of the graphs whose target is the user.
+    self_hits: Vec<u32>,
+    graphs: Vec<ViewGraph>,
+    /// Node arena: node `v`'s edges are `adj_off[v]..adj_off[v + 1]`.
+    adj_off: Vec<u32>,
+    /// Edge arenas.
+    dst: Vec<u32>,
+    edge_local: Vec<u32>,
+    c: Vec<f32>,
+    /// Local edge id → global edge id; the first `num_list_edges` entries
+    /// are the cut edges, ascending.
+    edge_global: Vec<EdgeId>,
+    num_list_edges: usize,
+    /// Inverted list of local edge `j < num_list_edges`:
+    /// `list_off[j]..list_off[j + 1]` into `list_c` (ascending) /
+    /// `list_graph` (indices into `graphs`).
+    list_off: Vec<u32>,
+    list_c: Vec<f32>,
+    list_graph: Vec<u32>,
+    build: BuildScratch,
+}
+
+/// Buffers [`CutFilter::compile`] reuses from one user to the next.
+#[derive(Clone, Debug, Default)]
+struct BuildScratch {
+    seen: EpochVisited,
+    /// Stored local id → BFS rank, valid where `seen`.
+    rank: Vec<u32>,
+    queue: Vec<u32>,
+    /// Global edge id of every arena edge.
+    arena_edge: Vec<EdgeId>,
+    cut2: Vec<(EdgeId, f32)>,
+    cuts: Vec<(EdgeId, f32, u32)>,
+    by_edge: Vec<(EdgeId, u32)>,
+}
+
+/// What one [`UserView::verify`] pass did.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Verified {
+    /// Graphs the filter did not rule out: the traversed ones plus those
+    /// whose target is the user.
+    pub(crate) candidates: u64,
+    pub(crate) edges_visited: u64,
+}
+
+/// Example 7's prune probability `Π_e min(1, c(e)/p(e))` of one cut.
+fn prune_prob(p_max: &EdgeTopics, cut: impl Iterator<Item = (EdgeId, f32)>) -> f64 {
+    cut.map(|(e, c)| {
+        let p = p_max.p_max(e) as f64;
+        if p > 0.0 {
+            (c as f64 / p).min(1.0)
+        } else {
+            1.0
+        }
+    })
+    .product()
 }
 
 impl CutFilter {
     /// Builds the filter for `user` over `graphs` (positions into the
-    /// slice are the filter's graph ids). `p_max` supplies `p(e)`. Uses the
-    /// paper's best-of-two cut selection.
+    /// sequence are the filter's graph ids). `p_max` supplies `p(e)`. Uses
+    /// the paper's best-of-two cut selection.
     pub fn build<'g>(
         user: NodeId,
         graphs: impl Iterator<Item = &'g RrGraph>,
@@ -68,98 +160,154 @@ impl CutFilter {
         p_max: &EdgeTopics,
         policy: CutPolicy,
     ) -> Self {
-        let mut always = Vec::new();
-        let mut lists: FxHashMap<EdgeId, Vec<(u32, f32)>> = FxHashMap::default();
-        let mut reach = Vec::new();
-        let mut visited = EpochVisited::new(0);
-        let mut num_graphs = 0usize;
+        let mut filter = Self::default();
+        filter.compile(user, graphs, Some((p_max, policy)));
+        filter
+    }
+
+    /// Recompiles the view for `user` over `graphs` in place. Without
+    /// `cuts` no inverted lists are built and every traversable graph is a
+    /// candidate (plain INDEXEST).
+    fn compile<'g>(
+        &mut self,
+        user: NodeId,
+        graphs: impl Iterator<Item = &'g RrGraph>,
+        cuts: Option<(&EdgeTopics, CutPolicy)>,
+    ) {
+        self.num_graphs = 0;
+        self.filtered = cuts.is_some();
+        self.self_hits.clear();
+        self.graphs.clear();
+        self.adj_off.clear();
+        self.adj_off.push(0);
+        self.dst.clear();
+        self.c.clear();
+        let build = &mut self.build;
+        build.arena_edge.clear();
+        build.cuts.clear();
 
         for (pos, rr) in graphs.enumerate() {
-            num_graphs += 1;
+            self.num_graphs += 1;
             let pos = pos as u32;
             if rr.target() == user {
-                always.push(pos);
+                self.self_hits.push(pos);
                 continue;
             }
-            let Some(user_local) = rr.local_id(user) else {
-                // Not a member: can never reach; simply absent from lists.
+            // Not a member, or a member with no way out: can never reach.
+            let Some(user_local) = rr.local_id(user) else { continue };
+            if rr.out_edges_local(user_local).is_empty() {
                 continue;
-            };
+            }
             let target_local = rr.local_id(rr.target()).expect("target is a member");
 
-            // Cut 1: the user's out-edges inside the RR-Graph.
-            let cut1: Vec<(EdgeId, f32)> =
-                rr.out_edges_local(user_local).iter().map(|e| (e.edge_id, e.c)).collect();
-
-            // Cut 2: the target's in-edges from vertices reachable from the
-            // user within the stored graph (marks ignored: stored edges are
-            // the p_max-live superset).
-            visited.grow(rr.num_nodes());
-            visited.reset();
-            reach.clear();
-            visited.insert(user_local);
-            reach.push(user_local);
+            // BFS from the user over the stored graph (marks ignored: stored
+            // edges are the p_max-live superset), appending each dequeued
+            // vertex's edges to the arenas. The target's in-edges met on the
+            // way are the second cut.
+            let start = (self.adj_off.len() - 1) as u32;
+            build.seen.grow(rr.num_nodes());
+            build.seen.reset();
+            if build.rank.len() < rr.num_nodes() {
+                build.rank.resize(rr.num_nodes(), 0);
+            }
+            build.queue.clear();
+            build.cut2.clear();
+            build.seen.insert(user_local);
+            build.rank[user_local as usize] = 0;
+            build.queue.push(user_local);
             let mut head = 0usize;
-            while head < reach.len() {
-                let v = reach[head];
+            while head < build.queue.len() {
+                let v = build.queue[head];
                 head += 1;
                 for e in rr.out_edges_local(v) {
-                    if visited.insert(e.dst_local) {
-                        reach.push(e.dst_local);
+                    if build.seen.insert(e.dst_local) {
+                        build.rank[e.dst_local as usize] = build.queue.len() as u32;
+                        build.queue.push(e.dst_local);
                     }
-                }
-            }
-            let mut cut2: Vec<(EdgeId, f32)> = Vec::new();
-            for &v in &reach {
-                for e in rr.out_edges_local(v) {
+                    self.dst.push(start + build.rank[e.dst_local as usize]);
+                    self.c.push(e.c);
+                    build.arena_edge.push(e.edge_id);
                     if e.dst_local == target_local {
-                        cut2.push((e.edge_id, e.c));
+                        build.cut2.push((e.edge_id, e.c));
                     }
                 }
+                self.adj_off.push(self.dst.len() as u32);
             }
-
-            // Example 7's selection rule: higher Π c(e)/p(e) prunes more.
-            let prune_prob = |cut: &[(EdgeId, f32)]| -> f64 {
-                cut.iter()
-                    .map(|&(e, c)| {
-                        let p = p_max.p_max(e) as f64;
-                        if p > 0.0 {
-                            (c as f64 / p).min(1.0)
-                        } else {
-                            1.0
-                        }
-                    })
-                    .product()
-            };
-            let chosen = if cut1.is_empty() && cut2.is_empty() {
-                always.push(pos);
-                continue;
+            let target = if build.seen.contains(target_local) {
+                start + build.rank[target_local as usize]
             } else {
-                match policy {
-                    CutPolicy::UserOut if !cut1.is_empty() => cut1,
-                    CutPolicy::TargetIn if !cut2.is_empty() => cut2,
-                    _ => {
-                        if cut2.is_empty()
-                            || (!cut1.is_empty() && prune_prob(&cut1) >= prune_prob(&cut2))
-                        {
-                            cut1
-                        } else {
-                            cut2
-                        }
-                    }
+                UNREACHABLE
+            };
+            let slot = self.graphs.len() as u32;
+            self.graphs.push(ViewGraph { pos, start, target });
+
+            let Some((p_max, policy)) = cuts else { continue };
+            // Cut 1: the user's out-edges, the first arena edges of the graph.
+            let cut1 =
+                self.adj_off[start as usize] as usize..self.adj_off[start as usize + 1] as usize;
+            let cut1 = cut1.map(|i| (build.arena_edge[i], self.c[i]));
+            // Example 7's selection rule: higher Π c(e)/p(e) prunes more.
+            let use_cut1 = match policy {
+                CutPolicy::UserOut => true,
+                CutPolicy::TargetIn if !build.cut2.is_empty() => false,
+                _ => {
+                    build.cut2.is_empty()
+                        || prune_prob(p_max, cut1.clone())
+                            >= prune_prob(p_max, build.cut2.iter().copied())
                 }
             };
-            for (e, c) in chosen {
-                lists.entry(e).or_default().push((pos, c));
+            if use_cut1 {
+                build.cuts.extend(cut1.map(|(e, c)| (e, c, slot)));
+            } else {
+                build.cuts.extend(build.cut2.iter().map(|&(e, c)| (e, c, slot)));
             }
         }
 
-        let mut lists: Vec<(EdgeId, Vec<(u32, f32)>)> = lists.into_iter().collect();
-        for (_, list) in &mut lists {
-            list.sort_unstable_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
+        // Inverted lists: one sort of the (edge, c, graph) triples. The cut
+        // edges take the local ids 0.., ascending.
+        self.edge_global.clear();
+        self.list_off.clear();
+        self.list_c.clear();
+        self.list_graph.clear();
+        build
+            .cuts
+            .sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)).then(a.2.cmp(&b.2)));
+        for &(e, c, slot) in &build.cuts {
+            if self.edge_global.last() != Some(&e) {
+                self.edge_global.push(e);
+                self.list_off.push(self.list_c.len() as u32);
+            }
+            self.list_c.push(c);
+            self.list_graph.push(slot);
         }
-        lists.sort_unstable_by_key(|&(e, _)| e);
-        Self { always, lists, num_graphs }
+        self.list_off.push(self.list_c.len() as u32);
+
+        // Local ids of the arena edges: a merge of the sorted arena edge ids
+        // with the (sorted) cut edges; everything else is numbered after them.
+        let num_list_edges = self.edge_global.len();
+        self.num_list_edges = num_list_edges;
+        build.by_edge.clear();
+        build.by_edge.extend(build.arena_edge.iter().zip(0u32..).map(|(&e, i)| (e, i)));
+        build.by_edge.sort_unstable();
+        self.edge_local.clear();
+        self.edge_local.resize(self.dst.len(), 0);
+        let mut cut_cursor = 0usize;
+        let mut run = (None, 0u32); // the edge id being numbered and its local id
+        for &(e, i) in &build.by_edge {
+            if run.0 != Some(e) {
+                while cut_cursor < num_list_edges && self.edge_global[cut_cursor] < e {
+                    cut_cursor += 1;
+                }
+                let local = if cut_cursor < num_list_edges && self.edge_global[cut_cursor] == e {
+                    cut_cursor
+                } else {
+                    self.edge_global.push(e);
+                    self.edge_global.len() - 1
+                };
+                run = (Some(e), local as u32);
+            }
+            self.edge_local[i as usize] = run.1;
+        }
     }
 
     /// Number of graphs the filter was built over.
@@ -167,84 +315,212 @@ impl CutFilter {
         self.num_graphs
     }
 
+    /// Heap footprint of the compiled view in bytes (its build buffers and
+    /// the per-estimate scratch of the estimator holding it not counted).
+    pub fn heap_bytes(&self) -> u64 {
+        (self.self_hits.len() * 4
+            + self.graphs.len() * 12
+            + self.adj_off.len() * 4
+            + self.dst.len() * 12
+            + self.edge_global.len() * 4
+            + self.list_off.len() * 4
+            + self.list_c.len() * 8) as u64
+    }
+
     /// Collects candidate graph positions for the current tag set into
-    /// `out` (deduplicated): the always-set plus every graph with at least
-    /// one live cut edge. All other graphs are certifiably unreachable.
+    /// `out` (deduplicated): the graphs whose target is the user plus every
+    /// graph with at least one live cut edge. All other graphs are
+    /// certifiably unreachable. (The inspection entry point of tests and
+    /// benches: it allocates its probability buffer per call, which the
+    /// estimators' own pass does not.)
     pub fn candidates(
         &self,
         probs: &mut dyn EdgeProbs,
         marks: &mut EpochVisited,
         out: &mut Vec<u32>,
     ) {
-        marks.grow(self.num_graphs);
-        marks.reset();
+        let mut list_p = vec![0.0f32; self.num_list_edges];
+        probs.fill(&self.edge_global[..list_p.len()], &mut list_p);
         out.clear();
-        for &pos in &self.always {
-            if marks.insert(pos) {
-                out.push(pos);
-            }
+        out.extend_from_slice(&self.self_hits);
+        let first_slot = out.len();
+        self.live_slots(&list_p, marks, out);
+        for slot in &mut out[first_slot..] {
+            *slot = self.graphs[*slot as usize].pos;
         }
-        for (e, list) in &self.lists {
-            let p = probs.prob(*e);
+    }
+
+    /// Appends to `out` every graph (index into `graphs`) with a live cut
+    /// edge under the cut-edge probabilities `list_p`, each once.
+    fn live_slots(&self, list_p: &[f32], marks: &mut EpochVisited, out: &mut Vec<u32>) {
+        marks.grow(self.graphs.len());
+        marks.reset();
+        for (j, &p) in list_p.iter().enumerate() {
             if p <= 0.0 {
                 continue;
             }
-            for &(pos, c) in list {
-                if (c as f64) > p {
+            let list = self.list_off[j] as usize..self.list_off[j + 1] as usize;
+            for (&c, &slot) in self.list_c[list.clone()].iter().zip(&self.list_graph[list]) {
+                if c > p {
                     break; // sorted ascending: the rest are dead too
                 }
-                if marks.insert(pos) {
-                    out.push(pos);
+                if marks.insert(slot) {
+                    out.push(slot);
                 }
             }
         }
+    }
+}
+
+/// Per-estimate state of a [`UserView`].
+#[derive(Debug, Default)]
+struct VerifyScratch {
+    /// `p(e|W)` of the cut edges, filled in bulk per tag set.
+    list_p: Vec<f32>,
+    /// `(stamp, p(e|W))` of the other local edges, valid iff the stamp is
+    /// the current `epoch`.
+    lazy: Vec<(u32, f32)>,
+    epoch: u32,
+    /// Over the node arena; graphs own disjoint ranges of it, so one reset
+    /// per estimate serves every traversal.
+    visited: EpochVisited,
+    stack: Vec<u32>,
+    marks: EpochVisited,
+    candidates: Vec<u32>,
+}
+
+/// The compiled view of the most recent query user plus the scratch one
+/// estimate needs — what INDEXEST, INDEXEST+ and DELAYMAT each hold. A PITEX
+/// query evaluates hundreds of tag sets for one user, so the view is
+/// compiled on user switch and amortized (the paper constructs its filter
+/// per query user, §6.2); all buffers are reused across users.
+#[derive(Debug, Default)]
+pub(crate) struct UserView {
+    user: Option<NodeId>,
+    filter: CutFilter,
+    scratch: VerifyScratch,
+}
+
+impl UserView {
+    /// True when the view is compiled for `user`.
+    pub(crate) fn is_for(&self, user: NodeId) -> bool {
+        self.user == Some(user)
+    }
+
+    /// Compiles the view for `user` over `graphs`; see [`CutFilter::compile`].
+    pub(crate) fn compile<'g>(
+        &mut self,
+        user: NodeId,
+        graphs: impl Iterator<Item = &'g RrGraph>,
+        cuts: Option<(&EdgeTopics, CutPolicy)>,
+    ) {
+        self.filter.compile(user, graphs, cuts);
+        self.user = Some(user);
+        let num_list_edges = self.filter.num_list_edges;
+        let scratch = &mut self.scratch;
+        scratch.list_p.clear();
+        scratch.list_p.resize(num_list_edges, 0.0);
+        scratch.lazy.clear();
+        scratch.lazy.resize(self.filter.edge_global.len() - num_list_edges, (0, 0.0));
+        scratch.epoch = 0;
+        scratch.visited.grow(self.filter.adj_off.len() - 1);
+    }
+
+    /// Positions of the graphs whose target is the user: hits under every
+    /// tag set, not reported through [`UserView::verify`]'s `on_hit`.
+    pub(crate) fn self_hits(&self) -> &[u32] {
+        &self.filter.self_hits
+    }
+
+    /// Filter-and-verify for one tag set: evaluates the cut edges in bulk,
+    /// scans the inverted lists for candidates and traverses those, calling
+    /// `on_hit` with the position of every graph where the user reaches the
+    /// target. The traversal is [`RrGraph::reaches_target`]'s DFS edge for
+    /// edge, so `edges_visited` counts the same probes.
+    pub(crate) fn verify(
+        &mut self,
+        probs: &mut dyn EdgeProbs,
+        mut on_hit: impl FnMut(u32),
+    ) -> Verified {
+        let Self { filter, scratch, .. } = self;
+        let (list_edges, lazy_edges) = filter.edge_global.split_at(scratch.list_p.len());
+        probs.fill(list_edges, &mut scratch.list_p);
+        scratch.candidates.clear();
+        if filter.filtered {
+            filter.live_slots(&scratch.list_p, &mut scratch.marks, &mut scratch.candidates);
+        } else {
+            scratch.candidates.extend(0..filter.graphs.len() as u32);
+        }
+
+        if scratch.epoch == u32::MAX {
+            scratch.lazy.fill((0, 0.0));
+            scratch.epoch = 0;
+        }
+        scratch.epoch += 1;
+        scratch.visited.reset();
+        let mut edges_visited = 0u64;
+        for &slot in &scratch.candidates {
+            let graph = filter.graphs[slot as usize];
+            scratch.stack.clear();
+            scratch.visited.insert(graph.start);
+            scratch.stack.push(graph.start);
+            'dfs: while let Some(v) = scratch.stack.pop() {
+                let out =
+                    filter.adj_off[v as usize] as usize..filter.adj_off[v as usize + 1] as usize;
+                let edges = filter.dst[out.clone()]
+                    .iter()
+                    .zip(&filter.edge_local[out.clone()])
+                    .zip(&filter.c[out]);
+                for ((&dst, &local), &c) in edges {
+                    if scratch.visited.contains(dst) {
+                        continue;
+                    }
+                    edges_visited += 1;
+                    let p = match (local as usize).checked_sub(list_edges.len()) {
+                        None => scratch.list_p[local as usize],
+                        Some(rest) => {
+                            let memo = &mut scratch.lazy[rest];
+                            if memo.0 != scratch.epoch {
+                                *memo = (scratch.epoch, probs.prob(lazy_edges[rest]) as f32);
+                            }
+                            memo.1
+                        }
+                    };
+                    if p >= c {
+                        if dst == graph.target {
+                            on_hit(graph.pos);
+                            break 'dfs;
+                        }
+                        scratch.visited.insert(dst);
+                        scratch.stack.push(dst);
+                    }
+                }
+            }
+        }
+        let candidates = (filter.self_hits.len() + scratch.candidates.len()) as u64;
+        Verified { candidates, edges_visited }
     }
 }
 
 /// INDEXEST+ — the RR-Graph index estimator with edge-cut filtering.
-///
-/// Caches the [`CutFilter`] of the most recent query user: a PITEX query
-/// evaluates hundreds of tag sets for one user, so the filter is built once
-/// and amortized (the paper constructs it per query user, §6.2).
 #[derive(Debug)]
 pub struct IndexPlusEstimator<'a> {
-    index: &'a RrIndex,
+    view: IndexView<'a>,
     edge_topics: &'a EdgeTopics,
-    cached: Option<(NodeId, CutFilter)>,
-    scratch: ReachScratch,
-    marks: EpochVisited,
-    candidate_buf: Vec<u32>,
-    /// Diagnostics across the estimator's lifetime.
-    pub graphs_verified: u64,
-    pub graphs_pruned: u64,
+    graphs_verified: u64,
+    graphs_pruned: u64,
 }
 
 impl<'a> IndexPlusEstimator<'a> {
     pub fn new(index: &'a RrIndex, edge_topics: &'a EdgeTopics) -> Self {
-        Self {
-            index,
-            edge_topics,
-            cached: None,
-            scratch: ReachScratch::new(),
-            marks: EpochVisited::new(0),
-            candidate_buf: Vec::new(),
-            graphs_verified: 0,
-            graphs_pruned: 0,
-        }
+        Self { view: IndexView::new(index), edge_topics, graphs_verified: 0, graphs_pruned: 0 }
     }
 
-    fn filter_for(&mut self, user: NodeId) -> &CutFilter {
-        let stale = !matches!(self.cached, Some((u, _)) if u == user);
-        if stale {
-            let member_graphs = self
-                .index
-                .graphs_containing(user)
-                .iter()
-                .map(|&gid| &self.index.graphs()[gid as usize]);
-            let filter = CutFilter::build(user, member_graphs, self.edge_topics);
-            self.cached = Some((user, filter));
-        }
-        &self.cached.as_ref().unwrap().1
+    /// `(verified, pruned)` member graphs across the estimator's lifetime:
+    /// those whose reachability a traversal (or the user being the target)
+    /// decided, and those the filter ruled out without one.
+    pub fn prune_counts(&self) -> (u64, u64) {
+        (self.graphs_verified, self.graphs_pruned)
     }
 }
 
@@ -256,32 +532,11 @@ impl SpreadEstimator for IndexPlusEstimator<'_> {
         probs: &mut dyn EdgeProbs,
         _params: &SamplingParams,
     ) -> Estimate {
-        debug_assert_eq!(graph.num_nodes(), self.index.num_nodes());
-        self.filter_for(user);
-        let (_, filter) = self.cached.as_ref().unwrap();
-        let member_ids = self.index.graphs_containing(user);
-
-        let mut candidates = std::mem::take(&mut self.candidate_buf);
-        filter.candidates(probs, &mut self.marks, &mut candidates);
-
-        let mut hits = 0u64;
-        let mut edges_visited = 0u64;
-        for &pos in &candidates {
-            let rr = &self.index.graphs()[member_ids[pos as usize] as usize];
-            if rr.reaches_target(user, probs, &mut self.scratch, &mut edges_visited) {
-                hits += 1;
-            }
-        }
-        self.graphs_verified += candidates.len() as u64;
-        self.graphs_pruned += (member_ids.len() - candidates.len()) as u64;
-        self.candidate_buf = candidates;
-
-        Estimate {
-            spread: hits as f64 / self.index.theta() as f64 * self.index.num_nodes() as f64,
-            samples_used: member_ids.len() as u64,
-            edges_visited,
-            reachable: 0,
-        }
+        let cuts = Some((self.edge_topics, CutPolicy::Best));
+        let (estimate, candidates) = self.view.estimate(graph, user, probs, cuts);
+        self.graphs_verified += candidates;
+        self.graphs_pruned += estimate.samples_used - candidates;
+        estimate
     }
 
     fn name(&self) -> &'static str {
@@ -341,11 +596,10 @@ mod tests {
         let posterior = model.posterior(&w);
         let mut probs = PosteriorEdgeProbs::new(model.edge_topics(), &posterior, &mut cache);
         plus.estimate(model.graph(), 0, &mut probs, &params);
+        let (verified, pruned) = plus.prune_counts();
         assert!(
-            plus.graphs_pruned > 0,
-            "expected some pruning, verified {} pruned {}",
-            plus.graphs_verified,
-            plus.graphs_pruned
+            pruned > 0 && verified + pruned == index.graphs_containing(0).len() as u64,
+            "expected some pruning, verified {verified} pruned {pruned}"
         );
     }
 
@@ -448,5 +702,197 @@ mod tests {
             let est = plus.estimate(model.graph(), user, &mut probs, &params);
             assert!(est.spread >= 0.0);
         }
+    }
+
+    /// §6.2 read literally, one graph at a time and with nothing compiled:
+    /// the positions whose chosen cut has a live edge (or whose target is
+    /// the user). What `candidates` and `verify` must agree with.
+    fn reference_candidates(
+        user: NodeId,
+        graphs: &[&RrGraph],
+        p_max: &EdgeTopics,
+        policy: CutPolicy,
+        probs: &mut dyn EdgeProbs,
+    ) -> Vec<u32> {
+        let mut out = Vec::new();
+        for (pos, rr) in graphs.iter().enumerate() {
+            if rr.target() == user {
+                out.push(pos as u32);
+                continue;
+            }
+            let Some(user_local) = rr.local_id(user) else { continue };
+            let target_local = rr.local_id(rr.target()).unwrap();
+            let cut1: Vec<_> =
+                rr.out_edges_local(user_local).iter().map(|e| (e.edge_id, e.c)).collect();
+            let mut reach = vec![user_local];
+            let mut head = 0;
+            while head < reach.len() {
+                for e in rr.out_edges_local(reach[head]) {
+                    if !reach.contains(&e.dst_local) {
+                        reach.push(e.dst_local);
+                    }
+                }
+                head += 1;
+            }
+            let cut2: Vec<_> = reach
+                .iter()
+                .flat_map(|&v| rr.out_edges_local(v))
+                .filter(|e| e.dst_local == target_local)
+                .map(|e| (e.edge_id, e.c))
+                .collect();
+            let cut = match policy {
+                CutPolicy::UserOut if !cut1.is_empty() => cut1,
+                CutPolicy::TargetIn if !cut2.is_empty() => cut2,
+                _ if cut2.is_empty() => cut1,
+                _ if cut1.is_empty() => cut2,
+                _ if prune_prob(p_max, cut1.iter().copied())
+                    >= prune_prob(p_max, cut2.iter().copied()) =>
+                {
+                    cut1
+                }
+                _ => cut2,
+            };
+            if cut.iter().any(|&(e, c)| probs.prob(e) >= c as f64) {
+                out.push(pos as u32);
+            }
+        }
+        out
+    }
+
+    /// Hits and probes of [`RrGraph::reaches_target`] over `positions`.
+    fn reference_verify(
+        user: NodeId,
+        graphs: &[&RrGraph],
+        positions: &[u32],
+        probs: &mut dyn EdgeProbs,
+    ) -> (Vec<u32>, u64) {
+        let mut scratch = crate::rrgraph::ReachScratch::new();
+        let mut edges_visited = 0u64;
+        let mut hits = Vec::new();
+        for &pos in positions {
+            if graphs[pos as usize].reaches_target(user, probs, &mut scratch, &mut edges_visited) {
+                hits.push(pos);
+            }
+        }
+        (hits, edges_visited)
+    }
+
+    /// `verify` on a view compiled with `cuts`, as sorted hit positions
+    /// (the user-is-target graphs included) and the probe count.
+    fn view_verify(
+        view: &mut UserView,
+        user: NodeId,
+        graphs: &[&RrGraph],
+        cuts: Option<(&EdgeTopics, CutPolicy)>,
+        probs: &mut dyn EdgeProbs,
+    ) -> (Vec<u32>, u64) {
+        view.compile(user, graphs.iter().copied(), cuts);
+        let mut hits = view.self_hits().to_vec();
+        let verified = view.verify(probs, |pos| hits.push(pos));
+        hits.sort_unstable();
+        (hits, verified.edges_visited)
+    }
+
+    #[test]
+    fn view_equals_the_reference_under_every_policy() {
+        use pitex_model::genmodel::{random_model, ModelGenConfig};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(77);
+        let graph = pitex_graph::gen::preferential_attachment(120, 3, 0.3, &mut rng);
+        let cfg =
+            ModelGenConfig { num_topics: 6, num_tags: 12, density: 0.4, ..Default::default() };
+        let model = random_model(graph, &cfg, &mut rng);
+        let index = RrIndex::build_with_threads(&model, IndexBudget::PerVertex(6.0), 5, 2);
+        let et = model.edge_topics();
+        let mut cache = model.new_prob_cache();
+        let mut view = UserView::default(); // one view: every compile reuses its buffers
+        let mut marks = EpochVisited::new(0);
+        let mut candidates = Vec::new();
+        let mut pruned_somewhere = false;
+        for user in (0..model.graph().num_nodes() as u32).step_by(7) {
+            let graphs: Vec<&RrGraph> = index
+                .graphs_containing(user)
+                .iter()
+                .map(|&g| &index.graphs()[g as usize])
+                .collect();
+            let all: Vec<u32> = (0..graphs.len() as u32).collect();
+            for tags in [TagSet::from([0, 5]), TagSet::from([3]), TagSet::from([1, 2, 7])] {
+                let posterior = model.posterior(&tags);
+                let mut probs = PosteriorEdgeProbs::new(et, &posterior, &mut cache);
+                let truth = reference_verify(user, &graphs, &all, &mut probs);
+                // No cuts (INDEXEST): every graph is traversed.
+                assert_eq!(view_verify(&mut view, user, &graphs, None, &mut probs), truth);
+                for policy in [CutPolicy::UserOut, CutPolicy::TargetIn, CutPolicy::Best] {
+                    let expected = reference_candidates(user, &graphs, et, policy, &mut probs);
+                    let filter =
+                        CutFilter::build_with_policy(user, graphs.iter().copied(), et, policy);
+                    filter.candidates(&mut probs, &mut marks, &mut candidates);
+                    candidates.sort_unstable();
+                    assert_eq!(candidates, expected, "user {user} {tags} {policy:?}");
+                    let (hits, edges_visited) =
+                        reference_verify(user, &graphs, &expected, &mut probs);
+                    assert_eq!(hits, truth.0, "filtering never changes the hits");
+                    pruned_somewhere |= edges_visited < truth.1;
+                    let cuts = Some((et, policy));
+                    assert_eq!(
+                        view_verify(&mut view, user, &graphs, cuts, &mut probs),
+                        (hits, edges_visited),
+                        "user {user} {tags} {policy:?}"
+                    );
+                }
+            }
+        }
+        assert!(pruned_somewhere, "the filter saved no probe anywhere: the test lost its teeth");
+    }
+
+    #[test]
+    fn hand_made_dead_ends_agree_with_the_reference() {
+        // Edges 0..=3 all live. Graph 0: the user (2) reaches 3 and 4 but
+        // never the target 9 — cut 2 is empty, the traversal runs dry.
+        // Graph 1: the user is a member with no out-edge. Graph 2: the user
+        // is not a member. Graph 3: a plain hit. Graph 4: user is target.
+        let graphs = [
+            RrGraph::from_parts(
+                9,
+                vec![2, 3, 4, 9],
+                &[(2, 3, 0, 0.1), (3, 4, 1, 0.1), (2, 4, 2, 0.1)],
+            ),
+            RrGraph::from_parts(5, vec![2, 5, 6], &[(6, 5, 3, 0.1)]),
+            RrGraph::from_parts(5, vec![5, 6], &[(6, 5, 3, 0.1)]),
+            RrGraph::from_parts(4, vec![2, 4], &[(2, 4, 2, 0.1)]),
+            RrGraph::from_parts(2, vec![2, 3], &[(3, 2, 1, 0.1)]),
+        ];
+        let graphs: Vec<&RrGraph> = graphs.iter().collect();
+        let all: Vec<u32> = (0..graphs.len() as u32).collect();
+        let et = EdgeTopics::new(vec![vec![(0, 0.5)]; 4], 1);
+        let mut view = UserView::default();
+        for p in [0.0, 0.05, 0.5] {
+            let mut probs = pitex_model::FixedEdgeProbs::uniform(4, p);
+            let truth = reference_verify(2, &graphs, &all, &mut probs);
+            assert_eq!(view_verify(&mut view, 2, &graphs, None, &mut probs), truth, "p = {p}");
+            for policy in [CutPolicy::UserOut, CutPolicy::TargetIn, CutPolicy::Best] {
+                let kept = reference_candidates(2, &graphs, &et, policy, &mut probs);
+                let expected = reference_verify(2, &graphs, &kept, &mut probs);
+                let cuts = Some((&et, policy));
+                assert_eq!(view_verify(&mut view, 2, &graphs, cuts, &mut probs), expected);
+                assert_eq!(expected.0, truth.0, "p = {p} {policy:?}");
+            }
+        }
+        let mut live = pitex_model::FixedEdgeProbs::uniform(4, 0.5);
+        let (hits, edges_visited) = view_verify(&mut view, 2, &graphs, None, &mut live);
+        assert_eq!(hits, vec![3, 4]);
+        // Graph 0: the user's two edges (3 -> 4 leads to a visited vertex).
+        assert_eq!(edges_visited, 2 + 1, "graph 0 probes two edges, graph 3 its one");
+    }
+
+    #[test]
+    fn an_empty_view_verifies_nothing() {
+        let mut view = UserView::default();
+        let mut probs = pitex_model::FixedEdgeProbs::uniform(1, 1.0);
+        view.compile(0, std::iter::empty(), None);
+        assert_eq!(view.verify(&mut probs, |_| panic!("no graph")), Verified::default());
+        let filter = CutFilter::build(0, std::iter::empty(), &EdgeTopics::new(vec![], 1));
+        assert_eq!((filter.num_graphs(), filter.heap_bytes()), (0, 8));
     }
 }

@@ -13,9 +13,10 @@
 //! changed — and every probed edge's head is a visited vertex, i.e. a
 //! member of the stored node set. So a graph can change **only if it
 //! contains the head vertex of a mutated edge**, which is exactly what the
-//! index's per-user membership lists (`RrIndex::graphs_containing`, the
-//! same inverted-list machinery `index::prune::CutFilter` queries at
-//! answer time) return in O(dirty) — no scan over θ graphs.
+//! index's per-user membership lists return in O(dirty) — no scan over θ
+//! graphs. (`RrIndex::graphs_containing` is also the table the estimators
+//! compile a query user's view from, `index::prune::CutFilter`; a view is
+//! a per-engine copy, so a repair has no estimator state to fix up.)
 //!
 //! Clean graphs are reused verbatim; when an edge insert/removal shifted
 //! the CSR edge ids, their stored ids are remapped through the endpoint

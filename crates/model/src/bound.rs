@@ -100,9 +100,19 @@ impl BoundOracle {
     /// valid completion exists carry weight 0 but remain listed, because
     /// Eq. 5's term still ranges over the *posterior support of `W`*.
     pub fn bounded_posterior(&self, tag_set: &TagSet, k: usize) -> BoundedPosterior {
+        let mut bounded = BoundedPosterior::default();
+        self.bounded_posterior_into(tag_set, k, &mut bounded);
+        bounded
+    }
+
+    /// [`BoundOracle::bounded_posterior`] into `out`, reusing its
+    /// allocation (best-effort exploration bounds hundreds of partial sets
+    /// per query).
+    pub fn bounded_posterior_into(&self, tag_set: &TagSet, k: usize, out: &mut BoundedPosterior) {
         debug_assert!(tag_set.len() <= k);
         let needed = k - tag_set.len();
-        let mut entries = Vec::new();
+        let entries = &mut out.entries;
+        entries.clear();
         'topic: for z in 0..self.per_topic.len() {
             if self.prior[z] <= 0.0 {
                 continue;
@@ -138,13 +148,12 @@ impl BoundOracle {
             };
             entries.push((z as TopicId, weight));
         }
-        BoundedPosterior { entries }
     }
 }
 
 /// Per-topic upper-bound weights for a partial tag set, consumed by
 /// [`UpperBoundEdgeProbs`].
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct BoundedPosterior {
     /// `(topic, weight)` over the posterior support of the partial set,
     /// sorted by topic; weights are capped at 1 and may be 0.
@@ -211,6 +220,30 @@ impl EdgeProbs for UpperBoundEdgeProbs<'_> {
         let bounded = self.bounded;
         let edge_topics = self.edge_topics;
         self.cache.get_or_insert_with(e, || bounded.edge_bound(edge_topics, e))
+    }
+
+    /// `edge_bound` against dense weights, bit-identical to `prob`. Topics
+    /// outside the support carry a negative sentinel rather than 0: a
+    /// listed topic of weight 0 still counts in Eq. 5's max, an unlisted
+    /// one does not. Skipped terms add `+0.0` to the non-negative sum.
+    fn fill(&mut self, edges: &[EdgeId], out: &mut [f32]) {
+        assert_eq!(edges.len(), out.len(), "one output slot per edge");
+        const ABSENT: f64 = -1.0;
+        let dense =
+            self.cache.dense_weights(self.edge_topics.num_topics(), self.bounded.entries(), ABSENT);
+        for (slot, &e) in out.iter_mut().zip(edges) {
+            let (topics, probs) = self.edge_topics.row_slices(e);
+            let mut max_term = 0.0f64; // Eq. 5
+            let mut sum_term = 0.0f64; // Eq. 6
+            for (&z, &p) in topics.iter().zip(probs) {
+                let weight = dense[z as usize];
+                let listed = weight >= 0.0;
+                let pez = p as f64;
+                max_term = if listed { max_term.max(pez) } else { max_term };
+                sum_term += if listed { pez * weight } else { 0.0 };
+            }
+            *slot = max_term.min(sum_term) as f32;
+        }
     }
 }
 
@@ -335,5 +368,78 @@ mod tests {
         let bounded = oracle.bounded_posterior(&TagSet::empty(), 3);
         let z1 = bounded.entries().iter().find(|&&(z, _)| z == 1).unwrap();
         assert_eq!(z1.1, 0.0, "only one tag supports topic 1, k = 3 needs three");
+    }
+
+    #[test]
+    fn fill_and_repeated_probes_equal_the_first_probe_bit_for_bit() {
+        // Three matrices: Fig. 2, one with an infinite q, and one where a
+        // listed topic has weight 0 (it must still count in Eq. 5's max).
+        let matrices = [
+            fig2().tag_topic().clone(),
+            TagTopicMatrix::with_uniform_prior(vec![vec![(0, 0.5)], vec![(0, 0.3), (1, 0.7)]], 2),
+            TagTopicMatrix::with_uniform_prior(
+                vec![vec![(0, 0.5), (1, 0.5)], vec![(0, 1.0)], vec![(0, 1.0)]],
+                2,
+            ),
+        ];
+        for matrix in &matrices {
+            let z = matrix.num_topics();
+            // Awkward (non-dyadic) values on every topic subset, one empty row.
+            let rows: Vec<Vec<(TopicId, f32)>> = (0u32..1 << z)
+                .map(|mask| {
+                    (0..z as TopicId)
+                        .filter(|t| mask >> t & 1 == 1)
+                        .map(|t| (t, 0.123 + 0.29 * t as f32 + 0.01 * mask as f32))
+                        .collect()
+                })
+                .collect();
+            let et = EdgeTopics::new(rows, z);
+            let edges: Vec<EdgeId> = (0..et.num_edges() as EdgeId).rev().chain([0, 1]).collect();
+            let oracle = BoundOracle::new(matrix);
+            let mut cache = EdgeProbCache::new(et.num_edges());
+            let mut bounded = BoundedPosterior::default();
+            let mut saw_zero_weight = false;
+            for k in 1..=matrix.num_tags() {
+                for size in 0..=k {
+                    for partial in KSubsets::new(matrix.num_tags() as u32, size) {
+                        oracle.bounded_posterior_into(&TagSet::new(partial), k, &mut bounded);
+                        saw_zero_weight |= bounded.entries().iter().any(|&(_, w)| w == 0.0);
+                        let mut view = UpperBoundEdgeProbs::new(&et, &bounded, &mut cache);
+                        let expected: Vec<u32> =
+                            edges.iter().map(|&e| (view.prob(e) as f32).to_bits()).collect();
+                        for (&e, &bits) in edges.iter().zip(&expected) {
+                            assert_eq!(
+                                view.prob(e).to_bits(),
+                                (f32::from_bits(bits) as f64).to_bits()
+                            );
+                        }
+                        let mut view = UpperBoundEdgeProbs::new(&et, &bounded, &mut cache);
+                        let mut filled = vec![f32::NAN; edges.len()];
+                        view.fill(&edges, &mut filled);
+                        assert_eq!(
+                            filled.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
+                            expected
+                        );
+                    }
+                }
+            }
+            if matrix.num_tags() == 3 && z == 2 {
+                assert!(saw_zero_weight, "the third matrix exists for its zero-weight topic");
+            }
+        }
+    }
+
+    #[test]
+    fn bounded_posterior_into_matches_the_allocating_form() {
+        let m = fig2();
+        let oracle = BoundOracle::new(m.tag_topic());
+        let mut reused = BoundedPosterior::default();
+        for size in 0..=2usize {
+            for set in KSubsets::new(m.num_tags() as u32, size) {
+                let w = TagSet::new(set);
+                oracle.bounded_posterior_into(&w, 2, &mut reused);
+                assert_eq!(reused, oracle.bounded_posterior(&w, 2), "{w}");
+            }
+        }
     }
 }

@@ -19,7 +19,7 @@ use pitex_graph::EdgeId;
 /// can have non-zero posterior mass. An empty posterior means `p(W) = 0`:
 /// no topic explains the tag combination, so every edge probability — and
 /// hence the influence spread beyond the user herself — is zero.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TopicPosterior {
     /// `(topic, p(z|W))` entries with positive mass, sorted by topic.
     entries: Vec<(TopicId, f64)>,
@@ -31,15 +31,26 @@ impl TopicPosterior {
     /// For the empty tag set the posterior equals the prior restricted to
     /// positive-mass topics (the product over an empty `W` is 1).
     pub fn compute(matrix: &TagTopicMatrix, tag_set: &TagSet) -> Self {
-        let prior = matrix.prior();
-        let mut weights: Vec<f64> = prior.to_vec();
+        let mut posterior = Self::default();
+        posterior.recompute(matrix, tag_set);
+        posterior
+    }
+
+    /// [`TopicPosterior::compute`] into `self`, reusing its allocation: the
+    /// query engine evaluates hundreds of tag sets per query and keeps one
+    /// posterior for all of them.
+    pub fn recompute(&mut self, matrix: &TagTopicMatrix, tag_set: &TagSet) {
+        // The entries double as the |Z|-long weight vector until the end.
+        let weights = &mut self.entries;
+        weights.clear();
+        weights.extend(matrix.prior().iter().enumerate().map(|(z, &p)| (z as TopicId, p)));
         for w in tag_set.iter() {
             // Multiply row into weights; topics absent from the row get 0.
             let mut row = matrix.row(w).peekable();
-            for (z, weight) in weights.iter_mut().enumerate() {
+            for (z, weight) in weights.iter_mut() {
                 let mut factor = 0.0f64;
                 while let Some(&(rz, rp)) = row.peek() {
-                    match (rz as usize).cmp(&z) {
+                    match rz.cmp(z) {
                         std::cmp::Ordering::Less => {
                             row.next();
                         }
@@ -54,17 +65,16 @@ impl TopicPosterior {
                 *weight *= factor;
             }
         }
-        let total: f64 = weights.iter().sum();
+        let total: f64 = weights.iter().map(|&(_, w)| w).sum();
         if total <= 0.0 {
-            return Self { entries: Vec::new() };
+            weights.clear();
+            return;
         }
-        let entries = weights
-            .into_iter()
-            .enumerate()
-            .filter(|&(_, w)| w > 0.0)
-            .map(|(z, w)| (z as TopicId, w / total))
-            .collect();
-        Self { entries }
+        weights.retain_mut(|(_, w)| {
+            let positive = *w > 0.0;
+            *w /= total;
+            positive
+        });
     }
 
     /// Builds directly from `(topic, weight)` entries; normalizes.
@@ -127,22 +137,51 @@ pub trait EdgeProbs {
     fn positive(&mut self, e: EdgeId) -> bool {
         self.prob(e) > 0.0
     }
+
+    /// Bulk kernel: `out[i] = prob(edges[i]) as f32`, bit for bit. The
+    /// index estimators probe a per-user edge list once per tag set; the
+    /// tag-set views override this with one dense pass that skips the memo.
+    ///
+    /// # Panics
+    /// If `edges` and `out` differ in length.
+    fn fill(&mut self, edges: &[EdgeId], out: &mut [f32]) {
+        assert_eq!(edges.len(), out.len(), "one output slot per edge");
+        for (slot, &e) in out.iter_mut().zip(edges) {
+            *slot = self.prob(e) as f32;
+        }
+    }
 }
 
 /// Epoch-stamped memo table of edge probabilities, reusable across tag sets.
 ///
 /// `begin` starts a new tag set in O(1); values are stored as `f32`
-/// (probabilities need no more precision; the working set halves).
+/// (probabilities need no more precision; the working set halves), and
+/// the stored `f32` is what every probe of an edge returns — the first
+/// one included, so an edge compares the same against a mark `c(e)` no
+/// matter how often it was probed before.
+///
+/// Also owns the dense per-topic weight vector of the current tag set,
+/// which [`EdgeProbs::fill`] reads instead of merge-joining each edge row
+/// against the sparse posterior.
 #[derive(Clone, Debug)]
 pub struct EdgeProbCache {
     stamps: Vec<u32>,
     values: Vec<f32>,
     epoch: u32,
+    /// Per-topic weights of the current tag set; valid iff `dense_ready`.
+    dense: Vec<f64>,
+    dense_ready: bool,
 }
 
 impl EdgeProbCache {
     pub fn new(num_edges: usize) -> Self {
-        Self { stamps: vec![0; num_edges], values: vec![0.0; num_edges], epoch: 0 }
+        Self {
+            stamps: vec![0; num_edges],
+            values: vec![0.0; num_edges],
+            epoch: 0,
+            dense: Vec::new(),
+            dense_ready: false,
+        }
     }
 
     /// Invalidates all cached values (start of a new tag set).
@@ -152,20 +191,39 @@ impl EdgeProbCache {
             self.epoch = 0;
         }
         self.epoch += 1;
+        self.dense_ready = false;
     }
 
-    /// Returns the cached value for `e` or computes and stores it.
+    /// Returns the cached value for `e` or computes and stores it. Both
+    /// paths return the stored (`f32`-rounded) value.
     #[inline]
     pub fn get_or_insert_with<F: FnOnce() -> f64>(&mut self, e: EdgeId, compute: F) -> f64 {
         let i = e as usize;
-        if self.stamps[i] == self.epoch {
-            self.values[i] as f64
-        } else {
-            let v = compute();
+        if self.stamps[i] != self.epoch {
             self.stamps[i] = self.epoch;
-            self.values[i] = v as f32;
-            v
+            self.values[i] = compute() as f32;
         }
+        self.values[i] as f64
+    }
+
+    /// The current tag set's sparse per-topic `entries` scattered over all
+    /// `num_topics` topics, `absent` elsewhere. Scattered on the first call
+    /// after [`begin`](Self::begin), reused until the next.
+    pub(crate) fn dense_weights(
+        &mut self,
+        num_topics: usize,
+        entries: &[(TopicId, f64)],
+        absent: f64,
+    ) -> &[f64] {
+        if !self.dense_ready {
+            self.dense.clear();
+            self.dense.resize(num_topics, absent);
+            for &(z, weight) in entries {
+                self.dense[z as usize] = weight;
+            }
+            self.dense_ready = true;
+        }
+        &self.dense
     }
 }
 
@@ -195,6 +253,24 @@ impl EdgeProbs for PosteriorEdgeProbs<'_> {
         let posterior = self.posterior;
         let edge_topics = self.edge_topics;
         self.cache.get_or_insert_with(e, || posterior.edge_prob(edge_topics, e))
+    }
+
+    /// Eq. 1 against the dense posterior. Bit-identical to `prob`: the
+    /// row's terms are added in the same ascending-topic order as the
+    /// merge-join, and a topic outside the posterior adds `p·0.0 = +0.0`,
+    /// which leaves the non-negative `f64` accumulator unchanged.
+    fn fill(&mut self, edges: &[EdgeId], out: &mut [f32]) {
+        assert_eq!(edges.len(), out.len(), "one output slot per edge");
+        let dense =
+            self.cache.dense_weights(self.edge_topics.num_topics(), self.posterior.entries(), 0.0);
+        for (slot, &e) in out.iter_mut().zip(edges) {
+            let (topics, probs) = self.edge_topics.row_slices(e);
+            let mut acc = 0.0f64;
+            for (&z, &p) in topics.iter().zip(probs) {
+                acc += p as f64 * dense[z as usize];
+            }
+            *slot = acc as f32;
+        }
     }
 }
 
@@ -382,5 +458,79 @@ mod tests {
     #[should_panic(expected = "must lie in [0, 1]")]
     fn fixed_probs_reject_out_of_range() {
         FixedEdgeProbs::new(vec![1.2]);
+    }
+
+    /// Edge rows with awkward (non-dyadic) values, one of them empty.
+    fn awkward_edges() -> EdgeTopics {
+        EdgeTopics::new(
+            vec![
+                vec![(0, 0.37), (1, 0.123), (2, 0.9)],
+                vec![],
+                vec![(1, 0.7)],
+                vec![(0, 0.05), (2, 0.61)],
+            ],
+            3,
+        )
+    }
+
+    #[test]
+    fn every_probe_of_an_edge_returns_the_stored_f32() {
+        // A miss used to return the un-rounded f64 and a hit the rounded
+        // f32: the same (e, W) could compare differently against a mark.
+        let m = fig2_matrix();
+        let et = awkward_edges();
+        let mut cache = EdgeProbCache::new(et.num_edges());
+        let posterior = TopicPosterior::compute(&m, &TagSet::from([2, 3]));
+        let mut view = PosteriorEdgeProbs::new(&et, &posterior, &mut cache);
+        for e in 0..et.num_edges() as EdgeId {
+            let first = view.prob(e);
+            assert_eq!(first.to_bits(), view.prob(e).to_bits(), "edge {e}");
+            assert_eq!(first.to_bits(), (first as f32 as f64).to_bits(), "edge {e} is an f32");
+        }
+    }
+
+    #[test]
+    fn fill_equals_prob_bit_for_bit() {
+        let m = fig2_matrix();
+        let et = awkward_edges();
+        let mut posteriors: Vec<TopicPosterior> = (0u32..16)
+            .map(|mask| TagSet::new((0..4).filter(|w| mask >> w & 1 == 1).collect()))
+            .map(|tags| TopicPosterior::compute(&m, &tags))
+            .collect();
+        posteriors.push(TopicPosterior::default()); // infeasible: every edge is dead
+                                                    // Repeats and a scrambled order: `fill` must not depend on either.
+        let edges: Vec<EdgeId> = vec![3, 0, 1, 2, 0, 3, 1];
+        let mut cache = EdgeProbCache::new(et.num_edges());
+        for posterior in &posteriors {
+            let mut view = PosteriorEdgeProbs::new(&et, posterior, &mut cache);
+            let expected: Vec<u32> =
+                edges.iter().map(|&e| (view.prob(e) as f32).to_bits()).collect();
+            let mut filled = vec![f32::NAN; edges.len()];
+            view.fill(&edges, &mut filled); // memo primed
+            assert_eq!(filled.iter().map(|p| p.to_bits()).collect::<Vec<_>>(), expected);
+            let mut view = PosteriorEdgeProbs::new(&et, posterior, &mut cache);
+            filled.fill(f32::NAN);
+            view.fill(&edges, &mut filled); // memo cold
+            assert_eq!(filled.iter().map(|p| p.to_bits()).collect::<Vec<_>>(), expected);
+            // The default kernel (what `FixedEdgeProbs` and wrappers run).
+            let mut fixed = FixedEdgeProbs::new(edges.iter().map(|&e| view.prob(e)).collect());
+            let all: Vec<EdgeId> = (0..edges.len() as EdgeId).collect();
+            fixed.fill(&all, &mut filled);
+            assert_eq!(filled.iter().map(|p| p.to_bits()).collect::<Vec<_>>(), expected);
+        }
+    }
+
+    #[test]
+    fn recompute_reuses_the_allocation_and_matches_compute() {
+        let m = fig2_matrix();
+        let mut reused = TopicPosterior::default();
+        for tags in [vec![0u32, 1], vec![2, 3], vec![], vec![0, 3], vec![1]] {
+            let tags = TagSet::new(tags);
+            reused.recompute(&m, &tags);
+            assert_eq!(reused, TopicPosterior::compute(&m, &tags), "{tags}");
+        }
+        let disjoint = TagTopicMatrix::with_uniform_prior(vec![vec![(0, 1.0)], vec![(1, 1.0)]], 2);
+        reused.recompute(&disjoint, &TagSet::from([0, 1]));
+        assert!(reused.is_empty(), "an infeasible set clears the reused entries");
     }
 }

@@ -8,7 +8,7 @@
 //! vertex is visited iff its stamp equals the current epoch.
 
 /// A visited set over dense `u32` ids with O(1) reset.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct EpochVisited {
     stamps: Vec<u32>,
     epoch: u32,
