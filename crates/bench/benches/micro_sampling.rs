@@ -1,12 +1,13 @@
 //! Criterion micro-benchmarks for the three online samplers on a fixed
 //! (user, tag set): the per-estimation costs behind Figs. 7 and 13, plus
-//! geometric gap generation.
+//! LAZY on the hub of Example 2 and geometric gap generation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pitex_core::BackendKind;
 use pitex_datasets::{DatasetProfile, UserGroups};
-use pitex_model::{PosteriorEdgeProbs, TagSet};
-use pitex_sampling::{geometric::geometric, SamplingParams};
+use pitex_graph::gen;
+use pitex_model::{FixedEdgeProbs, PosteriorEdgeProbs, TagSet};
+use pitex_sampling::{geometric::geometric, LazySampler, SamplingParams, SpreadEstimator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -29,6 +30,19 @@ fn bench_sampling(c: &mut Criterion) {
                     PosteriorEdgeProbs::new(model.edge_topics(), &posterior, &mut cache);
                 black_box(est.estimate(model.graph(), user, &mut probs, &params))
             })
+        });
+    }
+
+    // Fig. 3(a): a root with n followers at p = 1/n fires about once per
+    // sample whatever n is, so time per iteration / 20 000 ≈ time per fire
+    // and its growth with n is what Lemma 7 says must stay small.
+    let star_params = params.with_fixed_budget(20_000);
+    for n in [16usize, 256, 4096] {
+        let graph = gen::star_low_impact(n);
+        let mut probs = FixedEdgeProbs::uniform(n, 1.0 / n as f64);
+        let mut lazy = LazySampler::new(graph.num_nodes());
+        c.bench_function(&format!("lazy_star_{n}"), |b| {
+            b.iter(|| black_box(lazy.estimate(&graph, 0, &mut probs, &star_params)))
         });
     }
 

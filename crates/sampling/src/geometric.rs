@@ -12,23 +12,56 @@ use rand::Rng;
 /// A geometric gap sentinel meaning "never fires" (`p = 0`).
 pub const NEVER: u64 = u64::MAX;
 
-/// Draws `X ~ Geometric(p)` with support `{1, 2, …}` via inversion:
-/// `X = ⌈ln(1−U)/ln(1−p)⌉`, `U ~ U[0,1)`.
+/// `ln(1−p)`, the denominator of the inversion formula. It depends on the
+/// edge and the tag set only, so the lazy sampler computes it once per edge
+/// and draws every gap of that edge with [`gap`].
 ///
-/// Returns [`NEVER`] for `p ≤ 0` and 1 for `p ≥ 1`.
+/// Returns `0.0` for `p ≤ 0` **and** for a positive `p` so small (below
+/// about 2⁻⁵⁴) that `1 − p` rounds to 1: in `f64` such an edge cannot be
+/// told from a dead one. Returns `−∞` for `p ≥ 1`.
 #[inline]
-pub fn geometric<R: Rng + ?Sized>(p: f64, rng: &mut R) -> u64 {
+pub fn ln_survival(p: f64) -> f64 {
     if p <= 0.0 {
+        0.0
+    } else if p >= 1.0 {
+        f64::NEG_INFINITY
+    } else {
+        (1.0 - p).ln()
+    }
+}
+
+/// Draws `X ~ Geometric(p)` with support `{1, 2, …}` via inversion:
+/// `X = ⌈ln(1−U)/ln(1−p)⌉`, `U ~ U[0,1)`, given `ln_q =`
+/// [`ln_survival`]`(p)`.
+///
+/// Returns [`NEVER`] for `ln_q = 0` and 1 for `ln_q = −∞`, in both cases
+/// without drawing: dividing by a zero `ln_q` would give `−∞`/`NaN`, which
+/// `as u64` turns into a gap of 1 — an impossible edge firing every time.
+#[inline]
+pub fn gap<R: Rng + ?Sized>(ln_q: f64, rng: &mut R) -> u64 {
+    if ln_q == 0.0 {
         return NEVER;
     }
-    if p >= 1.0 {
+    if ln_q == f64::NEG_INFINITY {
         return 1;
     }
     let u: f64 = rng.gen(); // [0, 1)
-                            // ln(1-u) ≤ 0 and ln(1-p) < 0; the ratio is ≥ 0. Floor+1 implements the
-                            // ceiling on the open interval while mapping u = 0 to X = 1.
-    let x = ((1.0 - u).ln() / (1.0 - p).ln()).floor() as u64 + 1;
+
+    // ln(1-u) ≤ 0 and ln_q < 0; the ratio is ≥ 0 (at most 37 / 1.1e-16, far
+    // inside u64). Floor+1 implements the ceiling on the open interval while
+    // mapping u = 0 to X = 1; on a non-negative ratio `as u64`'s truncation
+    // is the floor, without the call.
+    let x = ((1.0 - u).ln() / ln_q) as u64 + 1;
     x.max(1)
+}
+
+/// [`gap`] of [`ln_survival`]`(p)`: one draw of `Geometric(p)`.
+///
+/// Returns [`NEVER`] for `p ≤ 0` (and for `p` too small to fire, see
+/// [`ln_survival`]) and 1 for `p ≥ 1`.
+#[inline]
+pub fn geometric<R: Rng + ?Sized>(p: f64, rng: &mut R) -> u64 {
+    gap(ln_survival(p), rng)
 }
 
 #[cfg(test)]
@@ -44,6 +77,35 @@ mod tests {
         assert_eq!(geometric(-0.5, &mut rng), NEVER);
         assert_eq!(geometric(1.0, &mut rng), 1);
         assert_eq!(geometric(1.5, &mut rng), 1);
+    }
+
+    /// Where `1 − p` rounds to 1, `ln(1−p)` is `0.0`; the quotient used to
+    /// be `−∞`/`NaN` and the gap 1, so the edge fired on every activation.
+    #[test]
+    fn probabilities_below_f64_resolution_never_fire() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut untouched = StdRng::seed_from_u64(5);
+        for p in [1e-17, 1e-300, f64::MIN_POSITIVE] {
+            assert_eq!(ln_survival(p), 0.0);
+            assert_eq!(geometric(p, &mut rng), NEVER, "p = {p}");
+        }
+        assert_eq!(rng.gen::<u64>(), untouched.gen::<u64>(), "NEVER draws nothing");
+        // The smallest p that f64 can subtract from 1 still fires, rarely.
+        let p = f64::EPSILON / 2.0;
+        assert!(ln_survival(p) < 0.0);
+        assert!(geometric(p, &mut rng) > 1_000_000);
+    }
+
+    #[test]
+    fn gap_of_cached_ln_survival_is_the_same_draw() {
+        let mut a = StdRng::seed_from_u64(6);
+        let mut b = StdRng::seed_from_u64(6);
+        for &p in &[0.0, 1e-9, 0.01, 0.3f32 as f64, 0.999, 1.0] {
+            let ln_q = ln_survival(p);
+            for _ in 0..1_000 {
+                assert_eq!(gap(ln_q, &mut a), geometric(p, &mut b));
+            }
+        }
     }
 
     #[test]

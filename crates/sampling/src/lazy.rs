@@ -10,70 +10,279 @@
 //! probing, and Lemma 7 bounds the per-instance probe count by
 //! `O(|R_W(u)|·E[I(u ⇝ v*|W)])` — edges are touched only when they fire.
 //!
-//! Bookkeeping per vertex: an activation counter `c_v` and a min-heap of
-//! `(fire_at, edge)` pairs, both *persistent across instances* of one
-//! estimate call (exactly the structure of Algo. 2 / Fig. 4). The heaps are
-//! pooled across calls — Appx. D of the paper measures heap churn as lazy
-//! sampling's main constant-factor cost and leaves pooling as future work;
-//! we implement it.
+//! One estimate is **compile → sample**, on arrays sized by `R_W(u)`:
+//!
+//! * *Compile.* One BFS from `u` over positive edges renumbers `R_W(u)` in
+//!   discovery order and lays its positive out-edges out as a local CSR, in
+//!   stored edge order: target (local id) and `ln(1−p)` per edge. Each edge
+//!   probability is read once per estimate; sampling never sees the graph
+//!   or the `EdgeProbs` again.
+//! * *Timers.* Algo. 2 keeps a min-heap of `(fire_at, edge)` per vertex.
+//!   Here a flat table holds, per local edge, the activation count at which
+//!   it fires next, and over each vertex's stretch of it a tree of cached
+//!   minima with fan-out 32: one per 32 timers, one per 32 of those,
+//!   one per vertex. A timer never lies in the past (it is re-armed the
+//!   moment it comes due), so the timers due at activation `c` are exactly
+//!   those equal to `c`: an activation with `c < min[v]` costs one compare,
+//!   a firing one walks down from the top through the nodes equal to `c`.
+//!   Edges fire in ascending edge order, which is the heap's pop order on
+//!   its unique `(fire_at, edge)` keys, so the RNG stream and every
+//!   [`Estimate`] field equal the heap's bit for bit (the heap version
+//!   survives as the test reference, `lazy_reference.rs`).
+//! * *Root skip.* While the root's minimum lies beyond the next sample, the
+//!   samples up to it activate the root alone and draw nothing; they are
+//!   accounted in O(1).
 
 use crate::bounds::{SampleBudget, SamplingParams};
-use crate::estimator::{reachable_positive, Estimate, SpreadEstimator};
-use crate::geometric::geometric;
-use pitex_graph::traverse::BfsScratch;
+use crate::estimator::{Estimate, SpreadEstimator};
+use crate::geometric::{gap, ln_survival, NEVER};
 use pitex_graph::{DiGraph, NodeId};
 use pitex_model::EdgeProbs;
 use pitex_support::EpochVisited;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::ops::Range;
 
-type FireHeap = BinaryHeap<Reverse<(u64, u32)>>;
+/// Fan-out of the tree of minima over a vertex's timers.
+const BLOCK: usize = 32;
+
+/// Levels of that tree below the per-vertex minimum: the timers, the minima
+/// of [`BLOCK`] timers, the minima of [`BLOCK`] of those. With the vertex
+/// minimum on top, a firing activation of an out-degree-`d` vertex scans
+/// `max(d / BLOCK², BLOCK)` nodes at most on its top level and `BLOCK` under
+/// each due node on the way down. Two levels (no minima of minima) make a
+/// 4096-edge hub scan 128 nodes per firing activation and lose to the heap.
+const LEVELS: usize = 3;
+
+/// Per-vertex state of the compiled view, indexed by local id.
+#[derive(Clone, Copy, Debug)]
+struct Vertex {
+    /// `c_v`: activations in the current call; 0 ⇔ timers not armed yet.
+    count: u64,
+    /// Earliest timer of the vertex (meaningful once armed).
+    min: u64,
+    /// The vertex's first node on each tree level (level 0: its first local
+    /// edge); the next vertex's `first` ends the ranges.
+    first: [u32; LEVELS],
+}
 
 /// Lazy propagation spread estimator (the paper's LAZY).
 #[derive(Debug)]
 pub struct LazySampler {
-    /// Which call epoch each vertex's lazy state belongs to.
-    init_stamp: Vec<u32>,
-    call_epoch: u32,
-    /// `c_v`: total activations of `v` in the current call.
-    counters: Vec<u64>,
-    /// Per-vertex fire heaps, pooled across calls (capacity is retained).
-    heaps: Vec<FireHeap>,
+    /// Vertices of the graph seen by the current compile, and their local
+    /// ids — the only state sized `|V|`.
+    seen: EpochVisited,
+    local_id: Vec<u32>,
+    /// `R_W(u)` in BFS discovery order (local id → vertex); the BFS queue.
+    order: Vec<NodeId>,
+    /// One entry per reachable vertex plus a sentinel closing the ranges.
+    verts: Vec<Vertex>,
+    /// Local CSR, one entry per positive out-edge of a reachable vertex.
+    target: Vec<u32>,
+    ln_q: Vec<f64>,
+    /// `tree[0][i]`: the activation count at which local edge `i` fires
+    /// next. `tree[l][j]`, `l > 0`: the minimum of a group of `BLOCK`
+    /// consecutive nodes of its vertex on level `l − 1`.
+    tree: [Vec<u64>; LEVELS],
+    /// Per-sample activation marks, over local ids.
     visited: EpochVisited,
-    frontier: Vec<NodeId>,
-    reach_scratch: BfsScratch,
-    reach_buf: Vec<NodeId>,
-    /// Diagnostic: geometric timers armed (≈ out-edges of first-time
-    /// visited vertices); not part of `edges_visited`, which counts fires
-    /// to match the paper's probe metric (Lemma 7, Fig. 13).
-    pub edges_armed: u64,
+    frontier: Vec<u32>,
+    /// Edges fired in the current call.
+    fired: u64,
 }
 
 impl LazySampler {
     pub fn new(num_nodes: usize) -> Self {
         Self {
-            init_stamp: vec![0; num_nodes],
-            call_epoch: 0,
-            counters: vec![0; num_nodes],
-            heaps: (0..num_nodes).map(|_| FireHeap::new()).collect(),
-            visited: EpochVisited::new(num_nodes),
+            seen: EpochVisited::new(num_nodes),
+            local_id: vec![0; num_nodes],
+            order: Vec::new(),
+            verts: Vec::new(),
+            target: Vec::new(),
+            ln_q: Vec::new(),
+            tree: Default::default(),
+            visited: EpochVisited::new(0),
             frontier: Vec::new(),
-            reach_scratch: BfsScratch::new(num_nodes),
-            reach_buf: Vec::new(),
-            edges_armed: 0,
+            fired: 0,
         }
     }
 
-    fn grow(&mut self, num_nodes: usize) {
-        if num_nodes > self.heaps.len() {
-            self.init_stamp.resize(num_nodes, 0);
-            self.counters.resize(num_nodes, 0);
-            self.heaps.resize_with(num_nodes, FireHeap::new);
-            self.visited.grow(num_nodes);
+    /// Compiles `R_W(user)` into the local arrays; returns `|R_W(user)|`.
+    fn compile(&mut self, graph: &DiGraph, user: NodeId, probs: &mut dyn EdgeProbs) -> usize {
+        self.seen.grow(graph.num_nodes());
+        if self.local_id.len() < graph.num_nodes() {
+            self.local_id.resize(graph.num_nodes(), 0);
         }
+        self.seen.reset();
+        self.order.clear();
+        self.verts.clear();
+        self.target.clear();
+        self.ln_q.clear();
+
+        self.seen.insert(user);
+        self.local_id[user as usize] = 0;
+        self.order.push(user);
+        // Nodes laid out so far on each level.
+        let mut first = [0u32; LEVELS];
+        let mut head = 0;
+        while let Some(&v) = self.order.get(head) {
+            head += 1;
+            self.verts.push(Vertex { count: 0, min: NEVER, first });
+            for (e, t) in graph.out_edges(v) {
+                let p = probs.prob(e);
+                if p > 0.0 {
+                    if self.seen.insert(t) {
+                        self.local_id[t as usize] = self.order.len() as u32;
+                        self.order.push(t);
+                    }
+                    self.target.push(self.local_id[t as usize]);
+                    self.ln_q.push(ln_survival(p));
+                }
+            }
+            let mut nodes = self.target.len() - first[0] as usize;
+            first[0] = self.target.len() as u32;
+            for level_first in &mut first[1..] {
+                nodes = nodes.div_ceil(BLOCK);
+                *level_first += nodes as u32;
+            }
+        }
+        self.verts.push(Vertex { count: 0, min: NEVER, first });
+        // Armed per vertex on its first activation; the fill value is never read.
+        for (level, &nodes) in self.tree.iter_mut().zip(&first) {
+            level.resize(nodes as usize, NEVER);
+        }
+        self.visited.grow(self.order.len());
+        self.order.len()
     }
+
+    /// One sample instance; returns the number of vertices activated.
+    fn sample(&mut self, rng: &mut StdRng) -> u64 {
+        self.visited.reset();
+        self.visited.insert(0);
+        self.frontier.push(0);
+        // Every activated vertex is pushed once, so pops count activations.
+        let mut activated = 0u64;
+        while let Some(v) = self.frontier.pop() {
+            activated += 1;
+            let v = v as usize;
+            // First activation in this call: arm the timers.
+            if self.verts[v].count == 0 {
+                self.arm(v, rng);
+            }
+            let vertex = &mut self.verts[v];
+            vertex.count += 1;
+            if vertex.count == vertex.min {
+                self.fire(v, rng);
+            }
+        }
+        activated
+    }
+
+    /// The nodes of `v` on tree level `level`.
+    fn nodes(&self, v: usize, level: usize) -> Range<usize> {
+        self.verts[v].first[level] as usize..self.verts[v + 1].first[level] as usize
+    }
+
+    /// The level whose nodes `Vertex::min` is the minimum of: the lowest
+    /// one on which `v` has at most [`BLOCK`] nodes. The levels above it
+    /// are not maintained for `v`.
+    fn top(&self, v: usize) -> usize {
+        (0..LEVELS - 1).find(|&level| self.nodes(v, level).len() <= BLOCK).unwrap_or(LEVELS - 1)
+    }
+
+    /// Draws the first gap of every out-edge of `v`, in edge order.
+    fn arm(&mut self, v: usize, rng: &mut StdRng) {
+        let edges = self.nodes(v, 0);
+        for (timer, &ln_q) in self.tree[0][edges.clone()].iter_mut().zip(&self.ln_q[edges]) {
+            *timer = gap(ln_q, rng);
+        }
+        let top = self.top(v);
+        for level in 1..=top {
+            let (groups, nodes) = (self.nodes(v, level - 1), self.nodes(v, level));
+            let (below, above) = self.tree.split_at_mut(level);
+            let groups = below[level - 1][groups].chunks(BLOCK);
+            for (node, group) in above[0][nodes].iter_mut().zip(groups) {
+                *node = min_of(group);
+            }
+        }
+        self.verts[v].min = min_of(&self.tree[top][self.nodes(v, top)]);
+    }
+
+    /// Fires the timers of `v` that have come due at its current activation
+    /// count, in edge order.
+    fn fire(&mut self, v: usize, rng: &mut StdRng) {
+        let top = self.top(v);
+        let (vertex, next) = (self.verts[v], self.verts[v + 1]);
+        let mut firing = Firing {
+            c: vertex.count,
+            first: vertex.first.map(|first| first as usize),
+            end: next.first.map(|first| first as usize),
+            ln_q: &self.ln_q,
+            target: &self.target,
+            visited: &mut self.visited,
+            frontier: &mut self.frontier,
+            rng,
+            fired: &mut self.fired,
+        };
+        let nodes = firing.first[top]..firing.end[top];
+        self.verts[v].min = firing.sweep(&mut self.tree[..=top], nodes);
+    }
+}
+
+/// One firing activation: the vertex, its count and what a firing edge
+/// touches.
+struct Firing<'a> {
+    /// The activation count; the timers equal to it are due.
+    c: u64,
+    /// The vertex's node range on each level.
+    first: [usize; LEVELS],
+    end: [usize; LEVELS],
+    ln_q: &'a [f64],
+    target: &'a [u32],
+    visited: &'a mut EpochVisited,
+    frontier: &'a mut Vec<u32>,
+    rng: &'a mut StdRng,
+    fired: &'a mut u64,
+}
+
+impl Firing<'_> {
+    /// Visits `nodes` of the top level of `levels` in order, descends into
+    /// those whose minimum has come due and returns the new minimum of
+    /// `nodes`. Every timer is `≥ c`, so "due" is "equal to `c`".
+    fn sweep(&mut self, levels: &mut [Vec<u64>], nodes: Range<usize>) -> u64 {
+        let (level, below) = levels.split_last_mut().expect("level 0 holds the timers");
+        let depth = below.len();
+        let mut min = NEVER;
+        for (i, node) in nodes.clone().zip(&mut level[nodes]) {
+            if *node == self.c {
+                *node = if depth == 0 {
+                    self.refire(i)
+                } else {
+                    let group = self.first[depth - 1] + BLOCK * (i - self.first[depth]);
+                    self.sweep(below, group..self.end[depth - 1].min(group + BLOCK))
+                };
+            }
+            min = min.min(*node);
+        }
+        min
+    }
+
+    /// Fires local edge `i` and returns its re-armed timer: the next fire
+    /// is X' activations from now (Lemma 6's memorylessness keeps instances
+    /// i.i.d.).
+    fn refire(&mut self, i: usize) -> u64 {
+        *self.fired += 1;
+        let t = self.target[i];
+        if self.visited.insert(t) {
+            self.frontier.push(t);
+        }
+        self.c.saturating_add(gap(self.ln_q[i], self.rng))
+    }
+}
+
+/// The smallest of `timers`, [`NEVER`] if there are none.
+fn min_of(timers: &[u64]) -> u64 {
+    timers.iter().copied().min().unwrap_or(NEVER)
 }
 
 impl SpreadEstimator for LazySampler {
@@ -84,79 +293,39 @@ impl SpreadEstimator for LazySampler {
         probs: &mut dyn EdgeProbs,
         params: &SamplingParams,
     ) -> Estimate {
-        reachable_positive(graph, user, probs, &mut self.reach_scratch, &mut self.reach_buf);
-        let reachable = self.reach_buf.len();
+        let reachable = self.compile(graph, user, probs);
         if reachable <= 1 {
             return Estimate::isolated();
         }
-        self.grow(graph.num_nodes());
-        // New call: lazily invalidate all per-vertex state.
-        if self.call_epoch == u32::MAX {
-            self.init_stamp.fill(0);
-            self.call_epoch = 0;
-        }
-        self.call_epoch += 1;
 
         let mut rng =
             StdRng::seed_from_u64(params.seed ^ (user as u64).wrapping_mul(0xD6E8_FEB8_6659_FD93));
-        let threshold = params.stop_threshold(reachable);
         let max_iters = params.max_iterations(reachable);
+        // Accumulated spread is an integer, so `s ≥ Λ·|R|` ⇔ `s ≥ ⌈Λ·|R|⌉`.
+        let stop_at = match params.budget {
+            SampleBudget::Adaptive => params.stop_threshold(reachable).ceil() as u64,
+            SampleBudget::Fixed(_) => u64::MAX,
+        };
 
+        self.fired = 0;
         let mut accumulated = 0u64;
-        let mut edges_visited = 0u64;
         let mut iterations = 0u64;
-
         while iterations < max_iters {
-            // One sample instance.
-            self.visited.reset();
-            self.frontier.clear();
-            self.visited.insert(user);
-            self.frontier.push(user);
-            let mut activated = 1u64;
-
-            while let Some(v) = self.frontier.pop() {
-                let vi = v as usize;
-                // First activation in this call: reset and arm timers.
-                if self.init_stamp[vi] != self.call_epoch {
-                    self.init_stamp[vi] = self.call_epoch;
-                    self.counters[vi] = 0;
-                    self.heaps[vi].clear();
-                    for (e, _) in graph.out_edges(v) {
-                        let p = probs.prob(e);
-                        if p > 0.0 {
-                            self.edges_armed += 1;
-                            let x = geometric(p, &mut rng);
-                            if x != crate::geometric::NEVER {
-                                self.heaps[vi].push(Reverse((x, e)));
-                            }
-                        }
-                    }
-                }
-                self.counters[vi] += 1;
-                let c = self.counters[vi];
-                // Fire every timer that has come due at activation `c`.
-                while let Some(&Reverse((fire_at, e))) = self.heaps[vi].peek() {
-                    if fire_at > c {
-                        break;
-                    }
-                    self.heaps[vi].pop();
-                    edges_visited += 1;
-                    // Re-arm: next fire X' activations from now (Lemma 6's
-                    // memorylessness keeps instances i.i.d.).
-                    let p = probs.prob(e);
-                    let x = geometric(p, &mut rng);
-                    self.heaps[vi].push(Reverse((c.saturating_add(x), e)));
-                    let t = graph.edge_target(e);
-                    if self.visited.insert(t) {
-                        self.frontier.push(t);
-                        activated += 1;
-                    }
-                }
+            let root = self.verts[0];
+            if root.count > 0 && root.count + 1 < root.min {
+                // Until the root's next timer comes due, every sample
+                // activates the root alone and draws nothing.
+                let skipped = (root.min - 1 - root.count)
+                    .min(max_iters - iterations)
+                    .min(stop_at - accumulated);
+                self.verts[0].count += skipped;
+                accumulated += skipped;
+                iterations += skipped;
+            } else {
+                accumulated += self.sample(&mut rng);
+                iterations += 1;
             }
-
-            accumulated += activated;
-            iterations += 1;
-            if matches!(params.budget, SampleBudget::Adaptive) && accumulated as f64 >= threshold {
+            if accumulated >= stop_at {
                 break;
             }
         }
@@ -164,7 +333,7 @@ impl SpreadEstimator for LazySampler {
         Estimate {
             spread: accumulated as f64 / iterations as f64,
             samples_used: iterations,
-            edges_visited,
+            edges_visited: self.fired,
             reachable,
         }
     }
@@ -258,6 +427,20 @@ mod tests {
         assert!((rate - 0.3).abs() < 0.01, "fire rate {rate}");
         // And the spread estimate follows: 1 + p.
         assert!((est.spread - 1.3).abs() < 0.01, "spread {}", est.spread);
+    }
+
+    #[test]
+    fn an_edge_below_f64_resolution_never_fires() {
+        // 1 − 1e-17 rounds to 1, ln(1) = 0, and dividing by it used to give
+        // a gap of 1: the edge fired on every activation (spread 2.0).
+        let g = gen::path(2);
+        let mut probs = FixedEdgeProbs::uniform(1, 1e-17);
+        let p = params_fixed(10_000);
+        let lazy = LazySampler::new(g.num_nodes()).estimate(&g, 0, &mut probs, &p);
+        let mc = crate::mc::McSampler::new(g.num_nodes()).estimate(&g, 0, &mut probs, &p);
+        assert_eq!(lazy.reachable, 2, "positive, so still part of R_W(u)");
+        assert_eq!((lazy.spread, lazy.edges_visited), (1.0, 0));
+        assert_eq!(lazy.spread, mc.spread);
     }
 
     #[test]

@@ -25,6 +25,8 @@ pub mod estimator;
 pub mod exact;
 pub mod geometric;
 pub mod lazy;
+#[cfg(test)]
+mod lazy_reference;
 pub mod lt;
 pub mod mc;
 pub mod rr;
