@@ -61,11 +61,8 @@ fn main() {
         let mut out = Vec::new();
         let timer = Timer::start();
         for &user in &users {
-            let member: Vec<_> = index
-                .graphs_containing(user)
-                .iter()
-                .map(|&g| &index.graphs()[g as usize])
-                .collect();
+            let member: Vec<_> =
+                index.graphs_containing(user).iter().map(|&g| index.graph(g as usize)).collect();
             let filter = CutFilter::build_with_policy(
                 user,
                 member.iter().copied(),

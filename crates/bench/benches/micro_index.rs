@@ -1,22 +1,26 @@
 //! Criterion micro-benchmarks for the index kernels: tag-aware reachability
 //! (Def. 3), the compiled per-user view of §6.2 — its build on user switch,
-//! its candidate scan and one whole INDEXEST+ estimate on it — and RR-Graph
-//! recovery (Algo. 4).
+//! its candidate scan and one whole INDEXEST+ estimate on it — RR-Graph
+//! recovery (Algo. 4), and the index's write side: splice-repair after one
+//! edge retune, and the artifact codec.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pitex_datasets::{DatasetProfile, UserGroup, UserGroups};
 use pitex_index::prune::CutFilter;
 use pitex_index::rrgraph::ReachScratch;
+use pitex_index::serial::{rr_index_from_bytes, rr_index_to_bytes};
 use pitex_index::{delay, IndexBudget, IndexPlusEstimator, RrIndex};
+use pitex_live::{repair_rr_index, ModelOverlay, RepairOptions, UpdateOp};
 use pitex_model::{PosteriorEdgeProbs, TagSet};
 use pitex_sampling::{SamplingParams, SpreadEstimator};
 use pitex_support::EpochVisited;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn bench_index(c: &mut Criterion) {
-    let model = DatasetProfile::lastfm_like().generate();
+    let model = Arc::new(DatasetProfile::lastfm_like().generate());
     let groups = UserGroups::from_graph(model.graph());
     let user = groups.members(UserGroup::Mid)[0];
     let index = RrIndex::build(&model, IndexBudget::PerVertex(4.0), 7);
@@ -25,7 +29,7 @@ fn bench_index(c: &mut Criterion) {
     let mut cache = model.new_prob_cache();
 
     let members_of = |user| -> Vec<_> {
-        index.graphs_containing(user).iter().map(|&gid| &index.graphs()[gid as usize]).collect()
+        index.graphs_containing(user).iter().map(|&gid| index.graph(gid as usize)).collect()
     };
     let member_graphs = members_of(user);
 
@@ -90,6 +94,23 @@ fn bench_index(c: &mut Criterion) {
                 &mut visited,
             ))
         })
+    });
+
+    // One edge retune (the mid user's first out-edge), repaired on one
+    // thread: what the index layer adds to a `RELOAD`.
+    let dst = model.graph().out_neighbors(user)[0];
+    let mut overlay = ModelOverlay::new(model.clone());
+    overlay.apply(UpdateOp::SetEdgeTopics { src: user, dst, topics: vec![(0, 0.97)] }).unwrap();
+    let retuned = overlay.compact();
+    let opts = RepairOptions { threads: 1, dirty_threshold: 1.0 };
+    c.bench_function("index_repair_splice", |b| {
+        b.iter(|| black_box(repair_rr_index(&index, &model, &retuned, &opts).0.theta()))
+    });
+
+    let bytes = rr_index_to_bytes(&index);
+    c.bench_function("index_encode", |b| b.iter(|| black_box(rr_index_to_bytes(&index).len())));
+    c.bench_function("index_decode", |b| {
+        b.iter(|| black_box(rr_index_from_bytes(&bytes).expect("just encoded").theta()))
     });
 }
 

@@ -1,9 +1,16 @@
 //! Offline RR-Graph index construction (Algo. 3, offline phase).
 
-use crate::rrgraph::{generate_rr_graph, RrGraph};
+use crate::rrgraph::{position, RrGraph, RrGraphRef, Sampler};
+use crate::segment::{
+    build_membership, patch_membership, MemberChunk, Segment, SegmentBuilder, MEMBER_CHUNK_USERS,
+    SEGMENT_DRAWS,
+};
+use pitex_graph::{EdgeId, NodeId};
 use pitex_model::{combi, MaxEdgeProbs, TicModel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
+use std::sync::Arc;
 
 /// How many RR-Graphs to sample offline.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -48,6 +55,12 @@ impl IndexBudget {
 /// The materialized RR-Graph index: θ sample graphs plus a per-user
 /// membership table (`u → graphs containing u`), which is what lets the
 /// online phase touch only the graphs `u` could possibly influence.
+///
+/// Both live in `Arc`'d fixed-size pieces (see [`crate::segment`]): segment
+/// `s` holds draws `[S·s, S·(s + 1))` and is a pure function of
+/// `(model, seed, s)`; chunk `k` holds the lists of users `[C·k, C·(k + 1))`.
+/// Cloning an index, or repairing it through [`RrIndex::splice`], shares
+/// every piece that did not change.
 #[derive(Clone, Debug)]
 pub struct RrIndex {
     num_nodes: usize,
@@ -57,9 +70,18 @@ pub struct RrIndex {
     /// exact per-draw streams without the operator re-threading flags.
     budget: IndexBudget,
     seed: u64,
-    graphs: Vec<RrGraph>,
-    member_offsets: Vec<u64>,
-    member_graph_ids: Vec<u32>,
+    segments: Vec<Arc<Segment>>,
+    members: Vec<Arc<MemberChunk>>,
+}
+
+/// Segments of an index of `theta` draws over `num_nodes` vertices (an empty
+/// graph has no vertex to target, hence no draw).
+pub(crate) fn segment_count(num_nodes: usize, theta: u64) -> u64 {
+    if num_nodes == 0 {
+        0
+    } else {
+        theta.div_ceil(SEGMENT_DRAWS as u64)
+    }
 }
 
 impl RrIndex {
@@ -71,63 +93,112 @@ impl RrIndex {
 
     /// Builds the index with an explicit thread count. Deterministic for a
     /// fixed `(model, budget, seed)` pair — every draw runs on its own
-    /// seed-derived RNG stream (see [`sample_rr_graph_at`]), so `threads`
-    /// only controls parallelism, never the result. `pitex_live`'s
-    /// incremental repair relies on this: it can resample a single dirty
-    /// draw and still match a from-scratch rebuild bit for bit.
+    /// seed-derived RNG stream (see [`sample_rr_graph_at`]) and threads are
+    /// handed whole segments, so `threads` only controls parallelism, never
+    /// the result. `pitex_live`'s incremental repair relies on this: it can
+    /// resample a single dirty draw and still match a from-scratch rebuild
+    /// bit for bit.
     pub fn build_with_threads(
         model: &TicModel,
         budget: IndexBudget,
         seed: u64,
         threads: usize,
     ) -> Self {
-        let theta = budget.sample_count(model.graph().num_nodes(), model.num_tags());
-        let graphs = sample_many(model, theta, seed, threads.max(1));
-        Self::assemble(model.graph().num_nodes(), theta, budget, seed, graphs)
+        let num_nodes = model.graph().num_nodes();
+        let theta = budget.sample_count(num_nodes, model.num_tags());
+        assert!(theta <= u32::MAX as u64, "graph ids are u32: θ = {theta} is too large");
+        let per_thread = in_ranges(segment_count(num_nodes, theta), threads, |segments| {
+            let (mut sampler, mut out) = (Sampler::default(), SegmentBuilder::default());
+            let sample = |s: u64| {
+                let first = s * SEGMENT_DRAWS as u64;
+                for draw in first..theta.min(first + SEGMENT_DRAWS as u64) {
+                    sample_draw(&mut sampler, model, seed, draw);
+                    sampler.push_to(&mut out);
+                }
+                Arc::new(out.seal())
+            };
+            segments.map(sample).collect::<Vec<_>>()
+        });
+        Self::from_segments(num_nodes, theta, budget, seed, per_thread.concat())
     }
 
-    fn assemble(
+    /// The index over `segments`, its membership table derived from them.
+    pub(crate) fn from_segments(
         num_nodes: usize,
         theta: u64,
         budget: IndexBudget,
         seed: u64,
-        graphs: Vec<RrGraph>,
+        segments: Vec<Arc<Segment>>,
     ) -> Self {
-        // Membership CSR via counting sort over users.
-        let mut counts = vec![0u64; num_nodes + 1];
-        for g in &graphs {
-            for &v in g.nodes() {
-                counts[v as usize + 1] += 1;
-            }
-        }
-        for i in 0..num_nodes {
-            counts[i + 1] += counts[i];
-        }
-        let member_offsets = counts;
-        let total = *member_offsets.last().unwrap_or(&0) as usize;
-        let mut cursor = member_offsets[..num_nodes].to_vec();
-        let mut member_graph_ids = vec![0u32; total];
-        for (gid, g) in graphs.iter().enumerate() {
-            for &v in g.nodes() {
-                let pos = cursor[v as usize] as usize;
-                cursor[v as usize] += 1;
-                member_graph_ids[pos] = gid as u32;
-            }
-        }
-        Self { num_nodes, theta, budget, seed, graphs, member_offsets, member_graph_ids }
+        let members = build_membership(num_nodes, &segments);
+        Self { num_nodes, theta, budget, seed, segments, members }
     }
 
-    /// Rebuilds the membership table from raw parts. Used by the binary
-    /// decoder and by `pitex_live`'s incremental repair, which splices
-    /// resampled graphs into an existing index.
-    pub fn from_graphs(
-        num_nodes: usize,
-        theta: u64,
-        budget: IndexBudget,
-        seed: u64,
-        graphs: Vec<RrGraph>,
-    ) -> Self {
-        Self::assemble(num_nodes, theta, budget, seed, graphs)
+    /// The index of `model`, given that only the draws in `dirty`
+    /// (ascending) sample differently on it than on the model `self` was
+    /// built from: those are resampled into rewritten segments, and every
+    /// segment and membership chunk they leave untouched is shared with
+    /// `self`. When the edge set changed, `edge_ids` maps old to new global
+    /// edge ids and every segment is rewritten, through one bulk pass over
+    /// its edge-id arena. Also returns the members, before and after, of
+    /// every resampled graph (ascending).
+    pub fn splice(
+        &self,
+        model: &TicModel,
+        dirty: &[u32],
+        edge_ids: Option<&[EdgeId]>,
+        threads: usize,
+    ) -> (RrIndex, Vec<NodeId>) {
+        assert_eq!(model.graph().num_nodes(), self.num_nodes, "every draw would be re-targeted");
+        assert!(dirty.windows(2).all(|d| d[0] < d[1]), "dirty draws must strictly ascend");
+        let mut rewritten: Vec<usize> = match edge_ids {
+            Some(_) => (0..self.segments.len()).collect(),
+            None => dirty.iter().map(|&draw| draw as usize / SEGMENT_DRAWS).collect(),
+        };
+        rewritten.dedup();
+        let dirty_of = |s: usize| {
+            let from = |draw: usize| dirty.partition_point(|&d| (d as usize) < draw);
+            &dirty[from(s * SEGMENT_DRAWS)..from((s + 1) * SEGMENT_DRAWS)]
+        };
+        let per_thread = in_ranges(rewritten.len() as u64, threads, |jobs| {
+            let (mut sampler, mut out) = (Sampler::default(), SegmentBuilder::default());
+            let (mut deltas, mut touched) = (Vec::new(), Vec::<NodeId>::new());
+            let mut rewrite = |s: usize| {
+                let old = &self.segments[s];
+                let mut copied = 0;
+                for &draw in dirty_of(s) {
+                    let g = draw as usize % SEGMENT_DRAWS;
+                    out.copy_graphs(old, copied..g, edge_ids);
+                    copied = g + 1;
+                    sample_draw(&mut sampler, model, self.seed, draw as u64);
+                    sampler.push_to(&mut out);
+                    let (before, after) = (old.graph(g), sampler.members());
+                    touched.extend(before.nodes().iter().chain(after));
+                    let left = before.nodes().iter().filter(|&&v| position(after, v).is_none());
+                    deltas.extend(left.map(|&v| (v, draw, false)));
+                    let joined = after.iter().filter(|&&v| !before.contains(v));
+                    deltas.extend(joined.map(|&v| (v, draw, true)));
+                }
+                out.copy_graphs(old, copied..old.num_graphs(), edge_ids);
+                Arc::new(out.seal())
+            };
+            let jobs = &rewritten[jobs.start as usize..jobs.end as usize];
+            (jobs.iter().map(|&s| rewrite(s)).collect::<Vec<_>>(), deltas, touched)
+        });
+        let mut segments = self.segments.clone();
+        let (mut deltas, mut touched) = (Vec::new(), Vec::new());
+        let mut slots = rewritten.iter();
+        for (fresh, of_deltas, of_touched) in per_thread {
+            for (segment, &s) in fresh.into_iter().zip(&mut slots) {
+                segments[s] = segment;
+            }
+            deltas.extend(of_deltas);
+            touched.extend(of_touched);
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        let members = patch_membership(&self.members, &mut deltas);
+        (RrIndex { segments, members, ..*self }, touched)
     }
 
     /// Number of vertices of the indexed graph.
@@ -150,16 +221,33 @@ impl RrIndex {
         self.seed
     }
 
-    /// All sampled RR-Graphs.
-    pub fn graphs(&self) -> &[RrGraph] {
-        &self.graphs
+    /// The RR-Graph of draw `i`.
+    #[inline]
+    pub fn graph(&self, i: usize) -> RrGraphRef<'_> {
+        self.segments[i / SEGMENT_DRAWS].graph(i % SEGMENT_DRAWS)
+    }
+
+    /// All sampled RR-Graphs, in draw order.
+    pub fn graphs(&self) -> impl ExactSizeIterator<Item = RrGraphRef<'_>> {
+        let graphs: usize = self.segments.iter().map(|s| s.num_graphs()).sum();
+        (0..graphs).map(|i| self.graph(i))
+    }
+
+    /// The shared segments, in draw order.
+    pub fn segments(&self) -> &[Arc<Segment>] {
+        &self.segments
+    }
+
+    /// The shared membership chunks, in user order.
+    pub fn member_chunks(&self) -> &[Arc<MemberChunk>] {
+        &self.members
     }
 
     /// Ids of the RR-Graphs containing `user` — the paper's `θ(u)`.
+    #[inline]
     pub fn graphs_containing(&self, user: u32) -> &[u32] {
-        let lo = self.member_offsets[user as usize] as usize;
-        let hi = self.member_offsets[user as usize + 1] as usize;
-        &self.member_graph_ids[lo..hi]
+        let user = user as usize;
+        self.members[user / MEMBER_CHUNK_USERS].list(user % MEMBER_CHUNK_USERS)
     }
 
     /// `θ(u)`: how many RR-Graphs contain `user` (Example 9).
@@ -167,10 +255,14 @@ impl RrIndex {
         self.graphs_containing(user).len()
     }
 
-    /// Approximate heap footprint in bytes (Table 3's "size").
+    /// Exact heap footprint in bytes (Table 3's "size"): every segment and
+    /// membership chunk, plus per piece its `Arc`'s two counters and its
+    /// pointer in the index's table.
     pub fn heap_bytes(&self) -> u64 {
-        let graphs: u64 = self.graphs.iter().map(|g| g.heap_bytes()).sum();
-        graphs + (self.member_offsets.len() * 8 + self.member_graph_ids.len() * 4) as u64
+        let per_piece = 3 * std::mem::size_of::<usize>() as u64;
+        let segments: u64 = self.segments.iter().map(|s| per_piece + s.heap_bytes()).sum();
+        let chunks: u64 = self.members.iter().map(|c| per_piece + c.heap_bytes()).sum();
+        segments + chunks
     }
 }
 
@@ -187,51 +279,70 @@ fn draw_rng(seed: u64, draw: u64) -> StdRng {
     StdRng::seed_from_u64(x ^ (x >> 31))
 }
 
-/// Samples the `draw`-th RR-Graph of the `(model, seed)` index stream: the
-/// target is drawn uniformly, then Def. 2's reverse BFS runs on the same
-/// per-draw RNG. [`RrIndex::build_with_threads`] calls this for every draw
-/// in `0..θ`; incremental repair calls it for dirty draws only.
-pub fn sample_rr_graph_at(model: &TicModel, seed: u64, draw: u64) -> RrGraph {
+/// Runs the `draw`-th sample of the `(model, seed)` index stream in
+/// `sampler`: the target is drawn uniformly, then Def. 2's reverse BFS runs
+/// on the same per-draw RNG. Both index builders and [`RrIndex::splice`]
+/// sample through this, so all walk the exact same per-draw streams.
+pub(crate) fn sample_draw(sampler: &mut Sampler, model: &TicModel, seed: u64, draw: u64) {
     let mut rng = draw_rng(seed, draw);
-    let n = model.graph().num_nodes();
-    let target = rng.gen_range(0..n as u32);
+    let target = rng.gen_range(0..model.graph().num_nodes() as u32);
     let mut p_max = MaxEdgeProbs::new(model.edge_topics());
-    generate_rr_graph(model.graph(), &mut p_max, target, &mut rng)
+    sampler.sample(model.graph(), &mut p_max, target, &mut rng);
 }
 
-/// Contiguous draw range `[lo, hi)` assigned to thread `t` of `threads`
-/// when splitting `theta` draws. Shared by the full-index and DELAYMAT
-/// builders so both walk the exact same per-draw sample stream (the
-/// "counters agree with the full index" invariant depends on it).
-pub(crate) fn draw_range(t: u64, threads: u64, theta: u64) -> std::ops::Range<u64> {
-    let per_thread = theta / threads;
-    let remainder = theta % threads;
+/// The `draw`-th RR-Graph of the `(model, seed)` index stream, on its own.
+pub fn sample_rr_graph_at(model: &TicModel, seed: u64, draw: u64) -> RrGraph {
+    let mut sampler = Sampler::default();
+    sample_draw(&mut sampler, model, seed, draw);
+    RrGraph::from_sampler(sampler)
+}
+
+/// Contiguous range `[lo, hi)` assigned to thread `t` of `threads` when
+/// splitting `total` items.
+fn split_range(t: u64, threads: u64, total: u64) -> Range<u64> {
+    let per_thread = total / threads;
+    let remainder = total % threads;
     let lo = t * per_thread + t.min(remainder);
     lo..lo + per_thread + u64::from(t < remainder)
 }
 
-/// Samples `theta` RR-Graphs for uniform random targets, in parallel.
-/// Output order is draw order (0..θ) regardless of `threads`.
-pub(crate) fn sample_many(model: &TicModel, theta: u64, seed: u64, threads: usize) -> Vec<RrGraph> {
-    let n = model.graph().num_nodes();
-    if n == 0 || theta == 0 {
-        return Vec::new();
+/// `work` over `0..total` cut into one contiguous range per thread; the
+/// results in range order. Runs inline, spawning nothing, when one thread is
+/// asked for or there are fewer items than threads.
+pub(crate) fn in_ranges<T: Send>(
+    total: u64,
+    threads: usize,
+    work: impl Fn(Range<u64>) -> T + Sync,
+) -> Vec<T> {
+    let threads = threads.max(1) as u64;
+    if threads == 1 || total < threads {
+        return vec![work(0..total)];
     }
-    let mut buckets: Vec<Vec<RrGraph>> = Vec::with_capacity(threads);
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads as u64)
-            .map(|t| {
-                let draws = draw_range(t, threads as u64, theta);
-                scope.spawn(move || {
-                    draws.map(|draw| sample_rr_graph_at(model, seed, draw)).collect::<Vec<_>>()
-                })
-            })
+        let work = &work;
+        let handles: Vec<_> = (0..threads)
+            .map(|t| scope.spawn(move || work(split_range(t, threads, total))))
             .collect();
-        for h in handles {
-            buckets.push(h.join().expect("sampling thread panicked"));
+        handles.into_iter().map(|h| h.join().expect("index worker thread panicked")).collect()
+    })
+}
+
+#[cfg(test)]
+impl RrIndex {
+    /// An index over hand-made graphs (one segment's worth at most).
+    pub(crate) fn from_graphs(
+        num_nodes: usize,
+        theta: u64,
+        budget: IndexBudget,
+        seed: u64,
+        graphs: &[RrGraph],
+    ) -> Self {
+        let mut out = SegmentBuilder::default();
+        for graph in graphs {
+            out.copy_graphs(&graph.0, 0..1, None);
         }
-    });
-    buckets.into_iter().flatten().collect()
+        Self::from_segments(num_nodes, theta, budget, seed, vec![Arc::new(out.seal())])
+    }
 }
 
 #[cfg(test)]
@@ -257,9 +368,9 @@ mod tests {
         assert_eq!(index.graphs().len(), 200);
         for u in 0..model.graph().num_nodes() as u32 {
             for &gid in index.graphs_containing(u) {
-                assert!(index.graphs()[gid as usize].contains(u));
+                assert!(index.graph(gid as usize).contains(u));
             }
-            let direct = index.graphs().iter().filter(|g| g.contains(u)).count();
+            let direct = index.graphs().filter(|g| g.contains(u)).count();
             assert_eq!(index.membership_count(u), direct);
         }
     }
@@ -269,7 +380,7 @@ mod tests {
         let model = TicModel::paper_example();
         let a = RrIndex::build_with_threads(&model, IndexBudget::Fixed(50), 11, 3);
         let b = RrIndex::build_with_threads(&model, IndexBudget::Fixed(50), 11, 3);
-        assert_eq!(a.graphs(), b.graphs());
+        assert_eq!(a.graphs().collect::<Vec<_>>(), b.graphs().collect::<Vec<_>>());
     }
 
     #[test]
@@ -280,7 +391,7 @@ mod tests {
         let model = TicModel::paper_example();
         let index = RrIndex::build_with_threads(&model, IndexBudget::Fixed(700), 3, 2);
         for &gid in index.graphs_containing(4) {
-            assert_eq!(index.graphs()[gid as usize].target(), 4);
+            assert_eq!(index.graph(gid as usize).target(), 4);
         }
         let count = index.membership_count(4) as f64;
         assert!((count - 100.0).abs() < 40.0, "θ(u5) = {count} far from 700/7");
@@ -303,8 +414,32 @@ mod tests {
         let reference = RrIndex::build_with_threads(&model, IndexBudget::Fixed(64), 13, 1);
         for threads in [2, 3, 4, 7] {
             let other = RrIndex::build_with_threads(&model, IndexBudget::Fixed(64), 13, threads);
-            assert_eq!(reference.graphs(), other.graphs(), "threads = {threads}");
+            assert_eq!(
+                reference.graphs().collect::<Vec<_>>(),
+                other.graphs().collect::<Vec<_>>(),
+                "threads = {threads}"
+            );
         }
+    }
+
+    #[test]
+    fn heap_bytes_is_the_exact_sum_of_the_arenas_and_tables() {
+        // 600 draws over the 7 users: segments of 512 and 88 graphs, one
+        // membership chunk. Every arena entry takes 4 bytes.
+        let model = TicModel::paper_example();
+        let index = RrIndex::build_with_threads(&model, IndexBudget::Fixed(600), 7, 1);
+        let nodes: usize = index.graphs().map(|g| g.num_nodes()).sum();
+        let edges: usize = index.graphs().map(|g| g.num_edges()).sum();
+        // Per segment: six boxed slices (16 B each), the Arc's two counters
+        // and its pointer in the table; a graph table with one end entry,
+        // the node arena, its CSR offsets with one end entry, three edge
+        // arenas.
+        let segments = 2 * (6 * 16 + 16 + 8) + 4 * ((600 + 2) + nodes + (nodes + 2) + 3 * edges);
+        // The chunk: two boxed slices, counters and pointer; 7 + 1 list
+        // offsets and one id per (graph, member) pair.
+        let chunk = (2 * 16 + 16 + 8) + 4 * ((7 + 1) + nodes);
+        assert_eq!((index.segments().len(), index.member_chunks().len()), (2, 1));
+        assert_eq!(index.heap_bytes(), (segments + chunk) as u64);
     }
 
     #[test]
@@ -313,7 +448,7 @@ mod tests {
         let index = RrIndex::build_with_threads(&model, IndexBudget::Fixed(32), 19, 3);
         for draw in [0u64, 1, 15, 31] {
             let lone = sample_rr_graph_at(&model, 19, draw);
-            assert_eq!(&lone, &index.graphs()[draw as usize], "draw {draw}");
+            assert_eq!(lone.as_ref(), index.graph(draw as usize), "draw {draw}");
         }
     }
 }

@@ -31,7 +31,7 @@
 
 use crate::build::IndexBudget;
 use crate::prune::{CutPolicy, UserView};
-use crate::rrgraph::RrGraph;
+use crate::rrgraph::{RrGraph, Sampler};
 use pitex_graph::{DiGraph, EdgeId, NodeId};
 use pitex_model::{EdgeProbs, EdgeTopics, TicModel};
 use pitex_sampling::{Estimate, SamplingParams, SpreadEstimator};
@@ -72,31 +72,23 @@ impl DelayMatIndex {
     ) -> Self {
         let n = model.graph().num_nodes();
         let theta = budget.sample_count(n, model.num_tags());
-        let threads = threads.max(1);
-        let mut counts = vec![0u32; n];
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads as u64)
-                .map(|t| {
-                    let draws = crate::build::draw_range(t, threads as u64, theta);
-                    scope.spawn(move || {
-                        let mut local = vec![0u32; n];
-                        for draw in draws {
-                            let rr = crate::build::sample_rr_graph_at(model, seed, draw);
-                            for &v in rr.nodes() {
-                                local[v as usize] += 1;
-                            }
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for h in handles {
-                let local = h.join().expect("counting thread panicked");
-                for (c, l) in counts.iter_mut().zip(local) {
-                    *c += l;
+        let per_thread = crate::build::in_ranges(theta, threads, |draws| {
+            let mut sampler = Sampler::default();
+            let mut local = vec![0u32; n];
+            for draw in draws {
+                crate::build::sample_draw(&mut sampler, model, seed, draw);
+                for &v in sampler.members() {
+                    local[v as usize] += 1;
                 }
             }
+            local
         });
+        let mut counts = vec![0u32; n];
+        for local in per_thread {
+            for (c, l) in counts.iter_mut().zip(local) {
+                *c += l;
+            }
+        }
         Self { num_nodes: n, theta, budget, seed, counts }
     }
 
@@ -283,7 +275,8 @@ impl<'a> DelayMatEstimator<'a> {
             weights.push(w);
         }
         *total_weight = weights.iter().map(|&w| w as f64).sum();
-        self.view.compile(user, graphs.iter(), Some((self.edge_topics, CutPolicy::Best)));
+        let cuts = Some((self.edge_topics, CutPolicy::Best));
+        self.view.compile(user, graphs.iter().map(RrGraph::as_ref), cuts);
         *self_hit_weight =
             self.view.self_hits().iter().map(|&pos| weights[pos as usize] as f64).sum();
     }
@@ -363,6 +356,7 @@ mod tests {
         for _ in 0..300 {
             let (rr, weight) =
                 recover_rr_graph(model.graph(), model.edge_topics(), 0, &mut rng, &mut visited);
+            let rr = rr.as_ref();
             assert!(rr.contains(0), "Algo. 4 conditions on membership of the query user");
             assert!(weight >= 1, "the forward sample always activates the user");
             for (_, e) in rr.edges() {

@@ -33,8 +33,8 @@ impl<'a> IndexView<'a> {
         debug_assert_eq!(graph.num_nodes(), self.index.num_nodes());
         let member_ids = self.index.graphs_containing(user);
         if !self.view.is_for(user) {
-            let graphs = self.index.graphs();
-            self.view.compile(user, member_ids.iter().map(|&gid| &graphs[gid as usize]), cuts);
+            let index = self.index;
+            self.view.compile(user, member_ids.iter().map(|&gid| index.graph(gid as usize)), cuts);
         }
         let mut hits = self.view.self_hits().len() as u64;
         let verified = self.view.verify(probs, |_| hits += 1);
@@ -171,7 +171,7 @@ mod tests {
             RrGraph::from_parts(6, vec![2, 5, 6], &[(2, 5, e36, 0.5), (5, 6, e67, 0.3)]),
             RrGraph::from_parts(1, vec![1], &[]),
         ];
-        let index = RrIndex::from_graphs(7, 4, IndexBudget::Fixed(4), 0, graphs);
+        let index = RrIndex::from_graphs(7, 4, IndexBudget::Fixed(4), 0, &graphs);
         let mut est = IndexEstimator::new(&index);
         // Under {w3,w4}: p(u3->u6) ≈ 0.554, p(u3->u4) = 0, p(u6->u7) ≈ 0.346.
         let w = TagSet::from([2, 3]);

@@ -11,8 +11,11 @@
 //!
 //! * [`rrgraph`] — the RR-Graph structure and its reverse-sampling
 //!   generator;
+//! * [`segment`] — the shared fixed-size pieces an index stores its graphs
+//!   and its membership table in;
 //! * [`build`] — parallel index construction ([`RrIndex`]) with the Eq. 7
-//!   theoretical budget and practical per-vertex budgets;
+//!   theoretical budget and practical per-vertex budgets, and the splice
+//!   incremental repair rewrites an index through;
 //! * [`estimate`] — `EstimateInfluence+` (Algo. 3): the plain index-based
 //!   estimator (the paper's INDEXEST);
 //! * [`prune`] — edge-cut filtering with inverted lists (§6.2, INDEXEST+),
@@ -26,10 +29,11 @@ pub mod delay;
 pub mod estimate;
 pub mod prune;
 pub mod rrgraph;
+pub mod segment;
 pub mod serial;
 
 pub use build::{sample_rr_graph_at, IndexBudget, RrIndex};
 pub use delay::{DelayMatEstimator, DelayMatIndex};
 pub use estimate::IndexEstimator;
 pub use prune::{CutPolicy, IndexPlusEstimator};
-pub use rrgraph::RrGraph;
+pub use rrgraph::{RrGraph, RrGraphRef};

@@ -20,7 +20,7 @@
 //!   renumbered in BFS order (so `u` is the graph's first node) and appended
 //!   to shared arenas: one offsets entry per node, and per edge `dst` (arena
 //!   node), `edge_local` and the mark `c`, each vertex's edges in stored
-//!   order. A traversal is therefore the same DFS [`RrGraph::reaches_target`]
+//!   order. A traversal is therefore the same DFS [`RrGraphRef::reaches_target`]
 //!   runs — same edges probed, same count — over contiguous memory, with no
 //!   per-graph `local_id` binary searches. Graphs whose target is `u` are
 //!   hits by definition and collapse into a position list; graphs where `u`
@@ -39,7 +39,7 @@
 
 use crate::build::RrIndex;
 use crate::estimate::IndexView;
-use crate::rrgraph::RrGraph;
+use crate::rrgraph::RrGraphRef;
 use pitex_graph::{DiGraph, EdgeId, NodeId};
 use pitex_model::{EdgeProbs, EdgeTopics};
 use pitex_sampling::{Estimate, SamplingParams, SpreadEstimator};
@@ -146,7 +146,7 @@ impl CutFilter {
     /// the paper's best-of-two cut selection.
     pub fn build<'g>(
         user: NodeId,
-        graphs: impl Iterator<Item = &'g RrGraph>,
+        graphs: impl Iterator<Item = RrGraphRef<'g>>,
         p_max: &EdgeTopics,
     ) -> Self {
         Self::build_with_policy(user, graphs, p_max, CutPolicy::Best)
@@ -156,7 +156,7 @@ impl CutFilter {
     /// the ablation bench to quantify Example 7's heuristic).
     pub fn build_with_policy<'g>(
         user: NodeId,
-        graphs: impl Iterator<Item = &'g RrGraph>,
+        graphs: impl Iterator<Item = RrGraphRef<'g>>,
         p_max: &EdgeTopics,
         policy: CutPolicy,
     ) -> Self {
@@ -171,7 +171,7 @@ impl CutFilter {
     fn compile<'g>(
         &mut self,
         user: NodeId,
-        graphs: impl Iterator<Item = &'g RrGraph>,
+        graphs: impl Iterator<Item = RrGraphRef<'g>>,
         cuts: Option<(&EdgeTopics, CutPolicy)>,
     ) {
         self.num_graphs = 0;
@@ -195,10 +195,10 @@ impl CutFilter {
             }
             // Not a member, or a member with no way out: can never reach.
             let Some(user_local) = rr.local_id(user) else { continue };
-            if rr.out_edges_local(user_local).is_empty() {
+            if rr.out_edges_local(user_local).len() == 0 {
                 continue;
             }
-            let target_local = rr.local_id(rr.target()).expect("target is a member");
+            let target_local = 0; // the target is every graph's first member
 
             // BFS from the user over the stored graph (marks ignored: stored
             // edges are the p_max-live superset), appending each dequeued
@@ -411,7 +411,7 @@ impl UserView {
     pub(crate) fn compile<'g>(
         &mut self,
         user: NodeId,
-        graphs: impl Iterator<Item = &'g RrGraph>,
+        graphs: impl Iterator<Item = RrGraphRef<'g>>,
         cuts: Option<(&EdgeTopics, CutPolicy)>,
     ) {
         self.filter.compile(user, graphs, cuts);
@@ -435,7 +435,7 @@ impl UserView {
     /// Filter-and-verify for one tag set: evaluates the cut edges in bulk,
     /// scans the inverted lists for candidates and traverses those, calling
     /// `on_hit` with the position of every graph where the user reaches the
-    /// target. The traversal is [`RrGraph::reaches_target`]'s DFS edge for
+    /// target. The traversal is [`RrGraphRef::reaches_target`]'s DFS edge for
     /// edge, so `edges_visited` counts the same probes.
     pub(crate) fn verify(
         &mut self,
@@ -549,6 +549,7 @@ mod tests {
     use super::*;
     use crate::build::IndexBudget;
     use crate::estimate::IndexEstimator;
+    use crate::rrgraph::RrGraph;
     use pitex_model::{PosteriorEdgeProbs, TagSet, TicModel};
 
     /// The central soundness property: filtering must never change the
@@ -609,7 +610,6 @@ mod tests {
         // (u3,u4) is skipped entirely (p = 0) and only the cheap prefix of
         // (u3,u6)'s list is visited. We verify the filter yields exactly
         // the graphs with a live cut edge.
-        use crate::rrgraph::RrGraph;
         let model = TicModel::paper_example();
         let e34 = model.graph().find_edge(2, 3).unwrap(); // p(e|{w1,w2}) = 0.25·? ...
         let e36 = model.graph().find_edge(2, 5).unwrap();
@@ -620,7 +620,7 @@ mod tests {
             RrGraph::from_parts(3, vec![2, 3], &[(2, 3, e34, 0.3)]), // dead (0.25 < 0.3)
             RrGraph::from_parts(5, vec![2, 5], &[(2, 5, e36, 0.1)]), // dead (0 < 0.1)
         ];
-        let filter = CutFilter::build(2, graphs.iter(), model.edge_topics());
+        let filter = CutFilter::build(2, graphs.iter().map(RrGraph::as_ref), model.edge_topics());
         let w = TagSet::from([0, 1]);
         let posterior = model.posterior(&w);
         let mut cache = model.new_prob_cache();
@@ -643,7 +643,7 @@ mod tests {
                 let member: Vec<_> = index
                     .graphs_containing(user)
                     .iter()
-                    .map(|&g| &index.graphs()[g as usize])
+                    .map(|&g| index.graph(g as usize))
                     .collect();
                 let filter = CutFilter::build_with_policy(
                     user,
@@ -677,10 +677,9 @@ mod tests {
 
     #[test]
     fn user_as_target_is_always_candidate() {
-        use crate::rrgraph::RrGraph;
         let model = TicModel::paper_example();
         let graphs = [RrGraph::from_parts(2, vec![2], &[])];
-        let filter = CutFilter::build(2, graphs.iter(), model.edge_topics());
+        let filter = CutFilter::build(2, graphs.iter().map(RrGraph::as_ref), model.edge_topics());
         let mut zero = pitex_model::FixedEdgeProbs::uniform(model.graph().num_edges(), 0.0);
         let mut marks = EpochVisited::new(0);
         let mut out = Vec::new();
@@ -709,7 +708,7 @@ mod tests {
     /// the user). What `candidates` and `verify` must agree with.
     fn reference_candidates(
         user: NodeId,
-        graphs: &[&RrGraph],
+        graphs: &[RrGraphRef],
         p_max: &EdgeTopics,
         policy: CutPolicy,
         probs: &mut dyn EdgeProbs,
@@ -722,8 +721,7 @@ mod tests {
             }
             let Some(user_local) = rr.local_id(user) else { continue };
             let target_local = rr.local_id(rr.target()).unwrap();
-            let cut1: Vec<_> =
-                rr.out_edges_local(user_local).iter().map(|e| (e.edge_id, e.c)).collect();
+            let cut1: Vec<_> = rr.out_edges_local(user_local).map(|e| (e.edge_id, e.c)).collect();
             let mut reach = vec![user_local];
             let mut head = 0;
             while head < reach.len() {
@@ -762,7 +760,7 @@ mod tests {
     /// Hits and probes of [`RrGraph::reaches_target`] over `positions`.
     fn reference_verify(
         user: NodeId,
-        graphs: &[&RrGraph],
+        graphs: &[RrGraphRef],
         positions: &[u32],
         probs: &mut dyn EdgeProbs,
     ) -> (Vec<u32>, u64) {
@@ -782,7 +780,7 @@ mod tests {
     fn view_verify(
         view: &mut UserView,
         user: NodeId,
-        graphs: &[&RrGraph],
+        graphs: &[RrGraphRef],
         cuts: Option<(&EdgeTopics, CutPolicy)>,
         probs: &mut dyn EdgeProbs,
     ) -> (Vec<u32>, u64) {
@@ -811,11 +809,8 @@ mod tests {
         let mut candidates = Vec::new();
         let mut pruned_somewhere = false;
         for user in (0..model.graph().num_nodes() as u32).step_by(7) {
-            let graphs: Vec<&RrGraph> = index
-                .graphs_containing(user)
-                .iter()
-                .map(|&g| &index.graphs()[g as usize])
-                .collect();
+            let graphs: Vec<RrGraphRef> =
+                index.graphs_containing(user).iter().map(|&g| index.graph(g as usize)).collect();
             let all: Vec<u32> = (0..graphs.len() as u32).collect();
             for tags in [TagSet::from([0, 5]), TagSet::from([3]), TagSet::from([1, 2, 7])] {
                 let posterior = model.posterior(&tags);
@@ -863,7 +858,7 @@ mod tests {
             RrGraph::from_parts(4, vec![2, 4], &[(2, 4, 2, 0.1)]),
             RrGraph::from_parts(2, vec![2, 3], &[(3, 2, 1, 0.1)]),
         ];
-        let graphs: Vec<&RrGraph> = graphs.iter().collect();
+        let graphs: Vec<RrGraphRef> = graphs.iter().map(RrGraph::as_ref).collect();
         let all: Vec<u32> = (0..graphs.len() as u32).collect();
         let et = EdgeTopics::new(vec![vec![(0, 0.5)]; 4], 1);
         let mut view = UserView::default();

@@ -1,7 +1,9 @@
 //! The reverse reachable sample graph (RR-Graph, Def. 2).
 
+use crate::segment::{Segment, SegmentBuilder};
 use pitex_graph::{DiGraph, EdgeId, NodeId};
 use pitex_model::EdgeProbs;
+use pitex_support::EpochVisited;
 use rand::Rng;
 
 /// One stored edge of an RR-Graph: destination (local id), the global edge
@@ -13,7 +15,8 @@ pub struct RrEdge {
     pub c: f32,
 }
 
-/// A reverse reachable sample graph of some target vertex `v` (Def. 2).
+/// A reverse reachable sample graph of some target vertex `v` (Def. 2),
+/// borrowed from the [`Segment`] (or the owned [`RrGraph`]) that stores it.
 ///
 /// Contains every vertex that reaches `v` after removing each edge `e` with
 /// `c(e) > p(e) = max_z p(e|z)`, the surviving edges among those vertices,
@@ -22,104 +25,99 @@ pub struct RrEdge {
 /// since `p(e|W) ≤ p(e)` for every `W`, no vertex that could ever influence
 /// `v` is missed.
 ///
-/// Nodes are stored as sorted global ids with a local forward CSR so the
-/// query-time BFS runs on the (usually tiny) sample graph, not on `G`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RrGraph {
-    target: NodeId,
-    /// Sorted global node ids; local id = position.
-    nodes: Vec<NodeId>,
-    /// Forward CSR over local ids.
-    out_offsets: Vec<u32>,
-    out_edges: Vec<RrEdge>,
+/// Members are stored as global ids — the target first, the rest ascending;
+/// local id = position — with a local forward CSR, so the query-time BFS
+/// runs on the (usually tiny) sample graph, not on `G`.
+#[derive(Clone, Copy, Debug)]
+pub struct RrGraphRef<'a> {
+    pub(crate) nodes: &'a [NodeId],
+    /// `nodes.len() + 1` CSR offsets into the arena the edge slices were
+    /// cut from: relative to `offsets[0]`.
+    pub(crate) offsets: &'a [u32],
+    pub(crate) dst_local: &'a [u32],
+    pub(crate) edge_id: &'a [EdgeId],
+    pub(crate) c: &'a [f32],
 }
 
-impl RrGraph {
-    /// Builds from raw parts (used by the generator and the decoder).
-    /// `edges` holds `(src_global, dst_global, edge_id, c)`.
-    pub(crate) fn from_parts(
-        target: NodeId,
-        mut nodes: Vec<NodeId>,
-        edges: &[(NodeId, NodeId, EdgeId, f32)],
-    ) -> Self {
-        nodes.sort_unstable();
-        nodes.dedup();
-        let local = |v: NodeId, nodes: &[NodeId]| -> u32 {
-            nodes.binary_search(&v).expect("edge endpoint must be a member node") as u32
-        };
-        let n = nodes.len();
-        let mut offsets = vec![0u32; n + 1];
-        for &(s, _, _, _) in edges {
-            offsets[local(s, &nodes) as usize + 1] += 1;
-        }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut cursor = offsets[..n].to_vec();
-        let mut out_edges = vec![RrEdge { dst_local: 0, edge_id: 0, c: 0.0 }; edges.len()];
-        for &(s, t, e, c) in edges {
-            let sl = local(s, &nodes) as usize;
-            let pos = cursor[sl] as usize;
-            cursor[sl] += 1;
-            out_edges[pos] = RrEdge { dst_local: local(t, &nodes), edge_id: e, c };
-        }
-        Self { target, nodes, out_offsets: offsets, out_edges }
+/// Position of `v` in a member list laid out target first, the rest ascending.
+#[inline]
+pub(crate) fn position(nodes: &[NodeId], v: NodeId) -> Option<u32> {
+    if v == nodes[0] {
+        return Some(0);
     }
+    nodes[1..].binary_search(&v).ok().map(|i| i as u32 + 1)
+}
 
+/// Equal content, wherever in its arena either graph sits.
+impl PartialEq for RrGraphRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        let rebased = |g: Self| g.offsets.iter().map(move |&o| o - g.offsets[0]);
+        self.nodes == other.nodes
+            && self.dst_local == other.dst_local
+            && self.edge_id == other.edge_id
+            && self.c == other.c
+            && rebased(*self).eq(rebased(*other))
+    }
+}
+
+impl<'a> RrGraphRef<'a> {
     /// The target vertex this graph was sampled for.
     #[inline]
-    pub fn target(&self) -> NodeId {
-        self.target
+    pub fn target(self) -> NodeId {
+        self.nodes[0]
     }
 
-    /// Sorted global node ids.
-    pub fn nodes(&self) -> &[NodeId] {
-        &self.nodes
+    /// Global member ids: the target, then the others ascending.
+    pub fn nodes(self) -> &'a [NodeId] {
+        self.nodes
     }
 
     /// Number of member vertices.
-    pub fn num_nodes(&self) -> usize {
+    pub fn num_nodes(self) -> usize {
         self.nodes.len()
     }
 
     /// Number of stored edges.
-    pub fn num_edges(&self) -> usize {
-        self.out_edges.len()
+    pub fn num_edges(self) -> usize {
+        self.c.len()
     }
 
-    /// Local id of a global vertex, if a member.
+    /// Local id of a global vertex, if a member (the target's is 0).
     #[inline]
-    pub fn local_id(&self, v: NodeId) -> Option<u32> {
-        self.nodes.binary_search(&v).ok().map(|i| i as u32)
+    pub fn local_id(self, v: NodeId) -> Option<u32> {
+        position(self.nodes, v)
     }
 
     /// True if `v` is a member (i.e. `v` could influence the target under
     /// *some* tag set).
-    pub fn contains(&self, v: NodeId) -> bool {
+    pub fn contains(self, v: NodeId) -> bool {
         self.local_id(v).is_some()
     }
 
-    /// Out-edges of a local vertex.
+    /// Out-edges of a local vertex, in stored order.
     #[inline]
-    pub fn out_edges_local(&self, local: u32) -> &[RrEdge] {
-        let lo = self.out_offsets[local as usize] as usize;
-        let hi = self.out_offsets[local as usize + 1] as usize;
-        &self.out_edges[lo..hi]
+    pub fn out_edges_local(self, local: u32) -> impl ExactSizeIterator<Item = RrEdge> + Clone + 'a {
+        let lo = (self.offsets[local as usize] - self.offsets[0]) as usize;
+        let hi = (self.offsets[local as usize + 1] - self.offsets[0]) as usize;
+        let ids = self.dst_local[lo..hi].iter().zip(&self.edge_id[lo..hi]);
+        ids.zip(&self.c[lo..hi]).map(|((&dst_local, &edge_id), &c)| RrEdge {
+            dst_local,
+            edge_id,
+            c,
+        })
     }
 
     /// All stored edges as `(src_local, RrEdge)` pairs.
-    pub fn edges(&self) -> impl Iterator<Item = (u32, &RrEdge)> + '_ {
+    pub fn edges(self) -> impl Iterator<Item = (u32, RrEdge)> + 'a {
         (0..self.num_nodes() as u32)
-            .flat_map(move |sl| self.out_edges_local(sl).iter().map(move |e| (sl, e)))
+            .flat_map(move |sl| self.out_edges_local(sl).map(move |e| (sl, e)))
     }
 
     /// Tag-aware reachability (Def. 3): does `user` reach the target along
     /// edges with `p(e|W) ≥ c(e)`? `edges_visited` counts probed edges.
-    ///
-    /// `scratch` must have at least `num_nodes()` slots; reuse it across
-    /// graphs (see [`ReachScratch`]).
+    /// Reuse `scratch` across graphs (see [`ReachScratch`]).
     pub fn reaches_target(
-        &self,
+        self,
         user: NodeId,
         probs: &mut dyn EdgeProbs,
         scratch: &mut ReachScratch,
@@ -128,10 +126,9 @@ impl RrGraph {
         let Some(start) = self.local_id(user) else {
             return false;
         };
-        if user == self.target {
+        if start == 0 {
             return true;
         }
-        let target_local = self.local_id(self.target).expect("target is always a member");
         scratch.visited.grow(self.num_nodes());
         scratch.visited.reset();
         scratch.stack.clear();
@@ -144,7 +141,7 @@ impl RrGraph {
                 }
                 *edges_visited += 1;
                 if probs.prob(e.edge_id) >= e.c as f64 {
-                    if e.dst_local == target_local {
+                    if e.dst_local == 0 {
                         return true;
                     }
                     scratch.visited.insert(e.dst_local);
@@ -155,38 +152,51 @@ impl RrGraph {
         false
     }
 
-    /// Approximate heap footprint in bytes (Table 3 accounting).
-    pub fn heap_bytes(&self) -> u64 {
-        (self.nodes.len() * 4 + self.out_offsets.len() * 4 + self.out_edges.len() * 12) as u64
-    }
-
-    /// Rebuilds this graph with every stored global edge id passed through
-    /// `map` (topology, node set and marks unchanged). Incremental repair
-    /// uses this to keep *clean* RR-Graphs valid when an edge insert or
-    /// removal shifts the CSR edge ids of the mutated model.
-    ///
-    /// # Panics
-    /// If `map` returns `None` for a stored edge — the repair layer only
-    /// reuses graphs whose stored edges all survive the mutation.
-    pub fn with_remapped_edge_ids(&self, map: impl Fn(EdgeId) -> Option<EdgeId>) -> RrGraph {
-        let mut out = self.clone();
-        for e in &mut out.out_edges {
-            e.edge_id = map(e.edge_id).expect("reused RR-Graph references a removed edge");
-        }
-        out
+    /// Bytes of the arena entries this graph spans (Table 3 accounting).
+    pub fn heap_bytes(self) -> u64 {
+        (self.nodes.len() * 4 + self.offsets.len() * 4 + self.c.len() * 12) as u64
     }
 }
 
-/// Reusable traversal scratch for [`RrGraph::reaches_target`].
+/// An owned RR-Graph — what the sampler and DELAYMAT's recovery hand out
+/// (the index keeps its graphs in shared segments): a segment of one graph.
+#[derive(Clone, Debug, PartialEq)]
+pub struct RrGraph(pub(crate) Segment);
+
+impl RrGraph {
+    /// Builds from raw parts: `nodes` are the distinct members, `edges`
+    /// hold `(src_global, dst_global, edge_id, c)`.
+    pub(crate) fn from_parts(
+        target: NodeId,
+        mut nodes: Vec<NodeId>,
+        edges: &[(NodeId, NodeId, EdgeId, f32)],
+    ) -> Self {
+        let mut builder = SegmentBuilder::default();
+        builder.push_graph(target, &mut nodes, edges);
+        Self(builder.seal())
+    }
+
+    /// The last draw of `sampler`.
+    pub(crate) fn from_sampler(sampler: Sampler) -> Self {
+        Self::from_parts(sampler.members[0], sampler.members, &sampler.edges)
+    }
+
+    /// The graph, borrowed: every reader takes this.
+    pub fn as_ref(&self) -> RrGraphRef<'_> {
+        self.0.graph(0)
+    }
+}
+
+/// Reusable traversal scratch for [`RrGraphRef::reaches_target`].
 #[derive(Debug)]
 pub struct ReachScratch {
-    visited: pitex_support::EpochVisited,
+    visited: EpochVisited,
     stack: Vec<u32>,
 }
 
 impl ReachScratch {
     pub fn new() -> Self {
-        Self { visited: pitex_support::EpochVisited::new(0), stack: Vec::new() }
+        Self { visited: EpochVisited::new(0), stack: Vec::new() }
     }
 }
 
@@ -196,41 +206,77 @@ impl Default for ReachScratch {
     }
 }
 
-/// Samples one RR-Graph for `target` (Def. 2): reverse BFS from `target`
-/// where each in-edge survives with probability `p(e) = max_z p(e|z)`; the
-/// mark of a surviving edge is `c(e) ~ U[0, p(e))`.
-///
-/// `p_max` must be the `p(e)` view (see [`pitex_model::MaxEdgeProbs`]).
+/// The buffers of Def. 2's reverse sampling, reused from one draw to the
+/// next by the worker that owns them.
+#[derive(Debug, Default)]
+pub(crate) struct Sampler {
+    visited: EpochVisited,
+    /// Members of the last draw in discovery order, the target first: the
+    /// BFS queue itself.
+    members: Vec<NodeId>,
+    /// Its edges as `(src, dst, edge id, mark)` in generation order.
+    edges: Vec<(NodeId, NodeId, EdgeId, f32)>,
+}
+
+impl Sampler {
+    /// Samples the RR-Graph of `target` (Def. 2): reverse BFS from `target`
+    /// where each in-edge survives with probability `p(e) = max_z p(e|z)`;
+    /// the mark of a surviving edge is `c(e) ~ U[0, p(e))`.
+    pub(crate) fn sample<P: EdgeProbs + ?Sized, R: Rng + ?Sized>(
+        &mut self,
+        graph: &DiGraph,
+        p_max: &mut P,
+        target: NodeId,
+        rng: &mut R,
+    ) {
+        self.visited.grow(graph.num_nodes());
+        self.visited.reset();
+        self.visited.insert(target);
+        self.members.clear();
+        self.members.push(target);
+        self.edges.clear();
+        let mut head = 0;
+        while let Some(&y) = self.members.get(head) {
+            head += 1;
+            for (e, x) in graph.in_edges(y) {
+                let p = p_max.prob(e);
+                if p <= 0.0 {
+                    continue;
+                }
+                let draw: f64 = rng.gen(); // U[0, 1)
+                if draw < p {
+                    // Conditioned on survival, draw ~ U[0, p) — exactly c(e).
+                    self.edges.push((x, y, e, draw as f32));
+                    if self.visited.insert(x) {
+                        self.members.push(x);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Members of the last draw (any order).
+    pub(crate) fn members(&self) -> &[NodeId] {
+        &self.members
+    }
+
+    /// Appends the last draw to `out`.
+    pub(crate) fn push_to(&mut self, out: &mut SegmentBuilder) {
+        out.push_graph(self.members[0], &mut self.members, &self.edges);
+    }
+}
+
+/// Samples one RR-Graph for `target` (Def. 2). `p_max` must be the `p(e)`
+/// view (see [`pitex_model::MaxEdgeProbs`]).
 pub fn generate_rr_graph<R: Rng + ?Sized>(
     graph: &DiGraph,
     p_max: &mut dyn EdgeProbs,
     target: NodeId,
     rng: &mut R,
 ) -> RrGraph {
-    let mut nodes = vec![target];
-    let mut edges: Vec<(NodeId, NodeId, EdgeId, f32)> = Vec::new();
-    let mut visited = pitex_support::FxHashSet::default();
-    visited.insert(target);
-    let mut queue = std::collections::VecDeque::new();
-    queue.push_back(target);
-    while let Some(y) = queue.pop_front() {
-        for (e, x) in graph.in_edges(y) {
-            let p = p_max.prob(e);
-            if p <= 0.0 {
-                continue;
-            }
-            let draw: f64 = rng.gen(); // U[0, 1)
-            if draw < p {
-                // Conditioned on survival, draw ~ U[0, p) — exactly c(e).
-                edges.push((x, y, e, draw as f32));
-                if visited.insert(x) {
-                    nodes.push(x);
-                    queue.push_back(x);
-                }
-            }
-        }
-    }
-    RrGraph::from_parts(target, nodes, &edges)
+    let mut sampler = Sampler::default();
+    sampler.sample(graph, p_max, target, rng);
+    RrGraph::from_sampler(sampler)
 }
 
 #[cfg(test)]
@@ -249,6 +295,7 @@ mod tests {
         let mut probs = FixedEdgeProbs::uniform(4, 1.0);
         let mut rng = StdRng::seed_from_u64(1);
         let rr = generate_rr_graph(&g, &mut probs, 4, &mut rng);
+        let rr = rr.as_ref();
         assert_eq!(rr.num_nodes(), 5);
         assert_eq!(rr.num_edges(), 4);
         assert!(rr.contains(0));
@@ -261,6 +308,7 @@ mod tests {
         let mut probs = FixedEdgeProbs::new(vec![1.0, 0.0]);
         let mut rng = StdRng::seed_from_u64(2);
         let rr = generate_rr_graph(&g, &mut probs, 2, &mut rng);
+        let rr = rr.as_ref();
         assert_eq!(rr.num_nodes(), 1, "the dead edge isolates the target");
     }
 
@@ -272,6 +320,7 @@ mod tests {
         for _ in 0..200 {
             let target = rng.gen_range(0..m.graph().num_nodes() as u32);
             let rr = generate_rr_graph(m.graph(), &mut p_max, target, &mut rng);
+            let rr = rr.as_ref();
             for (_, e) in rr.edges() {
                 let pm = m.edge_topics().p_max(e.edge_id);
                 assert!(e.c < pm, "c(e) = {} must be < p(e) = {pm}", e.c);
@@ -290,6 +339,7 @@ mod tests {
         for _ in 0..100 {
             let target = rng.gen_range(0..m.graph().num_nodes() as u32);
             let rr = generate_rr_graph(m.graph(), &mut p_max, target, &mut rng);
+            let rr = rr.as_ref();
             for &v in rr.nodes() {
                 let mut visits = 0u64;
                 let mut view = MaxEdgeProbs::new(m.edge_topics());
@@ -306,6 +356,7 @@ mod tests {
         // Build a 2-path RR-Graph by hand: 0 -> 1 with c = 0.25 (an
         // f32-exact value, so the ≥ comparison is representation-safe).
         let rr = RrGraph::from_parts(1, vec![0, 1], &[(0, 1, 0, 0.25)]);
+        let rr = rr.as_ref();
         let mut scratch = ReachScratch::new();
         let mut visits = 0u64;
         let mut live = FixedEdgeProbs::new(vec![0.26]);
@@ -334,6 +385,7 @@ mod tests {
 
         let e12 = m.graph().find_edge(0, 1).unwrap();
         let g_u2 = RrGraph::from_parts(1, vec![0, 1], &[(0, 1, e12, 0.3)]);
+        let g_u2 = g_u2.as_ref();
         assert!(!g_u2.reaches_target(0, &mut probs, &mut scratch, &mut visits));
 
         let e13 = m.graph().find_edge(0, 2).unwrap();
@@ -350,12 +402,14 @@ mod tests {
             vec![0, 2, 3, 5],
             &[(0, 2, e13, 0.4), (2, 3, e34, 0.4), (2, 5, e36, 0.5), (3, 5, e46, 0.2)],
         );
+        let g_u6 = g_u6.as_ref();
         assert!(g_u6.reaches_target(0, &mut probs, &mut scratch, &mut visits));
     }
 
     #[test]
     fn non_member_cannot_reach() {
         let rr = RrGraph::from_parts(1, vec![0, 1], &[(0, 1, 0, 0.5)]);
+        let rr = rr.as_ref();
         let mut probs = FixedEdgeProbs::new(vec![1.0]);
         let mut scratch = ReachScratch::new();
         let mut visits = 0u64;
@@ -365,6 +419,7 @@ mod tests {
     #[test]
     fn target_trivially_reaches_itself() {
         let rr = RrGraph::from_parts(3, vec![3], &[]);
+        let rr = rr.as_ref();
         let mut probs = FixedEdgeProbs::new(vec![]);
         let mut scratch = ReachScratch::new();
         let mut visits = 0u64;

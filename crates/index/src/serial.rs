@@ -1,17 +1,22 @@
 //! Index persistence (Table 3 compares on-disk sizes of the two schemes).
 
-use crate::build::{IndexBudget, RrIndex};
+use crate::build::{segment_count, IndexBudget, RrIndex};
 use crate::delay::DelayMatIndex;
-use crate::rrgraph::RrGraph;
+use crate::segment::{Segment, SEGMENT_DRAWS};
 use pitex_support::codec::{DecodeError, Decoder, Encoder};
+use std::sync::Arc;
 
 const RR_MAGIC: [u8; 4] = *b"PRRI";
 const DELAY_MAGIC: [u8; 4] = *b"PDLY";
-// v2: per-draw RNG streams (the sample stream changed) + the build budget
-// and seed are persisted so repair reads them off the artifact. v1 files
-// fail loudly with BadVersion instead of silently voiding the
-// repair==rebuild contract.
-const VERSION: u32 = 2;
+// PRRI v3: header + one dump per segment, each arena a length-prefixed
+// little-endian slice — the in-memory layout, so decoding is a bulk read
+// plus validation. v2 (per-graph node and edge lists; since v2 the build
+// budget and seed are persisted so repair reads them off the artifact) and
+// v1 (shared RNG stream) files fail loudly with BadVersion.
+const RR_VERSION: u32 = 3;
+const DELAY_VERSION: u32 = 2;
+/// Least bytes a segment dump takes: its six length prefixes.
+const MIN_SEGMENT_BYTES: usize = 6 * 8;
 
 fn encode_budget(enc: &mut Encoder<Vec<u8>>, budget: IndexBudget) {
     match budget {
@@ -41,7 +46,7 @@ fn decode_budget(dec: &mut Decoder<&[u8]>) -> Result<IndexBudget, DecodeError> {
             delta: dec.f64()?,
             k_max: dec.u64()? as usize,
         },
-        other => return Err(DecodeError::BadVersion { expected: 2, found: other as u32 }),
+        _ => return Err(DecodeError::Invalid("unknown index budget tag")),
     })
 }
 
@@ -97,58 +102,98 @@ pub fn index_kind(bytes: &[u8]) -> Option<IndexKind> {
 
 /// Serializes a full RR-Graph index.
 pub fn rr_index_to_bytes(index: &RrIndex) -> Vec<u8> {
-    let mut enc = Encoder::new(Vec::new());
-    enc.header(RR_MAGIC, VERSION);
+    let segments = index.segments();
+    let arenas: u64 = segments.iter().map(|s| s.heap_bytes()).sum();
+    let mut enc = Encoder::new(Vec::with_capacity(64 + arenas as usize));
+    enc.header(RR_MAGIC, RR_VERSION);
     enc.u32(index.num_nodes() as u32);
     enc.u64(index.theta());
     encode_budget(&mut enc, index.budget());
     enc.u64(index.seed());
-    enc.u64(index.graphs().len() as u64);
-    for g in index.graphs() {
-        enc.u32(g.target());
-        enc.u32_slice(g.nodes());
-        enc.u64(g.num_edges() as u64);
-        for (src_local, e) in g.edges() {
-            enc.u32(g.nodes()[src_local as usize]);
-            enc.u32(g.nodes()[e.dst_local as usize]);
-            enc.u32(e.edge_id);
-            enc.f32(e.c);
-        }
+    enc.u64(segments.len() as u64);
+    for segment in segments {
+        enc.u32_slice(&segment.node_start);
+        enc.u32_slice(&segment.nodes);
+        enc.u32_slice(&segment.offsets);
+        enc.u32_slice(&segment.dst_local);
+        enc.u32_slice(&segment.edge_id);
+        enc.f32_slice(&segment.c);
     }
     enc.into_inner()
 }
 
-/// Deserializes a full RR-Graph index (membership tables are rebuilt).
+fn check(holds: bool, broken: &'static str) -> Result<(), DecodeError> {
+    if holds {
+        Ok(())
+    } else {
+        Err(DecodeError::Invalid(broken))
+    }
+}
+
+/// Reads one segment dump of `graphs` graphs over vertices `0..num_nodes`
+/// and checks everything a reader indexes by, so no accessor can panic on
+/// what this returns.
+fn decode_segment(
+    dec: &mut Decoder<&[u8]>,
+    graphs: usize,
+    num_nodes: usize,
+) -> Result<Segment, DecodeError> {
+    let segment = Segment {
+        node_start: dec.u32_slice()?.into(),
+        nodes: dec.u32_slice()?.into(),
+        offsets: dec.u32_slice()?.into(),
+        dst_local: dec.u32_slice()?.into(),
+        edge_id: dec.u32_slice()?.into(),
+        c: dec.f32_slice()?.into(),
+    };
+    let Segment { node_start, nodes, offsets, dst_local, edge_id, c } = &segment;
+    check(node_start.len() == graphs + 1, "segment graph count")?;
+    check(node_start[0] == 0 && node_start[graphs] as usize == nodes.len(), "graph table range")?;
+    check(node_start.windows(2).all(|g| g[0] < g[1]), "graph without a target")?;
+    check(offsets.len() == nodes.len() + 1 && offsets[0] == 0, "edge offset count")?;
+    check(offsets.windows(2).all(|o| o[0] <= o[1]), "edge offsets not monotone")?;
+    let edges = offsets[nodes.len()] as usize;
+    check([dst_local.len(), edge_id.len(), c.len()] == [edges; 3], "edge arena lengths")?;
+    for g in node_start.windows(2) {
+        let (first, end) = (g[0] as usize, g[1] as usize);
+        let (target, others) = (nodes[first], &nodes[first + 1..end]);
+        check(others.windows(2).all(|v| v[0] < v[1]), "members not strictly ascending")?;
+        check((target.max(nodes[end - 1]) as usize) < num_nodes, "member out of range")?;
+        check(others.binary_search(&target).is_err(), "target listed twice")?;
+        let of_graph = &dst_local[offsets[first] as usize..offsets[end] as usize];
+        check(of_graph.iter().all(|&dst| (dst as usize) < end - first), "edge leaves its graph")?;
+    }
+    Ok(segment)
+}
+
+/// Deserializes a full RR-Graph index (the membership table is rebuilt).
+/// Fails on — never panics over, nor allocates for — a torn or corrupt
+/// artifact.
 pub fn rr_index_from_bytes(bytes: &[u8]) -> Result<RrIndex, IndexIoError> {
     let mut dec = Decoder::new(bytes);
-    dec.header(RR_MAGIC, VERSION)?;
+    dec.header(RR_MAGIC, RR_VERSION)?;
     let num_nodes = dec.u32()? as usize;
     let theta = dec.u64()?;
     let budget = decode_budget(&mut dec)?;
     let seed = dec.u64()?;
-    let count = dec.u64()? as usize;
-    let mut graphs = Vec::with_capacity(count);
-    for _ in 0..count {
-        let target = dec.u32()?;
-        let nodes = dec.u32_slice()?;
-        let edge_count = dec.u64()? as usize;
-        let mut edges = Vec::with_capacity(edge_count);
-        for _ in 0..edge_count {
-            let s = dec.u32()?;
-            let t = dec.u32()?;
-            let e = dec.u32()?;
-            let c = dec.f32()?;
-            edges.push((s, t, e, c));
-        }
-        graphs.push(RrGraph::from_parts(target, nodes, &edges));
+    let count = dec.u64()?;
+    let remaining = bytes.len();
+    if count > (remaining / MIN_SEGMENT_BYTES) as u64 {
+        return Err(DecodeError::CorruptLength { declared: count as usize, remaining }.into());
     }
-    Ok(RrIndex::from_graphs(num_nodes, theta, budget, seed, graphs))
+    check(theta <= u32::MAX as u64 && count == segment_count(num_nodes, theta), "segment count")?;
+    let mut segments = Vec::with_capacity(count as usize);
+    for first in (0..theta).step_by(SEGMENT_DRAWS).take(count as usize) {
+        let graphs = (theta - first).min(SEGMENT_DRAWS as u64) as usize;
+        segments.push(Arc::new(decode_segment(&mut dec, graphs, num_nodes)?));
+    }
+    Ok(RrIndex::from_segments(num_nodes, theta, budget, seed, segments))
 }
 
 /// Serializes a delay-materialized index.
 pub fn delay_index_to_bytes(index: &DelayMatIndex) -> Vec<u8> {
     let mut enc = Encoder::new(Vec::new());
-    enc.header(DELAY_MAGIC, VERSION);
+    enc.header(DELAY_MAGIC, DELAY_VERSION);
     enc.u32(index.num_nodes() as u32);
     enc.u64(index.theta());
     encode_budget(&mut enc, index.budget());
@@ -160,7 +205,7 @@ pub fn delay_index_to_bytes(index: &DelayMatIndex) -> Vec<u8> {
 /// Deserializes a delay-materialized index.
 pub fn delay_index_from_bytes(bytes: &[u8]) -> Result<DelayMatIndex, IndexIoError> {
     let mut dec = Decoder::new(bytes);
-    dec.header(DELAY_MAGIC, VERSION)?;
+    dec.header(DELAY_MAGIC, DELAY_VERSION)?;
     let num_nodes = dec.u32()? as usize;
     let theta = dec.u64()?;
     let budget = decode_budget(&mut dec)?;
@@ -181,7 +226,7 @@ mod tests {
         let index = RrIndex::build_with_threads(&model, IndexBudget::Fixed(500), 61, 2);
         let back = rr_index_from_bytes(&rr_index_to_bytes(&index)).unwrap();
         assert_eq!(back.theta(), index.theta());
-        assert_eq!(back.graphs(), index.graphs());
+        assert_eq!(back.graphs().collect::<Vec<_>>(), index.graphs().collect::<Vec<_>>());
         for u in 0..model.graph().num_nodes() as u32 {
             assert_eq!(back.graphs_containing(u), index.graphs_containing(u));
         }
@@ -210,6 +255,42 @@ mod tests {
         let mut bytes = rr_index_to_bytes(&index);
         bytes.truncate(bytes.len() / 3);
         assert!(rr_index_from_bytes(&bytes).is_err());
+    }
+
+    /// A v3 header for `theta` draws over 7 vertices, up to the segment count.
+    fn header(version: u32, budget_tag: u8, theta: u64, segments: u64) -> Vec<u8> {
+        let mut enc = Encoder::new(Vec::new());
+        enc.header(RR_MAGIC, version);
+        enc.u32(7);
+        enc.u64(theta);
+        enc.u8(budget_tag);
+        enc.u64(theta);
+        enc.u64(1);
+        enc.u64(segments);
+        enc.into_inner()
+    }
+
+    #[test]
+    fn stale_versions_and_lying_headers_are_named() {
+        let decode = |bytes: &[u8]| match rr_index_from_bytes(bytes) {
+            Err(IndexIoError::Decode(e)) => e,
+            other => panic!("expected a decode error, got {other:?}"),
+        };
+        assert_eq!(
+            decode(&header(2, 1, 5, 1)),
+            DecodeError::BadVersion { expected: 3, found: 2 },
+            "a v2 artifact is refused by version, not misread"
+        );
+        assert_eq!(decode(&header(3, 9, 5, 1)), DecodeError::Invalid("unknown index budget tag"));
+        // A segment count the file cannot hold is refused before anything
+        // is allocated for it; one that disagrees with θ is invalid.
+        assert!(matches!(
+            decode(&header(3, 1, u32::MAX as u64, u32::MAX as u64 / 512 + 1)),
+            DecodeError::CorruptLength { .. }
+        ));
+        let mut two_for_one = header(3, 1, 5, 2);
+        two_for_one.resize(two_for_one.len() + 2 * MIN_SEGMENT_BYTES, 0);
+        assert_eq!(decode(&two_for_one), DecodeError::Invalid("segment count"));
     }
 
     #[test]

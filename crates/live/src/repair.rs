@@ -18,18 +18,22 @@
 //! compile a query user's view from, `index::prune::CutFilter`; a view is
 //! a per-engine copy, so a repair has no estimator state to fix up.)
 //!
-//! Clean graphs are reused verbatim; when an edge insert/removal shifted
-//! the CSR edge ids, their stored ids are remapped through the endpoint
-//! pair (`RrGraph::with_remapped_edge_ids`). The result is **bit-identical
-//! to a from-scratch `RrIndex::build` on the mutated model** — verified by
-//! property test — so determinism of `(model, budget, seed)` survives any
-//! chain of repairs. Past a configurable dirty fraction (or when the
-//! vertex count or sample budget changed, which re-targets every draw) the
-//! repair falls back to a full rebuild.
+//! Clean graphs are reused verbatim, and mostly not even touched: the index
+//! keeps its graphs in `Arc`'d fixed-size segments (and its membership
+//! table in `Arc`'d user-range chunks), [`RrIndex::splice`] rewrites only
+//! the segments holding a dirty draw and shares the rest, so the repaired
+//! and the old index — two live epochs of a serving shard — hold one copy
+//! of everything clean. When an edge insert/removal shifted the CSR edge
+//! ids, every segment's edge-id arena is remapped in one bulk pass. The
+//! result is **bit-identical to a from-scratch `RrIndex::build` on the
+//! mutated model** — a segment is a pure function of `(model, seed, s)`,
+//! verified by property test — so determinism of `(model, budget, seed)`
+//! survives any chain of repairs. Past a configurable dirty fraction (or
+//! when the vertex count or sample budget changed, which re-targets every
+//! draw) the repair falls back to a full rebuild.
 
-use pitex_index::{sample_rr_graph_at, RrGraph, RrIndex};
+use pitex_index::RrIndex;
 use pitex_model::TicModel;
-use std::collections::BTreeSet;
 
 /// Tuning for [`repair_rr_index`]. The sample budget and seed are *not*
 /// options: they travel inside the index itself ([`RrIndex::budget`] /
@@ -89,31 +93,42 @@ pub struct RepairReport {
     pub dirty_members: Vec<u32>,
 }
 
-/// Heads (target-side endpoints) of every edge whose generation-relevant
-/// state differs between the two models: removed, added, or `p(e)` changed.
+/// Old-model edge id of an edge the new model no longer has.
+const REMOVED: u32 = u32::MAX;
+
+/// One merge pass over the two (endpoint-sorted) edge lists. Returns the
+/// heads (target-side endpoints) of every edge whose generation-relevant
+/// state differs between the two models — removed, added, or `p(e)` changed
+/// — and, only if the edge set itself changed, the old → new edge id map.
 /// Rows that change `p(e|z)` without moving `p(e) = max_z p(e|z)` do not
 /// dirty generation (marks are drawn against `p(e)` alone) — query-time
 /// tag-aware reachability re-reads `p(e|W)` from the live model anyway.
-fn changed_heads(old: &TicModel, new: &TicModel) -> BTreeSet<u32> {
-    let mut heads = BTreeSet::new();
+fn diff_models(old: &TicModel, new: &TicModel) -> (Vec<u32>, Option<Vec<u32>>) {
+    let mut heads = Vec::new();
+    let mut id_map: Option<Vec<u32>> = None;
+    let mut new_edges = new.graph().edges().peekable();
     for (e, s, t) in old.graph().edges() {
-        match new.graph().find_edge(s, t) {
-            None => {
-                heads.insert(t);
-            }
-            Some(ne) => {
-                if old.edge_topics().p_max(e) != new.edge_topics().p_max(ne) {
-                    heads.insert(t);
-                }
-            }
+        // Edges only the new model has, sorting before this one.
+        while let Some((_, _, nt)) = new_edges.next_if(|&(_, ns, nt)| (ns, nt) < (s, t)) {
+            heads.push(nt);
+            id_map.get_or_insert_with(|| (0..e).collect());
+        }
+        let kept = new_edges.next_if(|&(_, ns, nt)| (ns, nt) == (s, t)).map(|(ne, ..)| ne);
+        if kept.map_or(true, |ne| old.edge_topics().p_max(e) != new.edge_topics().p_max(ne)) {
+            heads.push(t);
+        }
+        if id_map.is_none() && kept != Some(e) {
+            id_map = Some((0..e).collect());
+        }
+        if let Some(map) = &mut id_map {
+            map.push(kept.unwrap_or(REMOVED));
         }
     }
-    for (_, s, t) in new.graph().edges() {
-        if old.graph().find_edge(s, t).is_none() {
-            heads.insert(t);
-        }
-    }
-    heads
+    // Edges added behind the last old one shift no id.
+    heads.extend(new_edges.map(|(_, _, nt)| nt));
+    heads.sort_unstable();
+    heads.dedup();
+    (heads, id_map)
 }
 
 fn full_rebuild(
@@ -156,10 +171,13 @@ pub fn repair_rr_index(
     }
 
     // Membership lookup: every graph containing the head of a changed edge.
-    let mut dirty: BTreeSet<u32> = BTreeSet::new();
-    for head in changed_heads(old_model, new_model) {
-        dirty.extend(old.graphs_containing(head).iter().copied());
+    let (heads, edge_ids) = diff_models(old_model, new_model);
+    let mut dirty: Vec<u32> = Vec::new();
+    for head in heads {
+        dirty.extend_from_slice(old.graphs_containing(head));
     }
+    dirty.sort_unstable();
+    dirty.dedup();
     let fraction = dirty.len() as f64 / theta.max(1) as f64;
     if fraction > opts.dirty_threshold {
         return full_rebuild(
@@ -170,71 +188,17 @@ pub fn repair_rr_index(
         );
     }
 
-    // Old edge id -> new edge id, for reused graphs (identity when the
-    // edge set is unchanged, in which case the remap pass is skipped).
-    let mut id_map: Vec<Option<u32>> = Vec::with_capacity(old_model.graph().num_edges());
-    let mut identity = old_model.graph().num_edges() == new_model.graph().num_edges();
-    for (e, s, t) in old_model.graph().edges() {
-        let ne = new_model.graph().find_edge(s, t);
-        identity &= ne == Some(e);
-        id_map.push(ne);
-    }
-
-    let dirty_list: Vec<u32> = dirty.iter().copied().collect();
-    let threads = opts.threads.max(1).min(dirty_list.len().max(1));
-    let mut resampled: Vec<(u32, RrGraph)> = Vec::with_capacity(dirty_list.len());
-    std::thread::scope(|scope| {
-        let chunk = dirty_list.len().div_ceil(threads);
-        let handles: Vec<_> = dirty_list
-            .chunks(chunk.max(1))
-            .map(|draws| {
-                scope.spawn(move || {
-                    draws
-                        .iter()
-                        .map(|&i| (i, sample_rr_graph_at(new_model, old.seed(), i as u64)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            resampled.extend(h.join().expect("repair thread panicked"));
-        }
-    });
-
-    let mut dirty_members: BTreeSet<u32> = BTreeSet::new();
-    for &(i, ref fresh) in &resampled {
-        dirty_members.extend(old.graphs()[i as usize].nodes().iter().copied());
-        dirty_members.extend(fresh.nodes().iter().copied());
-    }
-
-    let mut graphs: Vec<RrGraph> = Vec::with_capacity(old.graphs().len());
-    let mut next_fresh = resampled.into_iter().peekable();
-    for (i, g) in old.graphs().iter().enumerate() {
-        if next_fresh.peek().is_some_and(|&(j, _)| j as usize == i) {
-            graphs.push(next_fresh.next().unwrap().1);
-        } else if identity {
-            graphs.push(g.clone());
-        } else {
-            graphs.push(g.with_remapped_edge_ids(|e| id_map[e as usize]));
-        }
-    }
-
-    let resampled_count = dirty_list.len() as u64;
+    let (repaired, dirty_members) =
+        old.splice(new_model, &dirty, edge_ids.as_deref(), opts.threads);
+    let resampled = dirty.len() as u64;
     let report = RepairReport {
         theta,
-        resampled: resampled_count,
-        reused: theta - resampled_count,
+        resampled,
+        reused: theta - resampled,
         full_rebuild: false,
         reason: None,
-        dirty_members: dirty_members.into_iter().collect(),
+        dirty_members,
     };
-    let repaired = RrIndex::from_graphs(
-        new_model.graph().num_nodes(),
-        theta,
-        old.budget(),
-        old.seed(),
-        graphs,
-    );
     (repaired, report)
 }
 
@@ -298,6 +262,30 @@ mod tests {
     }
 
     #[test]
+    fn the_edge_id_map_exists_only_when_ids_moved() {
+        let e = |m: &TicModel, s, t| m.graph().find_edge(s, t).unwrap();
+        // A retune moves no id; neither does an edge sorting behind all others.
+        let (old, new) =
+            mutate(&[UpdateOp::SetEdgeTopics { src: 0, dst: 1, topics: vec![(0, 0.9)] }]);
+        assert_eq!(diff_models(&old, &new), (vec![1], None));
+        let (old, new) = mutate(&[UpdateOp::AddEdge { src: 6, dst: 0, topics: vec![(0, 0.2)] }]);
+        assert_eq!(diff_models(&old, &new), (vec![0], None));
+        // A removal and an insert in the middle shift every later id.
+        let (old, new) = mutate(&[
+            UpdateOp::RemoveEdge { src: 2, dst: 3 },
+            UpdateOp::AddEdge { src: 1, dst: 4, topics: vec![(1, 0.6)] },
+        ]);
+        let (heads, map) = diff_models(&old, &new);
+        let map = map.expect("the edge set changed");
+        assert_eq!(heads, vec![3, 4]);
+        assert_eq!(map.len(), old.graph().num_edges());
+        for (id, s, t) in old.graph().edges() {
+            let expected = if (s, t) == (2, 3) { REMOVED } else { e(&new, s, t) };
+            assert_eq!(map[id as usize], expected, "edge {s} -> {t}");
+        }
+    }
+
+    #[test]
     fn unchanged_p_max_resamples_nothing() {
         // Edge (0, 2) has rows z2:0.5, z3:0.5 — dropping z3 to 0.5 keeps
         // p_max at 0.5, so generation is untouched.
@@ -307,7 +295,7 @@ mod tests {
         let (repaired, report) = repair_rr_index(&old, &old_model, &new_model, &opts());
         assert_eq!(report.resampled, 0);
         assert!(report.dirty_members.is_empty());
-        assert_eq!(repaired.graphs(), old.graphs());
+        assert_eq!(repaired.graphs().collect::<Vec<_>>(), old.graphs().collect::<Vec<_>>());
     }
 
     #[test]
@@ -349,7 +337,7 @@ mod tests {
             mutate(&[UpdateOp::SetEdgeTopics { src: 5, dst: 6, topics: vec![(2, 0.99)] }]);
         let old = build(&old_model, 500, 2);
         let (repaired, report) = repair_rr_index(&old, &old_model, &new_model, &opts());
-        for (i, (a, b)) in old.graphs().iter().zip(repaired.graphs()).enumerate() {
+        for (i, (a, b)) in old.graphs().zip(repaired.graphs()).enumerate() {
             if a != b {
                 for &v in b.nodes() {
                     assert!(

@@ -19,6 +19,9 @@ pub enum DecodeError {
     BadVersion { expected: u32, found: u32 },
     /// A declared length is implausible for the remaining input.
     CorruptLength { declared: usize, remaining: usize },
+    /// The payload has the right shape but breaks an invariant of its
+    /// artifact (named by the message).
+    Invalid(&'static str),
 }
 
 impl std::fmt::Display for DecodeError {
@@ -39,6 +42,7 @@ impl std::fmt::Display for DecodeError {
             DecodeError::CorruptLength { declared, remaining } => {
                 write!(f, "corrupt length {declared} with only {remaining} bytes remaining")
             }
+            DecodeError::Invalid(what) => write!(f, "invalid artifact: {what}"),
         }
     }
 }
@@ -83,17 +87,24 @@ impl<B: BufMut> Encoder<B> {
 
     /// Length-prefixed `u32` slice.
     pub fn u32_slice(&mut self, values: &[u32]) {
-        self.buf.put_u64_le(values.len() as u64);
-        for &v in values {
-            self.buf.put_u32_le(v);
-        }
+        self.words(values, |v| v);
     }
 
     /// Length-prefixed `f32` slice.
     pub fn f32_slice(&mut self, values: &[f32]) {
+        self.words(values, f32::to_bits);
+    }
+
+    /// A length prefix, then `values` as little-endian 4-byte words, handed
+    /// to the buffer a block at a time (one bulk copy per 256 values).
+    fn words<T: Copy>(&mut self, values: &[T], bits: impl Fn(T) -> u32) {
         self.buf.put_u64_le(values.len() as u64);
-        for &v in values {
-            self.buf.put_f32_le(v);
+        let mut block = [0u8; 1024];
+        for chunk in values.chunks(block.len() / 4) {
+            for (word, &v) in block.chunks_exact_mut(4).zip(chunk) {
+                word.copy_from_slice(&bits(v).to_le_bytes());
+            }
+            self.buf.put_slice(&block[..4 * chunk.len()]);
         }
     }
 
@@ -178,20 +189,21 @@ impl<B: Buf> Decoder<B> {
     }
 
     pub fn u32_slice(&mut self) -> Result<Vec<u32>, DecodeError> {
-        let len = self.len_prefix(4)?;
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(self.buf.get_u32_le());
-        }
-        Ok(out)
+        self.words(|bits| bits)
     }
 
     pub fn f32_slice(&mut self) -> Result<Vec<f32>, DecodeError> {
+        self.words(f32::from_bits)
+    }
+
+    /// A length-prefixed run of little-endian 4-byte words, read in one pass
+    /// over the buffer's (contiguous) bytes into an exactly sized vector.
+    fn words<T>(&mut self, from_bits: impl Fn(u32) -> T) -> Result<Vec<T>, DecodeError> {
         let len = self.len_prefix(4)?;
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(self.buf.get_f32_le());
-        }
+        let bytes = &self.buf.chunk()[..4 * len];
+        let words = bytes.chunks_exact(4).map(|w| u32::from_le_bytes([w[0], w[1], w[2], w[3]]));
+        let out = words.map(from_bits).collect();
+        self.buf.advance(4 * len);
         Ok(out)
     }
 
@@ -233,6 +245,26 @@ mod tests {
         assert_eq!(dec.u32_slice().unwrap(), vec![1, 2, 3]);
         assert_eq!(dec.f32_slice().unwrap(), vec![0.5, 0.75]);
         assert_eq!(dec.str().unwrap(), "pitex");
+    }
+
+    #[test]
+    fn slices_longer_than_a_block_round_trip() {
+        // 256 values fill one block of the bulk writer: cover both sides.
+        for len in [0usize, 1, 255, 256, 257, 1_000] {
+            let ints: Vec<u32> = (0..len as u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
+            let floats: Vec<f32> = ints.iter().map(|&i| i as f32 / 7.0).collect();
+            let mut enc = Encoder::new(Vec::new());
+            enc.u32_slice(&ints);
+            enc.f32_slice(&floats);
+            let bytes = enc.into_inner();
+            assert_eq!(bytes.len(), 2 * (8 + 4 * len));
+            let mut dec = Decoder::new(bytes.as_slice());
+            assert_eq!(dec.u32_slice().unwrap(), ints);
+            assert_eq!(dec.f32_slice().unwrap(), floats);
+        }
+        let mut enc = Encoder::new(Vec::new());
+        enc.u32_slice(&[0x0403_0201]);
+        assert_eq!(enc.into_inner(), [1, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3, 4], "little-endian");
     }
 
     #[test]

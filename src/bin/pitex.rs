@@ -191,6 +191,11 @@ CAPTURE:  PITEX_OBS_CAPTURE=FILE makes a server (or router) sample
           (queue/plan/cache/execute/net) latency attribution from a
           traced sample (every `--trace-every`-th request).
 
+INDEX:    `index` writes a `PRRI` v3 artifact (header + one dump per
+          512-draw segment; `--delay` writes `PDLY` v2). Artifacts of an
+          earlier format are refused with \"unsupported version\" —
+          rebuild them with `pitex index`.
+
 BACKENDS (--backend / --method): lazy (default), mc, rr, tim, exact, lt,
          indexest / indexest+ / delaymat (require --index),
          auto — the cost-based planner picks per query (an --index widens

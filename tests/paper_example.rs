@@ -103,7 +103,7 @@ fn example9_membership_counters() {
     let model = TicModel::paper_example();
     let index = RrIndex::build(&model, IndexBudget::Fixed(7_000), 5);
     let delay = DelayMatIndex::build(&model, IndexBudget::Fixed(7_000), 5);
-    let total_from_graphs: usize = index.graphs().iter().map(|g| g.num_nodes()).sum();
+    let total_from_graphs: usize = index.graphs().map(|g| g.num_nodes()).sum();
     let total_from_counts: u32 = (0..7u32).map(|u| delay.count(u)).sum();
     // Different seeds would give different samples; equal seeds must agree.
     assert_eq!(total_from_counts as usize, total_from_graphs);

@@ -100,7 +100,7 @@ proptest! {
             let member: Vec<_> = index
                 .graphs_containing(user)
                 .iter()
-                .map(|&g| &index.graphs()[g as usize])
+                .map(|&g| index.graph(g as usize))
                 .collect();
             // Ground truth: verify everything.
             let mut scratch = ReachScratch::new();
@@ -149,6 +149,7 @@ proptest! {
                 &mut rng,
                 &mut visited,
             );
+            let rr = rr.as_ref();
             prop_assert!(rr.contains(user));
             prop_assert!(weight >= 1);
             for (_, e) in rr.edges() {

@@ -1,12 +1,12 @@
 //! The compiled per-user view against the uncompiled definition, on
 //! generated datasets: INDEXEST, INDEXEST+ and DELAYMAT must return what
-//! `RrGraph::reaches_target` over the member graphs returns — the same
+//! `RrGraphRef::reaches_target` over the member graphs returns — the same
 //! spread bit for bit and the same number of edge probes — for full tag
 //! sets (posterior view) and partial ones (Lemma 8 bound view) alike.
 
 use pitex::index::prune::CutFilter;
 use pitex::index::rrgraph::ReachScratch;
-use pitex::index::{DelayMatEstimator, IndexEstimator, IndexPlusEstimator, RrGraph};
+use pitex::index::{DelayMatEstimator, IndexEstimator, IndexPlusEstimator, RrGraph, RrGraphRef};
 use pitex::model::bound::{BoundOracle, BoundedPosterior, UpperBoundEdgeProbs};
 use pitex::model::{EdgeProbCache, PosteriorEdgeProbs, TopicPosterior};
 use pitex::prelude::*;
@@ -82,7 +82,7 @@ fn users(index: &RrIndex, rng: &mut StdRng) -> Vec<NodeId> {
 /// Hit positions and edge probes of `reaches_target` over `positions`.
 fn traverse(
     user: NodeId,
-    graphs: &[&RrGraph],
+    graphs: &[RrGraphRef],
     positions: impl Iterator<Item = u32>,
     probs: &mut dyn EdgeProbs,
 ) -> (Vec<u32>, u64) {
@@ -101,7 +101,7 @@ fn traverse(
 /// each traversed by `reaches_target`.
 fn filtered_traverse(
     user: NodeId,
-    graphs: &[&RrGraph],
+    graphs: &[RrGraphRef],
     model: &TicModel,
     probs: &mut dyn EdgeProbs,
 ) -> (Vec<u32>, u64) {
@@ -135,10 +135,10 @@ fn check_dataset(profile: DatasetProfile, seed: u64) {
     let mut probes_saved = 0u64;
 
     for user in users(&index, &mut rng) {
-        let members: Vec<&RrGraph> =
-            index.graphs_containing(user).iter().map(|&g| &index.graphs()[g as usize]).collect();
+        let members: Vec<RrGraphRef> =
+            index.graphs_containing(user).iter().map(|&g| index.graph(g as usize)).collect();
         let recovered = delay.recovered_for(graph, user).to_vec();
-        let recovered: Vec<&RrGraph> = recovered.iter().collect();
+        let recovered: Vec<RrGraphRef> = recovered.iter().map(RrGraph::as_ref).collect();
         let weights = delay.recovered_weights().to_vec();
         let total_weight: f64 = weights.iter().map(|&w| w as f64).sum();
 
@@ -240,11 +240,8 @@ fn a_view_is_no_larger_than_the_graphs_it_compiles() {
         let model = profile.generate();
         let index = RrIndex::build_with_threads(&model, IndexBudget::PerVertex(4.0), 3, 2);
         for user in 0..index.num_nodes() as u32 {
-            let members: Vec<&RrGraph> = index
-                .graphs_containing(user)
-                .iter()
-                .map(|&g| &index.graphs()[g as usize])
-                .collect();
+            let members: Vec<RrGraphRef> =
+                index.graphs_containing(user).iter().map(|&g| index.graph(g as usize)).collect();
             if members.len() < MIN_GRAPHS {
                 continue;
             }
