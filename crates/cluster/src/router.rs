@@ -42,15 +42,15 @@
 //! * `SERIES` — answered from the router's *own* rolling time-series (a
 //!   local sampler thread ticks the router's registry fields; shard rings
 //!   are queried per shard, where they live).
-//! * `GET /metrics`, `/health`, `/series?…` — HTTP requests sniffed on
-//!   this same port (the `pitex_serve::http` magic-detection idiom) answer
+//! * `GET /metrics`, `/health`, `/series?…` — HTTP requests on this same
+//!   port *are* the `METRICS`, `HEALTH` and `SERIES` verbs (the connection
+//!   core, `pitex_serve::conn`, decodes all three wires to one `Request`):
 //!   the cluster-merged Prometheus exposition, the cluster health verdict
 //!   (`503` on page), and the router's local ring dumps.
-//! * `PFRM` binary frames — a connection opening with the frame magic
-//!   (sniffed exactly like the shard servers do) switches to the pipelined
-//!   binary protocol: same verbs, requests matched to replies by id, so
-//!   `ServeClient::connect_binary` and `pitex client --binary` talk to a
-//!   router as transparently as to a shard.
+//! * `PFRM` binary frames — the same core sniffs the frame magic exactly
+//!   as it does on a shard: same verbs, requests matched to replies by id,
+//!   so `ServeClient::connect_binary` and `pitex client --binary` talk to
+//!   a router as transparently as to a shard.
 //! * `PING` is answered locally; `SHUTDOWN` stops the router (shards are
 //!   managed by their own admins).
 //! * `CAPTURE on|off|rotate` — controls the *router's* PWRK workload
@@ -65,21 +65,21 @@
 use crate::pool::{CallError, PoolOptions, ShardPools};
 use crate::shardmap::ShardMap;
 use pitex_live::UpdateOp;
-use pitex_serve::frame::{self, FrameBuf, FrameError, MAX_REQUEST_FRAME_BYTES};
+use pitex_serve::conn::blocking::{self, ConnThreads};
+use pitex_serve::conn::verbs::{self, outcome_of};
+use pitex_serve::conn::{Admit, Handled, ReplyTo, Service, Wire, WireCounters, POLL};
 use pitex_serve::{
-    http, CaptureAction, ErrorCode, FlightReply, FlightWireEntry, ReloadReply, Request, Response,
-    StatsReply, TraceReply, TraceRequest,
+    ErrorCode, ReloadReply, Request, Response, StatsReply, TraceReply, TraceRequest,
 };
 use pitex_support::obs::slo::{self, HealthVerdict, SloOptions, SloStatus, SloVerdict};
-use pitex_support::obs::timeseries::{SeriesRes, TimeSeriesStore, TsOptions};
+use pitex_support::obs::timeseries::{TimeSeriesStore, TsOptions};
 use pitex_support::obs::{
     mint_trace_id, render_prometheus, wall_now_us, AtomicHistogram, CaptureOptions, CaptureRecord,
     CaptureRecorder, Counter, FieldSet, FlightEntry, FlightRecorder, MergedFields, ObsOptions,
     Registry, SpanRecorder,
 };
 use std::collections::BTreeSet;
-use std::io::{BufRead, BufReader, Cursor, ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
@@ -179,7 +179,6 @@ impl Counters {
 
 struct Shared {
     stop: AtomicBool,
-    reaped_panic: AtomicBool,
     map: ShardMap,
     pools: ShardPools,
     options: RouterOptions,
@@ -209,14 +208,9 @@ struct Shared {
     /// to this router process; shards control their own recorders).
     capture: CaptureRecorder,
     started: Instant,
-    connections: Mutex<Vec<JoinHandle<()>>>,
+    /// Connection threads spawned by the acceptor, reaped on `join`.
+    conns: ConnThreads,
 }
-
-/// Poll interval for stop-flag checks while blocked on I/O.
-const POLL: Duration = Duration::from_millis(50);
-
-/// Longest accepted request line (mirrors the shard servers).
-const MAX_LINE_BYTES: usize = 4 * 1024;
 
 /// Namespace for [`Router::spawn`].
 pub struct Router;
@@ -247,7 +241,6 @@ impl Router {
             CaptureRecorder::new(options.capture.clone().unwrap_or_else(CaptureOptions::from_env))?;
         let shared = Arc::new(Shared {
             stop: AtomicBool::new(false),
-            reaped_panic: AtomicBool::new(false),
             map,
             pools,
             options,
@@ -261,16 +254,24 @@ impl Router {
             flight: FlightRecorder::new(ObsOptions::from_env()),
             capture,
             started: Instant::now(),
-            connections: Mutex::new(Vec::new()),
+            conns: ConnThreads::default(),
         });
 
         let mut threads = Vec::with_capacity(3);
         {
             let shared = shared.clone();
             threads.push(
-                std::thread::Builder::new()
-                    .name("pitex-router-acceptor".to_string())
-                    .spawn(move || acceptor_loop(&shared, &listener))?,
+                std::thread::Builder::new().name("pitex-router-acceptor".to_string()).spawn(
+                    move || {
+                        let service = RouterService(shared.clone());
+                        blocking::accept_loop(
+                            service,
+                            &listener,
+                            &shared.conns,
+                            "pitex-router-conn",
+                        )
+                    },
+                )?,
             );
         }
         {
@@ -284,9 +285,16 @@ impl Router {
         {
             let shared = shared.clone();
             threads.push(
-                std::thread::Builder::new()
-                    .name("pitex-router-sampler".to_string())
-                    .spawn(move || sampler_loop(&shared))?,
+                std::thread::Builder::new().name("pitex-router-sampler".to_string()).spawn(
+                    move || {
+                        // The router's *own* fields only: a tick must stay
+                        // cheap and local, so it does not scatter to the
+                        // shards — shard rings are read shard-side.
+                        verbs::sampler_loop(&shared.stop, &shared.timeseries, || {
+                            router_fields(&shared, 0).into_fields()
+                        })
+                    },
+                )?,
             );
         }
         Ok(RouterHandle { addr, shared, threads: Mutex::new(threads) })
@@ -326,15 +334,7 @@ impl RouterHandle {
                 result = Err(panic);
             }
         }
-        for conn in self.shared.connections.lock().unwrap().drain(..) {
-            if let Err(panic) = conn.join() {
-                result = Err(panic);
-            }
-        }
-        if result.is_ok() && self.shared.reaped_panic.load(Ordering::SeqCst) {
-            result = Err(Box::new("a router connection thread panicked (reaped mid-run)"));
-        }
-        result
+        result.and(self.shared.conns.join())
     }
 
     /// Convenience for tests and the CLI: shut down, then join.
@@ -360,302 +360,49 @@ fn prober_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// The router's background sampler (mirrors the shard servers'): once per
-/// configured tick it snapshots the router's *own* field list into the
-/// rolling rings. It deliberately does not scatter to the shards — a tick
-/// must stay cheap and local; shard rings are read shard-side.
-fn sampler_loop(shared: &Arc<Shared>) {
-    let tick = shared.timeseries.options().tick;
-    let mut next = Instant::now() + tick;
-    while !shared.stop.load(Ordering::SeqCst) {
-        let now = Instant::now();
-        if now < next {
-            std::thread::sleep(POLL.min(next - now));
-            continue;
-        }
-        let fields = router_fields(shared, 0).into_fields();
-        shared.timeseries.tick(fields.iter().map(|(k, v)| (k.as_str(), v.as_str())));
-        next = Instant::now() + tick;
-    }
-}
-
-fn acceptor_loop(shared: &Arc<Shared>, listener: &TcpListener) {
-    while !shared.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                stream.set_nodelay(true).ok();
-                let conn_shared = shared.clone();
-                let conn = std::thread::Builder::new()
-                    .name("pitex-router-conn".to_string())
-                    .spawn(move || connection_loop(&conn_shared, stream));
-                if let Ok(handle) = conn {
-                    // Reap finished connection threads as we go (same
-                    // policy as the shard servers).
-                    let mut conns = shared.connections.lock().unwrap();
-                    let mut live = Vec::with_capacity(conns.len() + 1);
-                    for conn in conns.drain(..) {
-                        if conn.is_finished() {
-                            if conn.join().is_err() {
-                                shared.reaped_panic.store(true, Ordering::SeqCst);
-                            }
-                        } else {
-                            live.push(conn);
-                        }
-                    }
-                    live.push(handle);
-                    *conns = live;
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL),
-            Err(_) => std::thread::sleep(POLL),
-        }
-    }
-}
-
-/// What the first bytes of a fresh connection revealed about its protocol
-/// (the shard servers' sniffing idiom, shared via `pitex_serve::frame`).
-enum Sniffed {
-    /// The 4-byte `PFRM` magic: a binary pipelined client.
-    Binary(Vec<u8>),
-    /// Anything else — the text protocol or an HTTP `GET`. Carries the
-    /// sniffed bytes to re-chain in front of the stream.
-    Text(Vec<u8>),
-    /// Closed (or the router is stopping) before the protocol was decided.
-    Closed,
-}
-
-/// Reads at most 4 bytes to classify a connection's protocol. One
-/// mismatching byte decides `Text` immediately, so a text client's first
-/// request is never delayed waiting for 4 bytes to accumulate.
-fn sniff(shared: &Shared, mut stream: &TcpStream) -> Sniffed {
-    let mut buf = [0u8; 4];
-    let mut got = 0;
-    loop {
-        if !frame::could_be_frame(&buf[..got]) {
-            return Sniffed::Text(buf[..got].to_vec());
-        }
-        if got == buf.len() {
-            return Sniffed::Binary(buf.to_vec());
-        }
-        match stream.read(&mut buf[got..]) {
-            Ok(0) => {
-                return if got == 0 { Sniffed::Closed } else { Sniffed::Text(buf[..got].to_vec()) }
-            }
-            Ok(n) => got += n,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if shared.stop.load(Ordering::SeqCst) {
-                    return Sniffed::Closed;
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return Sniffed::Closed,
-        }
-    }
-}
-
-fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
-    if stream.set_read_timeout(Some(POLL)).is_err() {
-        return;
-    }
-    match sniff(shared, &stream) {
-        Sniffed::Binary(head) => binary_connection_loop(shared, stream, head),
-        Sniffed::Text(head) => text_connection_loop(shared, stream, head),
-        Sniffed::Closed => {}
-    }
-}
-
-/// The pipelined `PFRM` loop: each pass admits every complete frame
-/// buffered so far, routes them in arrival order (routing is synchronous —
-/// the pool call *is* the work), and flushes the burst's replies with one
-/// write. Mirrors the shard servers' blocking binary loop minus the worker
-/// pool hand-off.
-fn binary_connection_loop(shared: &Arc<Shared>, stream: TcpStream, head: Vec<u8>) {
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut frames = FrameBuf::new(MAX_REQUEST_FRAME_BYTES);
-    frames.extend(&head);
-    let mut reader = stream;
-    let mut buf = [0u8; 16 * 1024];
-    let mut eof = false;
-    loop {
-        let mut out: Vec<u8> = Vec::new();
-        let mut close = false;
-        while !close {
-            let payload = match frames.next_payload() {
-                Ok(Some(payload)) => payload,
-                Ok(None) => break,
-                Err(FrameError::Oversized { len, cap }) => {
-                    shared.counters.requests.inc();
-                    shared.counters.errors.inc();
-                    let response = Response::Err {
-                        code: ErrorCode::BadRequest,
-                        message: format!("frame payload of {len} bytes exceeds {cap} bytes"),
-                    };
-                    out.extend_from_slice(&frame::encode_response(0, &response));
-                    close = true;
-                    break;
-                }
-                Err(_) => {
-                    // Desynchronized mid-stream: no reply can be framed
-                    // reliably, so just close.
-                    shared.counters.errors.inc();
-                    close = true;
-                    break;
-                }
-            };
-            match frame::decode_request(&payload) {
-                Ok((id, request)) => match handle_request(shared, request) {
-                    Handled::Reply(response, close_after) => {
-                        out.extend_from_slice(&frame::encode_response(id, &response));
-                        close |= close_after;
-                    }
-                    Handled::Raw(text) => {
-                        out.extend_from_slice(&frame::encode_raw_response(id, &text));
-                    }
-                },
-                Err(e) => {
-                    shared.counters.requests.inc();
-                    shared.counters.errors.inc();
-                    let response = Response::Err {
-                        code: ErrorCode::BadRequest,
-                        message: format!("malformed binary request: {e}"),
-                    };
-                    out.extend_from_slice(&frame::encode_response(
-                        frame::payload_id(&payload),
-                        &response,
-                    ));
-                }
-            }
-        }
-        if !out.is_empty() && writer.write_all(&out).is_err() {
-            return;
-        }
-        if close || eof {
-            return;
-        }
-        match reader.read(&mut buf) {
-            Ok(0) => eof = true, // one more pass to admit buffered frames
-            Ok(n) => frames.extend(&buf[..n]),
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if shared.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return,
-        }
-    }
-}
-
-/// The classic blocking text/HTTP loop. `head` holds the bytes the sniffer
-/// consumed before deciding the protocol; chaining them in front of the
-/// stream makes the hand-off invisible to the line reader.
-fn text_connection_loop(shared: &Arc<Shared>, stream: TcpStream, head: Vec<u8>) {
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(Cursor::new(head).chain(stream));
-    let mut line = String::new();
-    loop {
-        // Same partial-line and budget discipline as the shard servers:
-        // fragmented writes reassemble, a newline-free flood is cut off.
-        let budget = (MAX_LINE_BYTES + 1).saturating_sub(line.len()) as u64;
-        match std::io::Read::take(&mut reader, budget).read_line(&mut line) {
-            Ok(0) => return,
-            Ok(_) => {}
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if shared.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                if line.len() > MAX_LINE_BYTES {
-                    oversized_line_reply(shared, &mut writer);
-                    return;
-                }
-                continue;
-            }
-            Err(_) => return,
-        }
-        if line.len() > MAX_LINE_BYTES {
-            oversized_line_reply(shared, &mut writer);
-            return;
-        }
-        if line.trim().is_empty() {
-            line.clear();
-            continue;
-        }
-        // HTTP auto-detection (the PSHM/PWRK magic-sniffing idiom, shared
-        // with the shard servers): a GET request line on the protocol port
-        // becomes a one-shot scrape — answer and close.
-        if let Some(path) = http::request_path(line.trim()) {
-            let path = path.to_string();
-            if http::drain_headers(&mut reader, &shared.stop) {
-                let _ = writer.write_all(http_get(shared, &path).as_bytes());
-            }
-            return;
-        }
-        let handled = handle_line(shared, line.trim());
-        line.clear();
-        let (out, close) = match handled {
-            Handled::Reply(response, close) => {
-                let mut out = response.to_line();
-                out.push('\n');
-                (out, close)
-            }
-            // The one multi-line response (`METRICS`): written verbatim,
-            // framed by its `# EOF` terminator.
-            Handled::Raw(text) => (text, false),
-        };
-        if writer.write_all(out.as_bytes()).is_err() {
-            return;
-        }
-        if close {
-            return;
-        }
-    }
-}
-
-fn oversized_line_reply(shared: &Arc<Shared>, writer: &mut TcpStream) {
-    shared.counters.requests.inc();
-    shared.counters.errors.inc();
-    let response = Response::Err {
-        code: ErrorCode::BadRequest,
-        message: format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-    };
-    let mut out = response.to_line();
-    out.push('\n');
-    let _ = writer.write_all(out.as_bytes());
-}
-
 fn internal(shared: &Shared, message: String) -> Response {
     shared.counters.errors.inc();
     Response::Err { code: ErrorCode::Internal, message }
 }
 
-/// A dispatched request line: a single-line [`Response`] (plus a
-/// close-connection flag), or pre-rendered multi-line text (`METRICS`).
-enum Handled {
-    Reply(Response, bool),
-    Raw(String),
-}
+/// The router behind the connection core's [`Service`] seam: `PING` is
+/// answered inline, every other verb is a blocking call into the shard
+/// pools.
+#[derive(Clone)]
+struct RouterService(Arc<Shared>);
 
-/// Dispatches one request line.
-fn handle_line(shared: &Arc<Shared>, line: &str) -> Handled {
-    match Request::parse(line) {
-        Ok(request) => handle_request(shared, request),
-        Err(reason) => {
-            shared.counters.requests.inc();
-            shared.counters.errors.inc();
-            Handled::Reply(Response::Err { code: ErrorCode::BadRequest, message: reason }, false)
+impl Service for RouterService {
+    fn counters(&self) -> WireCounters<'_> {
+        let c = &self.0.counters;
+        WireCounters { requests: &c.requests, errors: &c.errors, busy: &c.busy, conn_aborted: None }
+    }
+
+    fn tick(&mut self) -> bool {
+        !self.0.stop.load(Ordering::SeqCst)
+    }
+
+    fn admit(&mut self, request: Request, _to: &ReplyTo) -> Admit {
+        match request {
+            Request::Ping => {
+                self.0.counters.requests.inc();
+                Admit::Inline(Handled::Reply(Response::Pong, false))
+            }
+            other => Admit::Blocking(other),
         }
+    }
+
+    fn call(&mut self, request: Request, wire: Wire) -> Handled {
+        handle_request(&self.0, request, wire == Wire::Http)
     }
 }
 
-/// Dispatches one parsed request — shared by the text and binary loops.
-fn handle_request(shared: &Arc<Shared>, request: Request) -> Handled {
-    shared.counters.requests.inc();
+/// Dispatches one request. A `scrape` (an HTTP `GET`) is not a protocol
+/// request: it books neither `requests` nor, for a ring it misses,
+/// `errors`.
+fn handle_request(shared: &Arc<Shared>, request: Request, scrape: bool) -> Handled {
+    if !scrape {
+        shared.counters.requests.inc();
+    }
     let reply = |response: Response, close: bool| Handled::Reply(response, close);
     let denied = || {
         shared.counters.errors.inc();
@@ -676,7 +423,16 @@ fn handle_request(shared: &Arc<Shared>, request: Request) -> Handled {
         Request::Trace(t) => reply(handle_trace(shared, t), false),
         Request::Stats => reply(handle_stats(shared), false),
         Request::Metrics => handle_metrics(shared),
-        Request::Series { field, res } => reply(handle_series(shared, &field, res), false),
+        // The router's *local* rings (its own counters, hop latency, pool
+        // health) — shard rings are per shard, where the samples live; ask
+        // a shard directly for its history.
+        Request::Series { field, res } => {
+            let response = verbs::series(&shared.timeseries, "router field", &field, res);
+            if !scrape && matches!(response, Response::Err { .. }) {
+                shared.counters.errors.inc();
+            }
+            reply(response, false)
+        }
         Request::Health => reply(handle_health(shared), false),
         Request::Update(_)
         | Request::Reload
@@ -691,13 +447,15 @@ fn handle_request(shared: &Arc<Shared>, request: Request) -> Handled {
         {
             denied()
         }
-        Request::Flight => reply(handle_flight(shared), false),
+        Request::Flight => reply(verbs::flight(&shared.flight), false),
         // CAPTURE controls *this router's* recorder: each hop owns its log
         // (shards record the resolved-backend view, the router the front
         // door), so cluster-wide capture is per-process — set
         // `PITEX_OBS_CAPTURE` on every process, toggle each over its own
         // admin socket.
-        Request::Capture(action) => reply(handle_capture(shared, action), false),
+        Request::Capture(action) => {
+            reply(verbs::capture(&shared.capture, &shared.counters.errors, action), false)
+        }
         Request::Update(op) => reply(handle_update(shared, op), false),
         Request::Reload => reply(handle_reload(shared), false),
         Request::Prepare | Request::Commit => {
@@ -727,16 +485,6 @@ fn affinity_key(user: u32, k: usize) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
-}
-
-/// Maps a final response to the flight-recorder outcome tag.
-fn outcome_of(response: &Response) -> &'static str {
-    match response {
-        Response::Busy => "busy",
-        Response::Err { code: ErrorCode::Deadline, .. } => "deadline",
-        Response::Err { .. } => "error",
-        _ => "ok",
-    }
 }
 
 /// Records one routed request into the flight ring and (sampled) into the
@@ -1053,22 +801,6 @@ fn handle_metrics(shared: &Arc<Shared>) -> Handled {
     }
 }
 
-/// `SERIES <field> [res]` over the router's *local* rings (its own
-/// counters, hop latency, pool health) — shard rings are per shard, where
-/// the samples live; ask a shard directly for its history.
-fn handle_series(shared: &Shared, field: &str, res: Option<SeriesRes>) -> Response {
-    match shared.timeseries.series(field, res.unwrap_or(SeriesRes::Fast)) {
-        Some(dump) => Response::Series(dump.into()),
-        None => {
-            shared.counters.errors.inc();
-            Response::Err {
-                code: ErrorCode::BadRequest,
-                message: format!("unknown or never-sampled router field {field:?}"),
-            }
-        }
-    }
-}
-
 /// `HEALTH` at the router: the cluster verdict — see [`cluster_health`].
 fn handle_health(shared: &Arc<Shared>) -> Response {
     let _gate = shared.epoch_gate.read().unwrap();
@@ -1111,136 +843,6 @@ fn cluster_health(shared: &Arc<Shared>) -> HealthVerdict {
         v
     }));
     HealthVerdict::from_slos(slos)
-}
-
-/// Routes one sniffed `GET` to its body and frames the HTTP response:
-/// `/metrics` and `/health` answer for the whole cluster (merged fields,
-/// merged verdict), `/series` for the router's local rings.
-fn http_get(shared: &Arc<Shared>, path: &str) -> String {
-    let (route, query) = match path.split_once('?') {
-        Some((route, query)) => (route, query),
-        None => (path, ""),
-    };
-    match route {
-        "/metrics" => {
-            let _gate = shared.epoch_gate.read().unwrap();
-            shared.counters.scatters.inc();
-            match merged_shard_fields(shared) {
-                Ok(fields) => http::response(
-                    "200 OK",
-                    "text/plain; version=0.0.4",
-                    &render_prometheus(fields.into_iter()),
-                ),
-                Err(message) => {
-                    shared.counters.errors.inc();
-                    http::response(
-                        "500 Internal Server Error",
-                        "text/plain; charset=utf-8",
-                        &format!("{message}\n"),
-                    )
-                }
-            }
-        }
-        "/health" => {
-            let verdict = {
-                let _gate = shared.epoch_gate.read().unwrap();
-                shared.counters.scatters.inc();
-                cluster_health(shared)
-            };
-            http::response(
-                http::health_status_line(verdict.status),
-                "application/json",
-                &http::health_json(&verdict),
-            )
-        }
-        "/series" => {
-            let mut field = None;
-            let mut res = SeriesRes::Fast;
-            for pair in query.split('&') {
-                match pair.split_once('=') {
-                    Some(("field", v)) => field = Some(v),
-                    Some(("res", v)) => res = SeriesRes::parse(v).unwrap_or(res),
-                    _ => {}
-                }
-            }
-            let Some(field) = field else {
-                return http::response(
-                    "400 Bad Request",
-                    "text/plain; charset=utf-8",
-                    "missing ?field=<name>\n",
-                );
-            };
-            match shared.timeseries.series(field, res) {
-                Some(dump) => {
-                    http::response("200 OK", "application/json", &http::series_json(&dump))
-                }
-                None => http::response(
-                    "404 Not Found",
-                    "text/plain; charset=utf-8",
-                    &format!("unknown or never-sampled router field {field:?}\n"),
-                ),
-            }
-        }
-        _ => http::response(
-            "404 Not Found",
-            "text/plain; charset=utf-8",
-            "try /metrics, /health or /series?field=<name>[&res=fast|mid|slow]\n",
-        ),
-    }
-}
-
-/// Newest ring entries a one-line `FLIGHTED` reply carries (mirrors the
-/// shard servers' cap).
-const FLIGHT_REPLY_CAP: usize = 64;
-
-/// Dumps the router's flight recorder: the recent-request ring plus the
-/// retained slow queries.
-fn handle_flight(shared: &Arc<Shared>) -> Response {
-    let wire = |e: &FlightEntry| FlightWireEntry {
-        trace_id: e.trace_id,
-        verb: e.verb.to_string(),
-        user: e.user,
-        k: e.k,
-        backend: e.backend.to_string(),
-        outcome: e.outcome.to_string(),
-        us: e.us,
-        ts_us: e.ts_us,
-    };
-    let dump = shared.flight.dump();
-    let entries = dump[dump.len().saturating_sub(FLIGHT_REPLY_CAP)..].iter().map(wire).collect();
-    let slow = shared.flight.slow_queries().iter().map(wire).collect();
-    Response::Flight(FlightReply {
-        recorded: shared.flight.recorded(),
-        slow_count: shared.flight.slow_count(),
-        entries,
-        slow,
-    })
-}
-
-/// `CAPTURE on|off|rotate` against the router's own workload recorder
-/// (mirrors the shard servers' handler).
-fn handle_capture(shared: &Arc<Shared>, action: CaptureAction) -> Response {
-    if !shared.capture.configured() {
-        shared.counters.errors.inc();
-        return Response::Err {
-            code: ErrorCode::BadRequest,
-            message: "no capture path configured (set PITEX_OBS_CAPTURE)".to_string(),
-        };
-    }
-    match action {
-        CaptureAction::On => shared.capture.set_enabled(true),
-        CaptureAction::Off => shared.capture.set_enabled(false),
-        CaptureAction::Rotate => {
-            if let Err(e) = shared.capture.rotate() {
-                return internal(shared, format!("capture rotate failed: {e}"));
-            }
-        }
-    }
-    Response::Captured {
-        enabled: shared.capture.enabled(),
-        recorded: shared.capture.recorded(),
-        dropped: shared.capture.dropped(),
-    }
 }
 
 /// The shards an op must reach: edge mutations are anchored at their
@@ -1402,4 +1004,65 @@ fn handle_reload(shared: &Arc<Shared>) -> Response {
         );
     }
     Response::Reloaded(reply)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pitex_core::{EngineBackend, EngineHandle, PitexConfig};
+    use pitex_model::TicModel;
+    use pitex_serve::{ServeClient, ServeOptions, Server, ServerHandle};
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+
+    /// One paper-model shard behind a router.
+    fn cluster() -> (ServerHandle, RouterHandle) {
+        let model = Arc::new(TicModel::paper_example());
+        let handle =
+            EngineHandle::new(model, EngineBackend::Exact, PitexConfig::default()).unwrap();
+        let shard = Server::spawn(handle, ("127.0.0.1", 0), ServeOptions::default()).unwrap();
+        let map = ShardMap::new(vec![vec![shard.addr().to_string()]]).unwrap();
+        let router = Router::spawn(map, ("127.0.0.1", 0), RouterOptions::default()).unwrap();
+        (shard, router)
+    }
+
+    #[test]
+    fn torn_trailing_line_is_not_forwarded() {
+        let (shard, router) = cluster();
+        // A client dying mid-write: the line never gets its newline, so the
+        // router must not broadcast its truncated operand to the shards.
+        let mut stream = TcpStream::connect(router.addr()).unwrap();
+        stream.write_all(b"UPDATE SET_EDGE 0 1 0:0.9").unwrap();
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut reply = String::new();
+        stream.read_to_string(&mut reply).unwrap();
+        assert_eq!(reply, "", "a torn line is not answered");
+        let stats = ServeClient::connect(shard.addr()).unwrap().stats().unwrap();
+        assert_eq!(stats.get_u64("updates_pending"), Some(0));
+        assert_eq!(stats.get_u64("updates_applied"), Some(0));
+        router.stop().unwrap();
+        shard.stop().unwrap();
+    }
+
+    #[test]
+    fn http_header_flood_is_cut_off() {
+        let (shard, router) = cluster();
+        let mut stream = TcpStream::connect(router.addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        // A valid request line, then a newline-free header that never
+        // ends: one 431 and a hang-up, not 16 MiB of buffered header.
+        const CHUNKS: usize = 16 * 1024;
+        let feeder = std::thread::spawn(move || {
+            writer.write_all(b"GET /metrics HTTP/1.0\r\n").unwrap();
+            let chunk = [b'h'; 1024];
+            (0..CHUNKS).take_while(|_| writer.write_all(&chunk).is_ok()).count()
+        });
+        let mut reply = vec![0u8; 12];
+        stream.read_exact(&mut reply).expect("one reply before the cut");
+        assert_eq!(reply, b"HTTP/1.0 431");
+        assert!(feeder.join().unwrap() < CHUNKS, "the router hung up on the flood");
+        router.stop().unwrap();
+        shard.stop().unwrap();
+    }
 }

@@ -19,45 +19,14 @@
 //! discarded, the response always closes the connection (`HTTP/1.0`
 //! semantics), and no other method is recognized — anything else still
 //! parses as a (failing) protocol line, exactly as before.
+//!
+//! Recognizing the request line, bounding the header block and mapping a
+//! route to its verb are wire rules and live in [`crate::conn`]; this
+//! module is the response side: the status line and the JSON bodies.
 
+use crate::protocol::SeriesReply;
 use pitex_support::obs::slo::{HealthVerdict, SloStatus};
-use pitex_support::obs::timeseries::{SeriesDump, SeriesPoints};
-use std::io::{BufRead, ErrorKind};
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// If `line` is an HTTP request line (`GET <path> HTTP/…`), the path.
-pub fn request_path(line: &str) -> Option<&str> {
-    let rest = line.strip_prefix("GET ")?;
-    let (path, version) = rest.split_once(' ')?;
-    version.starts_with("HTTP/").then_some(path)
-}
-
-/// Reads and discards the request's header block (everything up to the
-/// blank line). Returns `false` when the connection died or `stop` was
-/// raised first — the caller should hang up without answering.
-pub fn drain_headers<R: BufRead>(reader: &mut R, stop: &AtomicBool) -> bool {
-    // A scraper sends its whole header block immediately; the loop exists
-    // for fragmented writes. The caller's read timeout surfaces here as
-    // WouldBlock, which doubles as the shutdown poll point.
-    let mut header = String::new();
-    loop {
-        match reader.read_line(&mut header) {
-            Ok(0) => return false,
-            Ok(_) => {
-                if header.trim().is_empty() {
-                    return true;
-                }
-                header.clear();
-            }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if stop.load(Ordering::SeqCst) {
-                    return false;
-                }
-            }
-            Err(_) => return false,
-        }
-    }
-}
+use pitex_support::obs::timeseries::SeriesKind;
 
 /// One full HTTP/1.0 response, headers and body, ready to write.
 pub fn response(status: &str, content_type: &str, body: &str) -> String {
@@ -117,35 +86,26 @@ pub fn health_json(verdict: &HealthVerdict) -> String {
     out
 }
 
-/// A [`SeriesDump`] as a JSON object (the `GET /series` body). Scalar
+/// A `SERIES` reply as a JSON object (the `GET /series` body). Scalar
 /// points are JSON numbers; histogram points are their wire strings.
-pub fn series_json(dump: &SeriesDump) -> String {
+pub fn series_json(series: &SeriesReply) -> String {
     let mut out = String::from("{\"field\":");
-    json_string(&mut out, &dump.field);
+    json_string(&mut out, &series.field);
     out.push_str(",\"res\":");
-    json_string(&mut out, dump.res.name());
+    json_string(&mut out, series.res.name());
     out.push_str(&format!(
         ",\"tick_ms\":{},\"window_ticks\":{},\"kind\":",
-        dump.tick_ms, dump.window_ticks
+        series.tick_ms, series.window_ticks
     ));
-    json_string(&mut out, dump.kind.name());
+    json_string(&mut out, series.kind.name());
     out.push_str(",\"points\":[");
-    match &dump.points {
-        SeriesPoints::Scalar(values) => {
-            for (i, v) in values.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&scalar_token(*v));
-            }
+    for (i, point) in series.points.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
         }
-        SeriesPoints::Hist(hists) => {
-            for (i, h) in hists.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                json_string(&mut out, &h.to_wire());
-            }
+        match series.kind {
+            SeriesKind::Hist => json_string(&mut out, point),
+            _ => out.push_str(point),
         }
     }
     out.push_str("]}\n");
@@ -166,17 +126,8 @@ pub fn scalar_token(v: f64) -> String {
 mod tests {
     use super::*;
     use pitex_support::obs::slo::SloVerdict;
-    use pitex_support::obs::timeseries::{SeriesKind, SeriesRes};
+    use pitex_support::obs::timeseries::{SeriesDump, SeriesPoints, SeriesRes};
     use pitex_support::obs::LatencyHistogram;
-
-    #[test]
-    fn request_lines_are_recognized() {
-        assert_eq!(request_path("GET /metrics HTTP/1.1"), Some("/metrics"));
-        assert_eq!(request_path("GET /series?field=qps HTTP/1.0"), Some("/series?field=qps"));
-        assert_eq!(request_path("GET /metrics"), None, "no version token");
-        assert_eq!(request_path("QUERY 0 2"), None);
-        assert_eq!(request_path("PUT /metrics HTTP/1.1"), None);
-    }
 
     #[test]
     fn response_frames_the_body() {
@@ -218,7 +169,7 @@ mod tests {
             kind: SeriesKind::Counter,
             points: SeriesPoints::Scalar(vec![0.0, 12.0, 0.75]),
         };
-        let json = series_json(&scalar);
+        let json = series_json(&scalar.into());
         assert!(json.contains("\"points\":[0,12,0.75]"), "{json}");
 
         let mut h = LatencyHistogram::new();
@@ -231,7 +182,7 @@ mod tests {
             kind: SeriesKind::Hist,
             points: SeriesPoints::Hist(vec![LatencyHistogram::new(), h]),
         };
-        let json = series_json(&hist);
+        let json = series_json(&hist.into());
         assert!(json.contains("\"points\":[\"-\",\"3:1\"]"), "{json}");
     }
 }

@@ -9,6 +9,12 @@
 //!   model and indexes through [`pitex_core::EngineHandle`]; each worker
 //!   thread builds a private [`pitex_core::PitexEngine`] from them, so the
 //!   engine's `&mut self` memoisation needs no locks.
+//! * **One connection core** ([`conn`]) — a sans-I/O per-connection state
+//!   machine holding every wire rule once: the protocol sniff, the three
+//!   codecs (`PFRM` frames, text lines, HTTP `GET`) to one `Request`,
+//!   reply ordering, caps and close rules. The shard and the cluster
+//!   router are two `Service`s behind it; the epoll loop and the blocking
+//!   thread-per-connection driver only move bytes in front of it.
 //! * **Line protocol** ([`protocol`]) — `QUERY <user> <k>` in, one reply
 //!   line out; scriptable with `nc` and spoken by `pitex client`.
 //! * **Bounded queue + load shedding** ([`server`]) — a full request queue
@@ -83,6 +89,7 @@
 //! ```
 
 pub mod client;
+pub mod conn;
 pub mod frame;
 pub mod http;
 pub mod protocol;

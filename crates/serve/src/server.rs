@@ -1,21 +1,24 @@
 //! The multi-threaded query server.
 //!
-//! Topology: one acceptor thread, one lightweight thread per client
-//! connection, and a fixed pool of worker threads that each own a private
-//! [`PitexEngine`] built from the shared
-//! [`EngineHandle`] (the engine's `&mut self` memoisation stays
-//! single-threaded by construction). Connections and workers meet at a
-//! *bounded* job queue: when it is full the connection answers `BUSY`
-//! immediately instead of queueing unboundedly — under overload the server
-//! sheds load and stays responsive rather than building latency.
+//! Topology: a front end that only moves bytes (the epoll
+//! `event_loop`, or the thread-per-connection [`crate::conn::blocking`]
+//! driver where there is no poller — both over the one connection core,
+//! [`crate::conn`]), the `ShardService` behind the core's `Service`
+//! seam, and a fixed pool of worker threads that each own a private
+//! [`PitexEngine`] built from the shared [`EngineHandle`] (the engine's
+//! `&mut self` memoisation stays single-threaded by construction).
+//! Connections and workers meet at a *bounded* job queue: when it is full
+//! the connection answers `BUSY` immediately instead of queueing
+//! unboundedly — under overload the server sheds load and stays responsive
+//! rather than building latency.
 //!
 //! Each request carries a deadline (client-supplied `timeout_us` or the
 //! server default). A request that is still queued when its deadline passes
 //! is answered `ERR DEADLINE` without running — protecting the pool from
 //! doing work nobody is waiting for anymore.
 //!
-//! The `(user, k, backend)` result cache is consulted on the connection
-//! thread, *before* the queue: repeated queries never cost a queue slot or a
+//! The `(user, k, backend)` result cache is consulted at admission,
+//! *before* the queue: repeated queries never cost a queue slot or a
 //! sampling pass. Shutdown is graceful: `ServerHandle::shutdown` (or the
 //! `SHUTDOWN` verb) stops the acceptor, lets workers drain in-flight jobs,
 //! unblocks idle connections, and `join` reaps every thread.
@@ -38,11 +41,11 @@
 //! sweep runs after the swap, so the stale-insert race is closed from both
 //! sides.
 
-use crate::frame::{self, could_be_frame, FrameBuf, FrameError, MAX_REQUEST_FRAME_BYTES};
-use crate::http;
+use crate::conn::blocking::{self, ConnThreads};
+use crate::conn::verbs::{self, outcome_of};
+use crate::conn::{Admit, Handled, ReplyTo, Service, Wire, WireCounters, POLL};
 use crate::protocol::{
-    CaptureAction, ErrorCode, ExplainReply, FlightReply, FlightWireEntry, QueryReply, ReloadReply,
-    Request, Response, StatsReply, TraceReply,
+    ErrorCode, ExplainReply, QueryReply, ReloadReply, Request, Response, StatsReply, TraceReply,
 };
 use pitex_core::plan::PlanDecision;
 use pitex_core::registry::{self, CacheScope};
@@ -55,15 +58,15 @@ use pitex_live::{
 use pitex_model::{TagSet, TicModel};
 use pitex_support::lru::ShardedLru;
 use pitex_support::obs::slo::{HealthVerdict, SloOptions, SHARD_INPUTS};
-use pitex_support::obs::timeseries::{SeriesRes, TimeSeriesStore, TsOptions};
+use pitex_support::obs::timeseries::{TimeSeriesStore, TsOptions};
 use pitex_support::obs::{
     mint_trace_id, render_prometheus, wall_now_us, CaptureOptions, CaptureRecord, CaptureRecorder,
     Counter, FieldSet, FlightEntry, FlightRecorder, Gauge, ObsOptions, SpanRecorder,
 };
 use pitex_support::stats::{LatencyHistogram, OnlineStats};
 use std::collections::BTreeSet;
-use std::io::{BufRead, BufReader, Cursor, ErrorKind, IoSlice, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::ErrorKind;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -101,12 +104,14 @@ pub struct ServeOptions {
     /// `PITEX_OBS_CAPTURE` / `PITEX_OBS_CAPTURE_RATE` from the
     /// environment at spawn.
     pub capture: Option<CaptureOptions>,
-    /// Whether the readiness-driven event-loop front end accepts
-    /// connections (binary `PFRM` clients stay on the loop; text and HTTP
-    /// clients are handed to classic per-connection threads). `None` reads
-    /// `PITEX_SERVE_EVENT_LOOP` from the environment (default on); either
-    /// way the server falls back to the thread-per-connection acceptor on
-    /// platforms without epoll.
+    /// Which driver fronts the server. `None` is the platform default:
+    /// the epoll event loop (binary `PFRM` clients stay on it; text and
+    /// HTTP clients are handed to per-connection threads) wherever a
+    /// poller can be had, the thread-per-connection driver elsewhere.
+    /// `Some(false)` forces the latter — the seam
+    /// `binary_protocol_round_trips_on_the_blocking_acceptor` uses to
+    /// exercise the portable fallback on Linux CI; `Some(true)` is the
+    /// default spelled out (stackbench names it). Not an operator knob.
     pub event_loop: Option<bool>,
 }
 
@@ -144,27 +149,57 @@ struct Job {
     /// When the connection enqueued the job — the worker reports the
     /// dequeue delta back as the `queue` trace span.
     enqueued: Instant,
-    reply: ReplySink,
+    reply: JobReply,
 }
 
-/// Where a worker's answer goes: back to a blocked connection thread
-/// (text protocol, `EXPLAIN`/`TRACE`, the blocking binary loop), or into
-/// the event loop's completion queue (pipelined binary connections, which
-/// never block a thread per in-flight request).
-enum ReplySink {
-    Sync(mpsc::SyncSender<WorkerReply>),
-    Event(event_loop::EventSink),
+/// Who finishes a job. A `QUERY` is completed by the worker itself and
+/// its encoded reply goes straight to the connection, whichever driver
+/// holds it — no thread blocks per in-flight query. `EXPLAIN` and `TRACE`
+/// weave the raw measurement into a reply of their own, so their caller
+/// (a connection thread or the slow lane) waits for it.
+enum JobReply {
+    Query(QuerySink),
+    Caller(mpsc::SyncSender<WorkerReply>),
 }
 
-impl ReplySink {
+impl JobReply {
     fn deliver(self, reply: WorkerReply) {
         match self {
-            // The receiver may be gone (connection died mid-request);
+            JobReply::Query(sink) => sink.deliver(reply),
+            // The caller may be gone (connection died mid-request);
             // dropping the reply is correct either way.
-            ReplySink::Sync(tx) => {
+            JobReply::Caller(tx) => {
                 let _ = tx.try_send(reply);
             }
-            ReplySink::Event(sink) => sink.deliver(reply),
+        }
+    }
+}
+
+/// A deferred `QUERY`'s way home. The worker finishes the query (cache,
+/// counters, recording) and delivers the encoded reply through the
+/// request's [`ReplyTo`]. A sink dropped without delivering (worker pool
+/// drained at shutdown) still completes the request with an error so the
+/// client is never left waiting on a swallowed id.
+struct QuerySink {
+    shared: Arc<Shared>,
+    to: ReplyTo,
+    ctx: Option<QueryCtx>,
+}
+
+impl QuerySink {
+    fn deliver(mut self, reply: WorkerReply) {
+        if let Some(ctx) = self.ctx.take() {
+            let response = complete_query(&self.shared, &ctx, reply);
+            self.to.deliver(Handled::Reply(response, false));
+        }
+    }
+}
+
+impl Drop for QuerySink {
+    fn drop(&mut self) {
+        if let Some(ctx) = self.ctx.take() {
+            let response = abandoned_query(&self.shared, &ctx);
+            self.to.deliver(Handled::Reply(response, false));
         }
     }
 }
@@ -276,9 +311,6 @@ struct AdminState {
 /// Everything the acceptor, connections and workers share.
 struct Shared {
     stop: AtomicBool,
-    /// Set when a reaped connection thread had panicked, so `join` can
-    /// still report it after the handle itself is gone.
-    reaped_panic: AtomicBool,
     /// The epoch-versioned snapshot currently being served.
     store: SnapshotStore,
     admin_state: Mutex<AdminState>,
@@ -295,22 +327,14 @@ struct Shared {
     /// Service-time distribution of `OK` replies, in microseconds.
     latency: Mutex<(LatencyHistogram, OnlineStats)>,
     started: Instant,
-    /// Connection threads spawned by the acceptor, reaped on `join`.
-    connections: Mutex<Vec<JoinHandle<()>>>,
+    /// Connection (and slow-lane) threads the front end spawned.
+    conns: ConnThreads,
     /// Fault injection (`PITEX_OBS_STALL_US`, 0 = off): every query's
     /// execute phase sleeps this long on the worker. Exists so health
     /// drills — tests, CI, operators rehearsing an incident — can produce
     /// a sustained, attributable latency degradation on demand.
     stall_us: u64,
 }
-
-/// Poll interval for stop-flag checks while blocked on I/O or the queue.
-const POLL: Duration = Duration::from_millis(50);
-
-/// Longest accepted request line. Far beyond any legal request; a client
-/// that exceeds it (e.g. never sends a newline) is answered once and
-/// disconnected instead of growing server memory without bound.
-const MAX_LINE_BYTES: usize = 4 * 1024;
 
 /// What boot-time WAL recovery hands to [`Server::spawn`]: the (possibly
 /// replayed) engine handle, the epoch to resume at, and the history the
@@ -495,7 +519,6 @@ impl Server {
             CaptureRecorder::new(options.capture.clone().unwrap_or_else(CaptureOptions::from_env))?;
         let shared = Arc::new(Shared {
             stop: AtomicBool::new(false),
-            reaped_panic: AtomicBool::new(false),
             cache: ShardedLru::with_shards(options.cache_capacity, workers.max(4)),
             store: SnapshotStore::new_at(handle, epoch),
             admin_state: Mutex::new(AdminState {
@@ -518,7 +541,7 @@ impl Server {
             },
             latency: Mutex::new((LatencyHistogram::new(), OnlineStats::new())),
             started: Instant::now(),
-            connections: Mutex::new(Vec::new()),
+            conns: ConnThreads::default(),
             stall_us: std::env::var("PITEX_OBS_STALL_US")
                 .ok()
                 .and_then(|v| v.parse().ok())
@@ -544,27 +567,27 @@ impl Server {
         }
         {
             let shared = shared.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("pitex-sampler".to_string())
-                    .spawn(move || sampler_loop(&shared))?,
-            );
+            threads.push(std::thread::Builder::new().name("pitex-sampler".to_string()).spawn(
+                move || {
+                    verbs::sampler_loop(&shared.stop, &shared.obs.timeseries, || {
+                        stats_fields(&shared)
+                    })
+                },
+            )?);
         }
         {
-            // The readiness-driven event loop is the default front end; it
-            // falls back to the classic thread-per-connection acceptor when
-            // disabled (`PITEX_SERVE_EVENT_LOOP=0` / `ServeOptions`) or when
-            // the platform has no epoll.
-            let use_event_loop = shared.options.event_loop.unwrap_or_else(|| {
-                std::env::var("PITEX_SERVE_EVENT_LOOP").map(|v| v != "0").unwrap_or(true)
-            });
+            // The event loop is the front end wherever a poller can be had;
+            // it falls back to the thread-per-connection driver by itself.
+            let use_event_loop = shared.options.event_loop != Some(false);
+            let service = ShardService::new(shared.clone(), job_tx);
             let shared = shared.clone();
             let name = if use_event_loop { "pitex-evloop" } else { "pitex-acceptor" };
             threads.push(std::thread::Builder::new().name(name.to_string()).spawn(move || {
+                let conns = &shared.conns;
                 if use_event_loop {
-                    event_loop::run(&shared, listener, &job_tx);
+                    event_loop::run(service, listener, conns, CONN_THREAD);
                 } else {
-                    acceptor_loop(&shared, &listener, &job_tx);
+                    blocking::accept_loop(service, &listener, conns, CONN_THREAD);
                 }
             })?);
         }
@@ -607,335 +630,13 @@ impl ServerHandle {
                 result = Err(panic);
             }
         }
-        for conn in self.shared.connections.lock().unwrap().drain(..) {
-            if let Err(panic) = conn.join() {
-                result = Err(panic);
-            }
-        }
-        if result.is_ok() && self.shared.reaped_panic.load(Ordering::SeqCst) {
-            result = Err(Box::new("a connection thread panicked (reaped mid-run)"));
-        }
-        result
+        result.and(self.shared.conns.join())
     }
 
     /// Convenience for tests and the CLI: shut down, then join.
     pub fn stop(self) -> std::thread::Result<()> {
         self.shutdown();
         self.join()
-    }
-}
-
-fn acceptor_loop(shared: &Arc<Shared>, listener: &TcpListener, job_tx: &mpsc::SyncSender<Job>) {
-    while !shared.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                // Request/response in single lines: never wait on Nagle.
-                stream.set_nodelay(true).ok();
-                let conn_shared = shared.clone();
-                let job_tx = job_tx.clone();
-                let conn = std::thread::Builder::new()
-                    .name("pitex-conn".to_string())
-                    .spawn(move || serve_connection(&conn_shared, stream, &job_tx));
-                match conn {
-                    Ok(handle) => register_connection(shared, handle),
-                    Err(_) => { /* thread spawn failed: drop the connection */ }
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL),
-            Err(_) => std::thread::sleep(POLL),
-        }
-    }
-    // Dropping our job_tx clone lets workers observe disconnect once every
-    // connection thread has dropped theirs too.
-}
-
-/// Tracks a spawned connection thread for `join`, reaping the finished
-/// ones as it goes so a long-lived server over many short connections does
-/// not accumulate JoinHandles forever.
-fn register_connection(shared: &Arc<Shared>, handle: JoinHandle<()>) {
-    let mut conns = shared.connections.lock().unwrap();
-    let mut live = Vec::with_capacity(conns.len() + 1);
-    for conn in conns.drain(..) {
-        if conn.is_finished() {
-            if conn.join().is_err() {
-                shared.reaped_panic.store(true, Ordering::SeqCst);
-            }
-        } else {
-            live.push(conn);
-        }
-    }
-    live.push(handle);
-    *conns = live;
-}
-
-/// What the first bytes of a fresh connection revealed about its protocol.
-enum Sniffed {
-    /// The 4-byte `PFRM` magic: a binary pipelined client. Carries the
-    /// sniffed bytes — they are the head of the first frame.
-    Binary(Vec<u8>),
-    /// Anything else — the text protocol or an HTTP `GET`. Carries the
-    /// sniffed bytes to re-chain in front of the stream.
-    Text(Vec<u8>),
-    /// Closed (or the server is stopping) before the protocol was decided.
-    Closed,
-}
-
-/// Reads at most 4 bytes to classify a connection's protocol. One
-/// mismatching byte decides `Text` immediately, so a text client's first
-/// request is never delayed waiting for 4 bytes to accumulate.
-fn sniff(shared: &Shared, mut stream: &TcpStream) -> Sniffed {
-    let mut buf = [0u8; 4];
-    let mut got = 0;
-    loop {
-        if !could_be_frame(&buf[..got]) {
-            return Sniffed::Text(buf[..got].to_vec());
-        }
-        if got == buf.len() {
-            return Sniffed::Binary(buf.to_vec());
-        }
-        match stream.read(&mut buf[got..]) {
-            Ok(0) => {
-                return if got == 0 { Sniffed::Closed } else { Sniffed::Text(buf[..got].to_vec()) }
-            }
-            Ok(n) => got += n,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if shared.stop.load(Ordering::SeqCst) {
-                    return Sniffed::Closed;
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return Sniffed::Closed,
-        }
-    }
-}
-
-/// Entry point of a thread-per-connection client: sniff the protocol from
-/// the first bytes, then run the matching loop.
-fn serve_connection(shared: &Arc<Shared>, stream: TcpStream, job_tx: &mpsc::SyncSender<Job>) {
-    // Short read timeouts keep the thread responsive to shutdown while the
-    // client is idle.
-    if stream.set_read_timeout(Some(POLL)).is_err() {
-        return;
-    }
-    match sniff(shared, &stream) {
-        Sniffed::Binary(head) => binary_connection_loop(shared, stream, head, job_tx),
-        Sniffed::Text(head) => connection_loop(shared, stream, head, job_tx),
-        Sniffed::Closed => {}
-    }
-}
-
-/// Reads an env knob that is a positive integer, with a default.
-fn env_knob(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).filter(|&v| v > 0).unwrap_or(default)
-}
-
-/// Max `IoSlice`s handed to one `write_vectored` call
-/// (`PITEX_SERVE_WRITEV_BATCH`). Linux caps a single writev at `IOV_MAX`
-/// (1024) slices; staying well under it keeps each syscall's copy bounded.
-fn writev_batch() -> usize {
-    env_knob("PITEX_SERVE_WRITEV_BATCH", 64)
-}
-
-/// Writes every frame, vectored, at most `batch` slices per syscall.
-/// On failure returns how many frames were **not** fully written — they are
-/// completed replies with nowhere to go, which the caller books under
-/// `conn_aborted`.
-fn write_frames(writer: &mut impl Write, frames: &[Vec<u8>], batch: usize) -> Result<(), usize> {
-    let mut idx = 0; // first frame not fully written
-    let mut off = 0; // bytes of frames[idx] already written
-    while idx < frames.len() {
-        let mut slices = Vec::with_capacity(batch.min(frames.len() - idx));
-        slices.push(IoSlice::new(&frames[idx][off..]));
-        for frame in frames[idx + 1..].iter().take(batch - 1) {
-            slices.push(IoSlice::new(frame));
-        }
-        let mut written = match writer.write_vectored(&slices) {
-            Ok(0) => return Err(frames.len() - idx),
-            Ok(n) => n,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => return Err(frames.len() - idx),
-        };
-        while written > 0 {
-            let remaining = frames[idx].len() - off;
-            if written >= remaining {
-                written -= remaining;
-                idx += 1;
-                off = 0;
-            } else {
-                off += written;
-                written = 0;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The blocking binary-protocol loop: the pipelined `PFRM` path for
-/// servers running without the event loop (env-disabled or no epoll).
-///
-/// Each pass handles one readable **burst**: every complete frame buffered
-/// so far is admitted in one sweep — queries are dispatched to the worker
-/// pool *concurrently* (their replies collected afterwards, preserving the
-/// pipelining win), other verbs are handled inline — and every completed
-/// reply is flushed with a single vectored write.
-fn binary_connection_loop(
-    shared: &Arc<Shared>,
-    stream: TcpStream,
-    head: Vec<u8>,
-    job_tx: &mpsc::SyncSender<Job>,
-) {
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let batch = writev_batch();
-    let mut frames = FrameBuf::new(MAX_REQUEST_FRAME_BYTES);
-    frames.extend(&head);
-    let mut reader = stream;
-    let mut buf = [0u8; 16 * 1024];
-    let mut snapshot = shared.store.current();
-    let mut eof = false;
-    loop {
-        // Re-pin the snapshot when a swap landed since the last burst.
-        if shared.store.epoch() != snapshot.epoch {
-            snapshot = shared.store.current();
-        }
-        // Admit the whole burst: dispatch every query before collecting
-        // any reply, so the pool works them in parallel.
-        let mut out: Vec<Vec<u8>> = Vec::new();
-        let mut pending: Vec<(u64, QueryCtx, mpsc::Receiver<WorkerReply>)> = Vec::new();
-        let mut close = false;
-        while !close {
-            let payload = match frames.next_payload() {
-                Ok(Some(payload)) => payload,
-                Ok(None) => break,
-                Err(FrameError::Oversized { len, cap }) => {
-                    shared.counters.requests.inc();
-                    shared.counters.errors.inc();
-                    let response = Response::Err {
-                        code: ErrorCode::BadRequest,
-                        message: format!("frame payload of {len} bytes exceeds {cap} bytes"),
-                    };
-                    out.push(frame::encode_response(0, &response));
-                    close = true;
-                    break;
-                }
-                Err(_) => {
-                    // Desynchronized mid-stream: no reply can be framed
-                    // reliably, so just close.
-                    shared.counters.errors.inc();
-                    close = true;
-                    break;
-                }
-            };
-            match frame::decode_request(&payload) {
-                Ok((id, Request::Query(q))) => {
-                    shared.counters.requests.inc();
-                    match prepare_query(shared, &snapshot, &q) {
-                        PreparedQuery::Ready(response) => {
-                            out.push(frame::encode_response(id, &response));
-                        }
-                        PreparedQuery::Dispatch(ctx) => {
-                            let (reply_tx, reply_rx) = mpsc::sync_channel::<WorkerReply>(1);
-                            let job = Job {
-                                user: ctx.user,
-                                k: ctx.k,
-                                backend: ctx.resolved,
-                                deadline: ctx.deadline,
-                                enqueued: Instant::now(),
-                                reply: ReplySink::Sync(reply_tx),
-                            };
-                            match job_tx.try_send(job) {
-                                Ok(()) => pending.push((id, ctx, reply_rx)),
-                                Err(_) => {
-                                    out.push(frame::encode_response(id, &shed_query(shared, &ctx)));
-                                }
-                            }
-                        }
-                    }
-                }
-                Ok((id, request)) => match handle_request(shared, &snapshot, request, job_tx) {
-                    Handled::Reply(response, close_after) => {
-                        out.push(frame::encode_response(id, &response));
-                        close |= close_after;
-                    }
-                    Handled::Raw(text) => out.push(frame::encode_raw_response(id, &text)),
-                },
-                Err(e) => {
-                    shared.counters.requests.inc();
-                    shared.counters.errors.inc();
-                    let response = Response::Err {
-                        code: ErrorCode::BadRequest,
-                        message: format!("malformed binary request: {e}"),
-                    };
-                    out.push(frame::encode_response(frame::payload_id(&payload), &response));
-                }
-            }
-        }
-        for (id, ctx, reply_rx) in pending {
-            let response = match reply_rx.recv() {
-                Ok(reply) => complete_query(shared, &ctx, reply),
-                Err(mpsc::RecvError) => abandoned_query(shared, &ctx),
-            };
-            out.push(frame::encode_response(id, &response));
-        }
-        if let Err(unflushed) = write_frames(&mut writer, &out, batch) {
-            // The client died mid-burst: the answers were computed but can
-            // never be delivered.
-            shared.counters.conn_aborted.add(unflushed as u64);
-            return;
-        }
-        if close || eof {
-            return;
-        }
-        // Refill: block (with the POLL timeout for stop checks) until the
-        // next burst arrives.
-        loop {
-            match reader.read(&mut buf) {
-                Ok(0) => {
-                    // Half-close: the client may still be reading replies,
-                    // so finish what is buffered before hanging up.
-                    eof = true;
-                    break;
-                }
-                Ok(n) => {
-                    frames.extend(&buf[..n]);
-                    break;
-                }
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    if shared.stop.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    if shared.store.epoch() != snapshot.epoch {
-                        snapshot = shared.store.current();
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => return,
-            }
-        }
-    }
-}
-
-/// The background sampler: once per configured tick (`PITEX_OBS_TS_TICK_MS`)
-/// it snapshots every stats field into the rolling time-series rings. It
-/// sleeps in small increments so shutdown stays prompt, and it re-anchors
-/// after each sample instead of replaying boundaries it slept through — an
-/// idle machine that oversleeps gets one fresh sample, not a burst of
-/// stale ones. The serving hot path is untouched: workers keep bumping the
-/// same atomics they always have, and this thread reads them once a tick.
-fn sampler_loop(shared: &Arc<Shared>) {
-    let tick = shared.obs.timeseries.options().tick;
-    let mut next = Instant::now() + tick;
-    while !shared.stop.load(Ordering::SeqCst) {
-        let now = Instant::now();
-        if now < next {
-            std::thread::sleep(POLL.min(next - now));
-            continue;
-        }
-        let fields = stats_fields(shared);
-        shared.obs.timeseries.tick(fields.iter().map(|(k, v)| (k.as_str(), v.as_str())));
-        next = Instant::now() + tick;
     }
 }
 
@@ -1069,188 +770,162 @@ fn run_worker_epoch(
     }
 }
 
-/// The classic blocking text/HTTP loop. `head` holds the bytes the sniffer
-/// consumed before deciding the protocol; chaining them in front of the
-/// stream makes the hand-off invisible to the line reader.
-fn connection_loop(
-    shared: &Arc<Shared>,
-    stream: TcpStream,
-    head: Vec<u8>,
-    job_tx: &mpsc::SyncSender<Job>,
-) {
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(Cursor::new(head).chain(stream));
-    let mut line = String::new();
-    let mut snapshot = shared.store.current();
-    loop {
-        // `line` may already hold a partial request from a timed-out read:
-        // `read_line` appends, so fragmented writes reassemble correctly.
-        // The per-line `take` budget makes even a continuously streaming
-        // newline-free client surface here once it exceeds the cap —
-        // without it, `read_line` would keep consuming (and buffering)
-        // as long as bytes arrive.
-        let budget = (MAX_LINE_BYTES + 1).saturating_sub(line.len()) as u64;
-        match std::io::Read::take(&mut reader, budget).read_line(&mut line) {
-            Ok(0) => return, // client closed the connection
-            Ok(_) => {}
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if shared.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                if line.len() > MAX_LINE_BYTES {
-                    oversized_line_reply(shared, &mut writer);
-                    return;
-                }
-                // Re-pin on the idle path too: without this a silent
-                // connection would keep the superseded model + index
-                // snapshot alive arbitrarily long after a swap.
-                if shared.store.epoch() != snapshot.epoch {
-                    snapshot = shared.store.current();
-                }
-                continue;
-            }
-            Err(_) => return,
-        }
-        if line.len() > MAX_LINE_BYTES {
-            oversized_line_reply(shared, &mut writer);
-            return;
-        }
-        if line.trim().is_empty() {
-            line.clear();
-            continue;
-        }
-        // HTTP auto-detection (the PSHM/PWRK magic-sniffing idiom): a GET
-        // request line on the protocol port becomes a one-shot scrape —
-        // answer and close, never entering the verb dispatch.
-        if let Some(path) = http::request_path(line.trim()) {
-            let path = path.to_string();
-            if http::drain_headers(&mut reader, &shared.stop) {
-                let _ = writer.write_all(http_get(shared, &path).as_bytes());
-            }
-            return;
-        }
-        // Re-pin the snapshot when a swap landed since the last request:
-        // one atomic load on the fast path, one Arc clone after a swap.
-        if shared.store.epoch() != snapshot.epoch {
-            snapshot = shared.store.current();
-        }
-        let handled = handle_line(shared, &snapshot, line.trim(), job_tx);
-        line.clear();
-        match handled {
-            Handled::Reply(response, close) => {
-                let mut out = response.to_line();
-                out.push('\n');
-                // One write per reply: a split line + '\n' would stall
-                // ~40ms on the peer's delayed ACK under Nagle.
-                if writer.write_all(out.as_bytes()).is_err() {
-                    return;
-                }
-                if close {
-                    return;
-                }
-            }
-            Handled::Raw(text) => {
-                if writer.write_all(text.as_bytes()).is_err() {
-                    return;
-                }
-            }
+/// Thread name of a connection served by the blocking driver.
+const CONN_THREAD: &str = "pitex-conn";
+
+/// The shard behind the connection core's [`Service`] seam: `PING` and
+/// cache hits answer inline, cache misses are deferred to the worker pool,
+/// every other verb is blocking work. Each driver thread owns a clone, and
+/// with it a pinned snapshot it refreshes without a lock.
+#[derive(Clone)]
+struct ShardService {
+    shared: Arc<Shared>,
+    job_tx: mpsc::SyncSender<Job>,
+    snapshot: Arc<Snapshot>,
+}
+
+impl ShardService {
+    fn new(shared: Arc<Shared>, job_tx: mpsc::SyncSender<Job>) -> Self {
+        let snapshot = shared.store.current();
+        Self { shared, job_tx, snapshot }
+    }
+
+    /// Re-pins the snapshot when a swap landed since the last request: one
+    /// atomic load on the fast path, one `Arc` clone after a swap.
+    fn repin(&mut self) {
+        if self.shared.store.epoch() != self.snapshot.epoch {
+            self.snapshot = self.shared.store.current();
         }
     }
 }
 
-/// What one request line produced: a single-line [`Response`], or a raw
-/// multi-line payload written verbatim (the `METRICS` Prometheus
-/// exposition, whose `# EOF` terminator stands in for the line protocol's
-/// one-reply-per-line framing).
-enum Handled {
-    Reply(Response, bool),
-    Raw(String),
-}
+impl Service for ShardService {
+    fn counters(&self) -> WireCounters<'_> {
+        let c = &self.shared.counters;
+        WireCounters {
+            requests: &c.requests,
+            errors: &c.errors,
+            busy: &c.busy,
+            conn_aborted: Some(&c.conn_aborted),
+        }
+    }
 
-/// Tells an over-long-line client off once; the connection then closes.
-fn oversized_line_reply(shared: &Arc<Shared>, writer: &mut TcpStream) {
-    shared.counters.requests.inc();
-    shared.counters.errors.inc();
-    let response = Response::Err {
-        code: ErrorCode::BadRequest,
-        message: format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-    };
-    let mut out = response.to_line();
-    out.push('\n');
-    let _ = writer.write_all(out.as_bytes());
-}
+    fn tick(&mut self) -> bool {
+        // Re-pin on the idle path too: without this a silent connection
+        // would keep the superseded model + index snapshot alive
+        // arbitrarily long after a swap.
+        self.repin();
+        !self.shared.stop.load(Ordering::SeqCst)
+    }
 
-/// Dispatches one request line; returns the reply and whether to close.
-fn handle_line(
-    shared: &Arc<Shared>,
-    snapshot: &Snapshot,
-    line: &str,
-    job_tx: &mpsc::SyncSender<Job>,
-) -> Handled {
-    match Request::parse(line) {
-        Ok(request) => handle_request(shared, snapshot, request, job_tx),
-        Err(reason) => {
+    fn admit(&mut self, request: Request, to: &ReplyTo) -> Admit {
+        let inline = |response| Admit::Inline(Handled::Reply(response, false));
+        match request {
+            Request::Ping => {
+                self.shared.counters.requests.inc();
+                inline(Response::Pong)
+            }
+            Request::Query(q) => {
+                self.repin();
+                let shared = &self.shared;
+                shared.counters.requests.inc();
+                let ctx = match prepare_query(shared, &self.snapshot, &q) {
+                    PreparedQuery::Ready(response) => return inline(response),
+                    PreparedQuery::Dispatch(ctx) if !to.has_room() => {
+                        return inline(shed_query(shared, &ctx));
+                    }
+                    PreparedQuery::Dispatch(ctx) => ctx,
+                };
+                let job = Job {
+                    user: ctx.user,
+                    k: ctx.k,
+                    backend: ctx.resolved,
+                    deadline: ctx.deadline,
+                    enqueued: Instant::now(),
+                    reply: JobReply::Query(QuerySink {
+                        shared: shared.clone(),
+                        to: to.clone(),
+                        ctx: Some(ctx),
+                    }),
+                };
+                match self.job_tx.try_send(job) {
+                    Ok(()) => Admit::Deferred,
+                    // Full queue or a draining pool: shed the request.
+                    Err(mpsc::TrySendError::Full(job) | mpsc::TrySendError::Disconnected(job)) => {
+                        // Take the ctx back out of the sink so the shed is
+                        // booked here, not by its Drop.
+                        let JobReply::Query(mut sink) = job.reply else {
+                            unreachable!("constructed above")
+                        };
+                        inline(shed_query(shared, &sink.ctx.take().expect("undelivered")))
+                    }
+                }
+            }
+            other => Admit::Blocking(other),
+        }
+    }
+
+    /// The verb switch behind every blocking request.
+    fn call(&mut self, request: Request, wire: Wire) -> Handled {
+        self.repin();
+        let (shared, snapshot, job_tx) = (&self.shared, &self.snapshot, &self.job_tx);
+        // A scrape is not a protocol request: it books neither `requests`
+        // nor, for a ring it misses, `errors`.
+        let scrape = wire == Wire::Http;
+        if !scrape {
             shared.counters.requests.inc();
+        }
+        let reply = |response, close| Handled::Reply(response, close);
+        let denied = || {
             shared.counters.errors.inc();
-            Handled::Reply(Response::Err { code: ErrorCode::BadRequest, message: reason }, false)
+            let message = "admin verbs are disabled on this server".to_string();
+            Handled::Reply(Response::Err { code: ErrorCode::AdminDenied, message }, false)
+        };
+        let obs = &shared.obs;
+        match request {
+            Request::Ping | Request::Query(_) => unreachable!("answered or deferred by admit"),
+            Request::Quit => reply(Response::Bye, true),
+            Request::Shutdown => {
+                shared.stop.store(true, Ordering::SeqCst);
+                reply(Response::Bye, true)
+            }
+            Request::Stats => reply(Response::Stats(stats_reply(shared)), false),
+            Request::Metrics => Handled::Raw(render_prometheus(stats_fields(shared).into_iter())),
+            Request::Series { field, res } => {
+                let response = verbs::series(&obs.timeseries, "field", &field, res);
+                if !scrape && matches!(response, Response::Err { .. }) {
+                    shared.counters.errors.inc();
+                }
+                reply(response, false)
+            }
+            Request::Health => reply(Response::Health(health_verdict(shared)), false),
+            Request::Explain(q) => reply(handle_explain(shared, snapshot, q, job_tx), false),
+            Request::Trace(t) => reply(handle_trace(shared, snapshot, t, job_tx), false),
+            Request::Update(_)
+            | Request::Reload
+            | Request::Prepare
+            | Request::Commit
+            | Request::Epoch
+            | Request::Sync { .. }
+            | Request::Discard
+            | Request::Flight
+            | Request::Capture(_)
+                if !shared.options.admin =>
+            {
+                denied()
+            }
+            Request::Update(op) => reply(handle_update(shared, op), false),
+            Request::Reload => reply(handle_reload(shared), false),
+            Request::Prepare => reply(handle_prepare(shared), false),
+            Request::Commit => reply(handle_commit(shared), false),
+            Request::Epoch => reply(Response::Epoch(shared.store.epoch()), false),
+            Request::Sync { from_epoch } => reply(handle_sync(shared, from_epoch), false),
+            Request::Discard => reply(handle_discard(shared), false),
+            Request::Flight => reply(verbs::flight(&obs.flight), false),
+            Request::Capture(action) => {
+                reply(verbs::capture(&obs.capture, &shared.counters.errors, action), false)
+            }
         }
-    }
-}
-
-/// Dispatches one parsed request — the shared verb switch behind the text
-/// loop, the blocking binary loop, and the event loop's slow lane.
-fn handle_request(
-    shared: &Arc<Shared>,
-    snapshot: &Snapshot,
-    request: Request,
-    job_tx: &mpsc::SyncSender<Job>,
-) -> Handled {
-    shared.counters.requests.inc();
-    let reply = |response, close| Handled::Reply(response, close);
-    let denied = || {
-        shared.counters.errors.inc();
-        let message = "admin verbs are disabled on this server".to_string();
-        Handled::Reply(Response::Err { code: ErrorCode::AdminDenied, message }, false)
-    };
-    match request {
-        Request::Ping => reply(Response::Pong, false),
-        Request::Quit => reply(Response::Bye, true),
-        Request::Shutdown => {
-            shared.stop.store(true, Ordering::SeqCst);
-            reply(Response::Bye, true)
-        }
-        Request::Stats => reply(Response::Stats(stats_reply(shared)), false),
-        Request::Metrics => Handled::Raw(render_prometheus(stats_fields(shared).into_iter())),
-        Request::Series { field, res } => reply(handle_series(shared, &field, res), false),
-        Request::Health => reply(Response::Health(health_verdict(shared)), false),
-        Request::Query(q) => reply(handle_query(shared, snapshot, q, job_tx), false),
-        Request::Explain(q) => reply(handle_explain(shared, snapshot, q, job_tx), false),
-        Request::Trace(t) => reply(handle_trace(shared, snapshot, t, job_tx), false),
-        Request::Update(_)
-        | Request::Reload
-        | Request::Prepare
-        | Request::Commit
-        | Request::Epoch
-        | Request::Sync { .. }
-        | Request::Discard
-        | Request::Flight
-        | Request::Capture(_)
-            if !shared.options.admin =>
-        {
-            denied()
-        }
-        Request::Update(op) => reply(handle_update(shared, op), false),
-        Request::Reload => reply(handle_reload(shared), false),
-        Request::Prepare => reply(handle_prepare(shared), false),
-        Request::Commit => reply(handle_commit(shared), false),
-        Request::Epoch => reply(Response::Epoch(shared.store.epoch()), false),
-        Request::Sync { from_epoch } => reply(handle_sync(shared, from_epoch), false),
-        Request::Discard => reply(handle_discard(shared), false),
-        Request::Flight => reply(handle_flight(shared), false),
-        Request::Capture(action) => reply(handle_capture(shared, action), false),
     }
 }
 
@@ -1338,16 +1013,6 @@ fn count_error(shared: &Shared, code: ErrorCode, message: String) -> Response {
     Response::Err { code, message }
 }
 
-/// The flight-recorder outcome tag for a ready-to-send response.
-fn outcome_of(response: &Response) -> &'static str {
-    match response {
-        Response::Busy => "busy",
-        Response::Err { code: ErrorCode::Deadline, .. } => "deadline",
-        Response::Err { .. } => "error",
-        _ => "ok",
-    }
-}
-
 /// Books one request summary into the flight recorder (and, past the
 /// `PITEX_OBS_SLOW_US` threshold, into the slow-query log) and — when
 /// sampled — into the workload-capture log. Both stamp the same
@@ -1397,7 +1062,7 @@ fn record_request(
     });
 }
 
-/// What a successful dispatch hands back to the connection thread.
+/// What a successful dispatch hands back to its blocked caller.
 struct JobDone {
     tags: TagSet,
     spread: f64,
@@ -1426,7 +1091,7 @@ fn dispatch_job(
         backend: admitted.resolved,
         deadline: admitted.deadline,
         enqueued: Instant::now(),
-        reply: ReplySink::Sync(reply_tx),
+        reply: JobReply::Caller(reply_tx),
     };
     match job_tx.try_send(job) {
         Ok(()) => {}
@@ -1460,9 +1125,8 @@ fn dispatch_job(
 }
 
 /// Everything a dispatched query's completion needs, detached from the
-/// connection thread so the event loop can finish queries on whatever
-/// thread the worker's reply lands on.
-pub(crate) struct QueryCtx {
+/// connection so the worker can finish the query on its own thread.
+struct QueryCtx {
     trace_id: u64,
     user: u32,
     k: usize,
@@ -1669,37 +1333,6 @@ fn abandoned_query(shared: &Shared, ctx: &QueryCtx) -> Response {
     response
 }
 
-fn handle_query(
-    shared: &Arc<Shared>,
-    snapshot: &Snapshot,
-    q: crate::protocol::QueryRequest,
-    job_tx: &mpsc::SyncSender<Job>,
-) -> Response {
-    let ctx = match prepare_query(shared, snapshot, &q) {
-        PreparedQuery::Ready(response) => return response,
-        PreparedQuery::Dispatch(ctx) => ctx,
-    };
-    let (reply_tx, reply_rx) = mpsc::sync_channel::<WorkerReply>(1);
-    let job = Job {
-        user: ctx.user,
-        k: ctx.k,
-        backend: ctx.resolved,
-        deadline: ctx.deadline,
-        enqueued: Instant::now(),
-        reply: ReplySink::Sync(reply_tx),
-    };
-    match job_tx.try_send(job) {
-        Ok(()) => {}
-        Err(mpsc::TrySendError::Full(_)) | Err(mpsc::TrySendError::Disconnected(_)) => {
-            return shed_query(shared, &ctx);
-        }
-    }
-    match reply_rx.recv() {
-        Ok(reply) => complete_query(shared, &ctx, reply),
-        Err(mpsc::RecvError) => abandoned_query(shared, &ctx),
-    }
-}
-
 /// `EXPLAIN`: run the query exactly like `QUERY` would, but bypass the
 /// result cache (the point is a real measurement) and report the planner's
 /// decision next to the answer: chosen backend, predicted vs. actual cost,
@@ -1897,7 +1530,7 @@ fn handle_trace(
     recorder.record_at("queue", queue_start, done.queue_us);
     recorder.record_at("execute", queue_start + done.queue_us, done.us);
 
-    // Same two-sided stale-insert discipline as `handle_query`.
+    // Same two-sided stale-insert discipline as `complete_query`.
     if shared.store.epoch() == done.epoch {
         shared.cache.insert(key, CachedAnswer { tags: done.tags.clone(), spread: done.spread });
         if shared.store.epoch() != done.epoch {
@@ -1930,63 +1563,6 @@ fn handle_trace(
         us,
         spans: recorder.finish(),
     })
-}
-
-/// `FLIGHT` (admin): dump the flight recorder — the newest ring entries
-/// (capped so the reply stays one line) plus the slow-query log.
-fn handle_flight(shared: &Arc<Shared>) -> Response {
-    /// Newest ring entries included in the reply; the ring itself may be
-    /// larger (`PITEX_OBS_FLIGHT`), but the reply must stay a single
-    /// protocol line.
-    const FLIGHT_REPLY_CAP: usize = 64;
-    let wire = |e: &FlightEntry| FlightWireEntry {
-        trace_id: e.trace_id,
-        verb: e.verb.to_string(),
-        user: e.user,
-        k: e.k,
-        backend: e.backend.to_string(),
-        outcome: e.outcome.to_string(),
-        us: e.us,
-        ts_us: e.ts_us,
-    };
-    let dump = shared.obs.flight.dump();
-    let newest = dump.len().saturating_sub(FLIGHT_REPLY_CAP);
-    Response::Flight(FlightReply {
-        recorded: shared.obs.flight.recorded(),
-        slow_count: shared.obs.flight.slow_count(),
-        entries: dump[newest..].iter().map(wire).collect(),
-        slow: shared.obs.flight.slow_queries().iter().map(wire).collect(),
-    })
-}
-
-/// `CAPTURE` (admin): control the workload-capture recorder. `on`/`off`
-/// toggle sampling (off flushes, so the log is complete on disk); `rotate`
-/// renames the current log aside and starts a fresh one. All three report
-/// the recorder's state. A server booted without `PITEX_OBS_CAPTURE` has
-/// no sink to control and answers `ERR BAD_REQUEST`.
-fn handle_capture(shared: &Arc<Shared>, action: CaptureAction) -> Response {
-    let capture = &shared.obs.capture;
-    if !capture.configured() {
-        shared.counters.errors.inc();
-        let message = "no capture path configured (set PITEX_OBS_CAPTURE)".to_string();
-        return Response::Err { code: ErrorCode::BadRequest, message };
-    }
-    match action {
-        CaptureAction::On => capture.set_enabled(true),
-        CaptureAction::Off => capture.set_enabled(false),
-        CaptureAction::Rotate => {
-            if let Err(e) = capture.rotate() {
-                shared.counters.errors.inc();
-                let message = format!("capture rotate failed: {e}");
-                return Response::Err { code: ErrorCode::Internal, message };
-            }
-        }
-    }
-    Response::Captured {
-        enabled: capture.enabled(),
-        recorded: capture.recorded(),
-        dropped: capture.dropped(),
-    }
 }
 
 /// `UPDATE`: validate and stage one op in the overlay. Nothing is visible
@@ -2349,81 +1925,9 @@ fn stats_reply(shared: &Shared) -> StatsReply {
     StatsReply::new(stats_fields(shared))
 }
 
-/// `SERIES <field> [res]`: one ring's dump (default resolution: fast). A
-/// field the sampler has never seen — unregistered, or a server younger
-/// than one tick — answers `ERR BAD_REQUEST` naming the field.
-fn handle_series(shared: &Shared, field: &str, res: Option<SeriesRes>) -> Response {
-    match shared.obs.timeseries.series(field, res.unwrap_or(SeriesRes::Fast)) {
-        Some(dump) => Response::Series(dump.into()),
-        None => {
-            shared.counters.errors.inc();
-            Response::Err {
-                code: ErrorCode::BadRequest,
-                message: format!("unknown or never-sampled field {field:?}"),
-            }
-        }
-    }
-}
-
 /// The SLO verdict this shard reports for itself (origin `self`).
 fn health_verdict(shared: &Shared) -> HealthVerdict {
     pitex_support::obs::slo::evaluate(&shared.obs.timeseries, &shared.obs.slo, SHARD_INPUTS)
-}
-
-/// Routes one `GET` to its body and frames the HTTP response.
-fn http_get(shared: &Arc<Shared>, path: &str) -> String {
-    let (route, query) = match path.split_once('?') {
-        Some((route, query)) => (route, query),
-        None => (path, ""),
-    };
-    match route {
-        "/metrics" => http::response(
-            "200 OK",
-            "text/plain; version=0.0.4",
-            &render_prometheus(stats_fields(shared).into_iter()),
-        ),
-        "/health" => {
-            let verdict = health_verdict(shared);
-            http::response(
-                http::health_status_line(verdict.status),
-                "application/json",
-                &http::health_json(&verdict),
-            )
-        }
-        "/series" => {
-            let mut field = None;
-            let mut res = SeriesRes::Fast;
-            for pair in query.split('&') {
-                match pair.split_once('=') {
-                    Some(("field", v)) => field = Some(v),
-                    Some(("res", v)) => res = SeriesRes::parse(v).unwrap_or(res),
-                    _ => {}
-                }
-            }
-            let Some(field) = field else {
-                return http::response(
-                    "400 Bad Request",
-                    "text/plain; charset=utf-8",
-                    "missing ?field=<name>\n",
-                );
-            };
-            match shared.obs.timeseries.series(field, res) {
-                Some(dump) => {
-                    http::response("200 OK", "application/json", &http::series_json(&dump))
-                }
-                None => http::response(
-                    "404 Not Found",
-                    "text/plain; charset=utf-8",
-                    &format!("unknown or never-sampled field {field:?}\n"),
-                ),
-            }
-        }
-        _ => http::response(
-            "404 Not Found",
-            "text/plain; charset=utf-8",
-            "try /metrics, /health or /series?field=<name>[&res=fast|mid|slow]\n",
-        ),
-    }
 }
 
 /// Every field this server exports, built through the obs [`FieldSet`] so
@@ -2518,9 +2022,13 @@ fn stats_fields(shared: &Shared) -> Vec<(String, String)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conn::MAX_LINE_BYTES;
+    use crate::frame::{self, MAX_REQUEST_FRAME_BYTES};
     use crate::protocol::QueryRequest;
     use pitex_core::PitexConfig;
     use pitex_model::TicModel;
+    use std::io::{BufRead, Write};
+    use std::net::TcpStream;
 
     fn paper_handle() -> EngineHandle {
         EngineHandle::new(
@@ -2681,6 +2189,49 @@ mod tests {
             other => panic!("expected ERR, got {other:?}"),
         }
         feeder.join().unwrap();
+        server.stop().unwrap();
+    }
+
+    #[test]
+    fn torn_trailing_line_is_dropped_not_executed() {
+        use std::io::Read;
+        let server =
+            Server::spawn(paper_handle(), ("127.0.0.1", 0), ServeOptions::default()).unwrap();
+        // A client dying mid-write: the operand is truncated and the line
+        // never gets its newline. FIN must not turn it into a request.
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.write_all(b"UPDATE SET_EDGE 0 1 0:0.9").unwrap();
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut reply = String::new();
+        stream.read_to_string(&mut reply).unwrap();
+        assert_eq!(reply, "", "a torn line is not answered");
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        let Response::Stats(stats) = roundtrip(&mut stream, "STATS") else { panic!() };
+        assert_eq!(stats.get_u64("updates_pending"), Some(0));
+        assert_eq!(stats.get_u64("updates_applied"), Some(0));
+        server.stop().unwrap();
+    }
+
+    #[test]
+    fn http_header_flood_is_cut_off() {
+        use std::io::Read;
+        let server =
+            Server::spawn(paper_handle(), ("127.0.0.1", 0), ServeOptions::default()).unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        // A valid request line, then a newline-free header that never
+        // ends: one 431 and a hang-up, not 16 MiB of buffered header.
+        const CHUNKS: usize = 16 * 1024;
+        let feeder = std::thread::spawn(move || {
+            writer.write_all(b"GET /metrics HTTP/1.0\r\n").unwrap();
+            let chunk = [b'h'; 1024];
+            (0..CHUNKS).take_while(|_| writer.write_all(&chunk).is_ok()).count()
+        });
+        let mut reply = vec![0u8; 12];
+        stream.read_exact(&mut reply).expect("one reply before the cut");
+        assert_eq!(reply, b"HTTP/1.0 431");
+        assert!(feeder.join().unwrap() < CHUNKS, "the server hung up on the flood");
         server.stop().unwrap();
     }
 

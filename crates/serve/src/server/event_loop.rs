@@ -1,4 +1,4 @@
-//! The readiness-driven event-loop front end.
+//! The readiness-driven driver: many connection cores on one thread.
 //!
 //! One `pitex-evloop` thread owns the listener and every pipelined binary
 //! connection behind an epoll-backed poller (the vendored [`polling`]
@@ -6,46 +6,31 @@
 //! deliveries, so the steady-state round trip costs no `epoll_ctl` at all
 //! — the loop caches each connection's armed interest and issues a
 //! `modify` only when it actually changes (a partial write, a drain, a
-//! close). Text-protocol and HTTP clients are *sniffed* off the
-//! first bytes and handed to the classic blocking per-connection threads,
-//! so both protocols coexist on one port and the battle-tested text path
-//! is untouched; binary `PFRM` clients stay on the loop with a
-//! non-blocking per-connection state machine:
+//! close). Like every driver it only moves bytes: the protocol lives in
+//! the [`Conn`] core, the verbs behind the [`Service`]. What is this
+//! driver's own:
 //!
-//! * **Batch admission** — a readable burst is drained into the frame
-//!   buffer and every complete frame is admitted in one pass: `PING` and
-//!   cache hits answer inline, cache-miss queries dispatch to the worker
-//!   pool with an [`EventSink`] (no thread blocks per in-flight request),
-//!   and every other verb goes to the slow-lane thread so a long admin
-//!   fold can never stall the loop.
-//! * **Completion queue** — workers finish queries on their own threads
-//!   (cache insert, counters, flight record — see
-//!   [`super::complete_query`]), encode the reply frame, and push it to a
-//!   mutex-guarded queue, waking the loop through the poller's `eventfd`
-//!   notifier. A completion whose connection has since died is dropped and
-//!   counted under `conn_aborted` — keys are monotonically assigned and
-//!   never reused, so a late reply can never reach the wrong client.
-//! * **Vectored flush** — all queued reply frames for a connection are
-//!   written with as few `writev` calls as possible
-//!   (`PITEX_SERVE_WRITEV_BATCH` slices per call).
-//!
-//! The loop caps per-connection pipelining at `PITEX_SERVE_PIPELINE`
-//! in-flight queries; past that, further queries in the burst shed as
-//! `BUSY` exactly like a full worker queue would.
+//! * **Hand-off** — a connection the core sniffs as text or HTTP leaves
+//!   the loop for a [`blocking::serve`](crate::conn::blocking::serve)
+//!   thread, core and buffered bytes included: a scrape must not queue
+//!   behind an admin fold on the single slow lane.
+//! * **Slow lane** — what the service hands back as blocking work (admin
+//!   folds, stats scrapes, `EXPLAIN`/`TRACE`) runs on one side thread so
+//!   it can never stall the loop.
+//! * **Completion queue** — workers and the slow lane finish requests on
+//!   their own threads and push the encoded reply to a mutex-guarded
+//!   queue, waking the loop through the poller's `eventfd` notifier. A
+//!   completion whose connection has since died is dropped and counted
+//!   under `conn_aborted` — keys are monotonically assigned and never
+//!   reused, so a late reply can never reach the wrong client.
 
-use super::{
-    acceptor_loop, complete_query, connection_loop, env_knob, handle_request, prepare_query,
-    register_connection, shed_query, writev_batch, Handled, Job, PreparedQuery, QueryCtx,
-    ReplySink, Shared, WorkerReply, POLL,
-};
-use crate::frame::{self, could_be_frame, FrameBuf, FrameError, MAX_REQUEST_FRAME_BYTES};
+use crate::conn::blocking::{self, ConnThreads};
+use crate::conn::{Conn, Handled, Reply, ReplySink, ReplyTo, Service, Wire, POLL, READ_CHUNK};
 use crate::protocol::{ErrorCode, Request, Response};
-use pitex_live::Snapshot;
 use polling::{Event, Events, PollMode, Poller};
-use std::collections::{HashMap, VecDeque};
-use std::io::{ErrorKind, IoSlice, Read, Write};
+use std::collections::HashMap;
+use std::io::{ErrorKind, Read};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -54,242 +39,132 @@ const LISTENER_KEY: usize = 0;
 
 /// What worker threads and the slow lane share with the loop: the poller
 /// (for `notify`) and the completed-reply queue.
-pub(super) struct LoopShared {
+struct LoopShared {
     poller: Poller,
-    completions: Mutex<Vec<Completion>>,
+    completions: Mutex<Vec<Reply>>,
 }
 
-/// A reply frame finished off-loop, addressed by connection key.
-struct Completion {
-    key: usize,
-    frame: Vec<u8>,
-    close: bool,
-}
-
-impl LoopShared {
-    fn push(&self, completion: Completion) {
-        self.completions.lock().unwrap().push(completion);
+impl ReplySink for LoopShared {
+    fn push(&self, reply: Reply) {
+        self.completions.lock().unwrap().push(reply);
         // A failed wake-up is harmless: the loop also wakes on its POLL
         // timeout and drains the queue then.
         let _ = self.poller.notify();
     }
+}
 
-    fn drain(&self) -> Vec<Completion> {
+impl LoopShared {
+    fn drain(&self) -> Vec<Reply> {
         std::mem::take(&mut *self.completions.lock().unwrap())
     }
 }
 
-/// The event-loop reply sink a dispatched query carries instead of a
-/// blocked connection thread. The worker finishes the query (cache,
-/// counters, recording), encodes the frame, and pushes it to the
-/// completion queue. A sink dropped without delivering (worker pool
-/// drained at shutdown) still completes the request with an error so the
-/// client is never left waiting on a swallowed id.
-pub(super) struct EventSink {
-    shared: Arc<Shared>,
-    lp: Arc<LoopShared>,
-    key: usize,
-    id: u64,
-    ctx: Option<QueryCtx>,
-}
-
-impl EventSink {
-    pub(super) fn deliver(mut self, reply: WorkerReply) {
-        if let Some(ctx) = self.ctx.take() {
-            let response = complete_query(&self.shared, &ctx, reply);
-            self.lp.push(Completion {
-                key: self.key,
-                frame: frame::encode_response(self.id, &response),
-                close: false,
-            });
-        }
-    }
-}
-
-impl Drop for EventSink {
-    fn drop(&mut self) {
-        if let Some(ctx) = self.ctx.take() {
-            let response = super::abandoned_query(&self.shared, &ctx);
-            self.lp.push(Completion {
-                key: self.key,
-                frame: frame::encode_response(self.id, &response),
-                close: false,
-            });
-        }
-    }
-}
-
-/// A verb the loop must not run inline (admin folds, stats scrapes,
-/// blocking `EXPLAIN`/`TRACE` dispatches), bound for the slow lane.
-struct SlowTask {
-    key: usize,
-    id: u64,
-    request: Request,
-}
-
-/// One connection's state machine.
-struct Conn {
+/// One connection on the loop: its socket, its core, and the
+/// `(readable, writable)` interest currently armed in the poller.
+/// Registrations are level-triggered, so the interest only changes on a
+/// partial write, a half-close, or a drain — the cache is what lets the
+/// steady state skip `epoll_ctl` entirely.
+struct Slot {
     stream: TcpStream,
-    /// First bytes while the protocol is still undecided.
-    sniff: Vec<u8>,
-    sniffing: bool,
-    frames: FrameBuf,
-    /// Completed reply frames not yet (fully) written.
-    out: VecDeque<Vec<u8>>,
-    /// Bytes of `out[0]` already written.
-    out_off: usize,
-    /// Queries + slow-lane verbs dispatched but not yet completed.
-    in_flight: usize,
-    /// The peer half-closed. Frames already buffered are still admitted
-    /// (their replies flush before the hang-up), but nothing more is read.
-    eof: bool,
-    /// Stop admitting (QUIT/SHUTDOWN admitted or a fatal frame error
-    /// replied): drain what is pending, then close.
-    draining: bool,
-    /// Close once `out` is flushed and `in_flight` drains to zero.
-    close_after_flush: bool,
-    /// The `(readable, writable)` interest currently armed in the poller.
-    /// Registrations are level-triggered, so this only changes on a
-    /// partial write, a half-close, or a drain — the cache is what lets
-    /// the steady state skip `epoll_ctl` entirely.
+    conn: Conn,
     armed: (bool, bool),
 }
 
-impl Conn {
-    fn new(stream: TcpStream) -> Conn {
-        Conn {
-            stream,
-            sniff: Vec::with_capacity(4),
-            sniffing: true,
-            frames: FrameBuf::new(MAX_REQUEST_FRAME_BYTES),
-            out: VecDeque::new(),
-            out_off: 0,
-            in_flight: 0,
-            eof: false,
-            draining: false,
-            close_after_flush: false,
-            armed: (true, false),
-        }
-    }
-}
-
 /// Loop-wide context threaded through the per-connection handlers.
-struct LoopCtx<'a> {
-    shared: &'a Arc<Shared>,
+struct LoopCtx<'a, S> {
+    service: S,
     lp: &'a Arc<LoopShared>,
-    job_tx: &'a mpsc::SyncSender<Job>,
-    slow_tx: &'a mpsc::Sender<SlowTask>,
-    pipeline_cap: usize,
-    batch: usize,
+    slow_tx: mpsc::Sender<(ReplyTo, Request)>,
 }
 
-/// What one connection event resolved to.
-enum Outcome {
-    /// Still on the loop — flush and re-arm.
-    Keep,
-    /// Sniffed as text/HTTP: hand the stream to a blocking thread.
-    HandOffText,
-    /// Dead (bad magic, torn read, write failure): drop it.
-    Drop,
-}
-
-/// Runs the event loop until shutdown. Falls back to the classic
-/// thread-per-connection acceptor when the platform has no poller.
-pub(super) fn run(shared: &Arc<Shared>, listener: TcpListener, job_tx: &mpsc::SyncSender<Job>) {
-    let poller = match Poller::new() {
-        Ok(poller) => poller,
-        Err(_) => return acceptor_loop(shared, &listener, job_tx),
+/// Runs the event loop until the service reports the hop stopping. Falls
+/// back to the thread-per-connection driver when the platform has no
+/// poller.
+pub(super) fn run<S: Service>(
+    service: S,
+    listener: TcpListener,
+    threads: &ConnThreads,
+    conn_thread: &str,
+) {
+    let registered = Poller::new().and_then(|poller| {
+        // Level-triggered: as long as accepts are drained to `WouldBlock`
+        // (they are — see `accept_burst`), the listener never needs
+        // re-arming.
+        // SAFETY: the listener is never dropped while registered and
+        // waited on: it is closed only when `run` returns, after the last
+        // `wait`, and closing it removes it from the epoll set.
+        unsafe { poller.add_with_mode(&listener, Event::readable(LISTENER_KEY), PollMode::Level) }?;
+        Ok(poller)
+    });
+    let Ok(poller) = registered else {
+        return blocking::accept_loop(service, &listener, threads, conn_thread);
     };
     let lp = Arc::new(LoopShared { poller, completions: Mutex::new(Vec::new()) });
-    // Level-triggered: as long as accepts are drained to `WouldBlock`
-    // (they are — see `accept_burst`), the listener never needs re-arming.
-    if unsafe { lp.poller.add_with_mode(&listener, Event::readable(LISTENER_KEY), PollMode::Level) }
-        .is_err()
-    {
-        return acceptor_loop(shared, &listener, job_tx);
-    }
 
-    let (slow_tx, slow_rx) = mpsc::channel::<SlowTask>();
+    let (slow_tx, slow_rx) = mpsc::channel();
     {
-        let slow_shared = shared.clone();
-        let lp = lp.clone();
-        let job_tx = job_tx.clone();
+        let service = service.clone();
         if let Ok(handle) = std::thread::Builder::new()
             .name("pitex-slowlane".to_string())
-            .spawn(move || slow_lane(&slow_shared, &lp, &slow_rx, &job_tx))
+            .spawn(move || slow_lane(service, &slow_rx))
         {
-            register_connection(shared, handle);
+            threads.register(handle);
         }
     }
 
-    let ctx = LoopCtx {
-        shared,
-        lp: &lp,
-        job_tx,
-        slow_tx: &slow_tx,
-        pipeline_cap: env_knob("PITEX_SERVE_PIPELINE", 1024),
-        batch: writev_batch(),
-    };
-    let mut conns: HashMap<usize, Conn> = HashMap::new();
+    let mut ctx = LoopCtx { service, lp: &lp, slow_tx };
+    let mut slots: HashMap<usize, Slot> = HashMap::new();
     let mut next_key = LISTENER_KEY + 1;
     let mut events = Events::new();
     let mut dirty: Vec<usize> = Vec::new();
-    let mut snapshot = shared.store.current();
     loop {
         events.clear();
         let _ = lp.poller.wait(&mut events, Some(POLL));
-        if shared.stop.load(Ordering::SeqCst) {
+        // Once per wake: refresh the service's per-thread state.
+        if !ctx.service.tick() {
             // A binary SHUTDOWN's BYE rides the completion queue and may
             // not have been drained yet — deliver what is (or is about to
             // be) queued and flush before going down, so binary clients
             // see an orderly reply stream, not an abrupt EOF, exactly as
             // text clients get their Bye line before the stop.
-            shutdown_flush(&ctx, &mut conns);
+            shutdown_flush(&lp, &mut slots);
             return;
-        }
-        // Re-pin the snapshot once per wake; admission below uses it.
-        if shared.store.epoch() != snapshot.epoch {
-            snapshot = shared.store.current();
         }
 
         dirty.clear();
-        for completion in lp.drain() {
-            match conns.get_mut(&completion.key) {
-                Some(conn) => {
-                    conn.in_flight -= 1;
-                    conn.out.push_back(completion.frame);
-                    if completion.close {
-                        conn.draining = true;
-                        conn.close_after_flush = true;
-                    }
-                    dirty.push(completion.key);
+        for reply in lp.drain() {
+            match slots.get_mut(&reply.key) {
+                Some(slot) => {
+                    dirty.push(reply.key);
+                    slot.conn.complete(reply);
                 }
                 // The connection died while its reply was being computed.
-                None => shared.counters.conn_aborted.inc(),
+                None => ctx.service.counters().aborted(1),
             }
         }
 
         for event in events.iter() {
             if event.key == LISTENER_KEY {
-                accept_burst(&ctx, &listener, &mut conns, &mut next_key);
+                accept_burst(&lp, &listener, &mut slots, &mut next_key);
                 continue;
             }
-            let Some(conn) = conns.get_mut(&event.key) else { continue };
-            match conn_event(&ctx, event.key, conn, event.readable, &snapshot) {
+            let Some(slot) = slots.get_mut(&event.key) else { continue };
+            match conn_event(&mut ctx, slot, event.readable) {
                 Outcome::Keep => dirty.push(event.key),
-                Outcome::HandOffText => {
-                    let conn = conns.remove(&event.key).expect("present above");
-                    let _ = lp.poller.delete(&conn.stream);
-                    hand_off_text(shared, conn, job_tx);
+                Outcome::HandOff => {
+                    let Slot { stream, conn, .. } =
+                        slots.remove(&event.key).expect("present above");
+                    let _ = lp.poller.delete(&stream);
+                    threads.spawn(conn_thread, ctx.service.clone(), stream, Some(conn));
                 }
-                Outcome::Drop => drop_conn(&ctx, &mut conns, event.key),
+                Outcome::Drop => drop_slot(&ctx, &mut slots, event.key),
             }
         }
 
         dirty.sort_unstable();
         dirty.dedup();
         for &key in &dirty {
-            flush_and_rearm(&ctx, &mut conns, key);
+            flush_and_rearm(&ctx, &mut slots, key);
         }
     }
 }
@@ -300,54 +175,32 @@ pub(super) fn run(shared: &Arc<Shared>, listener: TcpListener, job_tx: &mpsc::Sy
 /// deliver every queued completion, and best-effort flush each
 /// connection's pending output. Writes are nonblocking; a peer that will
 /// not take its reply is abandoned — shutdown never stalls on a client.
-fn shutdown_flush(ctx: &LoopCtx<'_>, conns: &mut HashMap<usize, Conn>) {
+fn shutdown_flush(lp: &LoopShared, slots: &mut HashMap<usize, Slot>) {
     let deadline = Instant::now() + POLL;
     loop {
-        for completion in ctx.lp.drain() {
-            if let Some(conn) = conns.get_mut(&completion.key) {
-                conn.in_flight -= 1;
-                conn.out.push_back(completion.frame);
+        for reply in lp.drain() {
+            if let Some(slot) = slots.get_mut(&reply.key) {
+                slot.conn.complete(reply);
             }
         }
-        if !conns.values().any(|conn| conn.in_flight > 0) || Instant::now() >= deadline {
+        if !slots.values().any(|slot| slot.conn.in_flight() > 0) || Instant::now() >= deadline {
             break;
         }
         std::thread::sleep(Duration::from_millis(1));
     }
-    for conn in conns.values_mut() {
-        let _ = try_flush(conn, ctx.batch);
+    for slot in slots.values_mut() {
+        let _ = slot.conn.flush(&mut &slot.stream);
     }
 }
 
-/// The slow-lane thread: runs every non-query verb against a fresh
-/// snapshot with the same blocking handler the text protocol uses, then
-/// queues the encoded reply back to the loop.
-fn slow_lane(
-    shared: &Arc<Shared>,
-    lp: &Arc<LoopShared>,
-    slow_rx: &mpsc::Receiver<SlowTask>,
-    job_tx: &mpsc::SyncSender<Job>,
-) {
+/// The slow-lane thread: runs every blocking request with the service's
+/// own handler, then queues the encoded reply back to the loop.
+fn slow_lane<S: Service>(mut service: S, slow_rx: &mpsc::Receiver<(ReplyTo, Request)>) {
     loop {
         match slow_rx.recv_timeout(POLL) {
-            Ok(task) => {
-                let snapshot = shared.store.current();
-                let completion = match handle_request(shared, &snapshot, task.request, job_tx) {
-                    Handled::Reply(response, close) => Completion {
-                        key: task.key,
-                        frame: frame::encode_response(task.id, &response),
-                        close,
-                    },
-                    Handled::Raw(text) => Completion {
-                        key: task.key,
-                        frame: frame::encode_raw_response(task.id, &text),
-                        close: false,
-                    },
-                };
-                lp.push(completion);
-            }
+            Ok((to, request)) => to.deliver(service.call(request, to.wire())),
             Err(mpsc::RecvTimeoutError::Timeout) => {
-                if shared.stop.load(Ordering::SeqCst) {
+                if !service.tick() {
                     return;
                 }
             }
@@ -359,307 +212,124 @@ fn slow_lane(
 /// Accepts until the listener would block. Draining fully is what lets the
 /// level-triggered listener registration go without re-arms.
 fn accept_burst(
-    ctx: &LoopCtx<'_>,
+    lp: &Arc<LoopShared>,
     listener: &TcpListener,
-    conns: &mut HashMap<usize, Conn>,
+    slots: &mut HashMap<usize, Slot>,
     next_key: &mut usize,
 ) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                stream.set_nodelay(true).ok();
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                let key = *next_key;
-                *next_key += 1;
-                if unsafe {
-                    ctx.lp.poller.add_with_mode(&stream, Event::readable(key), PollMode::Level)
-                }
-                .is_ok()
-                {
-                    conns.insert(key, Conn::new(stream));
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(_) => break,
+    while let Ok((stream, _peer)) = listener.accept() {
+        stream.set_nodelay(true).ok();
+        if stream.set_nonblocking(true).is_err() {
+            continue;
+        }
+        let key = *next_key;
+        *next_key += 1;
+        // SAFETY: the stream is `delete`d before it is dropped — on
+        // hand-off, in `drop_slot`, on retirement; the ones left when the
+        // loop returns are closed after the last `wait`, which removes
+        // them from the epoll set.
+        if unsafe { lp.poller.add_with_mode(&stream, Event::readable(key), PollMode::Level) }
+            .is_ok()
+        {
+            let conn = Conn::new(key, lp.clone());
+            slots.insert(key, Slot { stream, conn, armed: (true, false) });
         }
     }
 }
 
-/// Handles one readiness event on a connection: drain the socket, decide
-/// the protocol if still sniffing, and admit the whole burst of frames.
-fn conn_event(
-    ctx: &LoopCtx<'_>,
-    key: usize,
-    conn: &mut Conn,
-    readable: bool,
-    snapshot: &Snapshot,
-) -> Outcome {
-    if readable && !conn.draining && !conn.eof {
-        let mut buf = [0u8; 16 * 1024];
-        loop {
-            match conn.stream.read(&mut buf) {
-                Ok(0) => {
-                    // Half-close: frames already buffered below still get
-                    // admitted and their replies flushed, then hang up.
-                    conn.eof = true;
-                    conn.close_after_flush = true;
+/// What one connection event resolved to.
+enum Outcome {
+    /// Still on the loop — flush and re-arm.
+    Keep,
+    /// Sniffed as text/HTTP: hand the connection to a blocking thread.
+    HandOff,
+    /// Dead (torn read): drop it.
+    Drop,
+}
+
+/// Handles one readiness event on a connection: drain the socket into the
+/// core and admit the whole burst.
+fn conn_event<S: Service>(ctx: &mut LoopCtx<'_, S>, slot: &mut Slot, readable: bool) -> Outcome {
+    let Slot { stream, conn, .. } = slot;
+    if !readable || !conn.wants_read() {
+        return Outcome::Keep;
+    }
+    let mut buf = [0u8; READ_CHUNK];
+    loop {
+        let want = conn.read_hint();
+        match (&*stream).read(&mut buf[..want]) {
+            Ok(0) => {
+                conn.eof();
+                break;
+            }
+            Ok(n) => {
+                conn.feed(&buf[..n]);
+                // A short read means the socket buffer is drained — skip
+                // the read that would only return `WouldBlock`. Safe
+                // *because* the registration is level-triggered: bytes
+                // arriving after this instant re-report on the next wait.
+                if n < want {
                     break;
                 }
-                Ok(n) => {
-                    if conn.sniffing {
-                        conn.sniff.extend_from_slice(&buf[..n]);
-                        if !could_be_frame(&conn.sniff[..conn.sniff.len().min(4)]) {
-                            return Outcome::HandOffText;
-                        }
-                        if conn.sniff.len() >= 4 {
-                            // The magic is the head of the first frame.
-                            let head = std::mem::take(&mut conn.sniff);
-                            conn.frames.extend(&head);
-                            conn.sniffing = false;
-                        }
-                    } else {
-                        conn.frames.extend(&buf[..n]);
-                    }
-                    // A short read means the socket buffer is drained —
-                    // skip the read that would only return `WouldBlock`.
-                    // Safe *because* the registration is level-triggered:
-                    // bytes arriving after this instant re-report on the
-                    // next wait.
-                    if n < buf.len() {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => return Outcome::Drop,
             }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(_) => return Outcome::Drop,
         }
-        if conn.sniffing {
-            // Still fewer than 4 bytes: EOF with a partial prefix goes to
-            // the text path (which drops a torn trailing line, exactly as
-            // the blocking server always has).
-            if conn.eof {
-                return if conn.sniff.is_empty() { Outcome::Drop } else { Outcome::HandOffText };
-            }
-            return Outcome::Keep;
-        }
-        if !process_frames(ctx, key, conn, snapshot) {
-            return Outcome::Drop;
+    }
+    match conn.wire() {
+        Some(Wire::Frame) => {}
+        Some(_) => return Outcome::HandOff,
+        // Still fewer than 4 bytes, all matching the magic: wait for more
+        // unless the peer is gone (a torn prefix is never a request).
+        None => return if conn.wants_read() { Outcome::Keep } else { Outcome::Drop },
+    }
+    while let Some((to, request)) = conn.admit_next(&mut ctx.service) {
+        if let Err(mpsc::SendError((to, _))) = ctx.slow_tx.send((to, request)) {
+            let message = "server is shutting down".to_string();
+            let response = Response::Err { code: ErrorCode::Internal, message };
+            conn.complete(to.encode(Handled::Reply(response, false)));
         }
     }
     Outcome::Keep
 }
 
-/// Admits every complete frame buffered on `conn` in one pass.
-/// Returns `false` when the stream desynchronized beyond recovery.
-fn process_frames(ctx: &LoopCtx<'_>, key: usize, conn: &mut Conn, snapshot: &Snapshot) -> bool {
-    let shared = ctx.shared;
-    while !conn.draining {
-        let payload = match conn.frames.next_payload() {
-            Ok(Some(payload)) => payload,
-            Ok(None) => break,
-            Err(FrameError::Oversized { len, cap }) => {
-                // Mirror the oversized text line: one ERR, then disconnect.
-                shared.counters.requests.inc();
-                shared.counters.errors.inc();
-                let response = Response::Err {
-                    code: ErrorCode::BadRequest,
-                    message: format!("frame payload of {len} bytes exceeds {cap} bytes"),
-                };
-                conn.out.push_back(frame::encode_response(0, &response));
-                conn.draining = true;
-                conn.close_after_flush = true;
-                break;
-            }
-            Err(_) => {
-                shared.counters.errors.inc();
-                return false;
-            }
-        };
-        match frame::decode_request(&payload) {
-            Ok((id, Request::Ping)) => {
-                shared.counters.requests.inc();
-                conn.out.push_back(frame::encode_response(id, &Response::Pong));
-            }
-            Ok((id, Request::Query(q))) => {
-                shared.counters.requests.inc();
-                match prepare_query(shared, snapshot, &q) {
-                    PreparedQuery::Ready(response) => {
-                        conn.out.push_back(frame::encode_response(id, &response));
-                    }
-                    PreparedQuery::Dispatch(query_ctx) => {
-                        if conn.in_flight >= ctx.pipeline_cap {
-                            let response = shed_query(shared, &query_ctx);
-                            conn.out.push_back(frame::encode_response(id, &response));
-                            continue;
-                        }
-                        let sink = EventSink {
-                            shared: shared.clone(),
-                            lp: ctx.lp.clone(),
-                            key,
-                            id,
-                            ctx: Some(query_ctx),
-                        };
-                        let job = Job {
-                            user: q.user,
-                            k: sink.ctx.as_ref().expect("just set").k,
-                            backend: sink.ctx.as_ref().expect("just set").resolved,
-                            deadline: sink.ctx.as_ref().expect("just set").deadline,
-                            enqueued: Instant::now(),
-                            reply: ReplySink::Event(sink),
-                        };
-                        match ctx.job_tx.try_send(job) {
-                            Ok(()) => conn.in_flight += 1,
-                            Err(
-                                mpsc::TrySendError::Full(job)
-                                | mpsc::TrySendError::Disconnected(job),
-                            ) => {
-                                // Take the ctx back out of the sink so the
-                                // shed is booked here, not by its Drop.
-                                let ReplySink::Event(mut sink) = job.reply else {
-                                    unreachable!("constructed above")
-                                };
-                                let query_ctx = sink.ctx.take().expect("undelivered");
-                                let response = shed_query(shared, &query_ctx);
-                                conn.out.push_back(frame::encode_response(id, &response));
-                            }
-                        }
-                    }
-                }
-            }
-            Ok((id, request)) => {
-                // Everything else — including QUIT/SHUTDOWN, whose `close`
-                // travels back on the completion — runs on the slow lane.
-                // The lane's mpsc channel is unbounded, so the pipeline
-                // cap applies here too: without it one client could queue
-                // arbitrarily many expensive verbs and grow the slow-lane
-                // queue and reply buffers without backpressure.
-                if conn.in_flight >= ctx.pipeline_cap {
-                    shared.counters.requests.inc();
-                    shared.counters.busy.inc();
-                    conn.out.push_back(frame::encode_response(id, &Response::Busy));
-                    continue;
-                }
-                let draining = matches!(request, Request::Quit | Request::Shutdown);
-                match ctx.slow_tx.send(SlowTask { key, id, request }) {
-                    Ok(()) => conn.in_flight += 1,
-                    Err(_) => {
-                        let response = Response::Err {
-                            code: ErrorCode::Internal,
-                            message: "server is shutting down".to_string(),
-                        };
-                        conn.out.push_back(frame::encode_response(id, &response));
-                    }
-                }
-                if draining {
-                    // Frames pipelined after a QUIT are never admitted —
-                    // the text loop stops at QUIT the same way.
-                    conn.draining = true;
-                }
-            }
-            Err(e) => {
-                shared.counters.requests.inc();
-                shared.counters.errors.inc();
-                let response = Response::Err {
-                    code: ErrorCode::BadRequest,
-                    message: format!("malformed binary request: {e}"),
-                };
-                conn.out.push_back(frame::encode_response(frame::payload_id(&payload), &response));
-            }
-        }
-    }
-    true
-}
-
-/// Hands a sniffed-as-text connection to a classic blocking thread.
-fn hand_off_text(shared: &Arc<Shared>, conn: Conn, job_tx: &mpsc::SyncSender<Job>) {
-    let Conn { stream, sniff, .. } = conn;
-    if stream.set_nonblocking(false).is_err() || stream.set_read_timeout(Some(POLL)).is_err() {
-        return;
-    }
-    let conn_shared = shared.clone();
-    let job_tx = job_tx.clone();
-    let handle = std::thread::Builder::new()
-        .name("pitex-conn".to_string())
-        .spawn(move || connection_loop(&conn_shared, stream, sniff, &job_tx));
-    if let Ok(handle) = handle {
-        register_connection(shared, handle);
-    }
-}
-
 /// Removes a dead connection, booking its undeliverable replies.
-fn drop_conn(ctx: &LoopCtx<'_>, conns: &mut HashMap<usize, Conn>, key: usize) {
-    if let Some(conn) = conns.remove(&key) {
+fn drop_slot<S: Service>(ctx: &LoopCtx<'_, S>, slots: &mut HashMap<usize, Slot>, key: usize) {
+    if let Some(slot) = slots.remove(&key) {
         // Queued-but-unwritten frames are completed replies with nowhere
         // to go; in-flight ones are counted when their completion finds
         // the key gone.
-        ctx.shared.counters.conn_aborted.add(conn.out.len() as u64);
-        let _ = ctx.lp.poller.delete(&conn.stream);
+        ctx.service.counters().aborted(slot.conn.orphaned());
+        let _ = ctx.lp.poller.delete(&slot.stream);
     }
-}
-
-/// Writes as much of `conn.out` as the socket accepts (vectored, at most
-/// `batch` slices per call). `Ok(true)` = fully drained.
-fn try_flush(conn: &mut Conn, batch: usize) -> std::io::Result<bool> {
-    while !conn.out.is_empty() {
-        let mut slices = Vec::with_capacity(batch.min(conn.out.len()));
-        let mut iter = conn.out.iter();
-        let front = iter.next().expect("non-empty");
-        slices.push(IoSlice::new(&front[conn.out_off..]));
-        for frame in iter.take(batch - 1) {
-            slices.push(IoSlice::new(frame));
-        }
-        let mut written = match (&conn.stream).write_vectored(&slices) {
-            Ok(0) => return Err(ErrorKind::WriteZero.into()),
-            Ok(n) => n,
-            Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(false),
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        while written > 0 {
-            let remaining = conn.out.front().expect("non-empty").len() - conn.out_off;
-            if written >= remaining {
-                written -= remaining;
-                conn.out.pop_front();
-                conn.out_off = 0;
-            } else {
-                conn.out_off += written;
-                written = 0;
-            }
-        }
-    }
-    Ok(true)
 }
 
 /// Flushes a touched connection and updates its level-triggered interest —
 /// or retires it when it is done (or its peer is gone). The armed interest
-/// is cached on the connection, so the steady state (reply flushed whole,
-/// still reading) issues zero `epoll_ctl` calls.
-fn flush_and_rearm(ctx: &LoopCtx<'_>, conns: &mut HashMap<usize, Conn>, key: usize) {
-    let Some(conn) = conns.get_mut(&key) else { return };
-    match try_flush(conn, ctx.batch) {
-        Ok(_) => {}
-        Err(_) => return drop_conn(ctx, conns, key),
+/// is cached on the slot, so the steady state (reply flushed whole, still
+/// reading) issues zero `epoll_ctl` calls.
+fn flush_and_rearm<S: Service>(ctx: &LoopCtx<'_, S>, slots: &mut HashMap<usize, Slot>, key: usize) {
+    let Some(slot) = slots.get_mut(&key) else { return };
+    if slot.conn.flush(&mut &slot.stream).is_err() {
+        return drop_slot(ctx, slots, key);
     }
-    if conn.out.is_empty() && conn.close_after_flush && conn.in_flight == 0 {
-        let conn = conns.remove(&key).expect("present above");
-        let _ = ctx.lp.poller.delete(&conn.stream);
+    if slot.conn.finished() {
+        let slot = slots.remove(&key).expect("present above");
+        let _ = ctx.lp.poller.delete(&slot.stream);
         return;
     }
-    let done_reading = conn.draining || conn.eof;
     // `(readable, writable)`: writable only while a partial write is
     // stuck; with no interest at all, completions re-arm via the dirty
     // pass when they land.
-    let want = (!done_reading, !conn.out.is_empty());
-    if want == conn.armed {
+    let want = (slot.conn.wants_read(), slot.conn.has_output());
+    if want == slot.armed {
         return;
     }
     let interest = Event { key, readable: want.0, writable: want.1 };
-    if ctx.lp.poller.modify_with_mode(&conn.stream, interest, PollMode::Level).is_ok() {
-        conn.armed = want;
+    if ctx.lp.poller.modify_with_mode(&slot.stream, interest, PollMode::Level).is_ok() {
+        slot.armed = want;
     } else {
-        drop_conn(ctx, conns, key);
+        drop_slot(ctx, slots, key);
     }
 }

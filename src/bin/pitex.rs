@@ -529,7 +529,7 @@ fn cmd_serve(opts: &Opts) -> Result<(), CliError> {
         repair: repair_from_opts(opts)?,
         wal: opts.get("wal").map(std::path::PathBuf::from),
         capture: None,    // read PITEX_OBS_CAPTURE from the environment
-        event_loop: None, // read PITEX_SERVE_EVENT_LOOP from the environment
+        event_loop: None, // the platform default: epoll where there is a poller
     };
     let server = Server::spawn(handle, ("127.0.0.1", port), options.clone())
         .map_err(|e| format!("binding 127.0.0.1:{port}: {e}"))?;
