@@ -34,6 +34,86 @@ pub struct DiGraph {
 }
 
 impl DiGraph {
+    /// Builds the graph on `num_nodes` vertices whose edges are exactly
+    /// `pairs`, which must already be the canonical edge list: strictly
+    /// ascending `(src, dst)` (so duplicate-free), loop-free, endpoints
+    /// below `num_nodes`. One pass over the stream plus a counting sort
+    /// for the reverse adjacency, O(|V| + |E|); edge ids are stream
+    /// positions. This is the one place a CSR is assembled —
+    /// [`GraphBuilder::build`] sorts and dedups into it, the binary
+    /// decoder and `pitex_live`'s compaction feed it directly. The error
+    /// names the broken rule.
+    pub fn try_from_sorted_pairs(
+        num_nodes: usize,
+        pairs: impl IntoIterator<Item = (NodeId, NodeId)>,
+    ) -> Result<DiGraph, &'static str> {
+        if num_nodes >= u32::MAX as usize {
+            return Err("node ids must fit in u32");
+        }
+        let n = num_nodes;
+        let pairs = pairs.into_iter();
+        let mut out_offsets = vec![0u32; n + 1];
+        let mut in_offsets = vec![0u32; n + 1];
+        let mut edge_sources: Vec<NodeId> = Vec::with_capacity(pairs.size_hint().0);
+        let mut out_targets: Vec<NodeId> = Vec::with_capacity(pairs.size_hint().0);
+        let mut prev = None;
+        for pair @ (s, t) in pairs {
+            if s.max(t) as usize >= n {
+                return Err("edge endpoint out of range");
+            }
+            if s == t {
+                return Err("self-loop");
+            }
+            if prev.is_some_and(|prev| prev >= pair) {
+                return Err("edges not strictly ascending by (src, dst)");
+            }
+            prev = Some(pair);
+            out_offsets[s as usize + 1] += 1;
+            in_offsets[t as usize + 1] += 1;
+            edge_sources.push(s);
+            out_targets.push(t);
+        }
+        let m = out_targets.len();
+        assert!(m < u32::MAX as usize, "edge ids must fit in u32");
+        for i in 0..n {
+            out_offsets[i + 1] += out_offsets[i];
+            in_offsets[i + 1] += in_offsets[i];
+        }
+
+        // Reverse CSR via counting sort over targets.
+        let mut cursor = in_offsets[..n].to_vec();
+        let mut in_sources = vec![0 as NodeId; m];
+        let mut in_edge_ids = vec![0 as EdgeId; m];
+        for (e, (&s, &t)) in edge_sources.iter().zip(&out_targets).enumerate() {
+            let pos = cursor[t as usize] as usize;
+            cursor[t as usize] += 1;
+            in_sources[pos] = s;
+            in_edge_ids[pos] = e as EdgeId;
+        }
+
+        Ok(DiGraph {
+            num_nodes: n as u32,
+            out_offsets,
+            out_targets,
+            in_offsets,
+            in_sources,
+            in_edge_ids,
+            edge_sources,
+        })
+    }
+
+    /// [`Self::try_from_sorted_pairs`] for pairs the program itself put in
+    /// order.
+    ///
+    /// # Panics
+    /// With the broken rule if the stream is not a canonical edge list.
+    pub fn from_sorted_pairs(
+        num_nodes: usize,
+        pairs: impl IntoIterator<Item = (NodeId, NodeId)>,
+    ) -> DiGraph {
+        Self::try_from_sorted_pairs(num_nodes, pairs).unwrap_or_else(|e| panic!("{e}"))
+    }
+
     /// Number of vertices.
     #[inline]
     pub fn num_nodes(&self) -> usize {
@@ -215,49 +295,9 @@ impl GraphBuilder {
 
     /// Finalizes into a [`DiGraph`]; O(|V| + |E| log |E|).
     pub fn build(mut self) -> DiGraph {
-        let n = self.num_nodes;
         self.edges.sort_unstable();
         self.edges.dedup();
-        let m = self.edges.len();
-        assert!(m < u32::MAX as usize, "edge ids must fit in u32");
-
-        let mut out_offsets = vec![0u32; n + 1];
-        for &(s, _) in &self.edges {
-            out_offsets[s as usize + 1] += 1;
-        }
-        for i in 0..n {
-            out_offsets[i + 1] += out_offsets[i];
-        }
-        let out_targets: Vec<NodeId> = self.edges.iter().map(|&(_, t)| t).collect();
-        let edge_sources: Vec<NodeId> = self.edges.iter().map(|&(s, _)| s).collect();
-
-        // Reverse CSR via counting sort over targets.
-        let mut in_offsets = vec![0u32; n + 1];
-        for &(_, t) in &self.edges {
-            in_offsets[t as usize + 1] += 1;
-        }
-        for i in 0..n {
-            in_offsets[i + 1] += in_offsets[i];
-        }
-        let mut cursor = in_offsets[..n].to_vec();
-        let mut in_sources = vec![0 as NodeId; m];
-        let mut in_edge_ids = vec![0 as EdgeId; m];
-        for (e, &(s, t)) in self.edges.iter().enumerate() {
-            let pos = cursor[t as usize] as usize;
-            cursor[t as usize] += 1;
-            in_sources[pos] = s;
-            in_edge_ids[pos] = e as EdgeId;
-        }
-
-        DiGraph {
-            num_nodes: n as u32,
-            out_offsets,
-            out_targets,
-            in_offsets,
-            in_sources,
-            in_edge_ids,
-            edge_sources,
-        }
+        DiGraph::from_sorted_pairs(self.num_nodes, self.edges)
     }
 }
 
@@ -353,6 +393,37 @@ mod tests {
         assert_eq!(g.num_nodes(), 0);
         assert_eq!(g.num_edges(), 0);
         assert_eq!(g.edges().count(), 0);
+    }
+
+    #[test]
+    fn from_sorted_pairs_equals_the_builder() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(5);
+        for (n, m) in [(2, 0), (2, 1), (9, 0), (12, 30), (40, 400), (200, 300)] {
+            let built = crate::gen::erdos_renyi(n, m, &mut rng);
+            let pairs: Vec<_> = built.edges().map(|(_, s, t)| (s, t)).collect();
+            assert_eq!(DiGraph::from_sorted_pairs(n, pairs), built, "n = {n}, m = {m}");
+        }
+        assert_eq!(DiGraph::from_sorted_pairs(0, []), GraphBuilder::new(0).build());
+    }
+
+    #[test]
+    fn from_sorted_pairs_rejects_what_is_not_a_canonical_edge_list() {
+        let cases = [
+            (vec![(0, 2), (0, 1)], "not strictly ascending"),
+            (vec![(1, 0), (0, 2)], "not strictly ascending"),
+            (vec![(0, 1), (0, 1)], "not strictly ascending"),
+            (vec![(0, 1), (2, 2)], "self-loop"),
+            (vec![(0, 3)], "out of range"),
+            (vec![(7, 0)], "out of range"),
+        ];
+        for (pairs, rule) in cases {
+            let error = DiGraph::try_from_sorted_pairs(3, pairs.clone()).unwrap_err();
+            assert!(error.contains(rule), "{pairs:?}: {error}");
+            let panic = std::panic::catch_unwind(|| DiGraph::from_sorted_pairs(3, pairs))
+                .expect_err("the panicking form must refuse the same stream");
+            assert_eq!(panic.downcast_ref::<String>().map(String::as_str), Some(error));
+        }
     }
 
     #[test]

@@ -86,7 +86,9 @@ pub fn write_edge_list<W: Write>(graph: &DiGraph, writer: W) -> Result<(), Graph
     Ok(())
 }
 
-/// Serializes the graph to the compact binary format.
+/// Serializes the graph to the compact binary format: header, `u32` node
+/// count, then the edges in id order — strictly ascending `(src, dst)` —
+/// as a length-prefixed `u32` slice of sources and one of targets.
 pub fn to_bytes(graph: &DiGraph) -> Vec<u8> {
     let mut enc = Encoder::new(Vec::with_capacity(16 + graph.num_edges() * 8));
     enc.header(MAGIC, VERSION);
@@ -98,7 +100,13 @@ pub fn to_bytes(graph: &DiGraph) -> Vec<u8> {
     enc.into_inner()
 }
 
-/// Deserializes a graph written by [`to_bytes`].
+/// Deserializes a graph written by [`to_bytes`]. Every edge is checked
+/// against the declared node count and the canonical order
+/// ([`DiGraph::try_from_sorted_pairs`]), so a damaged endpoint is an
+/// `Err`, never a different vertex set. The node count itself has nothing
+/// to be checked against (isolated vertices are legal and the format
+/// carries no checksum): a damaged count decodes to a graph with that many
+/// vertices, and the CSR offset tables are sized by it.
 pub fn from_bytes(bytes: &[u8]) -> Result<DiGraph, GraphIoError> {
     let mut dec = Decoder::new(bytes);
     dec.header(MAGIC, VERSION)?;
@@ -111,12 +119,8 @@ pub fn from_bytes(bytes: &[u8]) -> Result<DiGraph, GraphIoError> {
             remaining: targets.len(),
         }));
     }
-    let mut builder = GraphBuilder::new(n);
-    builder.reserve_edges(sources.len());
-    for (&s, &t) in sources.iter().zip(&targets) {
-        builder.add_edge(s, t);
-    }
-    Ok(builder.build())
+    let graph = DiGraph::try_from_sorted_pairs(n, sources.into_iter().zip(targets));
+    graph.map_err(|broken| DecodeError::Invalid(broken).into())
 }
 
 /// Convenience: write the binary format to a file path.
@@ -180,6 +184,29 @@ mod tests {
         let mut bytes = to_bytes(&gen::path(4));
         bytes.truncate(bytes.len() - 3);
         assert!(from_bytes(&bytes).is_err());
+    }
+
+    #[test]
+    fn binary_rejects_a_damaged_edge_list() {
+        let file = |n: u32, pairs: &[(u32, u32)]| {
+            let mut enc = Encoder::new(Vec::new());
+            enc.header(MAGIC, VERSION);
+            enc.u32(n);
+            enc.u32_slice(&pairs.iter().map(|p| p.0).collect::<Vec<_>>());
+            enc.u32_slice(&pairs.iter().map(|p| p.1).collect::<Vec<_>>());
+            from_bytes(&enc.into_inner())
+        };
+        assert_eq!(file(4, &[(0, 1), (1, 2), (2, 3)]).unwrap(), gen::path(4));
+        for (pairs, what) in [
+            (&[(0, 1), (1, 2), (2, 4)], "endpoint = n"),
+            (&[(0, 1), (1 << 31, 2), (2, 3)], "endpoint far out of range"),
+            (&[(0, 1), (1, 1), (2, 3)], "self-loop"),
+            (&[(0, 1), (0, 1), (2, 3)], "duplicate"),
+            (&[(0, 1), (2, 3), (1, 2)], "descending"),
+        ] {
+            let err = file(4, pairs).expect_err(what);
+            assert!(matches!(err, GraphIoError::Decode(DecodeError::Invalid(_))), "{what}: {err}");
+        }
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //!   [`UpdateOp`] (edges, tag rows, vertices) with text and binary codecs,
 //!   validated and staged in a [`ModelOverlay`] over the immutable
 //!   snapshot; [`ModelOverlay::compact`] folds base + ops into a fresh
-//!   [`TicModel`](pitex_model::TicModel), deterministically.
+//!   [`TicModel`](pitex_model::TicModel), deterministically and at the cost
+//!   of what was staged: a component no op touched is shared with the base
+//!   (`Arc`), a touched topic table is one merge of staged rows into
+//!   slice-copied runs of the base's.
 //! * **Incremental index repair** ([`repair`]) — instead of rebuilding all
 //!   θ RR-Graphs, [`repair_rr_index`] marks dirty exactly the graphs whose
 //!   node set contains the head of a mutated edge (via the index's

@@ -1,6 +1,7 @@
 //! Per-edge sparse topic-wise influence probabilities `p(e|z)`.
 
 use crate::ids::TopicId;
+use crate::rows::SparseRows;
 use pitex_graph::EdgeId;
 
 /// Sparse per-edge topic probabilities, CSR by edge id, plus the per-edge
@@ -9,112 +10,59 @@ use pitex_graph::EdgeId;
 /// Real influence graphs learned from propagation logs are sparse in topics
 /// — most edges carry probability on one or two topics (§5.1 cites this as
 /// the reason lazy propagation wins) — so a per-edge sparse row is both the
-/// faithful and the fast representation.
+/// faithful and the fast representation. It **is** a [`SparseRows`] arena
+/// whose row `e` is edge `e`'s: `row`, `row_slices`, `prob`, `nnz`,
+/// `num_topics` and `heap_bytes` are the arena's, reached through `Deref`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct EdgeTopics {
-    num_topics: usize,
-    /// CSR offsets by edge id; `len = num_edges + 1`.
-    offsets: Vec<u32>,
-    /// Topic ids, sorted within each edge row.
-    topics: Vec<TopicId>,
-    /// `p(e|z)` values parallel to `topics`.
-    probs: Vec<f32>,
-    /// `p(e) = max_z p(e|z)` per edge (0 for edges with empty rows).
-    p_max: Vec<f32>,
+    rows: SparseRows,
+}
+
+impl std::ops::Deref for EdgeTopics {
+    type Target = SparseRows;
+
+    #[inline]
+    fn deref(&self) -> &SparseRows {
+        &self.rows
+    }
 }
 
 impl EdgeTopics {
-    /// Builds from per-edge sparse rows of `(topic, p(e|z))` pairs.
+    /// Builds from per-edge sparse rows of `(topic, p(e|z))` pairs; rows
+    /// may be unsorted.
     ///
     /// # Panics
     /// If a probability is outside `(0, 1]`, a topic id is out of range, or
     /// a row repeats a topic.
     pub fn new(rows: Vec<Vec<(TopicId, f32)>>, num_topics: usize) -> Self {
-        let mut offsets = Vec::with_capacity(rows.len() + 1);
-        offsets.push(0u32);
-        let mut topics = Vec::new();
-        let mut probs = Vec::new();
-        let mut p_max = Vec::with_capacity(rows.len());
+        let mut arena = SparseRows::with_capacity(num_topics, rows.len(), 0);
         for (e, mut row) in rows.into_iter().enumerate() {
             row.sort_unstable_by_key(|&(z, _)| z);
-            for pair in row.windows(2) {
-                assert!(pair[0].0 != pair[1].0, "edge {e} repeats topic {}", pair[0].0);
-            }
-            let mut max = 0.0f32;
-            for (z, p) in row {
-                assert!(
-                    (z as usize) < num_topics,
-                    "edge {e}: topic {z} out of range (|Z| = {num_topics})"
-                );
-                assert!(p > 0.0 && p <= 1.0, "edge {e}: p(e|z) = {p} outside (0, 1]");
-                topics.push(z);
-                probs.push(p);
-                max = max.max(p);
-            }
-            p_max.push(max);
-            offsets.push(topics.len() as u32);
+            arena.push_row(&row).unwrap_or_else(|err| panic!("edge {e}: {err}"));
         }
-        Self { num_topics, offsets, topics, probs, p_max }
+        Self { rows: arena }
+    }
+
+    /// Wraps an arena whose row `e` is edge `e`'s `p(e|z)` row.
+    pub fn from_rows(rows: SparseRows) -> Self {
+        Self { rows }
     }
 
     /// Number of edges covered.
     pub fn num_edges(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Number of topics `|Z|`.
-    pub fn num_topics(&self) -> usize {
-        self.num_topics
-    }
-
-    /// Non-zero `(topic, p(e|z))` entries of edge `e`, sorted by topic.
-    #[inline]
-    pub fn row(&self, e: EdgeId) -> impl Iterator<Item = (TopicId, f32)> + '_ {
-        let lo = self.offsets[e as usize] as usize;
-        let hi = self.offsets[e as usize + 1] as usize;
-        (lo..hi).map(move |i| (self.topics[i], self.probs[i]))
-    }
-
-    /// Raw row slices `(topics, probs)` for merge-joins against a posterior.
-    #[inline]
-    pub fn row_slices(&self, e: EdgeId) -> (&[TopicId], &[f32]) {
-        let lo = self.offsets[e as usize] as usize;
-        let hi = self.offsets[e as usize + 1] as usize;
-        (&self.topics[lo..hi], &self.probs[lo..hi])
-    }
-
-    /// `p(e|z)`, zero if absent.
-    pub fn prob(&self, e: EdgeId, z: TopicId) -> f32 {
-        let lo = self.offsets[e as usize] as usize;
-        let hi = self.offsets[e as usize + 1] as usize;
-        match self.topics[lo..hi].binary_search(&z) {
-            Ok(i) => self.probs[lo + i],
-            Err(_) => 0.0,
-        }
+        self.rows.num_rows()
     }
 
     /// `p(e) = max_z p(e|z)` (Def. 2 of the paper).
     #[inline]
     pub fn p_max(&self, e: EdgeId) -> f32 {
-        self.p_max[e as usize]
+        self.rows.row_max()[e as usize]
     }
 
     /// All per-edge maxima.
+    #[inline]
     pub fn p_max_all(&self) -> &[f32] {
-        &self.p_max
-    }
-
-    /// Total number of stored entries.
-    pub fn nnz(&self) -> usize {
-        self.topics.len()
-    }
-
-    /// Approximate heap footprint in bytes.
-    pub fn heap_bytes(&self) -> u64 {
-        (self.offsets.len() * 4
-            + self.topics.len() * 2
-            + self.probs.len() * 4
-            + self.p_max.len() * 4) as u64
+        self.rows.row_max()
     }
 }
 

@@ -7,6 +7,8 @@
 //! * [`EdgeTopics`] — per-edge sparse topic-wise influence probabilities
 //!   `p(e|z)` and the per-edge maximum `p(e) = max_z p(e|z)` used by the
 //!   RR-Graph index (Def. 2);
+//! * [`SparseRows`] — the one validated, append-only row arena both tables
+//!   store their rows in;
 //! * [`TopicPosterior`] — `p(z|W)` for a tag set `W`, and through it the
 //!   edge influence probability `p(e|W)` of Eq. 1;
 //! * [`EdgeProbs`] — the lazy, memoised edge-probability view every spread
@@ -28,6 +30,7 @@ pub mod genmodel;
 pub mod ids;
 pub mod learn;
 pub mod posterior;
+pub mod rows;
 pub mod serial;
 pub mod tag_topic;
 pub mod tic;
@@ -38,5 +41,6 @@ pub use ids::{TagId, TagSet, TopicId};
 pub use posterior::{
     EdgeProbCache, EdgeProbs, FixedEdgeProbs, MaxEdgeProbs, PosteriorEdgeProbs, TopicPosterior,
 };
+pub use rows::{RowError, SparseRows};
 pub use tag_topic::TagTopicMatrix;
 pub use tic::TicModel;

@@ -1,6 +1,7 @@
 //! The sparse tag–topic probability matrix `p(w|z)` and the topic prior.
 
-use crate::ids::{TagId, TopicId};
+use crate::ids::TopicId;
+use crate::rows::SparseRows;
 
 /// Sparse `|Ω| × |Z|` matrix of tag–topic probabilities `p(w|z)`, stored
 /// CSR-style by tag, together with the topic prior `p(z)`.
@@ -8,18 +9,23 @@ use crate::ids::{TagId, TopicId};
 /// The paper's datasets have tag–topic *densities* (fraction of non-zero
 /// entries) between 0.08 and 0.32, and the best-effort strategy's pruning
 /// power comes exactly from those zeros (§7.3, "varying k"), so sparsity is
-/// structural, not an optimization.
+/// structural, not an optimization. The rows are a [`SparseRows`] arena
+/// whose row `w` is tag `w`'s: `row`, `row_len`, `prob`, `nnz` and
+/// `num_topics` are the arena's, reached through `Deref`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TagTopicMatrix {
-    num_topics: usize,
-    /// CSR offsets by tag id; `len = num_tags + 1`.
-    offsets: Vec<u32>,
-    /// Topic ids of non-zero entries, sorted within each tag row.
-    topics: Vec<TopicId>,
-    /// `p(w|z)` values parallel to `topics`.
-    probs: Vec<f32>,
+    rows: SparseRows,
     /// Topic prior `p(z)`; `len = num_topics`, sums to 1.
     prior: Vec<f64>,
+}
+
+impl std::ops::Deref for TagTopicMatrix {
+    type Target = SparseRows;
+
+    #[inline]
+    fn deref(&self) -> &SparseRows {
+        &self.rows
+    }
 }
 
 impl TagTopicMatrix {
@@ -30,31 +36,26 @@ impl TagTopicMatrix {
     /// If a probability is not in `(0, 1]`, a topic id is out of range, a
     /// row repeats a topic, or the prior does not sum to 1 (±1e-6).
     pub fn new(rows: Vec<Vec<(TopicId, f32)>>, prior: Vec<f64>) -> Self {
-        let num_topics = prior.len();
+        let mut arena = SparseRows::with_capacity(prior.len(), rows.len(), 0);
+        for (w, mut row) in rows.into_iter().enumerate() {
+            row.sort_unstable_by_key(|&(z, _)| z);
+            arena.push_row(&row).unwrap_or_else(|err| panic!("tag {w}: {err}"));
+        }
+        Self::from_rows(arena, prior)
+    }
+
+    /// Pairs an arena whose row `w` is tag `w`'s `p(w|z)` row with the
+    /// topic prior.
+    ///
+    /// # Panics
+    /// If the prior's length is not the arena's `|Z|`, it has a negative
+    /// entry, or it does not sum to 1 (±1e-6).
+    pub fn from_rows(rows: SparseRows, prior: Vec<f64>) -> Self {
+        assert_eq!(prior.len(), rows.num_topics(), "the prior must cover every topic");
         let prior_sum: f64 = prior.iter().sum();
         assert!((prior_sum - 1.0).abs() < 1e-6, "topic prior must sum to 1, got {prior_sum}");
         assert!(prior.iter().all(|&p| p >= 0.0), "prior probabilities must be non-negative");
-        let mut offsets = Vec::with_capacity(rows.len() + 1);
-        offsets.push(0u32);
-        let mut topics = Vec::new();
-        let mut probs = Vec::new();
-        for (w, mut row) in rows.into_iter().enumerate() {
-            row.sort_unstable_by_key(|&(z, _)| z);
-            for pair in row.windows(2) {
-                assert!(pair[0].0 != pair[1].0, "tag {w} repeats topic {}", pair[0].0);
-            }
-            for (z, p) in row {
-                assert!(
-                    (z as usize) < num_topics,
-                    "tag {w}: topic {z} out of range (|Z| = {num_topics})"
-                );
-                assert!(p > 0.0 && p <= 1.0, "tag {w}: p(w|z) = {p} outside (0, 1]");
-                topics.push(z);
-                probs.push(p);
-            }
-            offsets.push(topics.len() as u32);
-        }
-        Self { num_topics, offsets, topics, probs, prior }
+        Self { rows, prior }
     }
 
     /// Uniform prior helper: `p(z) = 1/|Z|`.
@@ -64,12 +65,7 @@ impl TagTopicMatrix {
 
     /// Number of tags `|Ω|`.
     pub fn num_tags(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Number of topics `|Z|`.
-    pub fn num_topics(&self) -> usize {
-        self.num_topics
+        self.rows.num_rows()
     }
 
     /// Topic prior `p(z)`.
@@ -77,49 +73,18 @@ impl TagTopicMatrix {
         &self.prior
     }
 
-    /// Non-zero `(topic, p(w|z))` entries of tag `w`, sorted by topic.
-    #[inline]
-    pub fn row(&self, w: TagId) -> impl Iterator<Item = (TopicId, f32)> + '_ {
-        let lo = self.offsets[w as usize] as usize;
-        let hi = self.offsets[w as usize + 1] as usize;
-        (lo..hi).map(move |i| (self.topics[i], self.probs[i]))
-    }
-
-    /// Number of non-zero entries in tag `w`'s row.
-    pub fn row_len(&self, w: TagId) -> usize {
-        (self.offsets[w as usize + 1] - self.offsets[w as usize]) as usize
-    }
-
-    /// `p(w|z)`, zero if the entry is absent.
-    pub fn prob(&self, w: TagId, z: TopicId) -> f32 {
-        let lo = self.offsets[w as usize] as usize;
-        let hi = self.offsets[w as usize + 1] as usize;
-        match self.topics[lo..hi].binary_search(&z) {
-            Ok(i) => self.probs[lo + i],
-            Err(_) => 0.0,
-        }
-    }
-
     /// Fraction of non-zero entries, the paper's "tag-topic probability
     /// density" (footnote 7): `nnz / (|Ω|·|Z|)`.
     pub fn density(&self) -> f64 {
-        if self.num_tags() == 0 || self.num_topics == 0 {
+        if self.num_tags() == 0 || self.num_topics() == 0 {
             return 0.0;
         }
-        self.topics.len() as f64 / (self.num_tags() * self.num_topics) as f64
-    }
-
-    /// Total number of stored entries.
-    pub fn nnz(&self) -> usize {
-        self.topics.len()
+        self.nnz() as f64 / (self.num_tags() * self.num_topics()) as f64
     }
 
     /// Approximate heap footprint in bytes.
     pub fn heap_bytes(&self) -> u64 {
-        (self.offsets.len() * 4
-            + self.topics.len() * 2
-            + self.probs.len() * 4
-            + self.prior.len() * 8) as u64
+        self.rows.heap_bytes() + self.prior.len() as u64 * 8
     }
 }
 

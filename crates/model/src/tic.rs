@@ -5,14 +5,21 @@ use crate::ids::{TagId, TagSet};
 use crate::posterior::{EdgeProbCache, TopicPosterior};
 use crate::tag_topic::TagTopicMatrix;
 use pitex_graph::{DiGraph, EdgeId};
+use std::sync::Arc;
 
 /// A complete TIC model: the social graph, tag–topic matrix with prior, and
 /// per-edge topic probabilities. This is the input to a PITEX query (§3.1).
+///
+/// The three components are immutable and held behind `Arc`s, so a clone is
+/// three reference counts and a model derived from another
+/// (`pitex_live::ModelOverlay::compact`) shares every component its update
+/// did not touch — two live epochs of a serving shard hold one copy of
+/// those.
 #[derive(Clone, Debug)]
 pub struct TicModel {
-    graph: DiGraph,
-    tag_topic: TagTopicMatrix,
-    edge_topics: EdgeTopics,
+    graph: Arc<DiGraph>,
+    tag_topic: Arc<TagTopicMatrix>,
+    edge_topics: Arc<EdgeTopics>,
 }
 
 impl TicModel {
@@ -22,6 +29,16 @@ impl TicModel {
     /// If the edge-topic table does not cover exactly the graph's edges or
     /// the topic counts disagree.
     pub fn new(graph: DiGraph, tag_topic: TagTopicMatrix, edge_topics: EdgeTopics) -> Self {
+        Self::from_shared(Arc::new(graph), Arc::new(tag_topic), Arc::new(edge_topics))
+    }
+
+    /// [`Self::new`] over components that may already belong to another
+    /// model. Same panics.
+    pub fn from_shared(
+        graph: Arc<DiGraph>,
+        tag_topic: Arc<TagTopicMatrix>,
+        edge_topics: Arc<EdgeTopics>,
+    ) -> Self {
         assert_eq!(
             edge_topics.num_edges(),
             graph.num_edges(),
@@ -35,14 +52,24 @@ impl TicModel {
         Self { graph, tag_topic, edge_topics }
     }
 
+    /// The shared handles, in [`Self::from_shared`]'s order: what a derived
+    /// model clones for the components it keeps, and what `Arc::ptr_eq`
+    /// tells apart.
+    pub fn shared(&self) -> (&Arc<DiGraph>, &Arc<TagTopicMatrix>, &Arc<EdgeTopics>) {
+        (&self.graph, &self.tag_topic, &self.edge_topics)
+    }
+
+    #[inline]
     pub fn graph(&self) -> &DiGraph {
         &self.graph
     }
 
+    #[inline]
     pub fn tag_topic(&self) -> &TagTopicMatrix {
         &self.tag_topic
     }
 
+    #[inline]
     pub fn edge_topics(&self) -> &EdgeTopics {
         &self.edge_topics
     }

@@ -130,6 +130,12 @@ impl<B: Buf> Decoder<B> {
         Self { buf }
     }
 
+    /// Bytes not yet read: the bound any length field decoded next must be
+    /// checked against before something is sized by it.
+    pub fn remaining(&self) -> usize {
+        self.buf.remaining()
+    }
+
     fn need(&self, n: usize) -> Result<(), DecodeError> {
         if self.buf.remaining() < n {
             Err(DecodeError::UnexpectedEof { needed: n, remaining: self.buf.remaining() })
