@@ -2,6 +2,7 @@
 //! (§5.2, Algo. 5).
 
 use crate::backends::EngineBackend;
+use crate::frontier::Frontier;
 use crate::plan::{PlanDecision, PlanInput, Planner};
 use crate::query::{PitexResult, QueryStats};
 use crate::registry::{self, EngineParts};
@@ -67,6 +68,8 @@ pub struct PitexEngine<'a> {
     /// allocation each for the hundreds of tag sets of a query.
     posterior: TopicPosterior,
     bounded: BoundedPosterior,
+    /// Best-effort exploration's queue, reused from query to query.
+    frontier: Frontier,
     config: PitexConfig,
 }
 
@@ -86,6 +89,7 @@ impl<'a> PitexEngine<'a> {
             cache,
             posterior: TopicPosterior::default(),
             bounded: BoundedPosterior::default(),
+            frontier: Frontier::default(),
             config,
         }
     }
@@ -266,27 +270,25 @@ impl<'a> PitexEngine<'a> {
                 }
             }
             ExplorationStrategy::BestEffort => {
-                let num_tags = self.model.num_tags() as TagId;
-                let mut heap: BinaryHeap<(OrdF64, Reverse<TagSet>)> = BinaryHeap::new();
-                heap.push((OrdF64(f64::INFINITY), Reverse(TagSet::empty())));
-                while let Some((OrdF64(inherited), Reverse(tags))) = heap.pop() {
+                let mut frontier = std::mem::take(&mut self.frontier);
+                frontier.reset(self.model.num_tags() as TagId);
+                let mut tags = TagSet::empty();
+                while let Some(inherited) = frontier.pop(&mut tags) {
                     if inherited <= nth_best(&top) {
                         break;
                     }
                     if tags.len() == k {
                         let spread = self.estimate_full(user, &tags, &params, &mut stats);
-                        offer(&mut top, tags, spread);
+                        offer(&mut top, tags.clone(), spread);
                         continue;
                     }
                     let bound = self.estimate_bound(user, &tags, k, &params, &mut stats);
                     if bound <= nth_best(&top) {
                         continue;
                     }
-                    let limit = tags.min_tag().unwrap_or(num_tags);
-                    for w in 0..limit {
-                        heap.push((OrdF64(bound.min(inherited)), Reverse(tags.with(w))));
-                    }
+                    frontier.expand(&tags, bound.min(inherited));
                 }
+                self.frontier = frontier;
             }
         }
         let mut out: Vec<(TagSet, f64)> =
@@ -368,26 +370,24 @@ impl<'a> PitexEngine<'a> {
         params: &SamplingParams,
     ) -> (TagSet, f64, QueryStats) {
         let mut stats = QueryStats::default();
-        let num_tags = self.model.num_tags() as TagId;
-        // Max-heap keyed by the inherited upper bound; ties resolved toward
-        // lexicographically smaller sets for determinism.
-        let mut heap: BinaryHeap<(OrdF64, Reverse<TagSet>)> = BinaryHeap::new();
-        heap.push((OrdF64(f64::INFINITY), Reverse(TagSet::empty())));
+        let mut frontier = std::mem::take(&mut self.frontier);
+        frontier.reset(self.model.num_tags() as TagId);
+        let mut tags = TagSet::empty();
         let mut best: Option<(TagSet, f64)> = None;
         let mut i_star = f64::NEG_INFINITY;
 
-        while let Some((OrdF64(inherited), Reverse(tags))) = heap.pop() {
-            // The heap is bound-ordered: once the incumbent beats the top,
-            // every remaining entry is prunable at once.
+        while let Some(inherited) = frontier.pop(&mut tags) {
+            // The frontier is bound-ordered: once the incumbent beats the
+            // top, every remaining entry is prunable at once.
             if best.is_some() && inherited <= i_star {
-                stats.partials_pruned += 1 + heap.len() as u64;
+                stats.partials_pruned += 1 + frontier.remaining();
                 break;
             }
             if tags.len() == k {
                 let spread = self.estimate_full(user, &tags, params, &mut stats);
                 if best.is_none() || spread > i_star {
                     i_star = spread;
-                    best = Some((tags, spread));
+                    best = Some((tags.clone(), spread));
                 }
                 continue;
             }
@@ -399,11 +399,9 @@ impl<'a> PitexEngine<'a> {
             }
             // Canonical expansion (Appx. C): extend only with tags smaller
             // than every current member, so each subset is generated once.
-            let limit = tags.min_tag().unwrap_or(num_tags);
-            for w in 0..limit {
-                heap.push((OrdF64(bound.min(inherited)), Reverse(tags.with(w))));
-            }
+            frontier.expand(&tags, bound.min(inherited));
         }
+        self.frontier = frontier;
         let (tags, spread) = best.unwrap_or((TagSet::empty(), 1.0));
         (tags, spread, stats)
     }
@@ -608,9 +606,164 @@ impl EngineHandle {
     }
 }
 
+/// The exploration loops over a heap of every queued tag set, one `TagSet`
+/// per child: the reference the sibling-run frontier is tested against.
+#[cfg(test)]
+mod eager {
+    use super::*;
+
+    /// Algo. 5 with every child pushed at expansion.
+    pub(super) fn best_effort(
+        engine: &mut PitexEngine,
+        user: NodeId,
+        k: usize,
+        params: &SamplingParams,
+    ) -> (TagSet, f64, QueryStats) {
+        let mut stats = QueryStats::default();
+        let num_tags = engine.model.num_tags() as TagId;
+        let mut heap: BinaryHeap<(OrdF64, Reverse<TagSet>)> = BinaryHeap::new();
+        heap.push((OrdF64(f64::INFINITY), Reverse(TagSet::empty())));
+        let mut best: Option<(TagSet, f64)> = None;
+        let mut i_star = f64::NEG_INFINITY;
+
+        while let Some((OrdF64(inherited), Reverse(tags))) = heap.pop() {
+            if best.is_some() && inherited <= i_star {
+                stats.partials_pruned += 1 + heap.len() as u64;
+                break;
+            }
+            if tags.len() == k {
+                let spread = engine.estimate_full(user, &tags, params, &mut stats);
+                if best.is_none() || spread > i_star {
+                    i_star = spread;
+                    best = Some((tags, spread));
+                }
+                continue;
+            }
+            let bound = engine.estimate_bound(user, &tags, k, params, &mut stats);
+            if best.is_some() && bound <= i_star {
+                stats.partials_pruned += 1;
+                continue;
+            }
+            let limit = tags.min_tag().unwrap_or(num_tags);
+            for w in 0..limit {
+                heap.push((OrdF64(bound.min(inherited)), Reverse(tags.with(w))));
+            }
+        }
+        let (tags, spread) = best.unwrap_or((TagSet::empty(), 1.0));
+        (tags, spread, stats)
+    }
+
+    /// [`PitexEngine::query_top_n`] under best-effort exploration.
+    pub(super) fn top_n(
+        engine: &mut PitexEngine,
+        user: NodeId,
+        k: usize,
+        n: usize,
+    ) -> Vec<(TagSet, f64)> {
+        let k = k.min(engine.model.num_tags());
+        let params = engine.sampling_params(k);
+        let mut stats = QueryStats::default();
+        let mut top: BinaryHeap<Reverse<(OrdF64, Reverse<TagSet>)>> = BinaryHeap::new();
+        let nth_best = |top: &BinaryHeap<Reverse<(OrdF64, Reverse<TagSet>)>>| -> f64 {
+            if top.len() < n {
+                f64::NEG_INFINITY
+            } else {
+                top.peek().map(|Reverse((OrdF64(s), _))| *s).unwrap_or(f64::NEG_INFINITY)
+            }
+        };
+        let num_tags = engine.model.num_tags() as TagId;
+        let mut heap: BinaryHeap<(OrdF64, Reverse<TagSet>)> = BinaryHeap::new();
+        heap.push((OrdF64(f64::INFINITY), Reverse(TagSet::empty())));
+        while let Some((OrdF64(inherited), Reverse(tags))) = heap.pop() {
+            if inherited <= nth_best(&top) {
+                break;
+            }
+            if tags.len() == k {
+                let spread = engine.estimate_full(user, &tags, &params, &mut stats);
+                top.push(Reverse((OrdF64(spread), Reverse(tags))));
+                if top.len() > n {
+                    top.pop();
+                }
+                continue;
+            }
+            let bound = engine.estimate_bound(user, &tags, k, &params, &mut stats);
+            if bound <= nth_best(&top) {
+                continue;
+            }
+            let limit = tags.min_tag().unwrap_or(num_tags);
+            for w in 0..limit {
+                heap.push((OrdF64(bound.min(inherited)), Reverse(tags.with(w))));
+            }
+        }
+        let mut out: Vec<(TagSet, f64)> =
+            top.into_iter().map(|Reverse((OrdF64(s), Reverse(tags)))| (tags, s)).collect();
+        out.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pitex_model::genmodel::{random_model, EdgeProbKind, ModelGenConfig};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The sibling-run frontier pops what the heap of every child pops:
+        /// same answer, same spread bits, same `QueryStats`, and the same
+        /// top-n rankings, under an exact, a sampling and an index backend.
+        #[test]
+        fn the_lazy_frontier_explores_like_the_eager_heap(
+            seed in 0u64..u64::MAX,
+            which in 0usize..3,
+            k in 1usize..=4,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let backend = [EngineBackend::Exact, EngineBackend::Lazy, EngineBackend::IndexEstPlus][which];
+            let (n, m) = if backend == EngineBackend::Exact { (8, 9) } else { (40, 140) };
+            let graph = pitex_graph::gen::erdos_renyi(n, m, &mut rng);
+            let num_topics = rng.gen_range(2..7);
+            let cfg = ModelGenConfig {
+                num_topics,
+                num_tags: rng.gen_range(4..10),
+                density: rng.gen_range(0.2..0.7),
+                topics_per_edge: (1, num_topics.min(3)),
+                edge_prob: if rng.gen_bool(0.5) {
+                    EdgeProbKind::Uniform { lo: 0.05, hi: 0.9 }
+                } else {
+                    EdgeProbKind::WeightedCascade
+                },
+            };
+            let model = random_model(graph, &cfg, &mut rng);
+            let index = (backend == EngineBackend::IndexEstPlus).then(|| {
+                RrIndex::build_with_threads(&model, pitex_index::IndexBudget::PerVertex(8.0), seed, 1)
+            });
+            let config = PitexConfig { seed, ..PitexConfig::default() };
+            let make = || PitexEngine::with_backend(&model, backend, index.as_ref(), None, config);
+            let (mut lazy, mut heap) = (make().unwrap(), make().unwrap());
+            let k = k.min(model.num_tags());
+            let params = lazy.sampling_params(k);
+            for user in (0..n as NodeId).step_by(n / 4) {
+                let (tags, spread, stats) = lazy.best_effort(user, k, &params);
+                let want = eager::best_effort(&mut heap, user, k, &params);
+                prop_assert_eq!(&tags, &want.0, "user {} k {}", user, k);
+                prop_assert_eq!(spread.to_bits(), want.1.to_bits());
+                prop_assert_eq!(stats, want.2);
+                for top in [1, 2, 5] {
+                    let got = lazy.query_top_n(user, k, top);
+                    let want = eager::top_n(&mut heap, user, k, top);
+                    let bits = |ranked: &[(TagSet, f64)]| -> Vec<(TagSet, u64)> {
+                        ranked.iter().map(|(t, s)| (t.clone(), s.to_bits())).collect()
+                    };
+                    prop_assert_eq!(bits(&got), bits(&want), "user {} k {} n {}", user, k, top);
+                }
+            }
+        }
+    }
 
     fn exact_engine(strategy: ExplorationStrategy) -> (TicModel, PitexConfig) {
         let model = TicModel::paper_example();

@@ -26,6 +26,7 @@
 pub mod backends;
 pub mod batch;
 pub mod engine;
+mod frontier;
 pub mod hardness;
 pub mod plan;
 pub mod query;

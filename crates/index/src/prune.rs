@@ -28,9 +28,12 @@
 //! * **edges** — every distinct global edge id of the view gets a dense
 //!   local id, **cut edges first**. Per tag set the cut-edge prefix is
 //!   evaluated by one [`EdgeProbs::fill`] call (every one of them is needed
-//!   to scan the lists); the rest are probed lazily under an epoch stamp
-//!   the first time a traversal meets them, because a heavy user's view
-//!   holds several times more edges than one estimate touches.
+//!   to scan the lists) over the cut edges' rows transposed by topic — an
+//!   [`EdgeColumns`] block the estimators compile with the view — so the
+//!   pass reads only the columns of the tag set's support; the rest are
+//!   probed lazily under an epoch stamp the first time a traversal meets
+//!   them, because a heavy user's view holds several times more edges than
+//!   one estimate touches.
 //! * **inverted lists** — the chosen cuts' `(edge, c, graph)` triples,
 //!   sorted once and flattened into `list_off` / `list_c` / `list_graph`:
 //!   list `j` belongs to local edge `j` and is sorted by `c` ascending, so a
@@ -41,7 +44,7 @@ use crate::build::RrIndex;
 use crate::estimate::IndexView;
 use crate::rrgraph::RrGraphRef;
 use pitex_graph::{DiGraph, EdgeId, NodeId};
-use pitex_model::{EdgeProbs, EdgeTopics};
+use pitex_model::{EdgeColumns, EdgeProbs, EdgeTopics};
 use pitex_sampling::{Estimate, SamplingParams, SpreadEstimator};
 use pitex_support::EpochVisited;
 
@@ -331,8 +334,9 @@ impl CutFilter {
     /// `out` (deduplicated): the graphs whose target is the user plus every
     /// graph with at least one live cut edge. All other graphs are
     /// certifiably unreachable. (The inspection entry point of tests and
-    /// benches: it allocates its probability buffer per call, which the
-    /// estimators' own pass does not.)
+    /// benches: it allocates its probability buffer per call and probes
+    /// the cut edges one by one, where the estimators' own pass reuses its
+    /// buffers and reads the cut edges' columns.)
     pub fn candidates(
         &self,
         probs: &mut dyn EdgeProbs,
@@ -340,7 +344,7 @@ impl CutFilter {
         out: &mut Vec<u32>,
     ) {
         let mut list_p = vec![0.0f32; self.num_list_edges];
-        probs.fill(&self.edge_global[..list_p.len()], &mut list_p);
+        probs.fill(&EdgeColumns::edges_only(&self.edge_global[..list_p.len()]), &mut list_p);
         out.clear();
         out.extend_from_slice(&self.self_hits);
         let first_slot = out.len();
@@ -398,6 +402,8 @@ struct VerifyScratch {
 pub(crate) struct UserView {
     user: Option<NodeId>,
     filter: CutFilter,
+    /// The cut edges' `p(e|z)` rows by topic, in local-id order.
+    list_cols: EdgeColumns,
     scratch: VerifyScratch,
 }
 
@@ -417,6 +423,12 @@ impl UserView {
         self.filter.compile(user, graphs, cuts);
         self.user = Some(user);
         let num_list_edges = self.filter.num_list_edges;
+        match cuts {
+            Some((table, _)) => {
+                self.list_cols.rebuild(table, &self.filter.edge_global[..num_list_edges]);
+            }
+            None => self.list_cols = EdgeColumns::default(),
+        }
         let scratch = &mut self.scratch;
         scratch.list_p.clear();
         scratch.list_p.resize(num_list_edges, 0.0);
@@ -442,9 +454,9 @@ impl UserView {
         probs: &mut dyn EdgeProbs,
         mut on_hit: impl FnMut(u32),
     ) -> Verified {
-        let Self { filter, scratch, .. } = self;
+        let Self { filter, list_cols, scratch, .. } = self;
         let (list_edges, lazy_edges) = filter.edge_global.split_at(scratch.list_p.len());
-        probs.fill(list_edges, &mut scratch.list_p);
+        probs.fill(list_cols, &mut scratch.list_p);
         scratch.candidates.clear();
         if filter.filtered {
             filter.live_slots(&scratch.list_p, &mut scratch.marks, &mut scratch.candidates);

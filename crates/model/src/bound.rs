@@ -27,8 +27,9 @@
 //! `k − |W|` largest `q(·,z)` values among tags outside `W`, so the oracle
 //! precomputes, per topic, tags sorted by descending `q`.
 
+use crate::columns::EdgeColumns;
 use crate::ids::{TagId, TagSet, TopicId};
-use crate::posterior::{EdgeProbCache, EdgeProbs};
+use crate::posterior::{fill_by_prob, retain_scaled, EdgeProbCache, EdgeProbs};
 use crate::{EdgeTopics, TagTopicMatrix};
 use pitex_graph::EdgeId;
 
@@ -108,29 +109,37 @@ impl BoundOracle {
     /// [`BoundOracle::bounded_posterior`] into `out`, reusing its
     /// allocation (best-effort exploration bounds hundreds of partial sets
     /// per query).
+    ///
+    /// For a non-empty `W` the support is the first tag's `per_tag` row,
+    /// filtered by a merge with each later tag's: a topic some `w ∈ W`
+    /// does not cover is dead for every superset. The base product is
+    /// `p(z)` times `q(w, z)` over `W` in tag order, as for `|Z|` topics.
     pub fn bounded_posterior_into(&self, tag_set: &TagSet, k: usize, out: &mut BoundedPosterior) {
         debug_assert!(tag_set.len() <= k);
         let needed = k - tag_set.len();
+        // The entries hold the base products until the completions weigh in.
         let entries = &mut out.entries;
         entries.clear();
-        'topic: for z in 0..self.per_topic.len() {
-            if self.prior[z] <= 0.0 {
-                continue;
-            }
-            // Base product: one prior factor, then q over the chosen tags.
-            let mut base = self.prior[z];
-            for w in tag_set.iter() {
-                let q = self.q(w, z as TopicId);
-                if q <= 0.0 {
-                    continue 'topic; // p(w|z) = 0 kills this topic for all supersets
-                }
-                base *= q;
-            }
+        let mut tags = tag_set.iter();
+        match tags.next() {
+            None => entries.extend(
+                (0..self.prior.len() as TopicId)
+                    .map(|z| (z, self.prior[z as usize]))
+                    .filter(|&(_, p)| p > 0.0),
+            ),
+            Some(first) => entries.extend(
+                self.per_tag[first as usize].iter().map(|&(z, q)| (z, self.prior[z as usize] * q)),
+            ),
+        }
+        for w in tags {
+            retain_scaled(entries, self.per_tag[w as usize].iter().copied());
+        }
+        for (z, weight) in entries.iter_mut() {
             // Best completion: largest `needed` q values among tags ∉ W.
             let mut completion = 1.0f64;
             let mut taken = 0usize;
             if needed > 0 {
-                for &(q, w) in &self.per_topic[z] {
+                for &(q, w) in &self.per_topic[*z as usize] {
                     if tag_set.contains(w) {
                         continue;
                     }
@@ -141,12 +150,11 @@ impl BoundOracle {
                     }
                 }
             }
-            let weight = if taken < needed {
+            *weight = if taken < needed {
                 0.0 // every completion includes a zero-probability tag
             } else {
-                (base * completion).min(1.0)
+                (*weight * completion).min(1.0)
             };
-            entries.push((z as TopicId, weight));
         }
     }
 }
@@ -222,26 +230,27 @@ impl EdgeProbs for UpperBoundEdgeProbs<'_> {
         self.cache.get_or_insert_with(e, || bounded.edge_bound(edge_topics, e))
     }
 
-    /// `edge_bound` against dense weights, bit-identical to `prob`. Topics
-    /// outside the support carry a negative sentinel rather than 0: a
-    /// listed topic of weight 0 still counts in Eq. 5's max, an unlisted
-    /// one does not. Skipped terms add `+0.0` to the non-negative sum.
-    fn fill(&mut self, edges: &[EdgeId], out: &mut [f32]) {
-        assert_eq!(edges.len(), out.len(), "one output slot per edge");
-        const ABSENT: f64 = -1.0;
-        let dense =
-            self.cache.dense_weights(self.edge_topics.num_topics(), self.bounded.entries(), ABSENT);
-        for (slot, &e) in out.iter_mut().zip(edges) {
-            let (topics, probs) = self.edge_topics.row_slices(e);
-            let mut max_term = 0.0f64; // Eq. 5
-            let mut sum_term = 0.0f64; // Eq. 6
-            for (&z, &p) in topics.iter().zip(probs) {
-                let weight = dense[z as usize];
-                let listed = weight >= 0.0;
+    /// `edge_bound` over the bounded topics' columns only, bit-identical to
+    /// `prob`: each slot sees the merge-join's terms in the same
+    /// ascending-topic order, a listed topic of weight 0 included (it still
+    /// counts in Eq. 5's max). Columns over another table take the
+    /// per-edge default.
+    fn fill(&mut self, cols: &EdgeColumns, out: &mut [f32]) {
+        if !cols.is_over(self.edge_topics) {
+            return fill_by_prob(self, cols, out);
+        }
+        assert_eq!(cols.edges().len(), out.len(), "one output slot per edge");
+        let (sums, maxima) = self.cache.accumulators(out.len());
+        for &(z, weight) in self.bounded.entries() {
+            let (slots, probs) = cols.column(z);
+            for (&slot, &p) in slots.iter().zip(probs) {
                 let pez = p as f64;
-                max_term = if listed { max_term.max(pez) } else { max_term };
-                sum_term += if listed { pez * weight } else { 0.0 };
+                let slot = slot as usize;
+                maxima[slot] = maxima[slot].max(pez); // Eq. 5
+                sums[slot] += pez * weight; // Eq. 6
             }
+        }
+        for ((slot, &max_term), &sum_term) in out.iter_mut().zip(maxima.iter()).zip(sums.iter()) {
             *slot = max_term.min(sum_term) as f32;
         }
     }
@@ -251,8 +260,12 @@ impl EdgeProbs for UpperBoundEdgeProbs<'_> {
 mod tests {
     use super::*;
     use crate::combi::KSubsets;
-    use crate::posterior::TopicPosterior;
+    use crate::posterior::{PosteriorEdgeProbs, TopicPosterior};
     use crate::TicModel;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
 
     fn fig2() -> TicModel {
         TicModel::paper_example()
@@ -415,7 +428,7 @@ mod tests {
                         }
                         let mut view = UpperBoundEdgeProbs::new(&et, &bounded, &mut cache);
                         let mut filled = vec![f32::NAN; edges.len()];
-                        view.fill(&edges, &mut filled);
+                        view.fill(&EdgeColumns::new(&et, &edges), &mut filled);
                         assert_eq!(
                             filled.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
                             expected
@@ -427,6 +440,149 @@ mod tests {
                 assert!(saw_zero_weight, "the third matrix exists for its zero-weight topic");
             }
         }
+    }
+
+    /// The dense walk `bounded_posterior_into` must equal: every
+    /// prior-positive topic, `q` looked up per tag.
+    fn dense_bounded(oracle: &BoundOracle, tag_set: &TagSet, k: usize) -> Vec<(TopicId, f64)> {
+        let needed = k - tag_set.len();
+        let mut entries = Vec::new();
+        'topic: for z in 0..oracle.per_topic.len() {
+            if oracle.prior[z] <= 0.0 {
+                continue;
+            }
+            let mut base = oracle.prior[z];
+            for w in tag_set.iter() {
+                let q = oracle.q(w, z as TopicId);
+                if q <= 0.0 {
+                    continue 'topic;
+                }
+                base *= q;
+            }
+            let mut completion = 1.0f64;
+            let mut taken = 0usize;
+            if needed > 0 {
+                for &(q, w) in &oracle.per_topic[z] {
+                    if tag_set.contains(w) {
+                        continue;
+                    }
+                    completion *= q;
+                    taken += 1;
+                    if taken == needed {
+                        break;
+                    }
+                }
+            }
+            let weight = if taken < needed { 0.0 } else { (base * completion).min(1.0) };
+            entries.push((z as TopicId, weight));
+        }
+        entries
+    }
+
+    fn bits(entries: &[(TopicId, f64)]) -> Vec<(TopicId, u64)> {
+        entries.iter().map(|&(z, w)| (z, w.to_bits())).collect()
+    }
+
+    /// Random partial sets of every size up to 4 (capped by `|Ω|`).
+    fn partial_sets(num_tags: usize, rng: &mut StdRng) -> Vec<TagSet> {
+        let tags: Vec<TagId> = (0..num_tags as TagId).collect();
+        (0..=4.min(num_tags))
+            .flat_map(|size| (0..3).map(move |_| size))
+            .map(|size| TagSet::new(tags.choose_multiple(rng, size).copied().collect()))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// The sparse support walk equals the dense one bit for bit, for
+        /// `|W|` from 0 to 4 and every `k` from `|W|` to `|Ω|`.
+        #[test]
+        fn sparse_bounds_equal_the_dense_walk(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let matrix = crate::genmodel::mixed_matrix(&mut rng);
+            let oracle = BoundOracle::new(&matrix);
+            let mut bounded = BoundedPosterior::default();
+            for set in partial_sets(matrix.num_tags(), &mut rng) {
+                for k in set.len()..=matrix.num_tags() {
+                    oracle.bounded_posterior_into(&set, k, &mut bounded);
+                    let want = dense_bounded(&oracle, &set, k);
+                    prop_assert_eq!(bits(bounded.entries()), bits(&want), "{} k {}", set, k);
+                }
+            }
+        }
+
+        /// Both views' column `fill` equals `prob as f32` bit for bit: over
+        /// mixed edge rows, repeated and scrambled edge lists, empty
+        /// posteriors and zero-weight bound topics; a block over another
+        /// table takes the per-edge default.
+        #[test]
+        fn column_fill_equals_prob_bit_for_bit(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let matrix = crate::genmodel::mixed_matrix(&mut rng);
+            let z = matrix.num_topics();
+            let num_edges = rng.gen_range(1..24usize);
+            let mut table = || {
+                let density = rng.gen_range(0.2..1.0);
+                let rows = (0..num_edges).map(|_| crate::genmodel::mixed_row(z, density, &mut rng));
+                EdgeTopics::new(rows.collect(), z)
+            };
+            let (et, foreign) = (table(), table());
+            let edges: Vec<EdgeId> =
+                (0..rng.gen_range(0..40usize)).map(|_| rng.gen_range(0..num_edges as EdgeId)).collect();
+            let cols = EdgeColumns::new(&et, &edges);
+            let foreign_cols = EdgeColumns::new(&foreign, &edges);
+            let oracle = BoundOracle::new(&matrix);
+            let mut cache = EdgeProbCache::new(num_edges);
+            let mut filled = vec![f32::NAN; edges.len()];
+            let mut check = |view: &mut dyn EdgeProbs, what: &str| {
+                let want: Vec<u32> = edges.iter().map(|&e| (view.prob(e) as f32).to_bits()).collect();
+                for block in [&cols, &foreign_cols] {
+                    filled.fill(f32::NAN);
+                    view.fill(block, &mut filled);
+                    let got: Vec<u32> = filled.iter().map(|p| p.to_bits()).collect();
+                    prop_assert_eq!(&got, &want, "{} over {:?}", what, edges);
+                }
+            };
+            let mut posterior = TopicPosterior::default();
+            let mut bounded = BoundedPosterior::default();
+            check(&mut PosteriorEdgeProbs::new(&et, &posterior, &mut cache), "empty posterior");
+            for set in partial_sets(matrix.num_tags(), &mut rng) {
+                posterior.recompute(&matrix, &set);
+                check(&mut PosteriorEdgeProbs::new(&et, &posterior, &mut cache), "posterior");
+                for k in set.len()..=matrix.num_tags() {
+                    oracle.bounded_posterior_into(&set, k, &mut bounded);
+                    check(&mut UpperBoundEdgeProbs::new(&et, &bounded, &mut cache), "bound");
+                }
+            }
+        }
+    }
+
+    /// Summation order shows in the `f32` result here. Ascending, the two
+    /// smallest terms are absorbed one at a time and the sum stays on an
+    /// `f32` midpoint, which rounds to even (`0.25`); descending, they add
+    /// up first and tip it over (`0.25 + 2⁻²⁵`). Both views must sum in
+    /// `prob`'s ascending order.
+    #[test]
+    fn column_fill_sums_topics_in_ascending_order() {
+        let tiny = 3.0 * 2f32.powi(-55);
+        let row = vec![(0, 1.0), (1, 2f32.powi(-24)), (2, tiny), (3, tiny)];
+        let et = EdgeTopics::new(vec![row], 4);
+        let matrix = TagTopicMatrix::with_uniform_prior(vec![vec![(0, 1.0)]], 4);
+        let posterior = TopicPosterior::compute(&matrix, &TagSet::empty());
+        let bounded = BoundOracle::new(&matrix).bounded_posterior(&TagSet::empty(), 0);
+        assert!(bounded.entries().iter().all(|&(_, w)| w == 0.25));
+        let cols = EdgeColumns::new(&et, &[0]);
+        let mut cache = EdgeProbCache::new(1);
+        let mut filled = [f32::NAN];
+        let mut view = PosteriorEdgeProbs::new(&et, &posterior, &mut cache);
+        assert_eq!(view.prob(0) as f32, 0.25);
+        view.fill(&cols, &mut filled);
+        assert_eq!(filled[0], 0.25, "posterior view");
+        let mut view = UpperBoundEdgeProbs::new(&et, &bounded, &mut cache);
+        assert_eq!(view.prob(0) as f32, 0.25);
+        view.fill(&cols, &mut filled);
+        assert_eq!(filled[0], 0.25, "bound view");
     }
 
     #[test]

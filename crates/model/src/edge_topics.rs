@@ -3,6 +3,7 @@
 use crate::ids::TopicId;
 use crate::rows::SparseRows;
 use pitex_graph::EdgeId;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Sparse per-edge topic probabilities, CSR by edge id, plus the per-edge
 /// maximum `p(e) = max_z p(e|z)` that drives RR-Graph generation (Def. 2).
@@ -13,9 +14,20 @@ use pitex_graph::EdgeId;
 /// faithful and the fast representation. It **is** a [`SparseRows`] arena
 /// whose row `e` is edge `e`'s: `row`, `row_slices`, `prob`, `nnz`,
 /// `num_topics` and `heap_bytes` are the arena's, reached through `Deref`.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// A table is immutable once built and carries an id its clones share and
+/// no other table has: an [`EdgeColumns`](crate::EdgeColumns) block tells
+/// by it whether it holds this table's rows. Equality compares rows only.
+#[derive(Clone, Debug)]
 pub struct EdgeTopics {
     rows: SparseRows,
+    id: u64,
+}
+
+impl PartialEq for EdgeTopics {
+    fn eq(&self, other: &Self) -> bool {
+        self.rows == other.rows
+    }
 }
 
 impl std::ops::Deref for EdgeTopics {
@@ -40,12 +52,20 @@ impl EdgeTopics {
             row.sort_unstable_by_key(|&(z, _)| z);
             arena.push_row(&row).unwrap_or_else(|err| panic!("edge {e}: {err}"));
         }
-        Self { rows: arena }
+        Self::from_rows(arena)
     }
 
     /// Wraps an arena whose row `e` is edge `e`'s `p(e|z)` row.
     pub fn from_rows(rows: SparseRows) -> Self {
-        Self { rows }
+        // Only uniqueness matters: the id publishes no other data.
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+        Self { rows, id: NEXT_ID.fetch_add(1, Ordering::Relaxed) }
+    }
+
+    /// The id this table and its clones share.
+    #[inline]
+    pub(crate) fn id(&self) -> u64 {
+        self.id
     }
 
     /// Number of edges covered.

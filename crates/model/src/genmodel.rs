@@ -118,6 +118,61 @@ pub fn random_model<R: Rng>(graph: DiGraph, cfg: &ModelGenConfig, rng: &mut R) -
     TicModel::new(graph, tag_topic, edge_topics)
 }
 
+/// One draw from the adversarial probability mix the bit-identity tests
+/// share, in equal parts: exactly 0, exactly 1, a subnormal, a uniform
+/// value rounded to `f32`, and `1 − 2⁻²⁴` (the largest `f32` below 1).
+/// Every draw is an `f32` value, so a model table stores it unchanged.
+pub fn mixed_prob<R: Rng>(rng: &mut R) -> f64 {
+    match rng.gen_range(0..5u32) {
+        0 => 0.0,
+        1 => 1.0,
+        2 => f32::from_bits(rng.gen_range(1..1u32 << 23)) as f64,
+        3 => rng.gen_range(0.0..1.0f32) as f64,
+        _ => 1.0 - (-24f64).exp2(),
+    }
+}
+
+/// A sparse row over `num_topics` topics: each topic is listed with
+/// probability `density`, with a [`mixed_prob`] value (zeros left out).
+#[cfg(test)]
+pub(crate) fn mixed_row<R: Rng>(
+    num_topics: usize,
+    density: f64,
+    rng: &mut R,
+) -> Vec<(TopicId, f32)> {
+    let mut row = Vec::new();
+    for z in 0..num_topics as TopicId {
+        let p = if rng.gen_bool(density) { mixed_prob(rng) as f32 } else { 0.0 };
+        if p > 0.0 {
+            row.push((z, p));
+        }
+    }
+    row
+}
+
+/// A small tag–topic matrix of [`mixed_row`]s — empty rows and tags with
+/// disjoint supports included — over a prior with zero, subnormal and
+/// plain topics, so that `p(z)·p(w|z)` products also underflow.
+#[cfg(test)]
+pub(crate) fn mixed_matrix<R: Rng>(rng: &mut R) -> TagTopicMatrix {
+    let num_topics = rng.gen_range(1..8usize);
+    let density = rng.gen_range(0.1..0.9);
+    let rows = (0..rng.gen_range(1..9usize)).map(|_| mixed_row(num_topics, density, rng)).collect();
+    let mut prior: Vec<f64> = (0..num_topics)
+        .map(|_| match rng.gen_range(0..4u32) {
+            0 => 0.0,
+            1 => f64::from_bits(rng.gen_range(1..1u64 << 52)),
+            _ => rng.gen_range(0.01..1.0),
+        })
+        .collect();
+    if prior.iter().sum::<f64>() < 1e-3 {
+        prior[rng.gen_range(0..num_topics)] = 1.0;
+    }
+    let total: f64 = prior.iter().sum();
+    prior.iter_mut().for_each(|p| *p /= total);
+    TagTopicMatrix::new(rows, prior)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

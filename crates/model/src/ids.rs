@@ -55,6 +55,15 @@ impl TagSet {
         self.tags.binary_search(&tag).is_ok()
     }
 
+    /// Replaces the set with `tags` (sorted and deduplicated), reusing its
+    /// allocation.
+    pub fn assign(&mut self, tags: impl IntoIterator<Item = TagId>) {
+        self.tags.clear();
+        self.tags.extend(tags);
+        self.tags.sort_unstable();
+        self.tags.dedup();
+    }
+
     /// Returns a new set with `tag` inserted (no-op if present).
     pub fn with(&self, tag: TagId) -> TagSet {
         match self.tags.binary_search(&tag) {
@@ -134,6 +143,15 @@ mod tests {
         let w = TagSet::new(vec![3, 1, 3, 2]);
         assert_eq!(w.tags(), &[1, 2, 3]);
         assert_eq!(w.len(), 3);
+    }
+
+    #[test]
+    fn assign_replaces_in_canonical_form() {
+        let mut w = TagSet::from([9, 4]);
+        w.assign([3, 1, 3]);
+        assert_eq!(w, TagSet::from([1, 3]));
+        w.assign([]);
+        assert_eq!(w, TagSet::empty());
     }
 
     #[test]

@@ -9,6 +9,8 @@
 //!   RR-Graph index (Def. 2);
 //! * [`SparseRows`] — the one validated, append-only row arena both tables
 //!   store their rows in;
+//! * [`EdgeColumns`] — the rows of a list of edges transposed by topic,
+//!   what the bulk [`EdgeProbs::fill`] kernels read;
 //! * [`TopicPosterior`] — `p(z|W)` for a tag set `W`, and through it the
 //!   edge influence probability `p(e|W)` of Eq. 1;
 //! * [`EdgeProbs`] — the lazy, memoised edge-probability view every spread
@@ -24,6 +26,7 @@
 //! * [`genmodel`] — random model generators used by the synthetic datasets.
 
 pub mod bound;
+pub mod columns;
 pub mod combi;
 pub mod edge_topics;
 pub mod genmodel;
@@ -36,6 +39,7 @@ pub mod tag_topic;
 pub mod tic;
 
 pub use bound::BoundOracle;
+pub use columns::EdgeColumns;
 pub use edge_topics::EdgeTopics;
 pub use ids::{TagId, TagSet, TopicId};
 pub use posterior::{

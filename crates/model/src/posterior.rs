@@ -8,6 +8,7 @@
 //! first access and memoised — the estimators only ever touch a small
 //! neighborhood of the query user for most candidate tag sets.
 
+use crate::columns::EdgeColumns;
 use crate::edge_topics::EdgeTopics;
 use crate::ids::{TagSet, TopicId};
 use crate::tag_topic::TagTopicMatrix;
@@ -39,31 +40,27 @@ impl TopicPosterior {
     /// [`TopicPosterior::compute`] into `self`, reusing its allocation: the
     /// query engine evaluates hundreds of tag sets per query and keeps one
     /// posterior for all of them.
+    ///
+    /// Costs the first tag's row plus a merge per later tag, not `|Z|` per
+    /// tag: the support starts as the first tag's row (`p(z)·p(w₀|z)`, the
+    /// product's first factor) and each later row filters and multiplies
+    /// it. A topic some row lacks would have been multiplied by 0, and a
+    /// zero weight adds `+0.0` to the total and is dropped, so the entries
+    /// are bit for bit those of the product over all `|Z|` topics.
     pub fn recompute(&mut self, matrix: &TagTopicMatrix, tag_set: &TagSet) {
-        // The entries double as the |Z|-long weight vector until the end.
+        // The entries hold unnormalised weights until the end.
         let weights = &mut self.entries;
         weights.clear();
-        weights.extend(matrix.prior().iter().enumerate().map(|(z, &p)| (z as TopicId, p)));
-        for w in tag_set.iter() {
-            // Multiply row into weights; topics absent from the row get 0.
-            let mut row = matrix.row(w).peekable();
-            for (z, weight) in weights.iter_mut() {
-                let mut factor = 0.0f64;
-                while let Some(&(rz, rp)) = row.peek() {
-                    match rz.cmp(z) {
-                        std::cmp::Ordering::Less => {
-                            row.next();
-                        }
-                        std::cmp::Ordering::Equal => {
-                            factor = rp as f64;
-                            row.next();
-                            break;
-                        }
-                        std::cmp::Ordering::Greater => break,
-                    }
-                }
-                *weight *= factor;
+        let prior = matrix.prior();
+        let mut tags = tag_set.iter();
+        match tags.next() {
+            None => weights.extend(prior.iter().enumerate().map(|(z, &p)| (z as TopicId, p))),
+            Some(first) => {
+                weights.extend(matrix.row(first).map(|(z, p)| (z, prior[z as usize] * p as f64)))
             }
+        }
+        for w in tags {
+            retain_scaled(weights, matrix.row(w).map(|(z, p)| (z, p as f64)));
         }
         let total: f64 = weights.iter().map(|&(_, w)| w).sum();
         if total <= 0.0 {
@@ -75,15 +72,6 @@ impl TopicPosterior {
             *w /= total;
             positive
         });
-    }
-
-    /// Builds directly from `(topic, weight)` entries; normalizes.
-    /// Used by the Lemma 8 bound oracle, whose "posterior" is a vector of
-    /// per-topic upper-bound weights rather than a true distribution.
-    pub fn from_weights(mut entries: Vec<(TopicId, f64)>) -> Self {
-        entries.retain(|&(_, w)| w > 0.0);
-        entries.sort_unstable_by_key(|&(z, _)| z);
-        Self { entries }
     }
 
     /// `(topic, mass)` entries, sorted by topic id.
@@ -123,6 +111,23 @@ impl TopicPosterior {
     }
 }
 
+/// Keeps the `entries` whose topic `row` lists, each multiplied by the
+/// row's value; both are sorted by topic.
+pub(crate) fn retain_scaled(
+    entries: &mut Vec<(TopicId, f64)>,
+    row: impl Iterator<Item = (TopicId, f64)>,
+) {
+    let mut row = row.peekable();
+    entries.retain_mut(|(z, weight)| {
+        while row.next_if(|&(t, _)| t < *z).is_some() {}
+        let factor = row.next_if(|&(t, _)| t == *z);
+        if let Some((_, factor)) = factor {
+            *weight *= factor;
+        }
+        factor.is_some()
+    });
+}
+
 /// The edge-probability interface every spread estimator consumes.
 ///
 /// `prob` takes `&mut self` because implementations memoise: the same edge
@@ -138,17 +143,28 @@ pub trait EdgeProbs {
         self.prob(e) > 0.0
     }
 
-    /// Bulk kernel: `out[i] = prob(edges[i]) as f32`, bit for bit. The
-    /// index estimators probe a per-user edge list once per tag set; the
-    /// tag-set views override this with one dense pass that skips the memo.
+    /// Bulk kernel: `out[i] = prob(cols.edges()[i]) as f32`, bit for bit.
+    /// The index estimators probe a per-user edge list once per tag set;
+    /// the tag-set views override this with a pass over the columns of
+    /// their support that skips the memo.
     ///
     /// # Panics
-    /// If `edges` and `out` differ in length.
-    fn fill(&mut self, edges: &[EdgeId], out: &mut [f32]) {
-        assert_eq!(edges.len(), out.len(), "one output slot per edge");
-        for (slot, &e) in out.iter_mut().zip(edges) {
-            *slot = self.prob(e) as f32;
-        }
+    /// If `cols` and `out` differ in length.
+    fn fill(&mut self, cols: &EdgeColumns, out: &mut [f32]) {
+        fill_by_prob(self, cols, out);
+    }
+}
+
+/// [`EdgeProbs::fill`]'s default, one `prob` per listed edge; also what the
+/// tag-set views fall back to for columns over another table.
+pub(crate) fn fill_by_prob<P: EdgeProbs + ?Sized>(
+    probs: &mut P,
+    cols: &EdgeColumns,
+    out: &mut [f32],
+) {
+    assert_eq!(cols.edges().len(), out.len(), "one output slot per edge");
+    for (slot, &e) in out.iter_mut().zip(cols.edges()) {
+        *slot = probs.prob(e) as f32;
     }
 }
 
@@ -160,17 +176,16 @@ pub trait EdgeProbs {
 /// one included, so an edge compares the same against a mark `c(e)` no
 /// matter how often it was probed before.
 ///
-/// Also owns the dense per-topic weight vector of the current tag set,
-/// which [`EdgeProbs::fill`] reads instead of merge-joining each edge row
-/// against the sparse posterior.
+/// Also owns the per-slot `f64` accumulators of the column kernels of
+/// [`EdgeProbs::fill`].
 #[derive(Clone, Debug)]
 pub struct EdgeProbCache {
     stamps: Vec<u32>,
     values: Vec<f32>,
     epoch: u32,
-    /// Per-topic weights of the current tag set; valid iff `dense_ready`.
-    dense: Vec<f64>,
-    dense_ready: bool,
+    /// Eq. 1 / Eq. 6 sums, and Eq. 5 maxima, one per filled slot.
+    sums: Vec<f64>,
+    maxima: Vec<f64>,
 }
 
 impl EdgeProbCache {
@@ -179,8 +194,8 @@ impl EdgeProbCache {
             stamps: vec![0; num_edges],
             values: vec![0.0; num_edges],
             epoch: 0,
-            dense: Vec::new(),
-            dense_ready: false,
+            sums: Vec::new(),
+            maxima: Vec::new(),
         }
     }
 
@@ -191,7 +206,6 @@ impl EdgeProbCache {
             self.epoch = 0;
         }
         self.epoch += 1;
-        self.dense_ready = false;
     }
 
     /// Returns the cached value for `e` or computes and stores it. Both
@@ -206,24 +220,13 @@ impl EdgeProbCache {
         self.values[i] as f64
     }
 
-    /// The current tag set's sparse per-topic `entries` scattered over all
-    /// `num_topics` topics, `absent` elsewhere. Scattered on the first call
-    /// after [`begin`](Self::begin), reused until the next.
-    pub(crate) fn dense_weights(
-        &mut self,
-        num_topics: usize,
-        entries: &[(TopicId, f64)],
-        absent: f64,
-    ) -> &[f64] {
-        if !self.dense_ready {
-            self.dense.clear();
-            self.dense.resize(num_topics, absent);
-            for &(z, weight) in entries {
-                self.dense[z as usize] = weight;
-            }
-            self.dense_ready = true;
+    /// `slots` zeroed `(sums, maxima)` accumulators.
+    pub(crate) fn accumulators(&mut self, slots: usize) -> (&mut [f64], &mut [f64]) {
+        for acc in [&mut self.sums, &mut self.maxima] {
+            acc.clear();
+            acc.resize(slots, 0.0);
         }
-        &self.dense
+        (&mut self.sums, &mut self.maxima)
     }
 }
 
@@ -255,21 +258,24 @@ impl EdgeProbs for PosteriorEdgeProbs<'_> {
         self.cache.get_or_insert_with(e, || posterior.edge_prob(edge_topics, e))
     }
 
-    /// Eq. 1 against the dense posterior. Bit-identical to `prob`: the
-    /// row's terms are added in the same ascending-topic order as the
-    /// merge-join, and a topic outside the posterior adds `p·0.0 = +0.0`,
-    /// which leaves the non-negative `f64` accumulator unchanged.
-    fn fill(&mut self, edges: &[EdgeId], out: &mut [f32]) {
-        assert_eq!(edges.len(), out.len(), "one output slot per edge");
-        let dense =
-            self.cache.dense_weights(self.edge_topics.num_topics(), self.posterior.entries(), 0.0);
-        for (slot, &e) in out.iter_mut().zip(edges) {
-            let (topics, probs) = self.edge_topics.row_slices(e);
-            let mut acc = 0.0f64;
-            for (&z, &p) in topics.iter().zip(probs) {
-                acc += p as f64 * dense[z as usize];
+    /// Eq. 1 over the posterior's columns only. Bit-identical to `prob`:
+    /// each slot's accumulator receives the terms the merge-join adds, in
+    /// the same ascending-topic order, from `+0.0`. Columns over another
+    /// table take the per-edge default.
+    fn fill(&mut self, cols: &EdgeColumns, out: &mut [f32]) {
+        if !cols.is_over(self.edge_topics) {
+            return fill_by_prob(self, cols, out);
+        }
+        assert_eq!(cols.edges().len(), out.len(), "one output slot per edge");
+        let (sums, _) = self.cache.accumulators(out.len());
+        for &(z, mass) in self.posterior.entries() {
+            let (slots, probs) = cols.column(z);
+            for (&slot, &p) in slots.iter().zip(probs) {
+                sums[slot as usize] += p as f64 * mass;
             }
-            *slot = acc as f32;
+        }
+        for (slot, &sum) in out.iter_mut().zip(sums.iter()) {
+            *slot = sum as f32;
         }
     }
 }
@@ -337,7 +343,11 @@ impl EdgeProbs for &mut FixedEdgeProbs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::TagSet;
+    use crate::ids::{TagId, TagSet};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
 
     /// Fig. 2b tag–topic matrix (uniform prior over 3 topics).
     fn fig2_matrix() -> TagTopicMatrix {
@@ -500,23 +510,76 @@ mod tests {
         posteriors.push(TopicPosterior::default()); // infeasible: every edge is dead
                                                     // Repeats and a scrambled order: `fill` must not depend on either.
         let edges: Vec<EdgeId> = vec![3, 0, 1, 2, 0, 3, 1];
+        let cols = EdgeColumns::new(&et, &edges);
         let mut cache = EdgeProbCache::new(et.num_edges());
         for posterior in &posteriors {
             let mut view = PosteriorEdgeProbs::new(&et, posterior, &mut cache);
             let expected: Vec<u32> =
                 edges.iter().map(|&e| (view.prob(e) as f32).to_bits()).collect();
             let mut filled = vec![f32::NAN; edges.len()];
-            view.fill(&edges, &mut filled); // memo primed
+            view.fill(&cols, &mut filled); // memo primed
             assert_eq!(filled.iter().map(|p| p.to_bits()).collect::<Vec<_>>(), expected);
             let mut view = PosteriorEdgeProbs::new(&et, posterior, &mut cache);
             filled.fill(f32::NAN);
-            view.fill(&edges, &mut filled); // memo cold
+            view.fill(&cols, &mut filled); // memo cold
             assert_eq!(filled.iter().map(|p| p.to_bits()).collect::<Vec<_>>(), expected);
             // The default kernel (what `FixedEdgeProbs` and wrappers run).
             let mut fixed = FixedEdgeProbs::new(edges.iter().map(|&e| view.prob(e)).collect());
             let all: Vec<EdgeId> = (0..edges.len() as EdgeId).collect();
-            fixed.fill(&all, &mut filled);
+            fixed.fill(&EdgeColumns::edges_only(&all), &mut filled);
             assert_eq!(filled.iter().map(|p| p.to_bits()).collect::<Vec<_>>(), expected);
+        }
+    }
+
+    /// The dense definition `recompute` must equal: the product over all
+    /// `|Z|` topics, a topic a row lacks multiplied by 0.
+    fn dense_posterior(matrix: &TagTopicMatrix, tag_set: &TagSet) -> Vec<(TopicId, f64)> {
+        let mut weights: Vec<(TopicId, f64)> =
+            matrix.prior().iter().enumerate().map(|(z, &p)| (z as TopicId, p)).collect();
+        for w in tag_set.iter() {
+            for (z, weight) in weights.iter_mut() {
+                *weight *= matrix.prob(w, *z) as f64;
+            }
+        }
+        let total: f64 = weights.iter().map(|&(_, w)| w).sum();
+        if total <= 0.0 {
+            return Vec::new();
+        }
+        weights.retain_mut(|(_, w)| {
+            let positive = *w > 0.0;
+            *w /= total;
+            positive
+        });
+        weights
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// The sparse product equals the dense one bit for bit, for `|W|`
+        /// from 0 to 4 over matrices with zero-prior topics, empty rows,
+        /// disjoint supports and underflowing products.
+        #[test]
+        fn sparse_recompute_equals_the_dense_product(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let matrix = crate::genmodel::mixed_matrix(&mut rng);
+            let tags: Vec<TagId> = (0..matrix.num_tags() as TagId).collect();
+            let mut posterior = TopicPosterior::default();
+            for size in 0..=4.min(tags.len()) {
+                for _ in 0..4 {
+                    let set = TagSet::new(tags.choose_multiple(&mut rng, size).copied().collect());
+                    posterior.recompute(&matrix, &set);
+                    let bits = |entries: &[(TopicId, f64)]| -> Vec<(TopicId, u64)> {
+                        entries.iter().map(|&(z, w)| (z, w.to_bits())).collect()
+                    };
+                    prop_assert_eq!(
+                        bits(posterior.entries()),
+                        bits(&dense_posterior(&matrix, &set)),
+                        "{}",
+                        set
+                    );
+                }
+            }
         }
     }
 
