@@ -24,7 +24,10 @@ fn bench_index(c: &mut Criterion) {
     let groups = UserGroups::from_graph(model.graph());
     let user = groups.members(UserGroup::Mid)[0];
     let index = RrIndex::build(&model, IndexBudget::PerVertex(4.0), 7);
-    let tags = TagSet::from([3, 17, 29]);
+    // A feasible set: the engine never estimates one whose posterior is
+    // empty. Like most feasible 3-sets of this profile its posterior has one
+    // topic, which reaches about a tenth of either view's cut edges.
+    let tags = TagSet::from([3, 17, 21]);
     let posterior = model.posterior(&tags);
     let mut cache = model.new_prob_cache();
 

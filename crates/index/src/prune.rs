@@ -27,18 +27,24 @@
 //!   has no out-edge can never hit and are dropped.
 //! * **edges** — every distinct global edge id of the view gets a dense
 //!   local id, **cut edges first**. Per tag set the cut-edge prefix is
-//!   evaluated by one [`EdgeProbs::fill`] call (every one of them is needed
-//!   to scan the lists) over the cut edges' rows transposed by topic — an
-//!   [`EdgeColumns`] block the estimators compile with the view — so the
-//!   pass reads only the columns of the tag set's support; the rest are
-//!   probed lazily under an epoch stamp the first time a traversal meets
-//!   them, because a heavy user's view holds several times more edges than
-//!   one estimate touches.
+//!   evaluated by one sparse [`EdgeProbs::fill`] call over the cut edges'
+//!   rows transposed by topic — an [`EdgeColumns`] block the estimators
+//!   compile with the view — so the pass reads only the columns of the tag
+//!   set's support and writes only the slots they reach (the others stay
+//!   `p = 0`); the rest are probed lazily under an epoch stamp the first
+//!   time a traversal meets them, because a heavy user's view holds
+//!   several times more edges than one estimate touches.
 //! * **inverted lists** — the chosen cuts' `(edge, c, graph)` triples,
 //!   sorted once and flattened into `list_off` / `list_c` / `list_graph`:
 //!   list `j` belongs to local edge `j` and is sorted by `c` ascending, so a
-//!   query scans it only while `c(e) ≤ p(e|W)` and every unvisited graph is
-//!   pruned wholesale.
+//!   query scans only the lists of the slots the fill touched, each only
+//!   while `c(e) ≤ p(e|W)`, and every unvisited graph is pruned wholesale.
+//!
+//! The graphs an estimate traverses therefore come in the order the fill
+//! touched their cut edges, not by position. Nothing depends on that order:
+//! the estimators count hits as integers (DELAYMAT sums integer weights),
+//! and graphs own disjoint ranges of the node arena, so each traversal
+//! probes the same edges whichever runs first.
 
 use crate::build::RrIndex;
 use crate::estimate::IndexView;
@@ -106,6 +112,20 @@ pub struct CutFilter {
     list_graph: Vec<u32>,
     build: BuildScratch,
 }
+
+/// A member graph the first pass of [`CutFilter::compile`] kept: one the
+/// user is a member of, not its target, with an out-edge.
+#[derive(Clone, Copy, Debug)]
+struct Resolved<'g> {
+    pos: u32,
+    rr: RrGraphRef<'g>,
+    user_local: u32,
+}
+
+/// Graphs [`CutFilter::compile`] resolves before compiling them: enough
+/// for the CPU to overlap their cache misses, few enough that their lines
+/// are still cached when the second pass reads them.
+const RESOLVE_BLOCK: usize = 64;
 
 /// Buffers [`CutFilter::compile`] reuses from one user to the next.
 #[derive(Clone, Debug, Default)]
@@ -185,84 +205,40 @@ impl CutFilter {
         self.adj_off.push(0);
         self.dst.clear();
         self.c.clear();
-        let build = &mut self.build;
-        build.arena_edge.clear();
-        build.cuts.clear();
+        self.build.arena_edge.clear();
+        self.build.cuts.clear();
 
-        for (pos, rr) in graphs.enumerate() {
-            self.num_graphs += 1;
-            let pos = pos as u32;
-            if rr.target() == user {
-                self.self_hits.push(pos);
-                continue;
-            }
-            // Not a member, or a member with no way out: can never reach.
-            let Some(user_local) = rr.local_id(user) else { continue };
-            if rr.out_edges_local(user_local).len() == 0 {
-                continue;
-            }
-            let target_local = 0; // the target is every graph's first member
-
-            // BFS from the user over the stored graph (marks ignored: stored
-            // edges are the p_max-live superset), appending each dequeued
-            // vertex's edges to the arenas. The target's in-edges met on the
-            // way are the second cut.
-            let start = (self.adj_off.len() - 1) as u32;
-            build.seen.grow(rr.num_nodes());
-            build.seen.reset();
-            if build.rank.len() < rr.num_nodes() {
-                build.rank.resize(rr.num_nodes(), 0);
-            }
-            build.queue.clear();
-            build.cut2.clear();
-            build.seen.insert(user_local);
-            build.rank[user_local as usize] = 0;
-            build.queue.push(user_local);
-            let mut head = 0usize;
-            while head < build.queue.len() {
-                let v = build.queue[head];
-                head += 1;
-                for e in rr.out_edges_local(v) {
-                    if build.seen.insert(e.dst_local) {
-                        build.rank[e.dst_local as usize] = build.queue.len() as u32;
-                        build.queue.push(e.dst_local);
-                    }
-                    self.dst.push(start + build.rank[e.dst_local as usize]);
-                    self.c.push(e.c);
-                    build.arena_edge.push(e.edge_id);
-                    if e.dst_local == target_local {
-                        build.cut2.push((e.edge_id, e.c));
+        // Two passes per block of graphs. Pass 1 resolves each graph: its
+        // target, the user's local id and the user's out-edge range. No
+        // graph's loads depend on another's, so the CPU overlaps their cache
+        // misses, where a BFS between two graphs would wait for each graph's
+        // in turn. Pass 2 compiles the graphs pass 1 kept, in order.
+        let mut graphs = graphs.enumerate();
+        let mut block = [None; RESOLVE_BLOCK];
+        loop {
+            let mut len = 0;
+            for (pos, rr) in graphs.by_ref() {
+                self.num_graphs += 1;
+                let pos = pos as u32;
+                if rr.target() == user {
+                    self.self_hits.push(pos);
+                    continue;
+                }
+                // Not a member, or a member with no way out: can never reach.
+                let Some(user_local) = rr.local_id(user) else { continue };
+                if rr.out_edges_local(user_local).len() > 0 {
+                    block[len] = Some(Resolved { pos, rr, user_local });
+                    len += 1;
+                    if len == RESOLVE_BLOCK {
+                        break;
                     }
                 }
-                self.adj_off.push(self.dst.len() as u32);
             }
-            let target = if build.seen.contains(target_local) {
-                start + build.rank[target_local as usize]
-            } else {
-                UNREACHABLE
-            };
-            let slot = self.graphs.len() as u32;
-            self.graphs.push(ViewGraph { pos, start, target });
-
-            let Some((p_max, policy)) = cuts else { continue };
-            // Cut 1: the user's out-edges, the first arena edges of the graph.
-            let cut1 =
-                self.adj_off[start as usize] as usize..self.adj_off[start as usize + 1] as usize;
-            let cut1 = cut1.map(|i| (build.arena_edge[i], self.c[i]));
-            // Example 7's selection rule: higher Π c(e)/p(e) prunes more.
-            let use_cut1 = match policy {
-                CutPolicy::UserOut => true,
-                CutPolicy::TargetIn if !build.cut2.is_empty() => false,
-                _ => {
-                    build.cut2.is_empty()
-                        || prune_prob(p_max, cut1.clone())
-                            >= prune_prob(p_max, build.cut2.iter().copied())
-                }
-            };
-            if use_cut1 {
-                build.cuts.extend(cut1.map(|(e, c)| (e, c, slot)));
-            } else {
-                build.cuts.extend(build.cut2.iter().map(|&(e, c)| (e, c, slot)));
+            for &resolved in block[..len].iter().flatten() {
+                self.compile_graph(resolved, cuts);
+            }
+            if len < RESOLVE_BLOCK {
+                break;
             }
         }
 
@@ -272,6 +248,7 @@ impl CutFilter {
         self.list_off.clear();
         self.list_c.clear();
         self.list_graph.clear();
+        let build = &mut self.build;
         build
             .cuts
             .sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)).then(a.2.cmp(&b.2)));
@@ -313,6 +290,81 @@ impl CutFilter {
         }
     }
 
+    /// Appends one resolved graph to the view: its user-reachable subgraph
+    /// to the arenas and, with `cuts`, its chosen cut to the build's
+    /// `(edge, c, graph)` triples. Inlined into `compile`'s only call, once
+    /// per member graph: out of line it measured slower.
+    #[inline(always)]
+    fn compile_graph(
+        &mut self,
+        Resolved { pos, rr, user_local }: Resolved,
+        cuts: Option<(&EdgeTopics, CutPolicy)>,
+    ) {
+        let build = &mut self.build;
+        let target_local = 0; // the target is every graph's first member
+
+        // BFS from the user over the stored graph (marks ignored: stored
+        // edges are the p_max-live superset), appending each dequeued
+        // vertex's edges to the arenas. The target's in-edges met on the
+        // way are the second cut.
+        let start = (self.adj_off.len() - 1) as u32;
+        build.seen.grow(rr.num_nodes());
+        build.seen.reset();
+        if build.rank.len() < rr.num_nodes() {
+            build.rank.resize(rr.num_nodes(), 0);
+        }
+        build.queue.clear();
+        build.cut2.clear();
+        build.seen.insert(user_local);
+        build.rank[user_local as usize] = 0;
+        build.queue.push(user_local);
+        let mut head = 0usize;
+        while head < build.queue.len() {
+            let v = build.queue[head];
+            head += 1;
+            for e in rr.out_edges_local(v) {
+                if build.seen.insert(e.dst_local) {
+                    build.rank[e.dst_local as usize] = build.queue.len() as u32;
+                    build.queue.push(e.dst_local);
+                }
+                self.dst.push(start + build.rank[e.dst_local as usize]);
+                self.c.push(e.c);
+                build.arena_edge.push(e.edge_id);
+                if e.dst_local == target_local {
+                    build.cut2.push((e.edge_id, e.c));
+                }
+            }
+            self.adj_off.push(self.dst.len() as u32);
+        }
+        let target = if build.seen.contains(target_local) {
+            start + build.rank[target_local as usize]
+        } else {
+            UNREACHABLE
+        };
+        let slot = self.graphs.len() as u32;
+        self.graphs.push(ViewGraph { pos, start, target });
+
+        let Some((p_max, policy)) = cuts else { return };
+        // Cut 1: the user's out-edges, the first arena edges of the graph.
+        let cut1 = self.adj_off[start as usize] as usize..self.adj_off[start as usize + 1] as usize;
+        let cut1 = cut1.map(|i| (build.arena_edge[i], self.c[i]));
+        // Example 7's selection rule: higher Π c(e)/p(e) prunes more.
+        let use_cut1 = match policy {
+            CutPolicy::UserOut => true,
+            CutPolicy::TargetIn if !build.cut2.is_empty() => false,
+            _ => {
+                build.cut2.is_empty()
+                    || prune_prob(p_max, cut1.clone())
+                        >= prune_prob(p_max, build.cut2.iter().copied())
+            }
+        };
+        if use_cut1 {
+            build.cuts.extend(cut1.map(|(e, c)| (e, c, slot)));
+        } else {
+            build.cuts.extend(build.cut2.iter().map(|&(e, c)| (e, c, slot)));
+        }
+    }
+
     /// Number of graphs the filter was built over.
     pub fn num_graphs(&self) -> usize {
         self.num_graphs
@@ -334,9 +386,9 @@ impl CutFilter {
     /// `out` (deduplicated): the graphs whose target is the user plus every
     /// graph with at least one live cut edge. All other graphs are
     /// certifiably unreachable. (The inspection entry point of tests and
-    /// benches: it allocates its probability buffer per call and probes
-    /// the cut edges one by one, where the estimators' own pass reuses its
-    /// buffers and reads the cut edges' columns.)
+    /// benches: it allocates its buffers per call and probes the cut edges
+    /// one by one, where the estimators' own pass reuses its buffers and
+    /// reads the cut edges' columns.)
     pub fn candidates(
         &self,
         probs: &mut dyn EdgeProbs,
@@ -344,22 +396,35 @@ impl CutFilter {
         out: &mut Vec<u32>,
     ) {
         let mut list_p = vec![0.0f32; self.num_list_edges];
-        probs.fill(&EdgeColumns::edges_only(&self.edge_global[..list_p.len()]), &mut list_p);
+        let mut touched = Vec::with_capacity(list_p.len());
+        let cut_edges = EdgeColumns::edges_only(&self.edge_global[..list_p.len()]);
+        probs.fill(&cut_edges, &mut list_p, &mut touched);
         out.clear();
         out.extend_from_slice(&self.self_hits);
         let first_slot = out.len();
-        self.live_slots(&list_p, marks, out);
+        self.live_slots(&list_p, &touched, marks, out);
         for slot in &mut out[first_slot..] {
             *slot = self.graphs[*slot as usize].pos;
         }
     }
 
     /// Appends to `out` every graph (index into `graphs`) with a live cut
-    /// edge under the cut-edge probabilities `list_p`, each once.
-    fn live_slots(&self, list_p: &[f32], marks: &mut EpochVisited, out: &mut Vec<u32>) {
+    /// edge under the cut-edge probabilities `list_p`, each once, in no
+    /// particular order. Only the lists of the `touched` cut edges (see
+    /// [`EdgeProbs::fill`]) are scanned: every other one has `p = 0`, and a
+    /// cut edge of `p = 0` is dead to the filter.
+    fn live_slots(
+        &self,
+        list_p: &[f32],
+        touched: &[u32],
+        marks: &mut EpochVisited,
+        out: &mut Vec<u32>,
+    ) {
         marks.grow(self.graphs.len());
         marks.reset();
-        for (j, &p) in list_p.iter().enumerate() {
+        for &j in touched {
+            let j = j as usize;
+            let p = list_p[j];
             if p <= 0.0 {
                 continue;
             }
@@ -379,8 +444,11 @@ impl CutFilter {
 /// Per-estimate state of a [`UserView`].
 #[derive(Debug, Default)]
 struct VerifyScratch {
-    /// `p(e|W)` of the cut edges, filled in bulk per tag set.
+    /// `p(e|W)` of the cut edges, filled in bulk per tag set; all `+0.0`
+    /// between estimates.
     list_p: Vec<f32>,
+    /// The slots of `list_p` the current fill wrote; empty between estimates.
+    touched: Vec<u32>,
     /// `(stamp, p(e|W))` of the other local edges, valid iff the stamp is
     /// the current `epoch`.
     lazy: Vec<(u32, f32)>,
@@ -432,6 +500,7 @@ impl UserView {
         let scratch = &mut self.scratch;
         scratch.list_p.clear();
         scratch.list_p.resize(num_list_edges, 0.0);
+        scratch.touched.clear();
         scratch.lazy.clear();
         scratch.lazy.resize(self.filter.edge_global.len() - num_list_edges, (0, 0.0));
         scratch.epoch = 0;
@@ -445,10 +514,11 @@ impl UserView {
     }
 
     /// Filter-and-verify for one tag set: evaluates the cut edges in bulk,
-    /// scans the inverted lists for candidates and traverses those, calling
-    /// `on_hit` with the position of every graph where the user reaches the
-    /// target. The traversal is [`RrGraphRef::reaches_target`]'s DFS edge for
-    /// edge, so `edges_visited` counts the same probes.
+    /// scans the inverted lists of those the fill touched for candidates
+    /// and traverses those, calling `on_hit` with the position of every
+    /// graph where the user reaches the target, in no particular order. The
+    /// traversal is [`RrGraphRef::reaches_target`]'s DFS edge for edge, so
+    /// `edges_visited` counts the same probes.
     pub(crate) fn verify(
         &mut self,
         probs: &mut dyn EdgeProbs,
@@ -456,10 +526,11 @@ impl UserView {
     ) -> Verified {
         let Self { filter, list_cols, scratch, .. } = self;
         let (list_edges, lazy_edges) = filter.edge_global.split_at(scratch.list_p.len());
-        probs.fill(list_cols, &mut scratch.list_p);
+        probs.fill(list_cols, &mut scratch.list_p, &mut scratch.touched);
         scratch.candidates.clear();
         if filter.filtered {
-            filter.live_slots(&scratch.list_p, &mut scratch.marks, &mut scratch.candidates);
+            let candidates = &mut scratch.candidates;
+            filter.live_slots(&scratch.list_p, &scratch.touched, &mut scratch.marks, candidates);
         } else {
             scratch.candidates.extend(0..filter.graphs.len() as u32);
         }
@@ -508,6 +579,9 @@ impl UserView {
                     }
                 }
             }
+        }
+        for slot in scratch.touched.drain(..) {
+            scratch.list_p[slot as usize] = 0.0;
         }
         let candidates = (filter.self_hits.len() + scratch.candidates.len()) as u64;
         Verified { candidates, edges_visited }

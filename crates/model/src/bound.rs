@@ -29,7 +29,7 @@
 
 use crate::columns::EdgeColumns;
 use crate::ids::{TagId, TagSet, TopicId};
-use crate::posterior::{fill_by_prob, retain_scaled, EdgeProbCache, EdgeProbs};
+use crate::posterior::{fill_by_prob, scale_support, EdgeProbCache, EdgeProbs};
 use crate::{EdgeTopics, TagTopicMatrix};
 use pitex_graph::EdgeId;
 
@@ -41,16 +41,22 @@ pub struct BoundOracle {
     per_topic: Vec<Vec<(f64, TagId)>>,
     /// Per tag: `(z, q(w,z))` sorted by topic, mirroring the matrix rows.
     per_tag: Vec<Vec<(TopicId, f64)>>,
+    /// `q(w,z)` at `w·|Z| + z`, 0 where `per_tag` lists no entry. A listed
+    /// `q` is never 0 (`q ≥ p(w|z) > 0`, since the denominator is ≤ 1), so
+    /// 0 here means exactly "not listed".
+    q_dense: Vec<f64>,
     prior: Vec<f64>,
 }
 
 impl BoundOracle {
-    /// Builds the oracle from a tag–topic matrix; `O(nnz·|Z| + nnz log nnz)`.
+    /// Builds the oracle from a tag–topic matrix;
+    /// `O(nnz·|Z| + nnz log nnz + |Ω|·|Z|)`.
     pub fn new(matrix: &TagTopicMatrix) -> Self {
         let num_topics = matrix.num_topics();
         let prior = matrix.prior().to_vec();
         let mut per_topic: Vec<Vec<(f64, TagId)>> = vec![Vec::new(); num_topics];
         let mut per_tag: Vec<Vec<(TopicId, f64)>> = Vec::with_capacity(matrix.num_tags());
+        let mut q_dense = vec![0.0; matrix.num_tags() * num_topics];
 
         for w in 0..matrix.num_tags() as TagId {
             // ln D(w) = Σ_{z′} p(z′)·ln p(w|z′). If any prior-positive topic
@@ -77,19 +83,36 @@ impl BoundOracle {
                 let q = if d > 0.0 { p as f64 / d } else { f64::INFINITY };
                 row_q.push((z, q));
                 per_topic[z as usize].push((q, w));
+                q_dense[w as usize * num_topics + z as usize] = q;
             }
             per_tag.push(row_q);
         }
         for list in &mut per_topic {
             list.sort_unstable_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1)));
         }
-        Self { per_topic, per_tag, prior }
+        Self { per_topic, per_tag, q_dense, prior }
     }
 
     /// `q(w,z)`, or 0 if `p(w|z) = 0` or `p(z) = 0`.
     pub fn q(&self, w: TagId, z: TopicId) -> f64 {
-        let row = &self.per_tag[w as usize];
-        row.binary_search_by_key(&z, |&(t, _)| t).map(|i| row[i].1).unwrap_or(0.0)
+        self.q_row(w)[z as usize]
+    }
+
+    /// `q(w,·)` over every topic.
+    fn q_row(&self, w: TagId) -> &[f64] {
+        let num_topics = self.prior.len();
+        &self.q_dense[w as usize * num_topics..(w as usize + 1) * num_topics]
+    }
+
+    /// Heap footprint of the tables in bytes.
+    pub fn heap_bytes(&self) -> u64 {
+        use std::mem::size_of;
+        let per_topic: usize =
+            self.per_topic.iter().map(|l| l.len() * size_of::<(f64, TagId)>()).sum();
+        let per_tag: usize =
+            self.per_tag.iter().map(|r| r.len() * size_of::<(TopicId, f64)>()).sum();
+        let headers = (self.per_topic.len() + self.per_tag.len()) * size_of::<Vec<()>>();
+        (per_topic + per_tag + headers + (self.q_dense.len() + self.prior.len()) * 8) as u64
     }
 
     /// Per-topic upper-bound weights for all size-`k` completions of the
@@ -111,9 +134,10 @@ impl BoundOracle {
     /// per query).
     ///
     /// For a non-empty `W` the support is the first tag's `per_tag` row,
-    /// filtered by a merge with each later tag's: a topic some `w ∈ W`
-    /// does not cover is dead for every superset. The base product is
-    /// `p(z)` times `q(w, z)` over `W` in tag order, as for `|Z|` topics.
+    /// filtered by each later tag's `q` row of the dense table: a topic
+    /// some `w ∈ W` does not cover is dead for every superset. The base
+    /// product is `p(z)` times `q(w, z)` over `W` in tag order, as for `|Z|`
+    /// topics.
     pub fn bounded_posterior_into(&self, tag_set: &TagSet, k: usize, out: &mut BoundedPosterior) {
         debug_assert!(tag_set.len() <= k);
         let needed = k - tag_set.len();
@@ -132,7 +156,7 @@ impl BoundOracle {
             ),
         }
         for w in tags {
-            retain_scaled(entries, self.per_tag[w as usize].iter().copied());
+            scale_support(entries, self.q_row(w));
         }
         for (z, weight) in entries.iter_mut() {
             // Best completion: largest `needed` q values among tags ∉ W.
@@ -230,29 +254,16 @@ impl EdgeProbs for UpperBoundEdgeProbs<'_> {
         self.cache.get_or_insert_with(e, || bounded.edge_bound(edge_topics, e))
     }
 
-    /// `edge_bound` over the bounded topics' columns only, bit-identical to
-    /// `prob`: each slot sees the merge-join's terms in the same
-    /// ascending-topic order, a listed topic of weight 0 included (it still
-    /// counts in Eq. 5's max). Columns over another table take the
-    /// per-edge default.
-    fn fill(&mut self, cols: &EdgeColumns, out: &mut [f32]) {
+    /// `edge_bound` over the bounded topics' columns only, writing the
+    /// slots they reach; bit-identical to `prob` (see
+    /// `EdgeProbCache::fill_columns`), a listed topic of weight 0 included
+    /// (it still counts in Eq. 5's max). Columns over another table take
+    /// the per-edge default.
+    fn fill(&mut self, cols: &EdgeColumns, out: &mut [f32], touched: &mut Vec<u32>) {
         if !cols.is_over(self.edge_topics) {
-            return fill_by_prob(self, cols, out);
+            return fill_by_prob(self, cols, out, touched);
         }
-        assert_eq!(cols.edges().len(), out.len(), "one output slot per edge");
-        let (sums, maxima) = self.cache.accumulators(out.len());
-        for &(z, weight) in self.bounded.entries() {
-            let (slots, probs) = cols.column(z);
-            for (&slot, &p) in slots.iter().zip(probs) {
-                let pez = p as f64;
-                let slot = slot as usize;
-                maxima[slot] = maxima[slot].max(pez); // Eq. 5
-                sums[slot] += pez * weight; // Eq. 6
-            }
-        }
-        for ((slot, &max_term), &sum_term) in out.iter_mut().zip(maxima.iter()).zip(sums.iter()) {
-            *slot = max_term.min(sum_term) as f32;
-        }
+        self.cache.fill_columns::<true>(cols, self.bounded.entries(), out, touched);
     }
 }
 
@@ -260,7 +271,7 @@ impl EdgeProbs for UpperBoundEdgeProbs<'_> {
 mod tests {
     use super::*;
     use crate::combi::KSubsets;
-    use crate::posterior::{PosteriorEdgeProbs, TopicPosterior};
+    use crate::posterior::{FixedEdgeProbs, PosteriorEdgeProbs, TopicPosterior};
     use crate::TicModel;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -326,6 +337,19 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn heap_bytes_counts_the_dense_q_table() {
+        // Fig. 2: 8 listed (w, z) pairs, each once per topic list and once
+        // per tag row; 3 + 4 list headers; 4 × 3 q values and 3 priors.
+        let oracle = BoundOracle::new(fig2().tag_topic());
+        assert_eq!(oracle.heap_bytes(), (8 * 16 * 2 + 7 * 24 + (12 + 3) * 8) as u64);
+        for w in 0..4 {
+            for z in 0..3 {
+                assert_eq!(oracle.q(w, z) > 0.0, fig2().tag_topic().prob(w, z) > 0.0, "({w}, {z})");
             }
         }
     }
@@ -427,8 +451,8 @@ mod tests {
                             );
                         }
                         let mut view = UpperBoundEdgeProbs::new(&et, &bounded, &mut cache);
-                        let mut filled = vec![f32::NAN; edges.len()];
-                        view.fill(&EdgeColumns::new(&et, &edges), &mut filled);
+                        let mut filled = vec![0.0; edges.len()];
+                        view.fill(&EdgeColumns::new(&et, &edges), &mut filled, &mut Vec::new());
                         assert_eq!(
                             filled.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
                             expected
@@ -534,12 +558,12 @@ mod tests {
             let foreign_cols = EdgeColumns::new(&foreign, &edges);
             let oracle = BoundOracle::new(&matrix);
             let mut cache = EdgeProbCache::new(num_edges);
-            let mut filled = vec![f32::NAN; edges.len()];
+            let mut filled = vec![0.0; edges.len()];
             let mut check = |view: &mut dyn EdgeProbs, what: &str| {
                 let want: Vec<u32> = edges.iter().map(|&e| (view.prob(e) as f32).to_bits()).collect();
                 for block in [&cols, &foreign_cols] {
-                    filled.fill(f32::NAN);
-                    view.fill(block, &mut filled);
+                    filled.fill(0.0);
+                    view.fill(block, &mut filled, &mut Vec::new());
                     let got: Vec<u32> = filled.iter().map(|p| p.to_bits()).collect();
                     prop_assert_eq!(&got, &want, "{} over {:?}", what, edges);
                 }
@@ -554,6 +578,79 @@ mod tests {
                     oracle.bounded_posterior_into(&set, k, &mut bounded);
                     check(&mut UpperBoundEdgeProbs::new(&et, &bounded, &mut cache), "bound");
                 }
+            }
+        }
+
+        /// The sparse `fill` contract, fill after fill into one buffer that
+        /// only `touched` re-zeroes: every fill equals a fresh dense pass of
+        /// `prob as f32` bit for bit, lists no slot twice, lists every slot
+        /// that is not `+0.0` (so an unlisted slot reads `+0.0`), and leaves
+        /// an all-zero buffer once its listed slots are cleared. Over both
+        /// views, one posterior, bound, foreign-block or fixed fill after
+        /// another, on mixed rows and fixed probabilities (0, 1, subnormal,
+        /// `f32`-rounded, `1 − 2⁻²⁴`, `−0.0`, below `f32`'s range).
+        #[test]
+        fn sparse_fill_contract_holds_fill_after_fill(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let matrix = crate::genmodel::mixed_matrix(&mut rng);
+            let z = matrix.num_topics();
+            let num_edges = rng.gen_range(1..24usize);
+            let mut table = || {
+                let density = rng.gen_range(0.2..1.0);
+                let rows = (0..num_edges).map(|_| crate::genmodel::mixed_row(z, density, &mut rng));
+                EdgeTopics::new(rows.collect(), z)
+            };
+            let (et, foreign) = (table(), table());
+            let edges: Vec<EdgeId> =
+                (0..rng.gen_range(0..40usize)).map(|_| rng.gen_range(0..num_edges as EdgeId)).collect();
+            let (cols, foreign_cols) = (EdgeColumns::new(&et, &edges), EdgeColumns::new(&foreign, &edges));
+            let oracle = BoundOracle::new(&matrix);
+            let (mut cache, mut fresh) = (EdgeProbCache::new(num_edges), EdgeProbCache::new(num_edges));
+            let mut out = vec![0.0f32; edges.len()];
+            let mut touched = Vec::new();
+            let mut fill_and_check = |view: &mut dyn EdgeProbs, block: &EdgeColumns, want: &[u32]| {
+                view.fill(block, &mut out, &mut touched);
+                let got: Vec<u32> = out.iter().map(|p| p.to_bits()).collect();
+                prop_assert_eq!(&got, want, "over {:?}", edges);
+                let mut listed = vec![false; out.len()];
+                for &slot in &touched {
+                    prop_assert!(!std::mem::replace(&mut listed[slot as usize], true), "{slot} twice");
+                }
+                for (slot, &bits) in want.iter().enumerate() {
+                    prop_assert!(listed[slot] || bits == 0, "slot {slot} is not +0.0 but unlisted");
+                }
+                for slot in touched.drain(..) {
+                    out[slot as usize] = 0.0;
+                }
+                prop_assert!(out.iter().all(|p| p.to_bits() == 0), "a slot outlived its fill");
+            };
+            let dense = |view: &mut dyn EdgeProbs| -> Vec<u32> {
+                edges.iter().map(|&e| (view.prob(e) as f32).to_bits()).collect()
+            };
+            let mut posterior = TopicPosterior::default();
+            let mut bounded = BoundedPosterior::default();
+            for set in partial_sets(matrix.num_tags(), &mut rng) {
+                posterior.recompute(&matrix, &set);
+                let want = dense(&mut PosteriorEdgeProbs::new(&et, &posterior, &mut fresh));
+                for block in [&cols, &foreign_cols] {
+                    fill_and_check(&mut PosteriorEdgeProbs::new(&et, &posterior, &mut cache), block, &want);
+                }
+                let k = rng.gen_range(set.len()..=matrix.num_tags());
+                oracle.bounded_posterior_into(&set, k, &mut bounded);
+                let want = dense(&mut UpperBoundEdgeProbs::new(&et, &bounded, &mut fresh));
+                for block in [&cols, &foreign_cols] {
+                    fill_and_check(&mut UpperBoundEdgeProbs::new(&et, &bounded, &mut cache), block, &want);
+                }
+                let fixed: Vec<f64> = (0..num_edges)
+                    .map(|_| match rng.gen_range(0..8u32) {
+                        0 => -0.0,
+                        1 => 1e-50, // rounds to +0.0 as an f32
+                        _ => crate::genmodel::mixed_prob(&mut rng),
+                    })
+                    .collect();
+                let mut fixed = FixedEdgeProbs::new(fixed);
+                let want = dense(&mut fixed);
+                fill_and_check(&mut fixed, &EdgeColumns::edges_only(&edges), &want);
             }
         }
     }
@@ -574,14 +671,15 @@ mod tests {
         assert!(bounded.entries().iter().all(|&(_, w)| w == 0.25));
         let cols = EdgeColumns::new(&et, &[0]);
         let mut cache = EdgeProbCache::new(1);
-        let mut filled = [f32::NAN];
+        let mut filled = [0.0];
         let mut view = PosteriorEdgeProbs::new(&et, &posterior, &mut cache);
         assert_eq!(view.prob(0) as f32, 0.25);
-        view.fill(&cols, &mut filled);
+        view.fill(&cols, &mut filled, &mut Vec::new());
         assert_eq!(filled[0], 0.25, "posterior view");
         let mut view = UpperBoundEdgeProbs::new(&et, &bounded, &mut cache);
         assert_eq!(view.prob(0) as f32, 0.25);
-        view.fill(&cols, &mut filled);
+        filled[0] = 0.0;
+        view.fill(&cols, &mut filled, &mut Vec::new());
         assert_eq!(filled[0], 0.25, "bound view");
     }
 

@@ -41,12 +41,14 @@ impl TopicPosterior {
     /// query engine evaluates hundreds of tag sets per query and keeps one
     /// posterior for all of them.
     ///
-    /// Costs the first tag's row plus a merge per later tag, not `|Z|` per
-    /// tag: the support starts as the first tag's row (`p(z)·p(w₀|z)`, the
-    /// product's first factor) and each later row filters and multiplies
-    /// it. A topic some row lacks would have been multiplied by 0, and a
-    /// zero weight adds `+0.0` to the total and is dropped, so the entries
-    /// are bit for bit those of the product over all `|Z|` topics.
+    /// Costs the first tag's row plus one lookup per surviving topic and
+    /// later tag, not `|Z|` per tag: the support starts as the first tag's
+    /// row (`p(z)·p(w₀|z)`, the product's first factor) and each later tag
+    /// multiplies it by its factor from the matrix's dense table, dropping
+    /// the topics whose factor is 0. Such a topic would have been
+    /// multiplied by 0, and a zero weight adds `+0.0` to the total and is
+    /// dropped, so the entries are bit for bit those of the product over
+    /// all `|Z|` topics.
     pub fn recompute(&mut self, matrix: &TagTopicMatrix, tag_set: &TagSet) {
         // The entries hold unnormalised weights until the end.
         let weights = &mut self.entries;
@@ -60,7 +62,7 @@ impl TopicPosterior {
             }
         }
         for w in tags {
-            retain_scaled(weights, matrix.row(w).map(|(z, p)| (z, p as f64)));
+            scale_support(weights, matrix.dense_row(w));
         }
         let total: f64 = weights.iter().map(|&(_, w)| w).sum();
         if total <= 0.0 {
@@ -111,20 +113,13 @@ impl TopicPosterior {
     }
 }
 
-/// Keeps the `entries` whose topic `row` lists, each multiplied by the
-/// row's value; both are sorted by topic.
-pub(crate) fn retain_scaled(
-    entries: &mut Vec<(TopicId, f64)>,
-    row: impl Iterator<Item = (TopicId, f64)>,
-) {
-    let mut row = row.peekable();
+/// Multiplies each of the `entries` by its topic's factor in the dense row
+/// `factors` and drops those whose factor is 0.
+pub(crate) fn scale_support(entries: &mut Vec<(TopicId, f64)>, factors: &[f64]) {
     entries.retain_mut(|(z, weight)| {
-        while row.next_if(|&(t, _)| t < *z).is_some() {}
-        let factor = row.next_if(|&(t, _)| t == *z);
-        if let Some((_, factor)) = factor {
-            *weight *= factor;
-        }
-        factor.is_some()
+        let factor = factors[*z as usize];
+        *weight *= factor;
+        factor != 0.0
     });
 }
 
@@ -143,15 +138,24 @@ pub trait EdgeProbs {
         self.prob(e) > 0.0
     }
 
-    /// Bulk kernel: `out[i] = prob(cols.edges()[i]) as f32`, bit for bit.
-    /// The index estimators probe a per-user edge list once per tag set;
-    /// the tag-set views override this with a pass over the columns of
-    /// their support that skips the memo.
+    /// Sparse bulk kernel over the slots of `cols` (slot `i` is
+    /// `cols.edges()[i]`). On entry `out` is all `+0.0` and `touched` is
+    /// empty. On return every `out[i]` holds `prob(cols.edges()[i]) as
+    /// f32`, bit for bit, and `touched` lists, each once and in any order,
+    /// a superset of the slots that are not `+0.0`; only those were
+    /// written. Clearing the listed slots and `touched` restores the entry
+    /// state, which is how the index estimators reuse one buffer for
+    /// every tag set of a query.
+    ///
+    /// The default probes every listed edge and lists the slots whose value
+    /// is not `+0.0`. The tag-set views override it with a pass over the
+    /// columns of their support that skips the memo, so a tag set pays for
+    /// the slots its support reaches.
     ///
     /// # Panics
     /// If `cols` and `out` differ in length.
-    fn fill(&mut self, cols: &EdgeColumns, out: &mut [f32]) {
-        fill_by_prob(self, cols, out);
+    fn fill(&mut self, cols: &EdgeColumns, out: &mut [f32], touched: &mut Vec<u32>) {
+        fill_by_prob(self, cols, out, touched);
     }
 }
 
@@ -161,11 +165,26 @@ pub(crate) fn fill_by_prob<P: EdgeProbs + ?Sized>(
     probs: &mut P,
     cols: &EdgeColumns,
     out: &mut [f32],
+    touched: &mut Vec<u32>,
 ) {
     assert_eq!(cols.edges().len(), out.len(), "one output slot per edge");
-    for (slot, &e) in out.iter_mut().zip(cols.edges()) {
-        *slot = probs.prob(e) as f32;
+    debug_assert!(touched.is_empty(), "`touched` is empty on entry");
+    for ((slot, value), &e) in (0u32..).zip(out.iter_mut()).zip(cols.edges()) {
+        let p = probs.prob(e) as f32;
+        if p.to_bits() != 0 {
+            *value = p;
+            touched.push(slot);
+        }
     }
+}
+
+/// The running Eq. 1 / Eq. 6 sum and Eq. 5 maximum of one slot of a column
+/// fill, valid while `stamp` is the fill's epoch.
+#[derive(Clone, Copy, Debug, Default)]
+struct SlotSums {
+    stamp: u32,
+    sum: f64,
+    max: f64,
 }
 
 /// Epoch-stamped memo table of edge probabilities, reusable across tag sets.
@@ -176,16 +195,16 @@ pub(crate) fn fill_by_prob<P: EdgeProbs + ?Sized>(
 /// one included, so an edge compares the same against a mark `c(e)` no
 /// matter how often it was probed before.
 ///
-/// Also owns the per-slot `f64` accumulators of the column kernels of
-/// [`EdgeProbs::fill`].
+/// Also owns the per-slot accumulators of the column kernels of
+/// [`EdgeProbs::fill`], stamped per fill so a fill starts only the slots
+/// its columns reach.
 #[derive(Clone, Debug)]
 pub struct EdgeProbCache {
     stamps: Vec<u32>,
     values: Vec<f32>,
     epoch: u32,
-    /// Eq. 1 / Eq. 6 sums, and Eq. 5 maxima, one per filled slot.
-    sums: Vec<f64>,
-    maxima: Vec<f64>,
+    slots: Vec<SlotSums>,
+    fill_epoch: u32,
 }
 
 impl EdgeProbCache {
@@ -194,8 +213,8 @@ impl EdgeProbCache {
             stamps: vec![0; num_edges],
             values: vec![0.0; num_edges],
             epoch: 0,
-            sums: Vec::new(),
-            maxima: Vec::new(),
+            slots: Vec::new(),
+            fill_epoch: 0,
         }
     }
 
@@ -220,13 +239,51 @@ impl EdgeProbCache {
         self.values[i] as f64
     }
 
-    /// `slots` zeroed `(sums, maxima)` accumulators.
-    pub(crate) fn accumulators(&mut self, slots: usize) -> (&mut [f64], &mut [f64]) {
-        for acc in [&mut self.sums, &mut self.maxima] {
-            acc.clear();
-            acc.resize(slots, 0.0);
+    /// The column kernel of both tag-set views: for each `(z, weight)` of
+    /// `weights` (ascending topics), every slot of column `z` adds
+    /// `p(e|z)·weight` to its sum (Eq. 1 / Eq. 6) and, with `BOUND`, takes
+    /// `p(e|z)` into its maximum (Eq. 5). A slot's accumulators start at
+    /// `+0.0` on its first touch, which lists it in `touched`, and each
+    /// entry writes the slot's running sum, with `BOUND` `min(max, sum)`, as
+    /// `f32`: the last write is the merge-join of `prob` term for term, in
+    /// the same ascending-topic order. An unlisted slot would have read
+    /// `+0.0` either way and keeps the `+0.0` it holds on entry (see
+    /// [`EdgeProbs::fill`]).
+    pub(crate) fn fill_columns<const BOUND: bool>(
+        &mut self,
+        cols: &EdgeColumns,
+        weights: &[(TopicId, f64)],
+        out: &mut [f32],
+        touched: &mut Vec<u32>,
+    ) {
+        assert_eq!(cols.edges().len(), out.len(), "one output slot per edge");
+        debug_assert!(touched.is_empty(), "`touched` is empty on entry");
+        if self.slots.len() < out.len() {
+            self.slots.resize(out.len(), SlotSums::default());
         }
-        (&mut self.sums, &mut self.maxima)
+        if self.fill_epoch == u32::MAX {
+            self.slots.iter_mut().for_each(|acc| acc.stamp = 0);
+            self.fill_epoch = 0;
+        }
+        self.fill_epoch += 1;
+        let epoch = self.fill_epoch;
+        for &(z, weight) in weights {
+            let (slots, probs) = cols.column(z);
+            for (&slot, &p) in slots.iter().zip(probs) {
+                let acc = &mut self.slots[slot as usize];
+                if acc.stamp != epoch {
+                    *acc = SlotSums { stamp: epoch, sum: 0.0, max: 0.0 };
+                    touched.push(slot);
+                }
+                let pez = p as f64;
+                if BOUND {
+                    acc.max = acc.max.max(pez);
+                }
+                acc.sum += pez * weight;
+                let value = if BOUND { acc.max.min(acc.sum) } else { acc.sum };
+                out[slot as usize] = value as f32;
+            }
+        }
     }
 }
 
@@ -258,25 +315,14 @@ impl EdgeProbs for PosteriorEdgeProbs<'_> {
         self.cache.get_or_insert_with(e, || posterior.edge_prob(edge_topics, e))
     }
 
-    /// Eq. 1 over the posterior's columns only. Bit-identical to `prob`:
-    /// each slot's accumulator receives the terms the merge-join adds, in
-    /// the same ascending-topic order, from `+0.0`. Columns over another
-    /// table take the per-edge default.
-    fn fill(&mut self, cols: &EdgeColumns, out: &mut [f32]) {
+    /// Eq. 1 over the posterior's columns only, writing the slots they
+    /// reach; bit-identical to `prob` (see `EdgeProbCache::fill_columns`).
+    /// Columns over another table take the per-edge default.
+    fn fill(&mut self, cols: &EdgeColumns, out: &mut [f32], touched: &mut Vec<u32>) {
         if !cols.is_over(self.edge_topics) {
-            return fill_by_prob(self, cols, out);
+            return fill_by_prob(self, cols, out, touched);
         }
-        assert_eq!(cols.edges().len(), out.len(), "one output slot per edge");
-        let (sums, _) = self.cache.accumulators(out.len());
-        for &(z, mass) in self.posterior.entries() {
-            let (slots, probs) = cols.column(z);
-            for (&slot, &p) in slots.iter().zip(probs) {
-                sums[slot as usize] += p as f64 * mass;
-            }
-        }
-        for (slot, &sum) in out.iter_mut().zip(sums.iter()) {
-            *slot = sum as f32;
-        }
+        self.cache.fill_columns::<false>(cols, self.posterior.entries(), out, touched);
     }
 }
 
@@ -512,22 +558,27 @@ mod tests {
         let edges: Vec<EdgeId> = vec![3, 0, 1, 2, 0, 3, 1];
         let cols = EdgeColumns::new(&et, &edges);
         let mut cache = EdgeProbCache::new(et.num_edges());
+        let mut touched = Vec::new();
         for posterior in &posteriors {
             let mut view = PosteriorEdgeProbs::new(&et, posterior, &mut cache);
             let expected: Vec<u32> =
                 edges.iter().map(|&e| (view.prob(e) as f32).to_bits()).collect();
-            let mut filled = vec![f32::NAN; edges.len()];
-            view.fill(&cols, &mut filled); // memo primed
+            let mut filled = vec![0.0; edges.len()];
+            view.fill(&cols, &mut filled, &mut touched); // memo primed
             assert_eq!(filled.iter().map(|p| p.to_bits()).collect::<Vec<_>>(), expected);
             let mut view = PosteriorEdgeProbs::new(&et, posterior, &mut cache);
-            filled.fill(f32::NAN);
-            view.fill(&cols, &mut filled); // memo cold
+            filled.fill(0.0);
+            touched.clear();
+            view.fill(&cols, &mut filled, &mut touched); // memo cold
             assert_eq!(filled.iter().map(|p| p.to_bits()).collect::<Vec<_>>(), expected);
             // The default kernel (what `FixedEdgeProbs` and wrappers run).
             let mut fixed = FixedEdgeProbs::new(edges.iter().map(|&e| view.prob(e)).collect());
             let all: Vec<EdgeId> = (0..edges.len() as EdgeId).collect();
-            fixed.fill(&EdgeColumns::edges_only(&all), &mut filled);
+            filled.fill(0.0);
+            touched.clear();
+            fixed.fill(&EdgeColumns::edges_only(&all), &mut filled, &mut touched);
             assert_eq!(filled.iter().map(|p| p.to_bits()).collect::<Vec<_>>(), expected);
+            touched.clear();
         }
     }
 
