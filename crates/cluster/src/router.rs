@@ -4,13 +4,14 @@
 //! cluster is a drop-in replacement for a single server — `pitex client`
 //! (and anything scripted over `nc`) cannot tell the difference. Per verb:
 //!
-//! * `QUERY u k [timeout_us] [backend]` / `EXPLAIN …` — routed to the
-//!   shard owning `u` ([`ShardMap::shard_of`]) through the health-gated
-//!   connection pools ([`ShardPools`]): a dead replica costs a transparent
-//!   failover, a saturated shard answers `BUSY`, and the reply line is
-//!   forwarded verbatim — including the backend operand (`auto` plans
-//!   shard-side, where the artifacts and the latency EWMAs live) and the
-//!   `EXPLAINED` decision trace. Within the owning shard the replica is
+//! * `QUERY u k [timeout_us] [backend]` / `EXPLAIN …` / `TRACE …` — routed
+//!   to the shard owning `u` ([`ShardMap::shard_of`]) through the
+//!   health-gated connection pools ([`ShardPools`]): a dead replica costs a
+//!   transparent failover, a saturated shard answers `BUSY`, and the reply
+//!   line is forwarded verbatim — including the backend operand (`auto`
+//!   plans shard-side, where the artifacts and the latency EWMAs live) and
+//!   the `EXPLAINED` decision trace; a `TRACED` timeline comes back spliced
+//!   into the router's own. Within the owning shard the replica is
 //!   picked by hashing `(user, k)` over the *healthy* replicas
 //!   ([`ShardPools::call_keyed`]), so identical queries warm one replica's
 //!   result cache instead of spraying cold misses round-robin.
@@ -66,17 +67,14 @@ use crate::pool::{CallError, PoolOptions, ShardPools};
 use crate::shardmap::ShardMap;
 use pitex_live::UpdateOp;
 use pitex_serve::conn::blocking::{self, ConnThreads};
-use pitex_serve::conn::verbs::{self, outcome_of};
+use pitex_serve::conn::verbs::{self, RequestRecord};
 use pitex_serve::conn::{Admit, Handled, ReplyTo, Service, Wire, WireCounters, POLL};
-use pitex_serve::{
-    ErrorCode, ReloadReply, Request, Response, StatsReply, TraceReply, TraceRequest,
-};
+use pitex_serve::{ErrorCode, ReloadReply, Request, Response, StatsReply, TraceReply};
 use pitex_support::obs::slo::{self, HealthVerdict, SloOptions, SloStatus, SloVerdict};
 use pitex_support::obs::timeseries::{TimeSeriesStore, TsOptions};
 use pitex_support::obs::{
-    mint_trace_id, render_prometheus, wall_now_us, AtomicHistogram, CaptureOptions, CaptureRecord,
-    CaptureRecorder, Counter, FieldSet, FlightEntry, FlightRecorder, MergedFields, ObsOptions,
-    Registry, SpanRecorder,
+    mint_trace_id, render_prometheus, AtomicHistogram, CaptureOptions, CaptureRecorder, Counter,
+    FieldSet, FlightRecorder, MergedFields, ObsOptions, Registry, SpanRecorder,
 };
 use std::collections::BTreeSet;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
@@ -416,11 +414,11 @@ fn handle_request(shared: &Arc<Shared>, request: Request, scrape: bool) -> Handl
             shared.stop.store(true, Ordering::SeqCst);
             reply(Response::Bye, true)
         }
-        Request::Query(q) => reply(handle_query(shared, Request::Query(q)), false),
-        // EXPLAIN forwards verbatim like QUERY: planning happens on the
-        // owning shard, where the artifacts and latency EWMAs live.
-        Request::Explain(q) => reply(handle_query(shared, Request::Explain(q)), false),
-        Request::Trace(t) => reply(handle_trace(shared, t), false),
+        // Planning happens on the owning shard, where the artifacts and
+        // latency EWMAs live.
+        request @ (Request::Query(_) | Request::Explain(_) | Request::Trace(_)) => {
+            reply(route_query(shared, request), false)
+        }
         Request::Stats => reply(handle_stats(shared), false),
         Request::Metrics => handle_metrics(shared),
         // The router's *local* rings (its own counters, hop latency, pool
@@ -487,205 +485,88 @@ fn affinity_key(user: u32, k: usize) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Records one routed request into the flight ring and (sampled) into the
-/// router's PWRK workload log. The flight entry keeps the ring's `auto`
-/// display for an unset backend; the capture record keeps the wire-level
-/// `-` so a replay re-issues the request exactly as it arrived.
-/// `resolved` is the concrete backend when the reply names one
-/// (`EXPLAINED` does) and `-` otherwise — the router sees the front door,
-/// not the owning shard's planner.
-#[allow(clippy::too_many_arguments)]
-fn record_request(
-    shared: &Shared,
-    trace_id: u64,
-    verb: &'static str,
-    user: u32,
-    k: usize,
-    requested: Option<&'static str>,
-    resolved: &'static str,
-    outcome: &'static str,
-    us: u64,
-    tags: &[u32],
-    spread: f64,
-) {
-    // Anchor at admission: ts + us lines up with the reply's send instant.
-    let ts_us = wall_now_us().saturating_sub(us);
-    shared.flight.record(FlightEntry {
-        trace_id,
-        ts_us,
-        verb,
-        user,
-        k,
-        backend: requested.unwrap_or("auto"),
-        outcome,
-        us,
-    });
-    shared.capture.record(|| CaptureRecord {
-        ts_us,
-        trace_id,
-        verb: verb.to_string(),
-        user,
-        k: k as u32,
-        backend: requested.unwrap_or("-").to_string(),
-        resolved: resolved.to_string(),
-        outcome: outcome.to_string(),
-        us,
-        tags: tags.to_vec(),
-        spread_bits: spread.to_bits(),
-    });
-}
-
-/// Routes `QUERY` and `EXPLAIN` (the `request` must be one of the two) to
-/// the owning shard, with cache-affine replica choice.
-fn handle_query(shared: &Arc<Shared>, request: Request) -> Response {
-    let (verb, q) = match &request {
-        Request::Query(q) => ("QUERY", *q),
-        Request::Explain(q) => ("EXPLAIN", *q),
-        _ => unreachable!("handle_query only routes QUERY/EXPLAIN"),
+/// Routes `QUERY`, `EXPLAIN` and `TRACE` to the shard owning the user,
+/// with cache-affine replica choice, and forwards the shard's reply
+/// verbatim — the cluster is a drop-in for a single server, error codes
+/// included. `TRACE` differs in two places only: the trace id minted (or
+/// echoed) here is stamped on the forwarded request, and the shard's
+/// timeline comes back spliced into the router's own — a `route` span, a
+/// `net` span for the part of the hop the shard cannot see (pool checkout,
+/// serialization, both network legs), and the shard's spans re-based under
+/// a `shard.` prefix. One trace id, one timeline, two processes.
+fn route_query(shared: &Arc<Shared>, mut request: Request) -> Response {
+    let (verb, q, trace_id) = match &mut request {
+        Request::Query(q) => ("QUERY", *q, None),
+        Request::Explain(q) => ("EXPLAIN", *q, None),
+        Request::Trace(t) => {
+            ("TRACE", t.query, Some(*t.trace_id.get_or_insert_with(mint_trace_id)))
+        }
+        _ => unreachable!("route_query routes only the query verbs"),
     };
     // Read side of the epoch gate: a query is never in flight across the
     // commit wave of a reload.
     let _gate = shared.epoch_gate.read().unwrap();
+    let started = Instant::now();
     let shard = shared.map.shard_of(q.user);
-    let t = Instant::now();
-    let response = match shared
-        .pools
-        .call_keyed(shard, affinity_key(q.user, q.k), |client| client.request(&request))
-    {
-        Ok(response) => {
-            match &response {
-                Response::Ok(_) | Response::Explained(_) => {
-                    shared.counters.ok.inc();
-                    shared.latency.record(t.elapsed().as_micros() as u64);
-                }
-                Response::Busy => {
-                    shared.counters.busy.inc();
-                }
-                _ => {
-                    shared.counters.errors.inc();
-                }
-            }
-            // Forward the shard's reply line verbatim — the cluster is a
-            // drop-in for a single server, error codes included.
-            response
-        }
-        Err(CallError::Saturated) => {
-            shared.counters.busy.inc();
-            Response::Busy
-        }
-        Err(CallError::Unavailable(detail)) => internal(shared, detail),
-    };
-    let us = t.elapsed().as_micros() as u64;
-    let (resolved, tags, spread): (&'static str, &[u32], f64) = match &response {
-        Response::Ok(r) => ("-", &r.tags, r.spread),
-        Response::Explained(r) => (r.backend.cli_name(), &r.tags, r.spread),
-        _ => ("-", &[], 0.0),
-    };
-    record_request(
-        shared,
-        mint_trace_id(),
-        verb,
-        q.user,
-        q.k,
-        q.backend.map(|b| b.cli_name()),
-        resolved,
-        outcome_of(&response),
-        us,
-        tags,
-        spread,
-    );
-    response
-}
-
-/// Routes `TRACE` like a query, then splices the shard's timeline into the
-/// router's own: the trace id minted (or echoed) here rides the shard hop
-/// as `id=<hex>`, shard spans come back re-based under a `shard.` prefix,
-/// and the part of the hop the shard cannot see (pool checkout,
-/// serialization, both network legs) becomes the `net` span. One trace id,
-/// one timeline, two processes.
-fn handle_trace(shared: &Arc<Shared>, t: TraceRequest) -> Response {
-    let _gate = shared.epoch_gate.read().unwrap();
-    let trace_id = t.trace_id.unwrap_or_else(mint_trace_id);
-    let q = t.query;
-    let forwarded = Request::Trace(TraceRequest { query: q, trace_id: Some(trace_id) });
-    let mut recorder = SpanRecorder::new();
-    let started = recorder.origin();
-    let shard = shared.map.shard_of(q.user);
-    recorder.record_since("route", started);
-    let dispatch_start = Instant::now();
+    let routed = Instant::now();
     let outcome = shared
         .pools
-        .call_keyed(shard, affinity_key(q.user, q.k), |client| client.request(&forwarded));
-    let response = match outcome {
-        Ok(Response::Traced(reply)) => {
-            if reply.trace_id != trace_id {
-                internal(
-                    shared,
-                    format!("shard answered trace {} for trace {}", reply.trace_id, trace_id),
-                )
-            } else {
-                let hop_us = dispatch_start.elapsed().as_micros() as u64;
-                let hop_start = recorder.offset_us(dispatch_start);
-                // The shard accounts for `reply.us` of the hop; the rest
-                // is the network + pool overhead only the router can see.
-                let net_us = hop_us.saturating_sub(reply.us);
-                recorder.record_at("net", hop_start, net_us);
-                let shard_base = hop_start + net_us;
-                for span in &reply.spans {
-                    recorder.record_at(
-                        &format!("shard.{}", span.name),
-                        shard_base + span.start_us,
-                        span.dur_us,
-                    );
-                }
-                shared.counters.ok.inc();
-                let total_us = recorder.offset_us(Instant::now());
-                shared.latency.record(total_us);
-                Response::Traced(TraceReply {
-                    trace_id,
-                    user: reply.user,
-                    k: reply.k,
-                    tags: reply.tags,
-                    spread: reply.spread,
-                    cached: reply.cached,
-                    us: total_us,
-                    spans: recorder.finish(),
-                })
-            }
-        }
-        Ok(Response::Busy) => {
-            shared.counters.busy.inc();
-            Response::Busy
-        }
-        Ok(Response::Err { code, message }) => {
-            shared.counters.errors.inc();
-            Response::Err { code, message }
-        }
-        Ok(other) => internal(shared, format!("unexpected TRACE reply: {other:?}")),
-        Err(CallError::Saturated) => {
-            shared.counters.busy.inc();
-            Response::Busy
-        }
-        Err(CallError::Unavailable(detail)) => internal(shared, detail),
-    };
+        .call_keyed(shard, affinity_key(q.user, q.k), |client| client.request(&request));
     let us = started.elapsed().as_micros() as u64;
-    let (tags, spread): (&[u32], f64) = match &response {
-        Response::Traced(r) => (&r.tags, r.spread),
-        _ => (&[], 0.0),
+    let internal = |message| Response::Err { code: ErrorCode::Internal, message };
+    let response = match (outcome, trace_id) {
+        (Ok(Response::Traced(reply)), Some(id)) if reply.trace_id == id => {
+            let mut spans = SpanRecorder::starting_at(started);
+            let hop_start = spans.offset_us(routed);
+            spans.record_at("route", 0, hop_start);
+            // The shard accounts for `reply.us` of the hop; the rest is the
+            // network + pool overhead only the router can see.
+            let net_us = us.saturating_sub(hop_start).saturating_sub(reply.us);
+            spans.record_at("net", hop_start, net_us);
+            for span in &reply.spans {
+                let start_us = hop_start + net_us + span.start_us;
+                spans.record_at(&format!("shard.{}", span.name), start_us, span.dur_us);
+            }
+            Response::Traced(TraceReply { us, spans: spans.finish(), ..reply })
+        }
+        (Ok(Response::Traced(reply)), Some(id)) => {
+            internal(format!("shard answered trace {} for trace {id}", reply.trace_id))
+        }
+        (Ok(response @ (Response::Busy | Response::Err { .. })), _) => response,
+        (Ok(other), Some(_)) => internal(format!("unexpected TRACE reply: {other:?}")),
+        (Ok(response), None) => response,
+        (Err(CallError::Saturated), _) => Response::Busy,
+        (Err(CallError::Unavailable(detail)), _) => internal(detail),
     };
-    record_request(
-        shared,
-        trace_id,
-        "TRACE",
-        q.user,
-        q.k,
-        q.backend.map(|b| b.cli_name()),
-        "-",
-        outcome_of(&response),
+    match &response {
+        Response::Ok(_) | Response::Explained(_) | Response::Traced(_) => {
+            shared.counters.ok.inc();
+            shared.latency.record(us);
+        }
+        Response::Busy => shared.counters.busy.inc(),
+        _ => shared.counters.errors.inc(),
+    }
+    // The router sees the front door, not the owning shard's planner: the
+    // resolved backend is known only when the reply names it.
+    let resolved = match &response {
+        Response::Explained(r) => r.backend.cli_name(),
+        _ => "-",
+    };
+    let requested = q.backend.map(|b| b.cli_name());
+    let record = RequestRecord {
+        trace_id: trace_id.unwrap_or_else(mint_trace_id),
+        verb,
+        user: q.user,
+        k: q.k,
+        requested: requested.unwrap_or("-"),
+        resolved,
         us,
-        tags,
-        spread,
-    );
+    };
+    // The flight entry keeps the ring's `auto` display for an unset
+    // backend; the capture record keeps the wire-level `-` so a replay
+    // re-issues the request exactly as it arrived.
+    let flight_backend = requested.unwrap_or("auto");
+    verbs::record_request(&shared.flight, &shared.capture, &record, flight_backend, &response);
     response
 }
 

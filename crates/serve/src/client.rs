@@ -27,12 +27,13 @@ use std::time::{Duration, Instant};
 /// same port.
 ///
 /// The client remembers its resolved address and transparently reconnects
-/// **once** per request when an *idempotent* verb (`QUERY`, `STATS`,
-/// `PING`) hits a connection-level I/O error — a restarted server (or a
-/// router replica swap) costs one retried round-trip instead of killing
-/// the session. Non-idempotent verbs (`UPDATE`, `RELOAD`, `SHUTDOWN`, …)
-/// are never retried: the first attempt may have been applied before the
-/// connection died, and replaying it could double-apply.
+/// **once** per request when an *idempotent* verb (see
+/// [`request`](Self::request)) hits a connection-level I/O error — a
+/// restarted server (or a router replica swap) costs one retried
+/// round-trip instead of killing the session. Non-idempotent verbs
+/// (`UPDATE`, `RELOAD`, `SHUTDOWN`, …) are never retried: the first attempt
+/// may have been applied before the connection died, and replaying it could
+/// double-apply.
 pub struct ServeClient {
     addr: std::net::SocketAddr,
     binary: bool,
@@ -173,9 +174,10 @@ impl ServeClient {
     }
 
     /// Sends a typed request and parses the reply — over whichever wire
-    /// mode the client was dialed with. Idempotent verbs (`QUERY`,
-    /// `EXPLAIN`, `STATS`, `PING`) survive one connection loss: the client
-    /// reconnects and retries exactly once (see the type docs).
+    /// mode the client was dialed with. The idempotent verbs — `PING`,
+    /// `STATS`, `QUERY`, `EXPLAIN`, `TRACE`, `FLIGHT`, `SERIES`, `HEALTH`
+    /// and `SYNC` — survive one connection loss: the client reconnects and
+    /// retries exactly once (see the type docs).
     pub fn request(&mut self, request: &Request) -> std::io::Result<Response> {
         let idempotent = matches!(
             request,

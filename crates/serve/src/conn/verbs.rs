@@ -1,23 +1,89 @@
 //! The hop-local observability verbs. A shard and a router answer
-//! `FLIGHT`, `CAPTURE` and `SERIES` from their *own* recorders and rings
-//! and tick their own sampler, so both [`Service`](super::Service)s call
-//! these with their own state.
+//! `FLIGHT`, `CAPTURE` and `SERIES` from their *own* recorders and rings,
+//! book every query-shaped request into them, and tick their own sampler,
+//! so both [`Service`](super::Service)s call these with their own state.
 
 use super::POLL;
 use crate::protocol::{CaptureAction, ErrorCode, FlightReply, FlightWireEntry, Response};
 use pitex_support::obs::timeseries::{SeriesRes, TimeSeriesStore};
-use pitex_support::obs::{CaptureRecorder, Counter, FlightEntry, FlightRecorder};
+use pitex_support::obs::{
+    wall_now_us, CaptureRecord, CaptureRecorder, Counter, FlightEntry, FlightRecorder,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 /// The flight-recorder outcome tag for a ready-to-send response.
-pub fn outcome_of(response: &Response) -> &'static str {
+fn outcome_of(response: &Response) -> &'static str {
     match response {
         Response::Busy => "busy",
         Response::Err { code: ErrorCode::Deadline, .. } => "deadline",
         Response::Err { .. } => "error",
         _ => "ok",
     }
+}
+
+/// One `QUERY`, `EXPLAIN` or `TRACE` as a hop's recorders book it.
+pub struct RequestRecord {
+    pub trace_id: u64,
+    pub verb: &'static str,
+    pub user: u32,
+    pub k: usize,
+    /// The backend the client asked for; `-` when it left the choice to
+    /// the hop.
+    pub requested: &'static str,
+    /// The backend that answered; `-` when this hop does not know it.
+    pub resolved: &'static str,
+    /// Handling time, admission to reply.
+    pub us: u64,
+}
+
+/// Books one request into the hop's flight ring (and, past the
+/// `PITEX_OBS_SLOW_US` threshold, its slow-query log) and — when sampled —
+/// into its workload-capture log. Both stamp the same admission timestamp
+/// off the shared wall-clock anchor, so replayed arrival schedules
+/// reproduce when requests *arrived*. The outcome and the answer are read
+/// off `response`. `flight_backend` is what the ring shows as the backend:
+/// a shard names the resolved one, a router the requested one or `auto`.
+pub fn record_request(
+    flight: &FlightRecorder,
+    capture: &CaptureRecorder,
+    record: &RequestRecord,
+    flight_backend: &'static str,
+    response: &Response,
+) {
+    let ts_us = wall_now_us().saturating_sub(record.us);
+    let outcome = outcome_of(response);
+    flight.record(FlightEntry {
+        trace_id: record.trace_id,
+        ts_us,
+        verb: record.verb,
+        user: record.user,
+        k: record.k,
+        backend: flight_backend,
+        outcome,
+        us: record.us,
+    });
+    capture.record(|| {
+        let (tags, spread) = match response {
+            Response::Ok(r) => (r.tags.clone(), r.spread),
+            Response::Explained(r) => (r.tags.clone(), r.spread),
+            Response::Traced(r) => (r.tags.clone(), r.spread),
+            _ => (Vec::new(), 0.0),
+        };
+        CaptureRecord {
+            ts_us,
+            trace_id: record.trace_id,
+            verb: record.verb.to_string(),
+            user: record.user,
+            k: record.k as u32,
+            backend: record.requested.to_string(),
+            resolved: record.resolved.to_string(),
+            outcome: outcome.to_string(),
+            us: record.us,
+            tags,
+            spread_bits: spread.to_bits(),
+        }
+    });
 }
 
 /// `FLIGHT` (admin): dump the flight recorder — the newest ring entries

@@ -42,7 +42,7 @@
 //! sides.
 
 use crate::conn::blocking::{self, ConnThreads};
-use crate::conn::verbs::{self, outcome_of};
+use crate::conn::verbs::{self, RequestRecord};
 use crate::conn::{Admit, Handled, ReplyTo, Service, Wire, WireCounters, POLL};
 use crate::protocol::{
     ErrorCode, ExplainReply, QueryReply, ReloadReply, Request, Response, StatsReply, TraceReply,
@@ -60,8 +60,8 @@ use pitex_support::lru::ShardedLru;
 use pitex_support::obs::slo::{HealthVerdict, SloOptions, SHARD_INPUTS};
 use pitex_support::obs::timeseries::{TimeSeriesStore, TsOptions};
 use pitex_support::obs::{
-    mint_trace_id, render_prometheus, wall_now_us, CaptureOptions, CaptureRecord, CaptureRecorder,
-    Counter, FieldSet, FlightEntry, FlightRecorder, Gauge, ObsOptions, SpanRecorder,
+    mint_trace_id, render_prometheus, CaptureOptions, CaptureRecorder, Counter, FieldSet,
+    FlightRecorder, Gauge, ObsOptions, SpanRecorder,
 };
 use pitex_support::stats::{LatencyHistogram, OnlineStats};
 use std::collections::BTreeSet;
@@ -138,48 +138,22 @@ struct CachedAnswer {
     spread: f64,
 }
 
-/// One queued query, ready for a worker. The backend is already resolved
-/// (the connection planned `auto` before the cache probe, so the cache key
-/// and the execution agree).
+/// One queued `QUERY`, `EXPLAIN` or `TRACE`, ready for a worker. The
+/// backend is already resolved (admission planned `auto` before the cache
+/// probe, so the cache key and the execution agree).
 struct Job {
-    user: u32,
-    k: usize,
-    backend: EngineBackend,
-    deadline: Instant,
     /// When the connection enqueued the job — the worker reports the
     /// dequeue delta back as the `queue` trace span.
     enqueued: Instant,
-    reply: JobReply,
+    sink: QuerySink,
 }
 
-/// Who finishes a job. A `QUERY` is completed by the worker itself and
-/// its encoded reply goes straight to the connection, whichever driver
-/// holds it — no thread blocks per in-flight query. `EXPLAIN` and `TRACE`
-/// weave the raw measurement into a reply of their own, so their caller
-/// (a connection thread or the slow lane) waits for it.
-enum JobReply {
-    Query(QuerySink),
-    Caller(mpsc::SyncSender<WorkerReply>),
-}
-
-impl JobReply {
-    fn deliver(self, reply: WorkerReply) {
-        match self {
-            JobReply::Query(sink) => sink.deliver(reply),
-            // The caller may be gone (connection died mid-request);
-            // dropping the reply is correct either way.
-            JobReply::Caller(tx) => {
-                let _ = tx.try_send(reply);
-            }
-        }
-    }
-}
-
-/// A deferred `QUERY`'s way home. The worker finishes the query (cache,
+/// A deferred request's way home. The worker finishes the request (cache,
 /// counters, recording) and delivers the encoded reply through the
-/// request's [`ReplyTo`]. A sink dropped without delivering (worker pool
-/// drained at shutdown) still completes the request with an error so the
-/// client is never left waiting on a swallowed id.
+/// request's [`ReplyTo`], whichever driver holds the connection — no
+/// thread blocks per in-flight request. A sink dropped without delivering
+/// (worker pool drained at shutdown) still completes the request with an
+/// error so the client is never left waiting on a swallowed id.
 struct QuerySink {
     shared: Arc<Shared>,
     to: ReplyTo,
@@ -187,9 +161,13 @@ struct QuerySink {
 }
 
 impl QuerySink {
+    fn ctx(&self) -> &QueryCtx {
+        self.ctx.as_ref().expect("a queued request is undelivered")
+    }
+
     fn deliver(mut self, reply: WorkerReply) {
         if let Some(ctx) = self.ctx.take() {
-            let response = complete_query(&self.shared, &ctx, reply);
+            let response = complete_query(&self.shared, ctx, reply);
             self.to.deliver(Handled::Reply(response, false));
         }
     }
@@ -198,24 +176,34 @@ impl QuerySink {
 impl Drop for QuerySink {
     fn drop(&mut self) {
         if let Some(ctx) = self.ctx.take() {
-            let response = abandoned_query(&self.shared, &ctx);
+            // The shutdown race: every worker exited while this was queued.
+            let message = "server is shutting down".to_string();
+            let response =
+                ctx.fail(&self.shared, Response::Err { code: ErrorCode::Internal, message });
             self.to.deliver(Handled::Reply(response, false));
         }
     }
 }
 
+/// Where a dispatched request's time went, as the worker measured it: the
+/// enqueue instant and the queue wait (the `queue` trace span) and the
+/// execution time (what feeds the planner EWMA, the `EXPLAIN` actual-cost
+/// field and the `execute` trace span).
+#[derive(Clone, Copy)]
+struct Run {
+    enqueued: Instant,
+    queue_us: u64,
+    exec_us: u64,
+}
+
 enum WorkerReply {
     /// A computed answer, stamped with the epoch it was computed under so
-    /// the connection can refuse to cache results from a superseded world,
-    /// and with the measured execution time (what feeds the planner EWMA
-    /// and the `EXPLAIN` actual-cost field) plus the queue wait (what
-    /// feeds the `queue` trace span).
+    /// completion can refuse to cache results from a superseded world.
     Done {
         tags: TagSet,
         spread: f64,
         epoch: u64,
-        us: u64,
-        queue_us: u64,
+        run: Run,
     },
     Deadline,
     Panicked,
@@ -445,6 +433,19 @@ impl Server {
         addr: impl ToSocketAddrs,
         options: ServeOptions,
     ) -> std::io::Result<ServerHandle> {
+        let stall_us =
+            std::env::var("PITEX_OBS_STALL_US").ok().and_then(|v| v.parse().ok()).unwrap_or(0);
+        Self::spawn_stalled(handle, addr, options, stall_us)
+    }
+
+    /// [`spawn`](Self::spawn) with the stall injector set here instead of
+    /// read from the process-wide environment, which concurrent tests share.
+    fn spawn_stalled(
+        handle: EngineHandle,
+        addr: impl ToSocketAddrs,
+        options: ServeOptions,
+        stall_us: u64,
+    ) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
@@ -542,10 +543,7 @@ impl Server {
             latency: Mutex::new((LatencyHistogram::new(), OnlineStats::new())),
             started: Instant::now(),
             conns: ConnThreads::default(),
-            stall_us: std::env::var("PITEX_OBS_STALL_US")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0),
+            stall_us,
         });
         shared.counters.wal_replayed_records.add(replayed_records);
         shared.counters.wal_replayed_ops.add(replayed_ops);
@@ -647,8 +645,8 @@ enum WorkerExit {
     /// The epoch advanced: rebuild the engine from the fresh snapshot, and
     /// first run the job that was dequeued after the swap (running it on
     /// the old engine would break read-your-writes for the admin who just
-    /// reloaded).
-    Rebuild(Option<Job>),
+    /// reloaded). Boxed: a job is large, and a swap is rare.
+    Rebuild(Option<Box<Job>>),
 }
 
 fn worker_loop(shared: &Arc<Shared>, job_rx: &Arc<Mutex<mpsc::Receiver<Job>>>) {
@@ -661,7 +659,7 @@ fn worker_loop(shared: &Arc<Shared>, job_rx: &Arc<Mutex<mpsc::Receiver<Job>>>) {
         let snapshot = shared.store.current();
         match run_worker_epoch(shared, &snapshot, job_rx, carried.take()) {
             WorkerExit::Stop => return,
-            WorkerExit::Rebuild(job) => carried = job,
+            WorkerExit::Rebuild(job) => carried = job.map(|job| *job),
         }
     }
 }
@@ -710,24 +708,25 @@ fn run_worker_epoch(
         // (A connection only observes the new epoch after the swap, and
         // the channel hand-off orders that observation before this load.)
         if shared.store.epoch() != snapshot.epoch {
-            return WorkerExit::Rebuild(Some(job));
+            return WorkerExit::Rebuild(Some(Box::new(job)));
         }
-        if Instant::now() >= job.deadline {
-            // The connection side counts the DEADLINE outcome when it
-            // relays the reply — counting here too would double-book it.
-            job.reply.deliver(WorkerReply::Deadline);
+        let ctx = job.sink.ctx();
+        if Instant::now() >= ctx.deadline {
+            // Completion counts the DEADLINE outcome — counting here too
+            // would double-book it (likewise every error below).
+            job.sink.deliver(WorkerReply::Deadline);
             continue;
         }
         // Queue wait ends here: everything after (engine build included)
         // is work done *for* this job, booked under its execute span.
         let queue_us = job.enqueued.elapsed().as_micros() as u64;
-        let slot = job.backend as usize;
+        let (user, k, backend) = (ctx.user, ctx.k, ctx.resolved);
+        let slot = backend as usize;
         if engines[slot].is_none() {
-            match snapshot.handle.engine_for(job.backend) {
+            match snapshot.handle.engine_for(backend) {
                 Ok(engine) => engines[slot] = Some(engine),
                 Err(e) => {
-                    shared.counters.errors.inc();
-                    job.reply.deliver(WorkerReply::Unavailable(e.to_string()));
+                    job.sink.deliver(WorkerReply::Unavailable(e.to_string()));
                     continue;
                 }
             }
@@ -741,21 +740,19 @@ fn run_worker_epoch(
         if shared.stall_us > 0 {
             std::thread::sleep(Duration::from_micros(shared.stall_us));
         }
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            engine.query(job.user, job.k)
-        }));
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.query(user, k)));
         let reply = match outcome {
             Ok(result) => {
-                let us = started.elapsed().as_micros() as u64;
+                let exec_us = started.elapsed().as_micros() as u64;
                 // Feed the measurement back into the planner's EWMA — this
                 // is how `auto` converges on what this machine really costs.
-                snapshot.handle.planner().observe(job.backend, us);
+                snapshot.handle.planner().observe(backend, exec_us);
                 WorkerReply::Done {
                     tags: result.tags,
                     spread: result.spread,
                     epoch: snapshot.epoch,
-                    us,
-                    queue_us,
+                    run: Run { enqueued: job.enqueued, queue_us, exec_us },
                 }
             }
             Err(_) => {
@@ -766,17 +763,18 @@ fn run_worker_epoch(
                 WorkerReply::Panicked
             }
         };
-        job.reply.deliver(reply);
+        job.sink.deliver(reply);
     }
 }
 
 /// Thread name of a connection served by the blocking driver.
 const CONN_THREAD: &str = "pitex-conn";
 
-/// The shard behind the connection core's [`Service`] seam: `PING` and
-/// cache hits answer inline, cache misses are deferred to the worker pool,
-/// every other verb is blocking work. Each driver thread owns a clone, and
-/// with it a pinned snapshot it refreshes without a lock.
+/// The shard behind the connection core's [`Service`] seam: `PING`, cache
+/// hits and admission errors answer inline, every other `QUERY`, `EXPLAIN`
+/// and `TRACE` is deferred to the worker pool, every other verb is blocking
+/// work. Each driver thread owns a clone, and with it a pinned snapshot it
+/// refreshes without a lock.
 #[derive(Clone)]
 struct ShardService {
     shared: Arc<Shared>,
@@ -825,39 +823,27 @@ impl Service for ShardService {
                 self.shared.counters.requests.inc();
                 inline(Response::Pong)
             }
-            Request::Query(q) => {
+            Request::Query(_) | Request::Explain(_) | Request::Trace(_) => {
                 self.repin();
                 let shared = &self.shared;
                 shared.counters.requests.inc();
-                let ctx = match prepare_query(shared, &self.snapshot, &q) {
+                let ctx = match prepare_query(shared, &self.snapshot, &request) {
                     PreparedQuery::Ready(response) => return inline(response),
                     PreparedQuery::Dispatch(ctx) if !to.has_room() => {
-                        return inline(shed_query(shared, &ctx));
+                        return inline(ctx.fail(shared, Response::Busy));
                     }
                     PreparedQuery::Dispatch(ctx) => ctx,
                 };
-                let job = Job {
-                    user: ctx.user,
-                    k: ctx.k,
-                    backend: ctx.resolved,
-                    deadline: ctx.deadline,
-                    enqueued: Instant::now(),
-                    reply: JobReply::Query(QuerySink {
-                        shared: shared.clone(),
-                        to: to.clone(),
-                        ctx: Some(ctx),
-                    }),
-                };
-                match self.job_tx.try_send(job) {
+                let sink = QuerySink { shared: shared.clone(), to: to.clone(), ctx: Some(ctx) };
+                match self.job_tx.try_send(Job { enqueued: Instant::now(), sink }) {
                     Ok(()) => Admit::Deferred,
-                    // Full queue or a draining pool: shed the request.
-                    Err(mpsc::TrySendError::Full(job) | mpsc::TrySendError::Disconnected(job)) => {
-                        // Take the ctx back out of the sink so the shed is
-                        // booked here, not by its Drop.
-                        let JobReply::Query(mut sink) = job.reply else {
-                            unreachable!("constructed above")
-                        };
-                        inline(shed_query(shared, &sink.ctx.take().expect("undelivered")))
+                    // Full queue or a draining pool: shed the request. The
+                    // ctx comes back out of the sink so the shed is booked
+                    // here, not by its Drop.
+                    Err(mpsc::TrySendError::Full(mut job))
+                    | Err(mpsc::TrySendError::Disconnected(mut job)) => {
+                        let ctx = job.sink.ctx.take().expect("undelivered");
+                        inline(ctx.fail(shared, Response::Busy))
                     }
                 }
             }
@@ -868,7 +854,7 @@ impl Service for ShardService {
     /// The verb switch behind every blocking request.
     fn call(&mut self, request: Request, wire: Wire) -> Handled {
         self.repin();
-        let (shared, snapshot, job_tx) = (&self.shared, &self.snapshot, &self.job_tx);
+        let shared = &self.shared;
         // A scrape is not a protocol request: it books neither `requests`
         // nor, for a ring it misses, `errors`.
         let scrape = wire == Wire::Http;
@@ -883,7 +869,9 @@ impl Service for ShardService {
         };
         let obs = &shared.obs;
         match request {
-            Request::Ping | Request::Query(_) => unreachable!("answered or deferred by admit"),
+            Request::Ping | Request::Query(_) | Request::Explain(_) | Request::Trace(_) => {
+                unreachable!("answered or deferred by admit")
+            }
             Request::Quit => reply(Response::Bye, true),
             Request::Shutdown => {
                 shared.stop.store(true, Ordering::SeqCst);
@@ -899,8 +887,6 @@ impl Service for ShardService {
                 reply(response, false)
             }
             Request::Health => reply(Response::Health(health_verdict(shared)), false),
-            Request::Explain(q) => reply(handle_explain(shared, snapshot, q, job_tx), false),
-            Request::Trace(t) => reply(handle_trace(shared, snapshot, t, job_tx), false),
             Request::Update(_)
             | Request::Reload
             | Request::Prepare
@@ -929,206 +915,33 @@ impl Service for ShardService {
     }
 }
 
-/// Validates a query's user / k / deadline and resolves the backend it
-/// will run under: a per-request override beats the server's configured
-/// method, and `auto` (either way) asks the planner with the *remaining*
-/// deadline budget, so a tight deadline degrades to a cheaper backend
-/// instead of burning itself on the preferred one. `Err` carries the
-/// ready-to-send response.
-struct Admitted {
-    k: usize,
-    deadline: Instant,
-    timeout: Duration,
-    accepted: Instant,
-    resolved: EngineBackend,
-    /// The planner's verdict (`None` when the backend was forced).
-    decision: Option<PlanDecision>,
+/// What a query-shaped verb asks for beyond the answer. `QUERY` carries
+/// nothing, so its path allocates nothing only the other two need.
+enum QueryKind {
+    Query,
+    /// Bypasses the result cache (the point is a real measurement) and
+    /// reports the planner's decision next to the answer: chosen backend,
+    /// predicted vs. actual cost, degradation flag, rejected alternatives.
+    Explain(PlanDecision),
+    /// Serves exactly like `QUERY`, cache included, while recording a span
+    /// timeline — plan (admission + backend resolution), cache (the probe),
+    /// queue (enqueue-to-dequeue wait) and execute (the engine run) — all
+    /// against the admission instant, so the client can lay them on a
+    /// single time axis.
+    Trace(SpanRecorder),
 }
 
-fn admit_query(
-    shared: &Arc<Shared>,
-    snapshot: &Snapshot,
-    q: &crate::protocol::QueryRequest,
-    error: &impl Fn(ErrorCode, String) -> Response,
-) -> Result<Admitted, Response> {
-    let model = snapshot.handle.model();
-    if q.k == 0 {
-        return Err(error(ErrorCode::BadK, "k must be at least 1".to_string()));
-    }
-    let nodes = model.graph().num_nodes();
-    if (q.user as usize) >= nodes {
-        return Err(error(
-            ErrorCode::UnknownUser,
-            format!("user {} out of range (|V| = {nodes})", q.user),
-        ));
-    }
-    let accepted = Instant::now();
-    let timeout =
-        q.timeout_us.map(Duration::from_micros).unwrap_or(shared.options.default_deadline);
-    let deadline =
-        accepted.checked_add(timeout).unwrap_or_else(|| accepted + Duration::from_secs(86_400));
-    // `timeout_us=0` (and any deadline that has already passed) fails fast
-    // here, before spending a plan, a cache probe or a queue slot.
-    if Instant::now() >= deadline {
-        return Err(error(
-            ErrorCode::Deadline,
-            format!("deadline of {timeout:?} elapsed before execution"),
-        ));
-    }
-
-    // The engine clamps k to the vocabulary; cache under the clamped key so
-    // `k=99` and `k=|Ω|` share an entry.
-    let k = q.k.min(model.num_tags());
-    let requested = q.backend.unwrap_or_else(|| snapshot.handle.backend());
-    let (resolved, decision) = if requested == EngineBackend::Auto {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        let decision = snapshot.handle.plan(q.user, k, Some(remaining));
-        (decision.chosen, Some(decision))
-    } else {
-        let rr = snapshot.handle.rr_index().is_some();
-        let delay = snapshot.handle.delay_index().is_some();
-        if !registry::available(requested, rr, delay) {
-            return Err(error(
-                ErrorCode::BadRequest,
-                format!(
-                    "backend {} needs a prebuilt index this server does not hold",
-                    requested.cli_name()
-                ),
-            ));
-        }
-        (requested, None)
-    };
-    Ok(Admitted { k, deadline, timeout, accepted, resolved, decision })
-}
-
-/// Counts and builds an error reply (`DEADLINE` books against its own
-/// counter; everything else against `errors`).
-fn count_error(shared: &Shared, code: ErrorCode, message: String) -> Response {
-    let counter = if code == ErrorCode::Deadline {
-        &shared.counters.deadline_exceeded
-    } else {
-        &shared.counters.errors
-    };
-    counter.inc();
-    Response::Err { code, message }
-}
-
-/// Books one request summary into the flight recorder (and, past the
-/// `PITEX_OBS_SLOW_US` threshold, into the slow-query log) and — when
-/// sampled — into the workload-capture log. Both stamp the same
-/// admission timestamp off the shared wall-clock anchor. `requested` is
-/// the backend the client asked for (`-` when the server default
-/// applied); `resolved` the one that answered (`-` when the request
-/// never reached one); `tags`/`spread` the answer, when there was one.
-#[allow(clippy::too_many_arguments)]
-fn record_request(
-    shared: &Shared,
-    trace_id: u64,
-    verb: &'static str,
-    user: u32,
-    k: usize,
-    requested: &str,
-    resolved: &'static str,
-    outcome: &'static str,
-    us: u64,
-    tags: &[u32],
-    spread: f64,
-) {
-    // Anchor the timestamp at admission, not completion, so replayed
-    // arrival schedules reproduce when requests *arrived*.
-    let ts_us = wall_now_us().saturating_sub(us);
-    shared.obs.flight.record(FlightEntry {
-        trace_id,
-        ts_us,
-        verb,
-        user,
-        k,
-        backend: resolved,
-        outcome,
-        us,
-    });
-    shared.obs.capture.record(|| CaptureRecord {
-        ts_us,
-        trace_id,
-        verb: verb.to_string(),
-        user,
-        k: k as u32,
-        backend: requested.to_string(),
-        resolved: resolved.to_string(),
-        outcome: outcome.to_string(),
-        us,
-        tags: tags.to_vec(),
-        spread_bits: spread.to_bits(),
-    });
-}
-
-/// What a successful dispatch hands back to its blocked caller.
-struct JobDone {
-    tags: TagSet,
-    spread: f64,
-    epoch: u64,
-    /// Worker-measured execution time (`engine.query` alone).
-    us: u64,
-    /// Enqueue-to-dequeue wait.
-    queue_us: u64,
-}
-
-/// Enqueues one resolved job and waits for the worker's answer — the
-/// shared dispatch half of `QUERY`, `EXPLAIN` and `TRACE`. `Err` carries
-/// the ready-to-send (and already counted) response for every non-answer
-/// outcome: `BUSY` shed, queued-past-deadline, worker panic, backend
-/// unavailable, shutdown race.
-fn dispatch_job(
-    shared: &Arc<Shared>,
-    admitted: &Admitted,
-    user: u32,
-    job_tx: &mpsc::SyncSender<Job>,
-) -> Result<JobDone, Response> {
-    let (reply_tx, reply_rx) = mpsc::sync_channel::<WorkerReply>(1);
-    let job = Job {
-        user,
-        k: admitted.k,
-        backend: admitted.resolved,
-        deadline: admitted.deadline,
-        enqueued: Instant::now(),
-        reply: JobReply::Caller(reply_tx),
-    };
-    match job_tx.try_send(job) {
-        Ok(()) => {}
-        Err(mpsc::TrySendError::Full(_)) | Err(mpsc::TrySendError::Disconnected(_)) => {
-            // Full queue or a draining pool: shed the request.
-            shared.counters.busy.inc();
-            return Err(Response::Busy);
-        }
-    }
-    match reply_rx.recv() {
-        Ok(WorkerReply::Done { tags, spread, epoch, us, queue_us }) => {
-            Ok(JobDone { tags, spread, epoch, us, queue_us })
-        }
-        Ok(WorkerReply::Deadline) => Err(count_error(
-            shared,
-            ErrorCode::Deadline,
-            format!("deadline of {:?} elapsed while queued", admitted.timeout),
-        )),
-        Ok(WorkerReply::Panicked) => {
-            Err(count_error(shared, ErrorCode::Internal, "query execution panicked".to_string()))
-        }
-        Ok(WorkerReply::Unavailable(message)) => {
-            Err(Response::Err { code: ErrorCode::Internal, message })
-        }
-        // All workers exited mid-request (shutdown race): the job was
-        // dropped with the queue.
-        Err(mpsc::RecvError) => {
-            Err(count_error(shared, ErrorCode::Internal, "server is shutting down".to_string()))
-        }
-    }
-}
-
-/// Everything a dispatched query's completion needs, detached from the
-/// connection so the worker can finish the query on its own thread.
+/// One admitted `QUERY`, `EXPLAIN` or `TRACE`: everything its completion
+/// needs, detached from the connection so a worker can finish it on its
+/// own thread.
 struct QueryCtx {
+    kind: QueryKind,
+    verb: &'static str,
+    /// Minted at admission unless a `TRACE` forwarded one with `id=` (the
+    /// cluster router does, to span the net hop).
     trace_id: u64,
     user: u32,
+    /// The effective k (clamped to the tag vocabulary).
     k: usize,
     requested: &'static str,
     resolved: EngineBackend,
@@ -1137,432 +950,226 @@ struct QueryCtx {
     deadline: Instant,
 }
 
-/// The admission half of `QUERY`: validate, plan, probe the cache. Either
-/// the answer is already in hand (errors and cache hits — counted and
-/// recorded), or the query is ready to dispatch to a worker.
+/// What admission made of a query-shaped verb: either the answer is
+/// already in hand (errors and cache hits — counted and recorded), or the
+/// request is ready to dispatch to a worker.
 enum PreparedQuery {
     Ready(Response),
     Dispatch(QueryCtx),
 }
 
-fn prepare_query(
-    shared: &Arc<Shared>,
-    snapshot: &Snapshot,
-    q: &crate::protocol::QueryRequest,
-) -> PreparedQuery {
-    let trace_id = mint_trace_id();
-    let requested = q.backend.map(|b| b.cli_name()).unwrap_or("-");
-    let error = |code: ErrorCode, message: String| count_error(shared, code, message);
-    let admitted = match admit_query(shared, snapshot, q, &error) {
-        Ok(admitted) => admitted,
-        Err(response) => {
-            let outcome = outcome_of(&response);
-            record_request(
-                shared,
-                trace_id,
-                "QUERY",
-                q.user,
-                q.k,
-                requested,
-                "-",
-                outcome,
-                0,
-                &[],
-                0.0,
-            );
-            return PreparedQuery::Ready(response);
-        }
+/// The one admission of `QUERY`, `EXPLAIN` and `TRACE`: validate user, k
+/// and deadline; resolve the backend — a per-request override beats the
+/// server's configured method, and `auto` (either way) asks the planner
+/// with the *remaining* deadline budget, so a tight deadline degrades to a
+/// cheaper backend instead of burning itself on the preferred one; then
+/// probe the result cache, except for `EXPLAIN`. A request rejected here
+/// never ran and books 0 µs, whichever its verb.
+fn prepare_query(shared: &Arc<Shared>, snapshot: &Snapshot, request: &Request) -> PreparedQuery {
+    let accepted = Instant::now();
+    let (verb, q, trace_id) = match request {
+        Request::Query(q) => ("QUERY", *q, mint_trace_id()),
+        Request::Explain(q) => ("EXPLAIN", *q, mint_trace_id()),
+        Request::Trace(t) => ("TRACE", t.query, t.trace_id.unwrap_or_else(mint_trace_id)),
+        _ => unreachable!("admit prepares only the query verbs"),
     };
-    let (k, accepted) = (admitted.k, admitted.accepted);
-    let backend = admitted.resolved.cli_name();
+    let requested = q.backend.map_or("-", |b| b.cli_name());
+    let reject = |code: ErrorCode, message: String| {
+        let record =
+            RequestRecord { trace_id, verb, user: q.user, k: q.k, requested, resolved: "-", us: 0 };
+        PreparedQuery::Ready(finish_err(shared, &record, Response::Err { code, message }))
+    };
+    let model = snapshot.handle.model();
+    if q.k == 0 {
+        return reject(ErrorCode::BadK, "k must be at least 1".to_string());
+    }
+    let nodes = model.graph().num_nodes();
+    if (q.user as usize) >= nodes {
+        let message = format!("user {} out of range (|V| = {nodes})", q.user);
+        return reject(ErrorCode::UnknownUser, message);
+    }
+    let timeout =
+        q.timeout_us.map(Duration::from_micros).unwrap_or(shared.options.default_deadline);
+    let deadline =
+        accepted.checked_add(timeout).unwrap_or_else(|| accepted + Duration::from_secs(86_400));
+    // `timeout_us=0` (and any deadline that has already passed) fails fast
+    // here, before spending a plan, a cache probe or a queue slot.
+    if Instant::now() >= deadline {
+        let message = format!("deadline of {timeout:?} elapsed before execution");
+        return reject(ErrorCode::Deadline, message);
+    }
+
+    // The engine clamps k to the vocabulary; cache under the clamped key so
+    // `k=99` and `k=|Ω|` share an entry.
+    let k = q.k.min(model.num_tags());
+    let backend = q.backend.unwrap_or_else(|| snapshot.handle.backend());
+    let (resolved, decision) = if backend == EngineBackend::Auto {
+        let remaining = deadline.saturating_duration_since(Instant::now());
+        let decision = snapshot.handle.plan(q.user, k, Some(remaining));
+        (decision.chosen, Some(decision))
+    } else {
+        let rr = snapshot.handle.rr_index().is_some();
+        let delay = snapshot.handle.delay_index().is_some();
+        if !registry::available(backend, rr, delay) {
+            let name = backend.cli_name();
+            let message =
+                format!("backend {name} needs a prebuilt index this server does not hold");
+            return reject(ErrorCode::BadRequest, message);
+        }
+        (backend, None)
+    };
+    let kind = match request {
+        // A forced backend still gets a (trivial) decision so the reply
+        // can show what the planner would have predicted for it.
+        Request::Explain(_) => QueryKind::Explain(decision.unwrap_or_else(|| PlanDecision {
+            chosen: resolved,
+            predicted_us: snapshot.handle.predicted_us(resolved, q.user, k),
+            degraded: false,
+            rejected: Vec::new(),
+        })),
+        Request::Trace(_) => {
+            let mut spans = SpanRecorder::starting_at(accepted);
+            spans.record_since("plan", accepted);
+            QueryKind::Trace(spans)
+        }
+        _ => QueryKind::Query,
+    };
+    let mut ctx = QueryCtx {
+        kind,
+        verb,
+        trace_id,
+        user: q.user,
+        k,
+        requested,
+        resolved,
+        accepted,
+        timeout,
+        deadline,
+    };
 
     // Cache under the *resolved* backend: `auto` queries share entries
     // with — and warm the cache for — the concrete backend they ran as.
-    let key = (q.user, k, admitted.resolved);
-    if let Some(hit) = shared.cache.get(&key) {
-        shared.counters.ok.inc();
-        let us = accepted.elapsed().as_micros() as u64;
-        record_latency(shared, us);
-        record_request(
-            shared,
-            trace_id,
-            "QUERY",
-            q.user,
-            k,
-            requested,
-            backend,
-            "ok",
-            us,
-            hit.tags.tags(),
-            hit.spread,
-        );
-        return PreparedQuery::Ready(Response::Ok(QueryReply {
-            user: q.user,
-            k,
-            tags: hit.tags.tags().to_vec(),
-            spread: hit.spread,
-            cached: true,
-            us,
-        }));
+    let key = (q.user, k, resolved);
+    let hit = match &mut ctx.kind {
+        QueryKind::Query => shared.cache.get(&key),
+        QueryKind::Explain(_) => None,
+        QueryKind::Trace(spans) => {
+            let probe_start = Instant::now();
+            let hit = shared.cache.get(&key);
+            spans.record_since("cache", probe_start);
+            hit
+        }
+    };
+    match hit {
+        Some(hit) => PreparedQuery::Ready(ctx.answer(shared, &hit.tags, hit.spread, None)),
+        None => PreparedQuery::Dispatch(ctx),
     }
-    PreparedQuery::Dispatch(QueryCtx {
-        trace_id,
-        user: q.user,
-        k,
-        requested,
-        resolved: admitted.resolved,
-        accepted,
-        timeout: admitted.timeout,
-        deadline: admitted.deadline,
-    })
 }
 
-/// Books one failed-to-dispatch (full queue / draining pool) query: the
-/// `BUSY` shed, counted and recorded.
-fn shed_query(shared: &Shared, ctx: &QueryCtx) -> Response {
-    shared.counters.busy.inc();
-    let us = ctx.accepted.elapsed().as_micros() as u64;
-    record_request(
-        shared,
-        ctx.trace_id,
-        "QUERY",
-        ctx.user,
-        ctx.k,
-        ctx.requested,
-        ctx.resolved.cli_name(),
-        "busy",
-        us,
-        &[],
-        0.0,
-    );
-    Response::Busy
-}
-
-/// The completion half of `QUERY`: turn the worker's reply into the wire
-/// response, with the two-sided epoch-checked cache insert, counting,
-/// latency booking, and the flight/capture record.
-fn complete_query(shared: &Shared, ctx: &QueryCtx, reply: WorkerReply) -> Response {
-    let backend = ctx.resolved.cli_name();
-    if let WorkerReply::Done { tags, spread, epoch, .. } = reply {
-        // Cache only results that are still current, and re-check after
-        // the insert: a swap (plus its invalidation sweep) could land
-        // between the pre-check and the insert, which would let a stale
-        // answer slip in *after* the sweep. If the post-insert check
-        // sees a newer epoch the entry is removed here; if the swap
-        // lands after the check instead, the sweep — which runs
-        // strictly after the epoch bump — removes it. One of the two
-        // always runs after the insert, so no stale entry survives.
-        let key = (ctx.user, ctx.k, ctx.resolved);
-        if shared.store.epoch() == epoch {
-            shared.cache.insert(key, CachedAnswer { tags: tags.clone(), spread });
-            if shared.store.epoch() != epoch {
-                shared.cache.invalidate(&key);
-            }
-        }
-        shared.counters.ok.inc();
-        let us = ctx.accepted.elapsed().as_micros() as u64;
-        record_latency(shared, us);
-        record_request(
-            shared,
-            ctx.trace_id,
-            "QUERY",
-            ctx.user,
-            ctx.k,
-            ctx.requested,
-            backend,
-            "ok",
+impl QueryCtx {
+    fn record(&self, us: u64) -> RequestRecord {
+        RequestRecord {
+            trace_id: self.trace_id,
+            verb: self.verb,
+            user: self.user,
+            k: self.k,
+            requested: self.requested,
+            resolved: self.resolved.cli_name(),
             us,
-            tags.tags(),
-            spread,
-        );
-        return Response::Ok(QueryReply {
-            user: ctx.user,
-            k: ctx.k,
-            tags: tags.tags().to_vec(),
-            spread,
-            cached: false,
-            us,
-        });
-    }
-    let response = match reply {
-        WorkerReply::Deadline => count_error(
-            shared,
-            ErrorCode::Deadline,
-            format!("deadline of {:?} elapsed while queued", ctx.timeout),
-        ),
-        WorkerReply::Panicked => {
-            count_error(shared, ErrorCode::Internal, "query execution panicked".to_string())
         }
-        WorkerReply::Unavailable(message) => Response::Err { code: ErrorCode::Internal, message },
-        WorkerReply::Done { .. } => unreachable!("handled above"),
-    };
-    let us = ctx.accepted.elapsed().as_micros() as u64;
-    record_request(
-        shared,
-        ctx.trace_id,
-        "QUERY",
-        ctx.user,
-        ctx.k,
-        ctx.requested,
-        backend,
-        outcome_of(&response),
-        us,
-        &[],
-        0.0,
-    );
-    response
-}
-
-/// The shutdown race: every worker exited while this query was in flight.
-fn abandoned_query(shared: &Shared, ctx: &QueryCtx) -> Response {
-    let response = count_error(shared, ErrorCode::Internal, "server is shutting down".to_string());
-    let us = ctx.accepted.elapsed().as_micros() as u64;
-    record_request(
-        shared,
-        ctx.trace_id,
-        "QUERY",
-        ctx.user,
-        ctx.k,
-        ctx.requested,
-        ctx.resolved.cli_name(),
-        outcome_of(&response),
-        us,
-        &[],
-        0.0,
-    );
-    response
-}
-
-/// `EXPLAIN`: run the query exactly like `QUERY` would, but bypass the
-/// result cache (the point is a real measurement) and report the planner's
-/// decision next to the answer: chosen backend, predicted vs. actual cost,
-/// degradation flag, and the rejected alternatives.
-fn handle_explain(
-    shared: &Arc<Shared>,
-    snapshot: &Snapshot,
-    q: crate::protocol::QueryRequest,
-    job_tx: &mpsc::SyncSender<Job>,
-) -> Response {
-    let trace_id = mint_trace_id();
-    let requested = q.backend.map(|b| b.cli_name()).unwrap_or("-");
-    let error = |code: ErrorCode, message: String| count_error(shared, code, message);
-    let admitted = match admit_query(shared, snapshot, &q, &error) {
-        Ok(admitted) => admitted,
-        Err(response) => {
-            let outcome = outcome_of(&response);
-            record_request(
-                shared,
-                trace_id,
-                "EXPLAIN",
-                q.user,
-                q.k,
-                requested,
-                "-",
-                outcome,
-                0,
-                &[],
-                0.0,
-            );
-            return response;
-        }
-    };
-    let backend = admitted.resolved.cli_name();
-    // A forced backend still gets a (trivial) decision so the reply can
-    // show what the planner would have predicted for it.
-    let decision = admitted.decision.clone().unwrap_or_else(|| PlanDecision {
-        chosen: admitted.resolved,
-        predicted_us: snapshot.handle.predicted_us(admitted.resolved, q.user, admitted.k),
-        degraded: false,
-        rejected: Vec::new(),
-    });
-
-    let JobDone { tags, spread, us, .. } = match dispatch_job(shared, &admitted, q.user, job_tx) {
-        Ok(done) => done,
-        Err(response) => {
-            let us = admitted.accepted.elapsed().as_micros() as u64;
-            let outcome = outcome_of(&response);
-            record_request(
-                shared,
-                trace_id,
-                "EXPLAIN",
-                q.user,
-                admitted.k,
-                requested,
-                backend,
-                outcome,
-                us,
-                &[],
-                0.0,
-            );
-            return response;
-        }
-    };
-    shared.counters.ok.inc();
-    let total_us = admitted.accepted.elapsed().as_micros() as u64;
-    record_latency(shared, total_us);
-    record_request(
-        shared,
-        trace_id,
-        "EXPLAIN",
-        q.user,
-        admitted.k,
-        requested,
-        backend,
-        "ok",
-        total_us,
-        tags.tags(),
-        spread,
-    );
-    Response::Explained(ExplainReply {
-        user: q.user,
-        k: admitted.k,
-        backend: admitted.resolved,
-        predicted_us: decision.predicted_us,
-        actual_us: us,
-        us: total_us,
-        degraded: decision.degraded,
-        tags: tags.tags().to_vec(),
-        spread,
-        rejected: decision.rejected,
-    })
-}
-
-/// `TRACE`: serve exactly like `QUERY` (cache included) while recording a
-/// span timeline — plan (admission + backend resolution), cache (the
-/// probe), queue (enqueue-to-dequeue wait) and execute (the engine run) —
-/// all measured against one origin so the client can lay them on a single
-/// time axis. The trace id is minted here unless the client (e.g. the
-/// cluster router, which spans the net hop) forwarded one with `id=`.
-fn handle_trace(
-    shared: &Arc<Shared>,
-    snapshot: &Snapshot,
-    t: crate::protocol::TraceRequest,
-    job_tx: &mpsc::SyncSender<Job>,
-) -> Response {
-    let q = t.query;
-    let trace_id = t.trace_id.unwrap_or_else(mint_trace_id);
-    let requested = q.backend.map(|b| b.cli_name()).unwrap_or("-");
-    let mut recorder = SpanRecorder::new();
-    let error = |code: ErrorCode, message: String| count_error(shared, code, message);
-    let admitted = match admit_query(shared, snapshot, &q, &error) {
-        Ok(admitted) => admitted,
-        Err(response) => {
-            let us = recorder.offset_us(Instant::now());
-            let outcome = outcome_of(&response);
-            record_request(
-                shared,
-                trace_id,
-                "TRACE",
-                q.user,
-                q.k,
-                requested,
-                "-",
-                outcome,
-                us,
-                &[],
-                0.0,
-            );
-            return response;
-        }
-    };
-    recorder.record_since("plan", recorder.origin());
-    let k = admitted.k;
-    let backend = admitted.resolved.cli_name();
-
-    let key = (q.user, k, admitted.resolved);
-    let probe_start = Instant::now();
-    let hit = shared.cache.get(&key);
-    recorder.record_since("cache", probe_start);
-    if let Some(hit) = hit {
-        shared.counters.ok.inc();
-        let us = recorder.offset_us(Instant::now());
-        record_latency(shared, us);
-        record_request(
-            shared,
-            trace_id,
-            "TRACE",
-            q.user,
-            k,
-            requested,
-            backend,
-            "ok",
-            us,
-            hit.tags.tags(),
-            hit.spread,
-        );
-        return Response::Traced(TraceReply {
-            trace_id,
-            user: q.user,
-            k,
-            tags: hit.tags.tags().to_vec(),
-            spread: hit.spread,
-            cached: true,
-            us,
-            spans: recorder.finish(),
-        });
     }
 
-    let dispatch_start = Instant::now();
-    let done = match dispatch_job(shared, &admitted, q.user, job_tx) {
-        Ok(done) => done,
-        Err(response) => {
-            let us = recorder.offset_us(Instant::now());
-            let outcome = outcome_of(&response);
-            record_request(
-                shared,
-                trace_id,
-                "TRACE",
-                q.user,
+    /// [`finish_err`] for an admitted request.
+    fn fail(&self, shared: &Shared, response: Response) -> Response {
+        finish_err(shared, &self.record(self.accepted.elapsed().as_micros() as u64), response)
+    }
+
+    /// The one success finisher: counts and times the answer, shapes it as
+    /// `OK`, `EXPLAINED` or `TRACED` by kind, and records it. `run` is the
+    /// worker's measurement; `None` is a cache hit.
+    fn answer(self, shared: &Shared, tags: &TagSet, spread: f64, run: Option<Run>) -> Response {
+        shared.counters.ok.inc();
+        let us = self.accepted.elapsed().as_micros() as u64;
+        record_latency(shared, us);
+        let record = self.record(us);
+        let (user, k, tags, cached) = (self.user, self.k, tags.tags().to_vec(), run.is_none());
+        let response = match self.kind {
+            QueryKind::Query => Response::Ok(QueryReply { user, k, tags, spread, cached, us }),
+            QueryKind::Explain(plan) => Response::Explained(ExplainReply {
+                user,
                 k,
-                requested,
-                backend,
-                outcome,
+                backend: self.resolved,
+                predicted_us: plan.predicted_us,
+                actual_us: run.map_or(0, |run| run.exec_us),
                 us,
-                &[],
-                0.0,
-            );
-            return response;
-        }
-    };
-    // The worker measured the queue wait and the execution; re-base both
-    // onto this trace's origin (the wait starts when the job is sent).
-    let queue_start = recorder.offset_us(dispatch_start);
-    recorder.record_at("queue", queue_start, done.queue_us);
-    recorder.record_at("execute", queue_start + done.queue_us, done.us);
-
-    // Same two-sided stale-insert discipline as `complete_query`.
-    if shared.store.epoch() == done.epoch {
-        shared.cache.insert(key, CachedAnswer { tags: done.tags.clone(), spread: done.spread });
-        if shared.store.epoch() != done.epoch {
-            shared.cache.invalidate(&key);
-        }
+                degraded: plan.degraded,
+                tags,
+                spread,
+                rejected: plan.rejected,
+            }),
+            QueryKind::Trace(mut spans) => {
+                if let Some(run) = run {
+                    // The worker measured the queue wait and the execution;
+                    // re-base both onto this trace's origin.
+                    let queue_start = spans.offset_us(run.enqueued);
+                    spans.record_at("queue", queue_start, run.queue_us);
+                    spans.record_at("execute", queue_start + run.queue_us, run.exec_us);
+                }
+                let trace_id = self.trace_id;
+                let spans = spans.finish();
+                Response::Traced(TraceReply { trace_id, user, k, tags, spread, cached, us, spans })
+            }
+        };
+        let (flight, capture) = (&shared.obs.flight, &shared.obs.capture);
+        verbs::record_request(flight, capture, &record, record.resolved, &response);
+        response
     }
-    shared.counters.ok.inc();
-    let us = recorder.offset_us(Instant::now());
-    record_latency(shared, us);
-    record_request(
-        shared,
-        trace_id,
-        "TRACE",
-        q.user,
-        k,
-        requested,
-        backend,
-        "ok",
-        us,
-        done.tags.tags(),
-        done.spread,
-    );
-    Response::Traced(TraceReply {
-        trace_id,
-        user: q.user,
-        k,
-        tags: done.tags.tags().to_vec(),
-        spread: done.spread,
-        cached: false,
-        us,
-        spans: recorder.finish(),
-    })
+}
+
+/// The one error finisher: books a `BUSY` or `ERR` under its own counter
+/// (`busy`, `deadline`, else `errors`), records it, and hands it back.
+fn finish_err(shared: &Shared, record: &RequestRecord, response: Response) -> Response {
+    let c = &shared.counters;
+    match &response {
+        Response::Busy => c.busy.inc(),
+        Response::Err { code: ErrorCode::Deadline, .. } => c.deadline_exceeded.inc(),
+        _ => c.errors.inc(),
+    }
+    let (flight, capture) = (&shared.obs.flight, &shared.obs.capture);
+    verbs::record_request(flight, capture, record, record.resolved, &response);
+    response
+}
+
+/// The completion of a dispatched request: the worker's reply becomes the
+/// wire response. An answer to `QUERY` or `TRACE` is cached with the
+/// two-sided epoch check; `EXPLAIN` never inserts.
+fn complete_query(shared: &Shared, ctx: QueryCtx, reply: WorkerReply) -> Response {
+    let (code, message) = match reply {
+        WorkerReply::Done { tags, spread, epoch, run } => {
+            // Cache only results that are still current, and re-check
+            // after the insert: a swap (plus its invalidation sweep) could
+            // land between the pre-check and the insert, which would let a
+            // stale answer slip in *after* the sweep. If the post-insert
+            // check sees a newer epoch the entry is removed here; if the
+            // swap lands after the check instead, the sweep — which runs
+            // strictly after the epoch bump — removes it. One of the two
+            // always runs after the insert, so no stale entry survives.
+            let key = (ctx.user, ctx.k, ctx.resolved);
+            if !matches!(ctx.kind, QueryKind::Explain(_)) && shared.store.epoch() == epoch {
+                shared.cache.insert(key, CachedAnswer { tags: tags.clone(), spread });
+                if shared.store.epoch() != epoch {
+                    shared.cache.invalidate(&key);
+                }
+            }
+            return ctx.answer(shared, &tags, spread, Some(run));
+        }
+        WorkerReply::Deadline => {
+            (ErrorCode::Deadline, format!("deadline of {:?} elapsed while queued", ctx.timeout))
+        }
+        WorkerReply::Panicked => (ErrorCode::Internal, "query execution panicked".to_string()),
+        WorkerReply::Unavailable(message) => (ErrorCode::Internal, message),
+    };
+    ctx.fail(shared, Response::Err { code, message })
 }
 
 /// `UPDATE`: validate and stage one op in the overlay. Nothing is visible
@@ -2805,5 +2412,176 @@ mod tests {
             std::thread::sleep(Duration::from_millis(50));
         }
         server.stop().unwrap();
+    }
+
+    /// `QUERY`, `EXPLAIN` and `TRACE` run one admission and one completion,
+    /// so every outcome books the same way for all three: the reply, the
+    /// counter deltas from the end of the set-up to the end of the case
+    /// (the blockers' completions included), the flight entry, and — on a
+    /// miss or a hit — the cache traffic, which `EXPLAIN` never touches and
+    /// `TRACE` touches like `QUERY`. The set-up synchronizes on replies, not
+    /// sleeps: an inline `PONG` that overtakes a request proves the request
+    /// was deferred.
+    #[test]
+    fn the_query_verbs_share_one_path() {
+        #[derive(Clone, Copy, Debug, PartialEq)]
+        enum Case {
+            Miss,
+            Hit,
+            /// A full queue: the one worker stalled, the one queue slot
+            /// taken.
+            Busy,
+            /// Queued behind a stalled worker past its own deadline.
+            Deadline,
+            ZeroK,
+            UnknownUser,
+        }
+        use Case::*;
+        /// `(case, flight outcome, [requests, ok, busy, errors, deadline])`.
+        const TABLE: [(Case, &str, [u64; 5]); 6] = [
+            (Miss, "ok", [1, 1, 0, 0, 0]),
+            (Hit, "ok", [1, 1, 0, 0, 0]),
+            (Busy, "busy", [1, 2, 1, 0, 0]),
+            (Deadline, "deadline", [1, 1, 0, 0, 1]),
+            (ZeroK, "error", [1, 0, 0, 1, 0]),
+            (UnknownUser, "error", [1, 0, 0, 1, 0]),
+        ];
+        const STALL_US: u64 = 200_000;
+        const TARGET: u64 = 1_000;
+        for verb in ["QUERY", "EXPLAIN", "TRACE"] {
+            for (case, flight_outcome, deltas) in TABLE {
+                let name = format!("{verb} {case:?}");
+                let stall_us = if matches!(case, Busy | Deadline) { STALL_US } else { 0 };
+                // A second queue slot lets the deadline case queue behind
+                // its blocker whether or not the worker has taken it yet.
+                let queue_depth = if case == Deadline { 2 } else { 1 };
+                let options = ServeOptions { workers: 1, queue_depth, ..ServeOptions::default() };
+                let server =
+                    Server::spawn_stalled(paper_handle(), ("127.0.0.1", 0), options, stall_us)
+                        .unwrap();
+                let shared = &server.shared;
+                let counts = || {
+                    let c = &shared.counters;
+                    let busy = c.busy.get();
+                    [c.requests.get(), c.ok.get(), busy, c.errors.get(), c.deadline_exceeded.get()]
+                };
+                let cache = || {
+                    let c = shared.cache.counters();
+                    [c.hits, c.misses, c.insertions]
+                };
+                let mut stream = TcpStream::connect(server.addr()).unwrap();
+                let mut frames = frame::FrameBuf::new(frame::MAX_REPLY_FRAME_BYTES);
+                let mut writer = stream.try_clone().unwrap();
+                let mut send = |id: u64, request: Request| {
+                    writer.write_all(&frame::encode_request(id, &request)).unwrap();
+                };
+                let blocker = |user| Request::Query(QueryRequest::new(user, 2));
+
+                // Warm the cache, or hold the worker (and fill the queue).
+                let mut pending = vec![TARGET];
+                match case {
+                    Hit => send(1, blocker(0)),
+                    Deadline => {
+                        send(1, blocker(1));
+                        send(2, Request::Ping);
+                        pending.push(1);
+                    }
+                    Busy => {
+                        send(1, blocker(1));
+                        pending.push(1);
+                        // The filler is queued, not shed, once the worker
+                        // holds the blocker; until then it answers `BUSY`.
+                        for id in (2..).step_by(2) {
+                            send(id, blocker(2));
+                            send(id + 1, Request::Ping);
+                            let (first, _) = read_frame(&mut stream, &mut frames).unwrap();
+                            if first == id + 1 {
+                                pending.push(id);
+                                break;
+                            }
+                            read_frame(&mut stream, &mut frames).unwrap();
+                            std::thread::sleep(Duration::from_millis(1));
+                        }
+                    }
+                    _ => {}
+                }
+                if matches!(case, Hit | Deadline) {
+                    read_frame(&mut stream, &mut frames).unwrap();
+                }
+                let before = counts();
+                let (user, k) = match case {
+                    ZeroK => (0, 0),
+                    UnknownUser => (999, 2),
+                    _ => (0, 2),
+                };
+                let timeout_us = (case == Deadline).then_some(STALL_US / 4);
+                let q = QueryRequest { user, k, timeout_us, backend: None };
+                let request = match verb {
+                    "QUERY" => Request::Query(q),
+                    "EXPLAIN" => Request::Explain(q),
+                    _ => Request::Trace(crate::protocol::TraceRequest { query: q, trace_id: None }),
+                };
+                let cache_before = cache();
+                send(TARGET, request);
+                let mut reply = None;
+                while !pending.is_empty() {
+                    let (id, wire) = read_frame(&mut stream, &mut frames).expect(&name);
+                    pending.retain(|&waiting| waiting != id);
+                    if id == TARGET {
+                        reply = Some(wire);
+                    }
+                }
+                let Some(frame::WireReply::Response(reply)) = reply else {
+                    panic!("{name}: no typed reply")
+                };
+
+                match (case, &reply) {
+                    (Busy, Response::Busy) => {}
+                    (Deadline, Response::Err { code: ErrorCode::Deadline, .. }) => {}
+                    (ZeroK, Response::Err { code: ErrorCode::BadK, .. }) => {}
+                    (UnknownUser, Response::Err { code: ErrorCode::UnknownUser, .. }) => {}
+                    (Miss | Hit, Response::Ok(ok)) if verb == "QUERY" => {
+                        assert_eq!(ok.cached, case == Hit, "{name}");
+                    }
+                    (Miss | Hit, Response::Explained(explained)) if verb == "EXPLAIN" => {
+                        assert_eq!(explained.tags, vec![2, 3], "{name}");
+                    }
+                    (Miss | Hit, Response::Traced(traced)) if verb == "TRACE" => {
+                        assert_eq!(traced.cached, case == Hit, "{name}");
+                        let spans: Vec<&str> = traced.spans.iter().map(|s| &*s.name).collect();
+                        let want: &[&str] = match case {
+                            Hit => &["plan", "cache"],
+                            _ => &["plan", "cache", "queue", "execute"],
+                        };
+                        assert_eq!(spans, want, "{name}");
+                    }
+                    _ => panic!("{name}: unexpected reply {reply:?}"),
+                }
+                if matches!(case, Miss | Hit) {
+                    let want = match (verb, case) {
+                        ("EXPLAIN", _) => [0, 0, 0],
+                        (_, Hit) => [1, 0, 0],
+                        _ => [0, 1, 1],
+                    };
+                    let got: Vec<u64> =
+                        cache().iter().zip(cache_before).map(|(a, b)| a - b).collect();
+                    assert_eq!(got, want, "{name}: [hits, misses, insertions]");
+                }
+                let got: Vec<u64> = counts().iter().zip(before).map(|(a, b)| a - b).collect();
+                assert_eq!(got, deltas, "{name}: [requests, ok, busy, errors, deadline]");
+
+                let flight = shared.obs.flight.dump();
+                let entry = flight
+                    .iter()
+                    .rev()
+                    .find(|e| e.verb == verb && (e.user, e.k) == (user, k))
+                    .unwrap_or_else(|| panic!("{name}: no flight entry in {flight:?}"));
+                assert_eq!(entry.outcome, flight_outcome, "{name}");
+                if matches!(case, ZeroK | UnknownUser) {
+                    assert_eq!(entry.us, 0, "{name}: rejected at admission, never ran");
+                }
+                server.stop().unwrap();
+            }
+        }
     }
 }

@@ -15,8 +15,9 @@
 //!   thread, core and buffered bytes included: a scrape must not queue
 //!   behind an admin fold on the single slow lane.
 //! * **Slow lane** — what the service hands back as blocking work (admin
-//!   folds, stats scrapes, `EXPLAIN`/`TRACE`) runs on one side thread so
-//!   it can never stall the loop.
+//!   folds, `STATS`/`EPOCH`/`HEALTH` scrapes) runs on one side thread so
+//!   it can never stall the loop. No query verb is blocking work: `QUERY`,
+//!   `EXPLAIN` and `TRACE` answer inline or ride the worker pool.
 //! * **Completion queue** — workers and the slow lane finish requests on
 //!   their own threads and push the encoded reply to a mutex-guarded
 //!   queue, waking the loop through the poller's `eventfd` notifier. A

@@ -18,7 +18,10 @@
 
 use pitex::cluster::{Router, RouterOptions, ShardMap};
 use pitex::prelude::*;
-use pitex::serve::{ServeClient, ServeOptions, Server, ServerHandle};
+use pitex::serve::frame::{self, decode_response, FrameBuf, WireReply, MAX_REPLY_FRAME_BYTES};
+use pitex::serve::{
+    QueryRequest, Request, Response, ServeClient, ServeOptions, Server, ServerHandle, TraceRequest,
+};
 use pitex::support::obs::parse_prometheus;
 use pitex::support::obs::slo::SloStatus;
 use pitex::support::obs::timeseries::SeriesRes;
@@ -265,6 +268,62 @@ fn router_health_pages_on_a_stalled_shard_and_names_it() {
     router.stop().expect("no router thread may panic");
     shard0.stop().expect("no shard thread may panic");
     shard1.stop().expect("no shard thread may panic");
+}
+
+/// `TRACE` and `EXPLAIN` ride the worker pool like `QUERY`: while both are
+/// stalled in flight on one binary connection, another binary connection's
+/// `STATS` and `EPOCH` — the verbs the event loop runs on its one slow lane,
+/// the lane the router's shard hop uses — must not queue behind them.
+#[test]
+fn stalled_trace_and_explain_do_not_hold_up_stats_or_epoch() {
+    let _guard = ENV_LOCK.lock().unwrap();
+    std::env::set_var("PITEX_OBS_STALL_US", "400000");
+    let shard = boot_shard();
+    std::env::remove_var("PITEX_OBS_STALL_US");
+    // Both stalled verbs, then a PING, pipelined on one binary connection:
+    // the inline PONG overtaking them proves both are admitted and in flight.
+    let mut stream = TcpStream::connect(shard.addr()).unwrap();
+    let query = QueryRequest::new(0, 2);
+    let trace = Request::Trace(TraceRequest { query, trace_id: None });
+    for (id, request) in [(1, trace), (2, Request::Explain(query)), (3, Request::Ping)] {
+        stream.write_all(&frame::encode_request(id, &request)).unwrap();
+    }
+    let mut frames = FrameBuf::new(MAX_REPLY_FRAME_BYTES);
+    let mut next_reply = || loop {
+        if let Some(payload) = frames.next_payload().unwrap() {
+            let (id, WireReply::Response(response)) = decode_response(&payload).unwrap() else {
+                panic!("raw reply to a typed request")
+            };
+            return (id, response);
+        }
+        let mut chunk = [0u8; 4096];
+        let n = stream.read(&mut chunk).unwrap();
+        assert!(n > 0, "the shard hung up");
+        frames.extend(&chunk[..n]);
+    };
+    assert_eq!(next_reply(), (3, Response::Pong));
+
+    let mut probe = ServeClient::connect_binary(shard.addr()).unwrap();
+    let started = Instant::now();
+    probe.stats().unwrap();
+    let stats_took = started.elapsed();
+    let started = Instant::now();
+    assert_eq!(probe.request(&Request::Epoch).unwrap(), Response::Epoch(1));
+    let epoch_took = started.elapsed();
+    assert!(stats_took < Duration::from_millis(100), "STATS took {stats_took:?}");
+    assert!(epoch_took < Duration::from_millis(100), "EPOCH took {epoch_took:?}");
+
+    let mut replies = [next_reply(), next_reply()];
+    replies.sort_by_key(|(id, _)| *id);
+    let [(_, Response::Traced(traced)), (_, Response::Explained(explained))] = &replies else {
+        panic!("expected TRACED and EXPLAINED: {replies:?}")
+    };
+    let spans: Vec<&str> = traced.spans.iter().map(|s| s.name.as_str()).collect();
+    assert_eq!(spans, ["plan", "cache", "queue", "execute"]);
+    assert!(traced.spans[3].dur_us >= 400_000, "the stall is in the execute span: {traced:?}");
+    assert_eq!(explained.tags, traced.tags, "both ran the same query");
+    assert!(explained.actual_us >= 400_000, "{explained:?}");
+    shard.stop().expect("no shard thread may panic");
 }
 
 #[test]
