@@ -252,7 +252,10 @@ pub(crate) fn build_membership(
 }
 
 /// `old` with `deltas` applied — `(user, graph id, joined)`: the user joined
-/// or left that graph. Only the chunks of users with a delta are rewritten.
+/// or left that graph. Only the chunks of users with a delta are rewritten,
+/// and in those only the lists of users with a delta are merged: each run
+/// of untouched users between them is one slice copy and one shift of its
+/// offsets.
 pub(crate) fn patch_membership(
     old: &[Arc<MemberChunk>],
     deltas: &mut [(NodeId, u32, bool)],
@@ -266,12 +269,28 @@ pub(crate) fn patch_membership(
             rest.split_at(rest.partition_point(|d| (d.0 as usize) < (k + 1) * MEMBER_CHUNK_USERS));
         rest = tail;
         let before = &old[k];
-        let mut offsets = vec![0u32];
-        let mut ids = Vec::with_capacity(before.ids.len() + of_chunk.len());
-        for i in 0..before.offsets.len() - 1 {
-            let user = (k * MEMBER_CHUNK_USERS + i) as u32;
+        // Each join adds an id and each leave drops one: the new length is
+        // `old + joins − leaves = old + 2 · joins − deltas`.
+        let len = before.ids.len() + 2 * of_chunk.iter().filter(|d| d.2).count() - of_chunk.len();
+        let mut offsets = Vec::with_capacity(before.offsets.len());
+        let mut ids = Vec::with_capacity(len);
+        offsets.push(0);
+        // Appends the lists of `users`, which have no delta. Wrapping: the
+        // shift is "negative" once the lists before them shrank.
+        let copy = |users: Range<usize>, offsets: &mut Vec<u32>, ids: &mut Vec<u32>| {
+            let span = before.offsets[users.start] as usize..before.offsets[users.end] as usize;
+            let shift = (ids.len() as u32).wrapping_sub(span.start as u32);
+            ids.extend_from_slice(&before.ids[span]);
+            let ends = &before.offsets[users.start + 1..=users.end];
+            offsets.extend(ends.iter().map(|&end| end.wrapping_add(shift)));
+        };
+        let mut next = 0;
+        while let Some(&(user, ..)) = of_chunk.first() {
             let (of_user, later) = of_chunk.split_at(of_chunk.partition_point(|d| d.0 == user));
             of_chunk = later;
+            let i = user as usize % MEMBER_CHUNK_USERS;
+            copy(next..i, &mut offsets, &mut ids);
+            next = i + 1;
             // One merge of the two ascending runs: a delta on a listed id is
             // the user leaving that graph, every other one a graph it joined.
             let mut changes = of_user.iter().map(|d| d.1).peekable();
@@ -284,9 +303,103 @@ pub(crate) fn patch_membership(
                 }
             }
             ids.extend(changes);
-            offsets.push(u32::try_from(ids.len()).expect("a chunk's lists are u32-indexed"));
+            offsets.push(ids.len() as u32);
         }
+        copy(next..before.offsets.len() - 1, &mut offsets, &mut ids);
+        // Every offset is at most the total, so one check covers them all.
+        assert!(u32::try_from(ids.len()).is_ok(), "a chunk's lists are u32-indexed");
+        debug_assert_eq!(ids.len(), len, "every leave is of a listed id, every join of a new one");
         chunks[k] = Arc::new(MemberChunk { offsets: offsets.into(), ids: ids.into() });
     }
     chunks
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Three full membership chunks and a partial one.
+    const USERS: usize = 3 * MEMBER_CHUNK_USERS + 37;
+    /// A full segment and a partial one.
+    const GRAPHS: usize = SEGMENT_DRAWS + 88;
+
+    /// Edge-less graphs over the member sets, the first member the target.
+    fn segments(graphs: &[Vec<NodeId>]) -> Vec<Arc<Segment>> {
+        let segment = |of_segment: &[Vec<NodeId>]| {
+            let mut out = SegmentBuilder::default();
+            for members in of_segment {
+                out.push_graph(members[0], &mut members.clone(), &[]);
+            }
+            Arc::new(out.seal())
+        };
+        graphs.chunks(SEGMENT_DRAWS).map(segment).collect()
+    }
+
+    #[test]
+    fn a_patched_table_equals_the_table_built_from_the_patched_graphs() {
+        let chunk = MEMBER_CHUNK_USERS as NodeId;
+        // A user whose list empties, one joining below all its listed ids
+        // (the first user of a chunk) and one above all of them (the last).
+        let (emptied, low, high) = (3 * chunk + 2, chunk, 2 * chunk - 1);
+        // First and last users of chunks, two adjacent users, the last user.
+        let last = USERS as NodeId - 1;
+        let toggled = [0, chunk - 1, chunk + 44, chunk + 45, 3 * chunk - 1, 3 * chunk, last];
+        for seed in 0..16 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let random_graph = |rng: &mut StdRng| {
+                let mut members: Vec<NodeId> = (0..rng.gen_range(1..40usize))
+                    .map(|_| rng.gen_range(0..USERS as NodeId))
+                    .filter(|v| ![emptied, low, high].contains(v))
+                    .collect();
+                members.push(1);
+                members.sort_unstable();
+                members.dedup();
+                members
+            };
+            let mut old: Vec<Vec<NodeId>> = (0..GRAPHS).map(|_| random_graph(&mut rng)).collect();
+            for (g, v) in
+                [(10, emptied), (20, emptied), (300, low), (301, low), (5, high), (9, high)]
+            {
+                old[g].push(v);
+            }
+            let mut new = old.clone();
+            for _ in 0..30 {
+                new[rng.gen_range(0..GRAPHS)] = random_graph(&mut rng);
+            }
+            new[10].retain(|&v| v != emptied);
+            new[20].retain(|&v| v != emptied);
+            new[0].push(low);
+            new[GRAPHS - 1].push(high);
+            for v in toggled {
+                match new[40].iter().position(|&m| m == v) {
+                    Some(0) => {} // the target stays
+                    Some(at) => drop(new[40].remove(at)),
+                    None => new[40].push(v),
+                }
+            }
+
+            let mut deltas = Vec::new();
+            for (id, (before, after)) in old.iter().zip(&new).enumerate() {
+                let left = before.iter().filter(|v| !after.contains(v));
+                deltas.extend(left.map(|&v| (v, id as u32, false)));
+                let joined = after.iter().filter(|v| !before.contains(v));
+                deltas.extend(joined.map(|&v| (v, id as u32, true)));
+            }
+            let patched = patch_membership(&build_membership(USERS, &segments(&old)), &mut deltas);
+            let rebuilt = build_membership(USERS, &segments(&new));
+            assert_eq!(patched.len(), rebuilt.len());
+            for (k, (a, b)) in patched.iter().zip(&rebuilt).enumerate() {
+                assert_eq!((&a.offsets, &a.ids), (&b.offsets, &b.ids), "seed {seed}, chunk {k}");
+            }
+            let list = |v: NodeId| {
+                let v = v as usize;
+                rebuilt[v / MEMBER_CHUNK_USERS].list(v % MEMBER_CHUNK_USERS)
+            };
+            assert!(list(emptied).is_empty(), "seed {seed}");
+            assert_eq!(list(low)[0], 0, "seed {seed}");
+            assert_eq!(list(high).last(), Some(&(GRAPHS as u32 - 1)), "seed {seed}");
+        }
+    }
 }

@@ -31,9 +31,18 @@
 //! survives any chain of repairs. Past a configurable dirty fraction (or
 //! when the vertex count or sample budget changed, which re-targets every
 //! draw) the repair falls back to a full rebuild.
+//!
+//! Cost per repair. Finding the changed heads is an O(|E|) block compare of
+//! the two `p(e)` arrays when both models share the graph (every retune),
+//! and a merge-join over both edge lists only when the graph changed. Each
+//! rewritten membership chunk costs a `memcpy` plus O(its deltas), and each
+//! rewritten segment the resampling of its dirty draws and two copies (into
+//! the builder, then out of it at exact size).
 
+use pitex_graph::{DiGraph, EdgeId};
 use pitex_index::RrIndex;
 use pitex_model::TicModel;
+use std::sync::Arc;
 
 /// Tuning for [`repair_rr_index`]. The sample budget and seed are *not*
 /// options: they travel inside the index itself ([`RrIndex::budget`] /
@@ -58,12 +67,20 @@ impl Default for RepairOptions {
 }
 
 impl RepairOptions {
+    /// Whether `t` is a dirty fraction, i.e. in `[0, 1]` (NaN is not): a
+    /// NaN would disable the rebuild fallback, a negative value force it on
+    /// every update.
+    pub fn is_valid_threshold(t: f64) -> bool {
+        (0.0..=1.0).contains(&t)
+    }
+
     /// Applies the `PITEX_LIVE_DIRTY_THRESHOLD` and `PITEX_LIVE_THREADS`
-    /// environment overrides, when set and parseable.
+    /// environment overrides, when set, parseable and (for the threshold)
+    /// valid.
     pub fn with_env(mut self) -> Self {
-        if let Some(t) =
-            std::env::var("PITEX_LIVE_DIRTY_THRESHOLD").ok().and_then(|s| s.parse().ok())
-        {
+        let threshold =
+            std::env::var("PITEX_LIVE_DIRTY_THRESHOLD").ok().and_then(|s| s.parse().ok());
+        if let Some(t) = threshold.filter(|&t| Self::is_valid_threshold(t)) {
             self.dirty_threshold = t;
         }
         if let Some(t) = std::env::var("PITEX_LIVE_THREADS").ok().and_then(|s| s.parse().ok()) {
@@ -96,14 +113,25 @@ pub struct RepairReport {
 /// Old-model edge id of an edge the new model no longer has.
 const REMOVED: u32 = u32::MAX;
 
-/// One merge pass over the two (endpoint-sorted) edge lists. Returns the
-/// heads (target-side endpoints) of every edge whose generation-relevant
+/// The heads (target-side endpoints) of every edge whose generation-relevant
 /// state differs between the two models — removed, added, or `p(e)` changed
 /// — and, only if the edge set itself changed, the old → new edge id map.
 /// Rows that change `p(e|z)` without moving `p(e) = max_z p(e|z)` do not
 /// dirty generation (marks are drawn against `p(e)` alone) — query-time
 /// tag-aware reachability re-reads `p(e|W)` from the live model anyway.
+///
+/// When both models share the graph (every update that only retunes edges
+/// or tags), no id moved and the diff is a compare of the two `p(e)`
+/// arrays, and nothing at all when they share the edge topics too. Else it
+/// is one merge pass over the two (endpoint-sorted) edge lists.
 fn diff_models(old: &TicModel, new: &TicModel) -> (Vec<u32>, Option<Vec<u32>>) {
+    let ((old_graph, _, old_topics), (new_graph, _, new_topics)) = (old.shared(), new.shared());
+    if Arc::ptr_eq(old_graph, new_graph) {
+        if Arc::ptr_eq(old_topics, new_topics) {
+            return (Vec::new(), None);
+        }
+        return (changed_heads(new_graph, old_topics.p_max_all(), new_topics.p_max_all()), None);
+    }
     let mut heads = Vec::new();
     let mut id_map: Option<Vec<u32>> = None;
     let mut new_edges = new.graph().edges().peekable();
@@ -129,6 +157,25 @@ fn diff_models(old: &TicModel, new: &TicModel) -> (Vec<u32>, Option<Vec<u32>>) {
     heads.sort_unstable();
     heads.dedup();
     (heads, id_map)
+}
+
+/// Heads of the edges of `graph` whose `p(e)` differs between `old` and
+/// `new`, ascending. Blocks of 64 edges are screened by OR-ing the XOR of
+/// their bits, a loop that vectorises; only a block that differs is
+/// compared edge by edge.
+fn changed_heads(graph: &DiGraph, old: &[f32], new: &[f32]) -> Vec<u32> {
+    const BLOCK: usize = 64;
+    let mut heads = Vec::new();
+    for (block, (a, b)) in old.chunks(BLOCK).zip(new.chunks(BLOCK)).enumerate() {
+        if a.iter().zip(b).fold(0, |bits, (x, y)| bits | (x.to_bits() ^ y.to_bits())) == 0 {
+            continue;
+        }
+        let changed = a.iter().zip(b).enumerate().filter(|(_, (x, y))| x != y);
+        heads.extend(changed.map(|(i, _)| graph.edge_target((block * BLOCK + i) as EdgeId)));
+    }
+    heads.sort_unstable();
+    heads.dedup();
+    heads
 }
 
 fn full_rebuild(
@@ -209,7 +256,9 @@ mod tests {
     use crate::overlay::ModelOverlay;
     use pitex_index::serial::rr_index_to_bytes;
     use pitex_index::IndexBudget;
-    use std::sync::Arc;
+    use pitex_model::genmodel::{random_model, ModelGenConfig};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     const SEED: u64 = 11;
 
@@ -283,6 +332,65 @@ mod tests {
             let expected = if (s, t) == (2, 3) { REMOVED } else { e(&new, s, t) };
             assert_eq!(map[id as usize], expected, "edge {s} -> {t}");
         }
+
+        // On a generated model, a shared graph takes the block compare, and
+        // it finds what the merge-join finds over an unshared copy of it.
+        let mut rng = StdRng::seed_from_u64(5);
+        let graph = pitex_graph::gen::erdos_renyi(200, 2_000, &mut rng);
+        let config = ModelGenConfig { num_topics: 4, num_tags: 6, ..Default::default() };
+        let base = Arc::new(random_model(graph, &config, &mut rng));
+        let num_edges = base.graph().num_edges() as u32;
+        let picked: Vec<u32> = (0..40).map(|_| rng.gen_range(0..num_edges)).collect();
+        let retune = |moves_p_max: bool| -> Vec<UpdateOp> {
+            let retune_edge = |&edge: &u32| {
+                let (src, dst) = base.graph().edge_endpoints(edge);
+                let (z, p) =
+                    base.edge_topics().row(edge).max_by(|a, b| a.1.total_cmp(&b.1)).unwrap();
+                let p = match (moves_p_max, p < 0.5) {
+                    (false, _) => p,
+                    (true, true) => 0.9,
+                    (true, false) => 0.1,
+                };
+                UpdateOp::SetEdgeTopics { src, dst, topics: vec![(z, p)] }
+            };
+            picked.iter().map(retune_edge).collect()
+        };
+        let mut heads: Vec<u32> =
+            picked.iter().map(|&edge| base.graph().edge_target(edge)).collect();
+        heads.sort_unstable();
+        heads.dedup();
+        let cases = [
+            (retune(true), heads, false),
+            (retune(false), vec![], false),
+            (vec![UpdateOp::DetachTag { tag: 1 }], vec![], true),
+        ];
+        for (ops, heads, shares_edge_topics) in cases {
+            let mut overlay = ModelOverlay::new(base.clone());
+            overlay.apply_all(ops).unwrap();
+            let new = overlay.compact();
+            let ((graph, tags, topics), (new_graph, _, new_topics)) = (base.shared(), new.shared());
+            assert!(Arc::ptr_eq(graph, new_graph), "no edge was added or removed");
+            assert_eq!(Arc::ptr_eq(topics, new_topics), shares_edge_topics);
+            let unshared = TicModel::from_shared(
+                Arc::new((**graph).clone()),
+                Arc::clone(tags),
+                Arc::clone(topics),
+            );
+            let shared = diff_models(&base, &new);
+            assert_eq!(shared, diff_models(&unshared, &new), "the merge-join disagrees");
+            assert_eq!(shared, (heads, None));
+        }
+    }
+
+    #[test]
+    fn with_env_ignores_a_threshold_that_is_not_a_fraction() {
+        let defaults = RepairOptions { threads: 2, dirty_threshold: 0.25 };
+        let kept = ["nan", "-0.5", "1.01", "inf", "x"].map(|value| (value, 0.25));
+        for (value, expected) in kept.into_iter().chain([("0", 0.0), ("0.6", 0.6), ("1", 1.0)]) {
+            std::env::set_var("PITEX_LIVE_DIRTY_THRESHOLD", value);
+            assert_eq!(defaults.with_env().dirty_threshold, expected, "{value}");
+        }
+        std::env::remove_var("PITEX_LIVE_DIRTY_THRESHOLD");
     }
 
     #[test]

@@ -507,6 +507,9 @@ fn repair_from_opts(opts: &Opts) -> Result<RepairOptions, String> {
     let mut repair = RepairOptions::default().with_env();
     if let Some(t) = opts.get("dirty-threshold") {
         repair.dirty_threshold = parse(t, "--dirty-threshold")?;
+        if !RepairOptions::is_valid_threshold(repair.dirty_threshold) {
+            return Err(format!("--dirty-threshold must be a fraction in [0, 1], got {t:?}"));
+        }
     }
     Ok(repair)
 }
@@ -1405,4 +1408,21 @@ fn cmd_client(opts: &Opts) -> Result<(), CliError> {
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_dirty_threshold_outside_zero_one_is_refused() {
+        let with = |t: &str| repair_from_opts(&Opts::from([("dirty-threshold".into(), t.into())]));
+        for bad in ["nan", "NaN", "-0.1", "1.5", "inf"] {
+            let err = with(bad).expect_err(bad);
+            assert!(err.contains("[0, 1]"), "{bad}: {err}");
+        }
+        for good in ["0", "0.25", "1"] {
+            assert_eq!(with(good).unwrap().dirty_threshold, good.parse::<f64>().unwrap());
+        }
+    }
 }
