@@ -40,9 +40,9 @@
 //!   component an operator should look at first. An unreachable shard
 //!   contributes a synthetic paging `reachability` verdict: the moment
 //!   health reporting matters most is when a shard is down.
-//! * `SERIES` — answered from the router's *own* rolling time-series (a
-//!   local sampler thread ticks the router's registry fields; shard rings
-//!   are queried per shard, where they live).
+//! * `SERIES` — answered from the router's *own* rolling time-series (the
+//!   hop runtime's sampler ticks the router's fields; shard rings are
+//!   queried per shard, where they live).
 //! * `GET /metrics`, `/health`, `/series?…` — HTTP requests on this same
 //!   port *are* the `METRICS`, `HEALTH` and `SERIES` verbs (the connection
 //!   core, `pitex_serve::conn`, decodes all three wires to one `Request`):
@@ -52,12 +52,13 @@
 //!   as it does on a shard: same verbs, requests matched to replies by id,
 //!   so `ServeClient::connect_binary` and `pitex client --binary` talk to
 //!   a router as transparently as to a shard.
-//! * `PING` is answered locally; `SHUTDOWN` stops the router (shards are
-//!   managed by their own admins).
-//! * `CAPTURE on|off|rotate` — controls the *router's* PWRK workload
-//!   recorder (`PITEX_OBS_CAPTURE`): the front-door arrival stream, which
-//!   is what `pitex replay` wants for whole-cluster replays. Shards keep
-//!   their own recorders with the resolved-backend view.
+//! * `PING`, `QUIT`, `SHUTDOWN` (which stops the router, not the shards),
+//!   `FLIGHT` and `CAPTURE on|off|rotate` are the hop-local verbs the
+//!   router shares with a shard through the hop runtime
+//!   ([`pitex_serve::hop`]): they act on the *router's* own recorders. Its
+//!   PWRK log is the front-door arrival stream, which is what
+//!   `pitex replay` wants for whole-cluster replays; shards keep their own
+//!   logs with the resolved-backend view.
 //!
 //! The router trusts the map, not a directory service: everything is a
 //! pure function of the `ShardMap` file, and the only cluster-wide state
@@ -66,25 +67,25 @@
 use crate::pool::{CallError, PoolOptions, ShardPools};
 use crate::shardmap::ShardMap;
 use pitex_live::UpdateOp;
-use pitex_serve::conn::blocking::{self, ConnThreads};
-use pitex_serve::conn::verbs::{self, RequestRecord};
 use pitex_serve::conn::{Admit, Handled, ReplyTo, Service, Wire, WireCounters, POLL};
+use pitex_serve::hop::{self, Hop, HopHandle, RequestRecord};
 use pitex_serve::{ErrorCode, ReloadReply, Request, Response, StatsReply, TraceReply};
-use pitex_support::obs::slo::{self, HealthVerdict, SloOptions, SloStatus, SloVerdict};
-use pitex_support::obs::timeseries::{TimeSeriesStore, TsOptions};
+use pitex_support::obs::slo::{HealthVerdict, SloStatus, SloVerdict, ROUTER_NAMES};
 use pitex_support::obs::{
-    mint_trace_id, render_prometheus, AtomicHistogram, CaptureOptions, CaptureRecorder, Counter,
-    FieldSet, FlightRecorder, MergedFields, ObsOptions, Registry, SpanRecorder,
+    mint_trace_id, render_prometheus, CaptureOptions, Counter, FieldSet, MergedFields, Registry,
+    SpanRecorder,
 };
 use std::collections::BTreeSet;
-use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::io::{Error, ErrorKind};
+use std::net::ToSocketAddrs;
 use std::sync::{Arc, Mutex, RwLock};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Tuning knobs for [`Router::spawn`]. The `PITEX_CLUSTER_*` environment
 /// variables (see [`RouterOptions::with_env`]) override the defaults.
+/// `pool.max_in_flight`, `pool.connect_timeout` and `probe_interval` must
+/// be non-zero: zero would shed every query, fail every dial, or spin the
+/// prober, so [`Router::spawn`] refuses it.
 #[derive(Clone, Debug)]
 pub struct RouterOptions {
     /// Connection-pool tuning (failover, health gating, shedding).
@@ -116,41 +117,58 @@ fn env_u64(key: &str) -> Option<u64> {
     std::env::var(key).ok().and_then(|v| v.parse().ok())
 }
 
+fn env_positive(key: &str) -> Option<u64> {
+    env_u64(key).filter(|&v| v > 0)
+}
+
 impl RouterOptions {
     /// Applies the `PITEX_CLUSTER_*` environment overrides:
     /// `PITEX_CLUSTER_MAX_IN_FLIGHT` (per-shard concurrency before `BUSY`),
     /// `PITEX_CLUSTER_IDLE_CONNS` (pooled idle connections per replica),
     /// `PITEX_CLUSTER_PROBE_MS` (prober interval), `PITEX_CLUSTER_COOLDOWN_MS`
-    /// (down-replica cooldown), `PITEX_CLUSTER_CONNECT_TIMEOUT_MS`.
+    /// (down-replica cooldown), `PITEX_CLUSTER_CONNECT_TIMEOUT_MS`. A zero
+    /// in-flight cap, probe interval or connect timeout is ignored.
     pub fn with_env(mut self) -> Self {
-        if let Some(v) = env_u64("PITEX_CLUSTER_MAX_IN_FLIGHT") {
+        if let Some(v) = env_positive("PITEX_CLUSTER_MAX_IN_FLIGHT") {
             self.pool.max_in_flight = v as usize;
         }
         if let Some(v) = env_u64("PITEX_CLUSTER_IDLE_CONNS") {
             self.pool.idle_per_replica = v as usize;
         }
-        if let Some(v) = env_u64("PITEX_CLUSTER_PROBE_MS") {
+        if let Some(v) = env_positive("PITEX_CLUSTER_PROBE_MS") {
             self.probe_interval = Duration::from_millis(v);
         }
         if let Some(v) = env_u64("PITEX_CLUSTER_COOLDOWN_MS") {
             self.pool.probe_cooldown = Duration::from_millis(v);
         }
-        if let Some(v) = env_u64("PITEX_CLUSTER_CONNECT_TIMEOUT_MS") {
+        if let Some(v) = env_positive("PITEX_CLUSTER_CONNECT_TIMEOUT_MS") {
             self.pool.connect_timeout = Duration::from_millis(v);
         }
         self
     }
+
+    /// `InvalidInput` naming the first field that is zero but must not be.
+    fn check(&self) -> std::io::Result<()> {
+        let zero = [
+            ("pool.max_in_flight", self.pool.max_in_flight == 0),
+            ("pool.connect_timeout", self.pool.connect_timeout.is_zero()),
+            ("probe_interval", self.probe_interval.is_zero()),
+        ];
+        match zero.into_iter().find(|&(_, zero)| zero) {
+            Some((field, _)) => {
+                let message = format!("RouterOptions::{field} must be non-zero");
+                Err(Error::new(ErrorKind::InvalidInput, message))
+            }
+            None => Ok(()),
+        }
+    }
 }
 
-/// Router-side counters (shard counters live on the shards; `STATS` merges
-/// both views) — typed handles registered in the router's [`Registry`], so
-/// the export list *is* the registration list.
+/// The router's own counters (shard counters live on the shards; `STATS`
+/// merges both views), registered in its hop's registry next to the
+/// request counters and the hop-latency histogram.
 #[derive(Debug)]
 struct Counters {
-    requests: Counter,
-    ok: Counter,
-    busy: Counter,
-    errors: Counter,
     scatters: Counter,
     updates: Counter,
     reloads: Counter,
@@ -159,10 +177,6 @@ struct Counters {
 impl Counters {
     fn register(registry: &Registry) -> Self {
         Self {
-            requests: registry.counter("router_requests"),
-            ok: registry.counter("router_ok"),
-            busy: registry.counter("router_busy"),
-            errors: registry.counter("router_errors"),
             scatters: registry.counter("router_scatters"),
             updates: registry.counter("router_updates"),
             reloads: registry.counter("router_reloads"),
@@ -171,7 +185,11 @@ impl Counters {
 }
 
 struct Shared {
-    stop: AtomicBool,
+    /// The hop runtime: the registry behind `STATS`/`METRICS` (the request
+    /// counters, the hop-latency histogram — router-observed `QUERY`
+    /// service time, shard round-trip included — and the pool's adopted
+    /// probe/failover/catch-up counters), the recorders, the rings.
+    hop: Arc<Hop>,
     map: ShardMap,
     pools: ShardPools,
     options: RouterOptions,
@@ -182,27 +200,7 @@ struct Shared {
     /// Serializes admin verbs (`UPDATE`, `RELOAD`) through this router so
     /// an update can never land inside another admin's prepare window.
     admin_serial: Mutex<()>,
-    /// The typed metric registry behind `STATS`/`METRICS`: the router's
-    /// own counters, the pool's adopted probe/failover/catch-up counters
-    /// and the hop-latency histogram all export off this one table.
-    registry: Registry,
     counters: Counters,
-    /// Router-observed `QUERY` service time (shard round-trip included).
-    latency: Arc<AtomicHistogram>,
-    /// Rolling time-series over the router's *own* fields (`SERIES`,
-    /// `GET /series`): a local sampler thread ticks once per configured
-    /// interval — no per-tick network scatter to the shards.
-    timeseries: TimeSeriesStore,
-    /// SLO thresholds for the router's own burn-rate verdicts.
-    slo: SloOptions,
-    /// Ring of recent request summaries + slow-query log (`FLIGHT`).
-    flight: FlightRecorder,
-    /// Sampled PWRK workload recorder (`CAPTURE on|off|rotate` — applied
-    /// to this router process; shards control their own recorders).
-    capture: CaptureRecorder,
-    started: Instant,
-    /// Connection threads spawned by the acceptor, reaped on `join`.
-    conns: ConnThreads,
 }
 
 /// Namespace for [`Router::spawn`].
@@ -212,134 +210,54 @@ impl Router {
     /// Binds `addr` (port 0 picks an ephemeral port), spawns the acceptor
     /// and the health-prober, and returns immediately. Shards are *not*
     /// contacted eagerly — a router can boot before its shards and heal as
-    /// they come up.
+    /// they come up. Options that would break routing are refused with
+    /// `InvalidInput` (see [`RouterOptions`]).
     pub fn spawn(
         map: ShardMap,
         addr: impl ToSocketAddrs,
         options: RouterOptions,
     ) -> std::io::Result<RouterHandle> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
+        options.check()?;
+        let listener = hop::bind(addr)?;
+        let hop = Arc::new(Hop::new(&ROUTER_NAMES, options.capture.clone(), options.admin)?);
         let pools = ShardPools::new(&map, options.pool);
-        let registry = Registry::new();
-        let counters = Counters::register(&registry);
         // The pool's probe/failover/catch-up counters are shared handles
         // adopted into the same registry — no polling bridge.
         for (name, counter) in pools.counters() {
-            registry.adopt_counter(name, &counter);
+            hop.registry.adopt_counter(name, &counter);
         }
-        let latency = registry.histogram("router_lat_hist");
-        let capture =
-            CaptureRecorder::new(options.capture.clone().unwrap_or_else(CaptureOptions::from_env))?;
         let shared = Arc::new(Shared {
-            stop: AtomicBool::new(false),
+            counters: Counters::register(&hop.registry),
+            hop,
             map,
             pools,
             options,
             epoch_gate: RwLock::new(()),
             admin_serial: Mutex::new(()),
-            registry,
-            counters,
-            latency,
-            timeseries: TimeSeriesStore::new(TsOptions::from_env()),
-            slo: SloOptions::from_env(),
-            flight: FlightRecorder::new(ObsOptions::from_env()),
-            capture,
-            started: Instant::now(),
-            conns: ConnThreads::default(),
         });
-
-        let mut threads = Vec::with_capacity(3);
-        {
+        let prober = {
             let shared = shared.clone();
-            threads.push(
-                std::thread::Builder::new().name("pitex-router-acceptor".to_string()).spawn(
-                    move || {
-                        let service = RouterService(shared.clone());
-                        blocking::accept_loop(
-                            service,
-                            &listener,
-                            &shared.conns,
-                            "pitex-router-conn",
-                        )
-                    },
-                )?,
-            );
-        }
-        {
+            hop::spawn("pitex-router-prober".to_string(), move || prober_loop(&shared))?
+        };
+        // The router's *own* fields only: a tick must stay cheap and local,
+        // so it does not scatter to the shards — shard rings are read
+        // shard-side.
+        let fields = {
             let shared = shared.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("pitex-router-prober".to_string())
-                    .spawn(move || prober_loop(&shared))?,
-            );
-        }
-        {
-            let shared = shared.clone();
-            threads.push(
-                std::thread::Builder::new().name("pitex-router-sampler".to_string()).spawn(
-                    move || {
-                        // The router's *own* fields only: a tick must stay
-                        // cheap and local, so it does not scatter to the
-                        // shards — shard rings are read shard-side.
-                        verbs::sampler_loop(&shared.stop, &shared.timeseries, || {
-                            router_fields(&shared, 0).into_fields()
-                        })
-                    },
-                )?,
-            );
-        }
-        Ok(RouterHandle { addr, shared, threads: Mutex::new(threads) })
+            move || router_fields(&shared, 0).into_fields()
+        };
+        let service = RouterService(shared.clone());
+        shared.hop.start(listener, service, false, fields, vec![prober])
     }
 }
 
-/// A running router: its address, a shutdown switch, and the thread reaper.
-pub struct RouterHandle {
-    addr: SocketAddr,
-    shared: Arc<Shared>,
-    threads: Mutex<Vec<JoinHandle<()>>>,
-}
-
-impl RouterHandle {
-    /// The bound address (resolves the ephemeral port).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Requests a graceful stop (idempotent; also triggered by a client's
-    /// `SHUTDOWN`). The shard servers are untouched.
-    pub fn shutdown(&self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether a shutdown has been requested.
-    pub fn is_stopping(&self) -> bool {
-        self.shared.stop.load(Ordering::SeqCst)
-    }
-
-    /// Blocks until the router has fully stopped and reaps every thread.
-    /// Returns `Err` with the panic payload if any router thread panicked.
-    pub fn join(self) -> std::thread::Result<()> {
-        let mut result = Ok(());
-        for thread in self.threads.lock().unwrap().drain(..) {
-            if let Err(panic) = thread.join() {
-                result = Err(panic);
-            }
-        }
-        result.and(self.shared.conns.join())
-    }
-
-    /// Convenience for tests and the CLI: shut down, then join.
-    pub fn stop(self) -> std::thread::Result<()> {
-        self.shutdown();
-        self.join()
-    }
-}
+/// A running router: [`Router::spawn`]'s handle. Stopping it leaves the
+/// shard servers running.
+pub type RouterHandle = HopHandle;
 
 fn prober_loop(shared: &Arc<Shared>) {
     let mut last_probe = Instant::now();
-    while !shared.stop.load(Ordering::SeqCst) {
+    while shared.hop.running() {
         std::thread::sleep(POLL.min(shared.options.probe_interval));
         if last_probe.elapsed() >= shared.options.probe_interval {
             // Catch-up drives a stale replica through UPDATE/PREPARE/COMMIT
@@ -354,102 +272,57 @@ fn prober_loop(shared: &Arc<Shared>) {
 }
 
 fn internal(shared: &Shared, message: String) -> Response {
-    shared.counters.errors.inc();
-    Response::Err { code: ErrorCode::Internal, message }
+    shared.hop.error(ErrorCode::Internal, message)
 }
 
-/// The router behind the connection core's [`Service`] seam: `PING` is
-/// answered inline, every other verb is a blocking call into the shard
-/// pools.
+/// The router behind the connection core's [`Service`] seam: every verb
+/// past the hop runtime's is a blocking call into the shard pools.
 #[derive(Clone)]
 struct RouterService(Arc<Shared>);
 
 impl Service for RouterService {
     fn counters(&self) -> WireCounters<'_> {
-        let c = &self.0.counters;
-        WireCounters { requests: &c.requests, errors: &c.errors, busy: &c.busy, conn_aborted: None }
+        self.0.hop.counters()
     }
 
     fn tick(&mut self) -> bool {
-        !self.0.stop.load(Ordering::SeqCst)
+        self.0.hop.running()
     }
 
-    fn admit(&mut self, request: Request, _to: &ReplyTo) -> Admit {
-        match request {
-            Request::Ping => {
-                self.0.counters.requests.inc();
-                Admit::Inline(Handled::Reply(Response::Pong, false))
-            }
-            other => Admit::Blocking(other),
-        }
+    fn admit(&mut self, request: Request, to: &ReplyTo) -> Admit {
+        self.0.hop.admit(request, to, |request, _| Admit::Blocking(request))
     }
 
     fn call(&mut self, request: Request, wire: Wire) -> Handled {
-        handle_request(&self.0, request, wire == Wire::Http)
+        self.0.hop.call(request, wire, |request| handle_request(&self.0, request))
     }
 }
 
-/// Dispatches one request. A `scrape` (an HTTP `GET`) is not a protocol
-/// request: it books neither `requests` nor, for a ring it misses,
-/// `errors`.
-fn handle_request(shared: &Arc<Shared>, request: Request, scrape: bool) -> Handled {
-    if !scrape {
-        shared.counters.requests.inc();
-    }
-    let reply = |response: Response, close: bool| Handled::Reply(response, close);
-    let denied = || {
-        shared.counters.errors.inc();
-        let message = "admin verbs are disabled on this router".to_string();
-        Handled::Reply(Response::Err { code: ErrorCode::AdminDenied, message }, false)
-    };
-    match request {
-        Request::Ping => reply(Response::Pong, false),
-        Request::Quit => reply(Response::Bye, true),
-        Request::Shutdown => {
-            shared.stop.store(true, Ordering::SeqCst);
-            reply(Response::Bye, true)
-        }
+/// The router's own verbs, behind the hop runtime's switch.
+fn handle_request(shared: &Arc<Shared>, request: Request) -> Handled {
+    let response = match request {
         // Planning happens on the owning shard, where the artifacts and
         // latency EWMAs live.
         request @ (Request::Query(_) | Request::Explain(_) | Request::Trace(_)) => {
-            reply(route_query(shared, request), false)
+            route_query(shared, request)
         }
-        Request::Stats => reply(handle_stats(shared), false),
-        Request::Metrics => handle_metrics(shared),
-        // The router's *local* rings (its own counters, hop latency, pool
-        // health) — shard rings are per shard, where the samples live; ask
-        // a shard directly for its history.
-        Request::Series { field, res } => {
-            let response = verbs::series(&shared.timeseries, "router field", &field, res);
-            if !scrape && matches!(response, Response::Err { .. }) {
-                shared.counters.errors.inc();
-            }
-            reply(response, false)
-        }
-        Request::Health => reply(handle_health(shared), false),
-        r if r.spec().admin && !shared.options.admin => denied(),
-        Request::Flight => reply(verbs::flight(&shared.flight), false),
-        // CAPTURE controls *this router's* recorder: each hop owns its log
-        // (shards record the resolved-backend view, the router the front
-        // door), so cluster-wide capture is per-process — set
-        // `PITEX_OBS_CAPTURE` on every process, toggle each over its own
-        // admin socket.
-        Request::Capture(action) => {
-            reply(verbs::capture(&shared.capture, &shared.counters.errors, action), false)
-        }
-        Request::Update(op) => reply(handle_update(shared, op), false),
-        Request::Reload => reply(handle_reload(shared), false),
+        Request::Stats => return handle_stats(shared, false),
+        Request::Metrics => return handle_stats(shared, true),
+        Request::Health => handle_health(shared),
+        Request::Update(op) => handle_update(shared, op),
+        Request::Reload => handle_reload(shared),
+        Request::Epoch => handle_epoch(shared),
         r @ (Request::Prepare | Request::Commit | Request::Sync { .. } | Request::Discard) => {
-            shared.counters.errors.inc();
             let message = format!(
                 "{} is shard-level: RELOAD at the router runs the cluster barrier, and the \
                  router's prober runs replica catch-up itself",
                 r.spec().name
             );
-            reply(Response::Err { code: ErrorCode::BadRequest, message }, false)
+            shared.hop.error(ErrorCode::BadRequest, message)
         }
-        Request::Epoch => reply(handle_epoch(shared), false),
-    }
+        _ => unreachable!("answered by the hop runtime"),
+    };
+    Handled::Reply(response, false)
 }
 
 /// The splitmix64 finalizer (same mix the shard map uses), keying replica
@@ -514,14 +387,6 @@ fn route_query(shared: &Arc<Shared>, mut request: Request) -> Response {
         (Err(CallError::Saturated), _) => Response::Busy,
         (Err(CallError::Unavailable(detail)), _) => internal(detail),
     };
-    match &response {
-        Response::Ok(_) | Response::Explained(_) | Response::Traced(_) => {
-            shared.counters.ok.inc();
-            shared.latency.record(us);
-        }
-        Response::Busy => shared.counters.busy.inc(),
-        _ => shared.counters.errors.inc(),
-    }
     // The router sees the front door, not the owning shard's planner: the
     // resolved backend is known only when the reply names it.
     let resolved = match &response {
@@ -542,8 +407,7 @@ fn route_query(shared: &Arc<Shared>, mut request: Request) -> Response {
     // backend; the capture record keeps the wire-level `-` so a replay
     // re-issues the request exactly as it arrived.
     let flight_backend = requested.unwrap_or("auto");
-    verbs::record_request(&shared.flight, &shared.capture, &record, flight_backend, &response);
-    response
+    shared.hop.finish(&record, flight_backend, response)
 }
 
 fn handle_epoch(shared: &Arc<Shared>) -> Response {
@@ -559,15 +423,12 @@ fn handle_epoch(shared: &Arc<Shared>) -> Response {
             Ok(Response::Epoch(epoch)) => {
                 epochs.insert(epoch);
             }
-            Ok(Response::Err { code, message }) => {
-                shared.counters.errors.inc();
-                return Response::Err { code, message };
-            }
+            Ok(Response::Err { code, message }) => return shared.hop.error(code, message),
             Ok(other) => {
                 return internal(shared, format!("unexpected EPOCH reply: {other:?}"));
             }
             Err(CallError::Saturated) => {
-                shared.counters.busy.inc();
+                shared.hop.busy.inc();
                 return Response::Busy;
             }
             Err(CallError::Unavailable(detail)) => return internal(shared, detail),
@@ -614,9 +475,9 @@ fn merged_shard_fields(shared: &Arc<Shared>) -> Result<Vec<(String, String)>, St
 }
 
 /// The router's own portion of the `STATS`/`METRICS` field list: cluster
-/// topology, the hop-latency distribution, the flight recorder's totals,
-/// and everything registered in the registry (router verb counters plus
-/// the pool's adopted probe/failover/catch-up counters).
+/// topology, then the hop runtime's fields (uptime, the hop-latency
+/// distribution, the recorders' totals, and everything registered: router
+/// verb counters plus the pool's adopted probe/failover/catch-up counters).
 fn router_fields(shared: &Shared, replies: u64) -> FieldSet {
     let mut fields = FieldSet::new();
     fields.push("shards", shared.map.num_shards());
@@ -624,36 +485,19 @@ fn router_fields(shared: &Shared, replies: u64) -> FieldSet {
     fields.push("replicas", total);
     fields.push("replicas_up", up);
     fields.push("replies", replies);
-    fields.push("router_uptime_s", format!("{:.1}", shared.started.elapsed().as_secs_f64()));
-    let hist = shared.latency.snapshot();
-    fields.push("router_lat_p50_us", hist.quantile(0.50));
-    fields.push("router_lat_p90_us", hist.quantile(0.90));
-    fields.push("router_lat_p99_us", hist.quantile(0.99));
-    fields.push("router_flight_recorded", shared.flight.recorded());
-    fields.push("router_slow_queries", shared.flight.slow_count());
-    fields.push("router_capture_records", shared.capture.recorded());
-    fields.push("router_capture_dropped", shared.capture.dropped());
-    fields.extend_from_registry(&shared.registry);
+    shared.hop.fields(&mut fields);
     fields
 }
 
-fn handle_stats(shared: &Arc<Shared>) -> Response {
-    let _gate = shared.epoch_gate.read().unwrap();
-    shared.counters.scatters.inc();
-    match merged_shard_fields(shared) {
-        Ok(fields) => Response::Stats(StatsReply::new(fields)),
-        Err(message) => internal(shared, message),
-    }
-}
-
-/// `METRICS` at the router: the same merged field list `STATS` reports,
+/// `STATS` at the router, or `METRICS`: the same merged field list
 /// rendered as Prometheus text exposition — one scrape endpoint for the
 /// whole cluster.
-fn handle_metrics(shared: &Arc<Shared>) -> Handled {
+fn handle_stats(shared: &Arc<Shared>, metrics: bool) -> Handled {
     let _gate = shared.epoch_gate.read().unwrap();
     shared.counters.scatters.inc();
     match merged_shard_fields(shared) {
-        Ok(fields) => Handled::Raw(render_prometheus(fields.into_iter())),
+        Ok(fields) if metrics => Handled::Raw(render_prometheus(fields.into_iter())),
+        Ok(fields) => Handled::Reply(Response::Stats(StatsReply::new(fields)), false),
         Err(message) => Handled::Reply(internal(shared, message), false),
     }
 }
@@ -694,7 +538,7 @@ fn cluster_health(shared: &Arc<Shared>) -> HealthVerdict {
             }),
         }
     }
-    let own = slo::evaluate(&shared.timeseries, &shared.slo, slo::ROUTER_INPUTS);
+    let own = shared.hop.health();
     slos.extend(own.slos.into_iter().map(|mut v| {
         v.origin = "router".to_string();
         v
@@ -733,12 +577,9 @@ fn handle_update(shared: &Arc<Shared>, op: UpdateOp) -> Response {
                     reached += 1;
                     last = Some((epoch, pending));
                 }
-                Ok(Response::Err { code, message }) => {
-                    // The op itself was rejected (identical models reject
-                    // identically); forward the shard's verdict verbatim.
-                    shared.counters.errors.inc();
-                    return Response::Err { code, message };
-                }
+                // The op itself was rejected (identical models reject
+                // identically); forward the shard's verdict verbatim.
+                Ok(Response::Err { code, message }) => return shared.hop.error(code, message),
                 Ok(other) => {
                     return internal(
                         shared,
@@ -916,6 +757,41 @@ mod tests {
         assert_eq!(stats.get_u64("updates_pending"), Some(0));
         router.stop().unwrap();
         shard.stop().unwrap();
+    }
+
+    /// `Router::spawn` refuses `options` with `InvalidInput` naming
+    /// `field`, and `with_env` ignores `var=0`.
+    fn refuses_zero(options: RouterOptions, field: &str, var: &str) {
+        let map = ShardMap::new(vec![vec!["127.0.0.1:1".to_string()]]).unwrap();
+        let Err(e) = Router::spawn(map, ("127.0.0.1", 0), options) else {
+            panic!("a zero {field} must be refused")
+        };
+        assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(e.to_string().contains(field), "{e}");
+        std::env::set_var(var, "0");
+        let options = RouterOptions::default().with_env();
+        std::env::remove_var(var);
+        assert!(options.check().is_ok(), "{var}=0 is ignored");
+    }
+
+    #[test]
+    fn zero_max_in_flight_is_refused() {
+        let mut options = RouterOptions::default();
+        options.pool.max_in_flight = 0;
+        refuses_zero(options, "max_in_flight", "PITEX_CLUSTER_MAX_IN_FLIGHT");
+    }
+
+    #[test]
+    fn zero_connect_timeout_is_refused() {
+        let mut options = RouterOptions::default();
+        options.pool.connect_timeout = Duration::ZERO;
+        refuses_zero(options, "connect_timeout", "PITEX_CLUSTER_CONNECT_TIMEOUT_MS");
+    }
+
+    #[test]
+    fn zero_probe_interval_is_refused() {
+        let options = RouterOptions { probe_interval: Duration::ZERO, ..RouterOptions::default() };
+        refuses_zero(options, "probe_interval", "PITEX_CLUSTER_PROBE_MS");
     }
 
     #[test]

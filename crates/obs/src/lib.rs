@@ -53,8 +53,8 @@ pub use metrics::{
     MergedFields, MetricKind, PromSample, Registry,
 };
 pub use slo::{
-    evaluate as evaluate_slos, fraction_above, HealthVerdict, SloInputs, SloOptions, SloStatus,
-    SloVerdict, ROUTER_INPUTS, SHARD_INPUTS,
+    evaluate as evaluate_slos, fraction_above, HealthVerdict, HopNames, SloOptions, SloStatus,
+    SloVerdict, ROUTER_NAMES, SHARD_NAMES,
 };
 pub use timeseries::{SeriesDump, SeriesKind, SeriesPoints, SeriesRes, TimeSeriesStore, TsOptions};
 pub use trace::{

@@ -72,49 +72,105 @@ impl Default for SloOptions {
 impl SloOptions {
     /// Reads the `PITEX_SLO_*` knobs, falling back to the defaults.
     pub fn from_env() -> Self {
-        let int = |key: &str| std::env::var(key).ok().and_then(|v| v.parse::<u64>().ok());
-        let float = |key: &str| std::env::var(key).ok().and_then(|v| v.parse::<f64>().ok());
+        Self::from_vars(|key| std::env::var(key).ok())
+    }
+
+    /// [`from_env`](Self::from_env) over any variable lookup. A value that
+    /// does not parse or is out of range falls back to its default: the
+    /// targets must lie in `[0, 1)`, the burn thresholds must be finite
+    /// and positive (a NaN threshold never trips, so it would silently
+    /// disable paging; a negative one warns with zero traffic).
+    pub fn from_vars(var: impl Fn(&str) -> Option<String>) -> Self {
+        let int = |key: &str| var(key).and_then(|v| v.parse::<u64>().ok());
+        let float = |key: &str| var(key).and_then(|v| v.parse::<f64>().ok());
+        let target = |key: &str| float(key).filter(|t| (0.0..1.0).contains(t));
+        let burn = |key: &str| float(key).filter(|b| b.is_finite() && *b > 0.0);
+        let windows = |key: &str| int(key).map(|n| n.max(1) as usize);
         let d = Self::default();
         Self {
-            avail_target: float("PITEX_SLO_AVAIL_TARGET")
-                .filter(|t| (0.0..1.0).contains(t))
-                .unwrap_or(d.avail_target),
+            avail_target: target("PITEX_SLO_AVAIL_TARGET").unwrap_or(d.avail_target),
             latency_threshold_us: int("PITEX_SLO_P99_US").unwrap_or(d.latency_threshold_us),
-            latency_target: float("PITEX_SLO_LAT_TARGET")
-                .filter(|t| (0.0..1.0).contains(t))
-                .unwrap_or(d.latency_target),
-            fast_windows: int("PITEX_SLO_FAST_WINDOWS")
-                .map(|n| n.max(1) as usize)
-                .unwrap_or(d.fast_windows),
-            slow_windows: int("PITEX_SLO_SLOW_WINDOWS")
-                .map(|n| n.max(1) as usize)
-                .unwrap_or(d.slow_windows),
-            warn_burn: float("PITEX_SLO_WARN_BURN").unwrap_or(d.warn_burn),
-            page_burn: float("PITEX_SLO_PAGE_BURN").unwrap_or(d.page_burn),
+            latency_target: target("PITEX_SLO_LAT_TARGET").unwrap_or(d.latency_target),
+            fast_windows: windows("PITEX_SLO_FAST_WINDOWS").unwrap_or(d.fast_windows),
+            slow_windows: windows("PITEX_SLO_SLOW_WINDOWS").unwrap_or(d.slow_windows),
+            warn_burn: burn("PITEX_SLO_WARN_BURN").unwrap_or(d.warn_burn),
+            page_burn: burn("PITEX_SLO_PAGE_BURN").unwrap_or(d.page_burn),
         }
     }
 }
 
-/// Which registry fields feed the objectives. The shard and the router
-/// export the same shapes under different names, so the engine is
-/// parameterized instead of hard-coded.
-#[derive(Clone, Copy, Debug)]
-pub struct SloInputs {
-    /// Total-request counter field (availability denominator).
+/// One hop's names: the fields a shard or a router registers and exports
+/// the same way under different names, and what its messages and threads
+/// call it. Registration, the shared `STATS` fields and the SLO engine
+/// (`requests`, `errors`, `lat_hist`) all read this one table.
+#[derive(Debug)]
+pub struct HopNames {
+    /// What messages call the hop (`admin verbs are disabled on this …`).
+    pub hop: &'static str,
+    /// What a `SERIES` miss calls a field.
+    pub field: &'static str,
+    /// Thread-name prefix.
+    pub threads: &'static str,
     pub requests: &'static str,
-    /// Error counter field (availability numerator).
+    pub ok: &'static str,
+    pub busy: &'static str,
     pub errors: &'static str,
-    /// Latency histogram field (latency objective).
+    /// A hop without it books a missed deadline under `errors`.
+    pub deadline: Option<&'static str>,
+    /// Completed replies whose connection died first, where counted.
+    pub conn_aborted: Option<&'static str>,
+    /// Latency of the `OK` replies, and its p50 / p90 / p99 fields.
     pub lat_hist: &'static str,
+    pub lat_quantiles: [&'static str; 3],
+    pub lat_mean: Option<&'static str>,
+    pub uptime_s: &'static str,
+    pub flight_recorded: &'static str,
+    pub slow_queries: &'static str,
+    pub capture_records: &'static str,
+    pub capture_dropped: &'static str,
 }
 
-/// Shard-side field names.
-pub const SHARD_INPUTS: SloInputs =
-    SloInputs { requests: "requests", errors: "errors", lat_hist: "lat_hist" };
+/// The shard's names.
+pub static SHARD_NAMES: HopNames = HopNames {
+    hop: "server",
+    field: "field",
+    threads: "pitex",
+    requests: "requests",
+    ok: "ok",
+    busy: "busy",
+    errors: "errors",
+    deadline: Some("deadline"),
+    conn_aborted: Some("conn_aborted"),
+    lat_hist: "lat_hist",
+    lat_quantiles: ["lat_p50_us", "lat_p90_us", "lat_p99_us"],
+    lat_mean: Some("lat_mean_us"),
+    uptime_s: "uptime_s",
+    flight_recorded: "flight_recorded",
+    slow_queries: "slow_queries",
+    capture_records: "capture_records",
+    capture_dropped: "capture_dropped",
+};
 
-/// Router-side field names.
-pub const ROUTER_INPUTS: SloInputs =
-    SloInputs { requests: "router_requests", errors: "router_errors", lat_hist: "router_lat_hist" };
+/// The router's names.
+pub static ROUTER_NAMES: HopNames = HopNames {
+    hop: "router",
+    field: "router field",
+    threads: "pitex-router",
+    requests: "router_requests",
+    ok: "router_ok",
+    busy: "router_busy",
+    errors: "router_errors",
+    deadline: None,
+    conn_aborted: None,
+    lat_hist: "router_lat_hist",
+    lat_quantiles: ["router_lat_p50_us", "router_lat_p90_us", "router_lat_p99_us"],
+    lat_mean: None,
+    uptime_s: "router_uptime_s",
+    flight_recorded: "router_flight_recorded",
+    slow_queries: "router_slow_queries",
+    capture_records: "router_capture_records",
+    capture_dropped: "router_capture_dropped",
+};
 
 /// Health status, ordered by severity (`Ok < Warn < Page`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -197,7 +253,7 @@ impl HealthVerdict {
 
 /// Evaluates both objectives against `store` and folds them into a
 /// component verdict with origin `self`.
-pub fn evaluate(store: &TimeSeriesStore, options: &SloOptions, inputs: SloInputs) -> HealthVerdict {
+pub fn evaluate(store: &TimeSeriesStore, options: &SloOptions, inputs: &HopNames) -> HealthVerdict {
     let slos =
         vec![availability_verdict(store, options, inputs), latency_verdict(store, options, inputs)];
     HealthVerdict::from_slos(slos)
@@ -206,7 +262,7 @@ pub fn evaluate(store: &TimeSeriesStore, options: &SloOptions, inputs: SloInputs
 fn availability_verdict(
     store: &TimeSeriesStore,
     options: &SloOptions,
-    inputs: SloInputs,
+    inputs: &HopNames,
 ) -> SloVerdict {
     let bad_fraction = |windows: usize| -> Option<f64> {
         let requests = tail_sum(store, inputs.requests, windows)?;
@@ -226,7 +282,7 @@ fn availability_verdict(
     )
 }
 
-fn latency_verdict(store: &TimeSeriesStore, options: &SloOptions, inputs: SloInputs) -> SloVerdict {
+fn latency_verdict(store: &TimeSeriesStore, options: &SloOptions, inputs: &HopNames) -> SloVerdict {
     let bad_fraction = |windows: usize| -> Option<f64> {
         let merged = tail_hist(store, inputs.lat_hist, windows)?;
         if merged.count() == 0 {
@@ -369,7 +425,7 @@ mod tests {
 
     #[test]
     fn idle_store_is_ok() {
-        let verdict = evaluate(&store(), &options(), SHARD_INPUTS);
+        let verdict = evaluate(&store(), &options(), &SHARD_NAMES);
         assert_eq!(verdict.status, SloStatus::Ok);
         assert_eq!(verdict.worst, "-");
         assert_eq!(verdict.slos.len(), 2);
@@ -386,7 +442,7 @@ mod tests {
             hist.merge(&fast_hist(1000));
             push_window(&store, requests, 0, &hist);
         }
-        let verdict = evaluate(&store, &options(), SHARD_INPUTS);
+        let verdict = evaluate(&store, &options(), &SHARD_NAMES);
         assert_eq!(verdict.status, SloStatus::Ok, "verdict: {verdict:?}");
     }
 
@@ -401,7 +457,7 @@ mod tests {
             errors += 100; // 10% errors: burn 100x against a 0.1% budget
             push_window(&store, requests, errors, &hist);
         }
-        let verdict = evaluate(&store, &options(), SHARD_INPUTS);
+        let verdict = evaluate(&store, &options(), &SHARD_NAMES);
         assert_eq!(verdict.status, SloStatus::Page);
         assert_eq!(verdict.worst, "self");
         let avail = verdict.slos.iter().find(|v| v.name == "availability").unwrap();
@@ -424,7 +480,7 @@ mod tests {
             }
             push_window(&store, requests, 0, &hist);
         }
-        let verdict = evaluate(&store, &opts, SHARD_INPUTS);
+        let verdict = evaluate(&store, &opts, &SHARD_NAMES);
         assert_eq!(verdict.status, SloStatus::Page);
         let lat = verdict.slos.iter().find(|v| v.name == "latency").unwrap();
         assert_eq!(lat.status, SloStatus::Page);
@@ -453,7 +509,7 @@ mod tests {
             hist.record(1_000_000);
         }
         push_window(&store, requests, 0, &hist);
-        let verdict = evaluate(&store, &opts, SHARD_INPUTS);
+        let verdict = evaluate(&store, &opts, &SHARD_NAMES);
         let lat = verdict.slos.iter().find(|v| v.name == "latency").unwrap();
         assert_eq!(lat.status, SloStatus::Warn, "verdict: {verdict:?}");
         assert_eq!(lat.window, "fast");
@@ -503,6 +559,16 @@ mod tests {
             assert_eq!(SloStatus::parse(s.name()), Some(s));
         }
         assert_eq!(SloStatus::parse("bogus"), None);
+    }
+
+    #[test]
+    fn burn_thresholds_must_be_finite_and_positive() {
+        for bad in ["nan", "-1", "inf"] {
+            let opts = SloOptions::from_vars(|key| key.ends_with("_BURN").then(|| bad.to_string()));
+            assert_eq!(opts, SloOptions::default(), "PITEX_SLO_*_BURN={bad}");
+        }
+        let opts = SloOptions::from_vars(|key| key.ends_with("_BURN").then(|| "3".to_string()));
+        assert_eq!((opts.warn_burn, opts.page_burn), (3.0, 3.0));
     }
 
     #[test]

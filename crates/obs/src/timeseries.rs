@@ -39,14 +39,12 @@ use std::time::Duration;
 pub struct TsOptions {
     /// Sampler tick interval (`PITEX_OBS_TS_TICK_MS`, default 1000).
     pub tick: Duration,
-    /// Slots in the 1-tick-per-window ring (`PITEX_OBS_TS_FAST_SLOTS`,
-    /// default 120 — two minutes at the default tick).
+    /// Slots in the 1-tick-per-window ring (120 — two minutes at the
+    /// default tick).
     pub fast_slots: usize,
-    /// Slots in the 10-tick ring (`PITEX_OBS_TS_MID_SLOTS`, default 360 —
-    /// an hour at the default tick).
+    /// Slots in the 10-tick ring (360 — an hour at the default tick).
     pub mid_slots: usize,
-    /// Slots in the 60-tick ring (`PITEX_OBS_TS_SLOW_SLOTS`, default 1440
-    /// — a day at the default tick).
+    /// Slots in the 60-tick ring (1440 — a day at the default tick).
     pub slow_slots: usize,
 }
 
@@ -62,24 +60,12 @@ impl Default for TsOptions {
 }
 
 impl TsOptions {
-    /// Reads the `PITEX_OBS_TS_*` knobs, falling back to the defaults.
+    /// The defaults with the tick read from `PITEX_OBS_TS_TICK_MS`; the
+    /// ring sizes are fixed.
     pub fn from_env() -> Self {
-        let parse = |key: &str| std::env::var(key).ok().and_then(|v| v.parse::<u64>().ok());
+        let tick = std::env::var("PITEX_OBS_TS_TICK_MS").ok().and_then(|v| v.parse::<u64>().ok());
         let d = Self::default();
-        Self {
-            tick: parse("PITEX_OBS_TS_TICK_MS")
-                .map(|ms| Duration::from_millis(ms.max(1)))
-                .unwrap_or(d.tick),
-            fast_slots: parse("PITEX_OBS_TS_FAST_SLOTS")
-                .map(|n| n.max(1) as usize)
-                .unwrap_or(d.fast_slots),
-            mid_slots: parse("PITEX_OBS_TS_MID_SLOTS")
-                .map(|n| n.max(1) as usize)
-                .unwrap_or(d.mid_slots),
-            slow_slots: parse("PITEX_OBS_TS_SLOW_SLOTS")
-                .map(|n| n.max(1) as usize)
-                .unwrap_or(d.slow_slots),
-        }
+        Self { tick: tick.map(|ms| Duration::from_millis(ms.max(1))).unwrap_or(d.tick), ..d }
     }
 
     fn slots(&self, res: SeriesRes) -> usize {
@@ -565,12 +551,8 @@ mod tests {
     #[test]
     fn env_knobs_parse() {
         std::env::set_var("PITEX_OBS_TS_TICK_MS", "250");
-        std::env::set_var("PITEX_OBS_TS_FAST_SLOTS", "8");
         let options = TsOptions::from_env();
         std::env::remove_var("PITEX_OBS_TS_TICK_MS");
-        std::env::remove_var("PITEX_OBS_TS_FAST_SLOTS");
         assert_eq!(options.tick, Duration::from_millis(250));
-        assert_eq!(options.fast_slots, 8);
-        assert_eq!(options.mid_slots, TsOptions::default().mid_slots);
     }
 }

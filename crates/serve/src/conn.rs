@@ -42,7 +42,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 pub mod blocking;
-pub mod verbs;
+pub mod event_loop;
 
 /// Poll interval for stop-flag checks while blocked on I/O or a queue.
 pub const POLL: Duration = Duration::from_millis(50);

@@ -11,9 +11,9 @@
 //! driver's own:
 //!
 //! * **Hand-off** — a connection the core sniffs as text or HTTP leaves
-//!   the loop for a [`blocking::serve`](crate::conn::blocking::serve)
-//!   thread, core and buffered bytes included: a scrape must not queue
-//!   behind an admin fold on the single slow lane.
+//!   the loop for a [`blocking::serve`] thread, core and buffered bytes
+//!   included: a scrape must not queue behind an admin fold on the single
+//!   slow lane.
 //! * **Slow lane** — what the service hands back as blocking work (admin
 //!   folds, `STATS`/`EPOCH`/`HEALTH` scrapes) runs on one side thread so
 //!   it can never stall the loop. No query verb is blocking work: `QUERY`,
@@ -81,7 +81,7 @@ struct LoopCtx<'a, S> {
 /// Runs the event loop until the service reports the hop stopping. Falls
 /// back to the thread-per-connection driver when the platform has no
 /// poller.
-pub(super) fn run<S: Service>(
+pub fn run<S: Service>(
     service: S,
     listener: TcpListener,
     threads: &ConnThreads,

@@ -15,6 +15,14 @@
 //!   reply ordering, caps and close rules. The shard and the cluster
 //!   router are two `Service`s behind it; the epoll loop and the blocking
 //!   thread-per-connection driver only move bytes in front of it.
+//! * **One hop runtime** ([`hop`]) — what the shard and the cluster
+//!   router both run around their `Service`: the obs bundle (metric
+//!   registry, flight and capture recorders, time-series rings, SLO
+//!   options) read once at boot, the front end and the sampler thread, the
+//!   one switch for the hop-local verbs (`PING`, `QUIT`, `SHUTDOWN`,
+//!   `SERIES`, `FLIGHT`, `CAPTURE`) and the admin gate, the one outcome
+//!   booking of a query verb, and the one [`hop::HopHandle`] both hops
+//!   return.
 //! * **Line protocol** ([`protocol`]) — `QUERY <user> <k>` in, one reply
 //!   line out; scriptable with `nc` and spoken by `pitex client`.
 //! * **Bounded queue + load shedding** ([`server`]) — a full request queue
@@ -91,6 +99,7 @@
 pub mod client;
 pub mod conn;
 pub mod frame;
+pub mod hop;
 pub mod http;
 pub mod protocol;
 pub mod server;

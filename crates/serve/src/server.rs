@@ -1,10 +1,10 @@
 //! The multi-threaded query server.
 //!
-//! Topology: a front end that only moves bytes (the epoll
-//! `event_loop`, or the thread-per-connection [`crate::conn::blocking`]
-//! driver where there is no poller — both over the one connection core,
-//! [`crate::conn`]), the `ShardService` behind the core's `Service`
-//! seam, and a fixed pool of worker threads that each own a private
+//! Topology: the hop runtime ([`crate::hop`]: the front end that only moves
+//! bytes — the epoll loop, or the thread-per-connection driver where there
+//! is no poller — the sampler, the obs bundle and the hop-local verbs), the
+//! `ShardService` behind the connection core's `Service` seam, and a fixed
+//! pool of worker threads that each own a private
 //! [`PitexEngine`] built from the shared [`EngineHandle`] (the engine's
 //! `&mut self` memoisation stays single-threaded by construction).
 //! Connections and workers meet at a *bounded* job queue: when it is full
@@ -41,9 +41,8 @@
 //! sweep runs after the swap, so the stale-insert race is closed from both
 //! sides.
 
-use crate::conn::blocking::{self, ConnThreads};
-use crate::conn::verbs::{self, RequestRecord};
 use crate::conn::{Admit, Handled, ReplyTo, Service, Wire, WireCounters, POLL};
+use crate::hop::{self, Hop, HopHandle, RequestRecord};
 use crate::protocol::{
     ErrorCode, ExplainReply, QueryReply, ReloadReply, Request, Response, StatsReply, TraceReply,
 };
@@ -57,23 +56,18 @@ use pitex_live::{
 };
 use pitex_model::{TagSet, TicModel};
 use pitex_support::lru::ShardedLru;
-use pitex_support::obs::slo::{HealthVerdict, SloOptions, SHARD_INPUTS};
-use pitex_support::obs::timeseries::{TimeSeriesStore, TsOptions};
+use pitex_support::obs::slo::SHARD_NAMES;
 use pitex_support::obs::{
-    mint_trace_id, render_prometheus, CaptureOptions, CaptureRecorder, Counter, FieldSet,
-    FlightRecorder, Gauge, ObsOptions, SpanRecorder,
+    mint_trace_id, render_prometheus, CaptureOptions, Counter, FieldSet, Gauge, Registry,
+    SpanRecorder,
 };
-use pitex_support::stats::{LatencyHistogram, OnlineStats};
 use std::collections::BTreeSet;
 use std::io::ErrorKind;
-use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::net::ToSocketAddrs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-mod event_loop;
 
 /// Tuning knobs for [`Server::spawn`].
 #[derive(Clone, Debug)]
@@ -213,21 +207,10 @@ enum WorkerReply {
     Unavailable(String),
 }
 
-/// Always-on serving counters, as typed obs handles: every name here has
-/// a row in the obs `SCHEMA` (kind + cluster merge rule), which
-/// `stats_fields` asserts when it exports them.
-#[derive(Debug, Default)]
+/// The shard's own counters, registered in its hop's registry next to the
+/// request counters and the latency histogram the hop runtime keeps.
 struct Counters {
-    requests: Counter,
-    ok: Counter,
-    busy: Counter,
-    deadline_exceeded: Counter,
-    errors: Counter,
     worker_panics: Counter,
-    /// Completed pipelined replies dropped because their connection closed
-    /// before they could be written (the work still ran; the answer had
-    /// nowhere to go).
-    conn_aborted: Counter,
     /// `UPDATE` ops accepted into the overlay since boot.
     updates_applied: Counter,
     /// Ops currently staged (mirrors `overlay.pending()` so `STATS` never
@@ -235,33 +218,29 @@ struct Counters {
     updates_pending: Gauge,
     /// Snapshot swaps performed (`RELOAD`s that folded at least one op).
     reloads: Counter,
-    /// Committed batches replayed from the WAL at boot.
+    /// Boot-time WAL replay: committed batches, ops, torn-tail bytes.
     wal_replayed_records: Counter,
-    /// Ops replayed from the WAL at boot.
     wal_replayed_ops: Counter,
-    /// Torn-tail bytes truncated from the WAL at boot.
     wal_truncated_bytes: Counter,
-    /// WAL compactions performed since boot.
     wal_compactions: Counter,
     /// `SYNC` requests answered with a bundle.
     sync_served: Counter,
 }
 
-/// Observability state shared across the serving stack: the always-on
-/// flight recorder (ring of recent request summaries + slow-query log),
-/// the sampled workload-capture recorder (`PITEX_OBS_CAPTURE`), and the
-/// WAL timing histograms the admin path records into.
-struct ServerObs {
-    flight: FlightRecorder,
-    capture: CaptureRecorder,
-    wal_timings: WalTimings,
-    /// Rolling multi-resolution rings the background sampler thread writes
-    /// every stats field into (`PITEX_OBS_TS_*`); read by the `SERIES`
-    /// verb, `GET /series`, and the SLO engine.
-    timeseries: TimeSeriesStore,
-    /// SLO targets and burn thresholds (`PITEX_SLO_*`) the `HEALTH` verb
-    /// and `GET /health` evaluate against the rings.
-    slo: SloOptions,
+impl Counters {
+    fn register(registry: &Registry) -> Self {
+        Self {
+            worker_panics: registry.counter("worker_panics"),
+            updates_applied: registry.counter("updates_applied"),
+            updates_pending: registry.gauge("updates_pending"),
+            reloads: registry.counter("reloads"),
+            wal_replayed_records: registry.counter("wal_replayed_records"),
+            wal_replayed_ops: registry.counter("wal_replayed_ops"),
+            wal_truncated_bytes: registry.counter("wal_truncated_bytes"),
+            wal_compactions: registry.counter("wal_compactions"),
+            sync_served: registry.counter("sync_served"),
+        }
+    }
 }
 
 /// A reload that has been folded and repaired but not yet swapped in —
@@ -298,7 +277,7 @@ struct AdminState {
 
 /// Everything the acceptor, connections and workers share.
 struct Shared {
-    stop: AtomicBool,
+    hop: Arc<Hop>,
     /// The epoch-versioned snapshot currently being served.
     store: SnapshotStore,
     admin_state: Mutex<AdminState>,
@@ -311,12 +290,9 @@ struct Shared {
     wal_options: WalOptions,
     cache: ShardedLru<(u32, usize, EngineBackend), CachedAnswer>,
     counters: Counters,
-    obs: ServerObs,
-    /// Service-time distribution of `OK` replies, in microseconds.
-    latency: Mutex<(LatencyHistogram, OnlineStats)>,
-    started: Instant,
-    /// Connection (and slow-lane) threads the front end spawned.
-    conns: ConnThreads,
+    /// The WAL's append/fsync/compaction histograms, read by `STATS`
+    /// without the admin lock.
+    wal_timings: WalTimings,
     /// Fault injection (`PITEX_OBS_STALL_US`, 0 = off): every query's
     /// execute phase sleeps this long on the worker. Exists so health
     /// drills — tests, CI, operators rehearsing an incident — can produce
@@ -435,7 +411,7 @@ impl Server {
     ) -> std::io::Result<ServerHandle> {
         let stall_us =
             std::env::var("PITEX_OBS_STALL_US").ok().and_then(|v| v.parse().ok()).unwrap_or(0);
-        Self::spawn_stalled(handle, addr, options, stall_us)
+        Ok(Self::spawn_stalled(handle, addr, options, stall_us)?.0)
     }
 
     /// [`spawn`](Self::spawn) with the stall injector set here instead of
@@ -445,11 +421,8 @@ impl Server {
         addr: impl ToSocketAddrs,
         options: ServeOptions,
         stall_us: u64,
-    ) -> std::io::Result<ServerHandle> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-
+    ) -> std::io::Result<(ServerHandle, Arc<Shared>)> {
+        let listener = hop::bind(addr)?;
         let workers = options.workers.max(1);
         let queue_depth = options.queue_depth.max(1);
         let wal_options = WalOptions::from_env();
@@ -514,12 +487,10 @@ impl Server {
             })?;
         }
         let pending_count = overlay.pending() as u64;
-        // A capture path that cannot be opened is a boot error, not a
-        // silent no-op: the operator asked for a workload log.
-        let capture_recorder =
-            CaptureRecorder::new(options.capture.clone().unwrap_or_else(CaptureOptions::from_env))?;
+        let hop = Arc::new(Hop::new(&SHARD_NAMES, options.capture.clone(), options.admin)?);
         let shared = Arc::new(Shared {
-            stop: AtomicBool::new(false),
+            counters: Counters::register(&hop.registry),
+            hop,
             cache: ShardedLru::with_shards(options.cache_capacity, workers.max(4)),
             store: SnapshotStore::new_at(handle, epoch),
             admin_state: Mutex::new(AdminState {
@@ -532,17 +503,7 @@ impl Server {
             prepared: AtomicBool::new(false),
             options,
             wal_options,
-            counters: Counters::default(),
-            obs: ServerObs {
-                flight: FlightRecorder::new(ObsOptions::from_env()),
-                capture: capture_recorder,
-                wal_timings,
-                timeseries: TimeSeriesStore::new(TsOptions::from_env()),
-                slo: SloOptions::from_env(),
-            },
-            latency: Mutex::new((LatencyHistogram::new(), OnlineStats::new())),
-            started: Instant::now(),
-            conns: ConnThreads::default(),
+            wal_timings,
             stall_us,
         });
         shared.counters.wal_replayed_records.add(replayed_records);
@@ -553,90 +514,25 @@ impl Server {
         let (job_tx, job_rx) = mpsc::sync_channel::<Job>(queue_depth);
         let job_rx = Arc::new(Mutex::new(job_rx));
 
-        let mut threads = Vec::with_capacity(workers + 2);
-        for id in 0..workers {
+        let threads = (0..workers)
+            .map(|id| {
+                let (shared, job_rx) = (shared.clone(), job_rx.clone());
+                hop::spawn(format!("pitex-worker-{id}"), move || worker_loop(&shared, &job_rx))
+            })
+            .collect::<std::io::Result<_>>()?;
+        let fields = {
             let shared = shared.clone();
-            let job_rx = job_rx.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("pitex-worker-{id}"))
-                    .spawn(move || worker_loop(&shared, &job_rx))?,
-            );
-        }
-        {
-            let shared = shared.clone();
-            threads.push(std::thread::Builder::new().name("pitex-sampler".to_string()).spawn(
-                move || {
-                    verbs::sampler_loop(&shared.stop, &shared.obs.timeseries, || {
-                        stats_fields(&shared)
-                    })
-                },
-            )?);
-        }
-        {
-            // The event loop is the front end wherever a poller can be had;
-            // it falls back to the thread-per-connection driver by itself.
-            let use_event_loop = shared.options.event_loop != Some(false);
-            let service = ShardService::new(shared.clone(), job_tx);
-            let shared = shared.clone();
-            let name = if use_event_loop { "pitex-evloop" } else { "pitex-acceptor" };
-            threads.push(std::thread::Builder::new().name(name.to_string()).spawn(move || {
-                let conns = &shared.conns;
-                if use_event_loop {
-                    event_loop::run(service, listener, conns, CONN_THREAD);
-                } else {
-                    blocking::accept_loop(service, &listener, conns, CONN_THREAD);
-                }
-            })?);
-        }
-        Ok(ServerHandle { addr, shared, threads: Mutex::new(threads) })
+            move || stats_fields(&shared)
+        };
+        let event_loop = shared.options.event_loop != Some(false);
+        let service = ShardService::new(shared.clone(), job_tx);
+        let handle = shared.hop.start(listener, service, event_loop, fields, threads)?;
+        Ok((handle, shared))
     }
 }
 
-/// A running server: its address, a shutdown switch, and the thread reaper.
-pub struct ServerHandle {
-    addr: SocketAddr,
-    shared: Arc<Shared>,
-    threads: Mutex<Vec<JoinHandle<()>>>,
-}
-
-impl ServerHandle {
-    /// The bound address (resolves the ephemeral port).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Requests a graceful stop (idempotent; also triggered by the
-    /// `SHUTDOWN` verb). In-flight queries finish and get their replies.
-    pub fn shutdown(&self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether a shutdown has been requested.
-    pub fn is_stopping(&self) -> bool {
-        self.shared.stop.load(Ordering::SeqCst)
-    }
-
-    /// Blocks until the server has fully stopped (after
-    /// [`shutdown`](Self::shutdown) or a client's `SHUTDOWN`) and reaps
-    /// every thread.
-    /// Returns `Err` with the panic payload if any server thread panicked.
-    pub fn join(self) -> std::thread::Result<()> {
-        let mut result = Ok(());
-        for thread in self.threads.lock().unwrap().drain(..) {
-            if let Err(panic) = thread.join() {
-                result = Err(panic);
-            }
-        }
-        result.and(self.shared.conns.join())
-    }
-
-    /// Convenience for tests and the CLI: shut down, then join.
-    pub fn stop(self) -> std::thread::Result<()> {
-        self.shutdown();
-        self.join()
-    }
-}
+/// A running server: [`Server::spawn`]'s handle.
+pub type ServerHandle = HopHandle;
 
 /// Why [`run_worker_epoch`] returned.
 enum WorkerExit {
@@ -691,7 +587,7 @@ fn run_worker_epoch(
                 match received {
                     Ok(job) => job,
                     Err(mpsc::RecvTimeoutError::Timeout) => {
-                        if shared.stop.load(Ordering::SeqCst) {
+                        if !shared.hop.running() {
                             return WorkerExit::Stop;
                         }
                         if shared.store.epoch() != snapshot.epoch {
@@ -767,9 +663,6 @@ fn run_worker_epoch(
     }
 }
 
-/// Thread name of a connection served by the blocking driver.
-const CONN_THREAD: &str = "pitex-conn";
-
 /// The shard behind the connection core's [`Service`] seam: `PING`, cache
 /// hits and admission errors answer inline, every other `QUERY`, `EXPLAIN`
 /// and `TRACE` is deferred to the worker pool, every other verb is blocking
@@ -795,17 +688,37 @@ impl ShardService {
             self.snapshot = self.shared.store.current();
         }
     }
+
+    /// Admission of `QUERY`, `EXPLAIN` and `TRACE`: a cache hit or an
+    /// admission error answers inline, a miss is deferred to the workers.
+    fn admit_query(&self, request: Request, to: &ReplyTo) -> Admit {
+        let shared = &self.shared;
+        let inline = |response| Admit::Inline(Handled::Reply(response, false));
+        let ctx = match prepare_query(shared, &self.snapshot, &request) {
+            PreparedQuery::Ready(response) => return inline(response),
+            PreparedQuery::Dispatch(ctx) if !to.has_room() => {
+                return inline(ctx.fail(shared, Response::Busy));
+            }
+            PreparedQuery::Dispatch(ctx) => ctx,
+        };
+        let sink = QuerySink { shared: shared.clone(), to: to.clone(), ctx: Some(ctx) };
+        match self.job_tx.try_send(Job { enqueued: Instant::now(), sink }) {
+            Ok(()) => Admit::Deferred,
+            // Full queue or a draining pool: shed the request. The ctx
+            // comes back out of the sink so the shed is booked here, not
+            // by its Drop.
+            Err(mpsc::TrySendError::Full(mut job))
+            | Err(mpsc::TrySendError::Disconnected(mut job)) => {
+                let ctx = job.sink.ctx.take().expect("undelivered");
+                inline(ctx.fail(shared, Response::Busy))
+            }
+        }
+    }
 }
 
 impl Service for ShardService {
     fn counters(&self) -> WireCounters<'_> {
-        let c = &self.shared.counters;
-        WireCounters {
-            requests: &c.requests,
-            errors: &c.errors,
-            busy: &c.busy,
-            conn_aborted: Some(&c.conn_aborted),
-        }
+        self.shared.hop.counters()
     }
 
     fn tick(&mut self) -> bool {
@@ -813,94 +726,38 @@ impl Service for ShardService {
         // would keep the superseded model + index snapshot alive
         // arbitrarily long after a swap.
         self.repin();
-        !self.shared.stop.load(Ordering::SeqCst)
+        self.shared.hop.running()
     }
 
     fn admit(&mut self, request: Request, to: &ReplyTo) -> Admit {
-        let inline = |response| Admit::Inline(Handled::Reply(response, false));
-        match request {
-            Request::Ping => {
-                self.shared.counters.requests.inc();
-                inline(Response::Pong)
-            }
-            Request::Query(_) | Request::Explain(_) | Request::Trace(_) => {
-                self.repin();
-                let shared = &self.shared;
-                shared.counters.requests.inc();
-                let ctx = match prepare_query(shared, &self.snapshot, &request) {
-                    PreparedQuery::Ready(response) => return inline(response),
-                    PreparedQuery::Dispatch(ctx) if !to.has_room() => {
-                        return inline(ctx.fail(shared, Response::Busy));
-                    }
-                    PreparedQuery::Dispatch(ctx) => ctx,
-                };
-                let sink = QuerySink { shared: shared.clone(), to: to.clone(), ctx: Some(ctx) };
-                match self.job_tx.try_send(Job { enqueued: Instant::now(), sink }) {
-                    Ok(()) => Admit::Deferred,
-                    // Full queue or a draining pool: shed the request. The
-                    // ctx comes back out of the sink so the shed is booked
-                    // here, not by its Drop.
-                    Err(mpsc::TrySendError::Full(mut job))
-                    | Err(mpsc::TrySendError::Disconnected(mut job)) => {
-                        let ctx = job.sink.ctx.take().expect("undelivered");
-                        inline(ctx.fail(shared, Response::Busy))
-                    }
-                }
-            }
-            other => Admit::Blocking(other),
-        }
+        self.repin();
+        self.shared.hop.admit(request, to, |request, to| self.admit_query(request, to))
     }
 
-    /// The verb switch behind every blocking request.
     fn call(&mut self, request: Request, wire: Wire) -> Handled {
         self.repin();
-        let shared = &self.shared;
-        // A scrape is not a protocol request: it books neither `requests`
-        // nor, for a ring it misses, `errors`.
-        let scrape = wire == Wire::Http;
-        if !scrape {
-            shared.counters.requests.inc();
-        }
-        let reply = |response, close| Handled::Reply(response, close);
-        let denied = || {
-            shared.counters.errors.inc();
-            let message = "admin verbs are disabled on this server".to_string();
-            Handled::Reply(Response::Err { code: ErrorCode::AdminDenied, message }, false)
-        };
-        let obs = &shared.obs;
-        match request {
-            Request::Ping | Request::Query(_) | Request::Explain(_) | Request::Trace(_) => {
-                unreachable!("answered or deferred by admit")
-            }
-            Request::Quit => reply(Response::Bye, true),
-            Request::Shutdown => {
-                shared.stop.store(true, Ordering::SeqCst);
-                reply(Response::Bye, true)
-            }
-            Request::Stats => reply(Response::Stats(stats_reply(shared)), false),
-            Request::Metrics => Handled::Raw(render_prometheus(stats_fields(shared).into_iter())),
-            Request::Series { field, res } => {
-                let response = verbs::series(&obs.timeseries, "field", &field, res);
-                if !scrape && matches!(response, Response::Err { .. }) {
-                    shared.counters.errors.inc();
-                }
-                reply(response, false)
-            }
-            Request::Health => reply(Response::Health(health_verdict(shared)), false),
-            r if r.spec().admin && !shared.options.admin => denied(),
-            Request::Update(op) => reply(handle_update(shared, op), false),
-            Request::Reload => reply(handle_reload(shared), false),
-            Request::Prepare => reply(handle_prepare(shared), false),
-            Request::Commit => reply(handle_commit(shared), false),
-            Request::Epoch => reply(Response::Epoch(shared.store.epoch()), false),
-            Request::Sync { from_epoch } => reply(handle_sync(shared, from_epoch), false),
-            Request::Discard => reply(handle_discard(shared), false),
-            Request::Flight => reply(verbs::flight(&obs.flight), false),
-            Request::Capture(action) => {
-                reply(verbs::capture(&obs.capture, &shared.counters.errors, action), false)
-            }
-        }
+        self.shared.hop.call(request, wire, |request| handle_request(&self.shared, request))
     }
+}
+
+/// The shard's own blocking verbs, behind the hop runtime's switch.
+fn handle_request(shared: &Arc<Shared>, request: Request) -> Handled {
+    let response = match request {
+        Request::Stats => Response::Stats(StatsReply::new(stats_fields(shared))),
+        Request::Metrics => {
+            return Handled::Raw(render_prometheus(stats_fields(shared).into_iter()))
+        }
+        Request::Health => Response::Health(shared.hop.health()),
+        Request::Update(op) => handle_update(shared, op),
+        Request::Reload => handle_reload(shared),
+        Request::Prepare => handle_prepare(shared),
+        Request::Commit => handle_commit(shared),
+        Request::Epoch => Response::Epoch(shared.store.epoch()),
+        Request::Sync { from_epoch } => handle_sync(shared, from_epoch),
+        Request::Discard => handle_discard(shared),
+        _ => unreachable!("answered by the hop runtime or at admission"),
+    };
+    Handled::Reply(response, false)
 }
 
 /// What a query-shaped verb asks for beyond the answer. `QUERY` carries
@@ -965,7 +822,7 @@ fn prepare_query(shared: &Arc<Shared>, snapshot: &Snapshot, request: &Request) -
     let reject = |code: ErrorCode, message: String| {
         let record =
             RequestRecord { trace_id, verb, user: q.user, k: q.k, requested, resolved: "-", us: 0 };
-        PreparedQuery::Ready(finish_err(shared, &record, Response::Err { code, message }))
+        PreparedQuery::Ready(shared.hop.finish(&record, "-", Response::Err { code, message }))
     };
     let model = snapshot.handle.model();
     if q.k == 0 {
@@ -1067,18 +924,18 @@ impl QueryCtx {
         }
     }
 
-    /// [`finish_err`] for an admitted request.
+    /// The one error finisher of an admitted request: books a `BUSY` or
+    /// `ERR` and hands it back.
     fn fail(&self, shared: &Shared, response: Response) -> Response {
-        finish_err(shared, &self.record(self.accepted.elapsed().as_micros() as u64), response)
+        let record = self.record(self.accepted.elapsed().as_micros() as u64);
+        shared.hop.finish(&record, record.resolved, response)
     }
 
-    /// The one success finisher: counts and times the answer, shapes it as
-    /// `OK`, `EXPLAINED` or `TRACED` by kind, and records it. `run` is the
-    /// worker's measurement; `None` is a cache hit.
+    /// The one success finisher: shapes the answer as `OK`, `EXPLAINED` or
+    /// `TRACED` by kind, and books it. `run` is the worker's measurement;
+    /// `None` is a cache hit.
     fn answer(self, shared: &Shared, tags: &TagSet, spread: f64, run: Option<Run>) -> Response {
-        shared.counters.ok.inc();
         let us = self.accepted.elapsed().as_micros() as u64;
-        record_latency(shared, us);
         let record = self.record(us);
         let (user, k, tags, cached) = (self.user, self.k, tags.tags().to_vec(), run.is_none());
         let response = match self.kind {
@@ -1108,24 +965,8 @@ impl QueryCtx {
                 Response::Traced(TraceReply { trace_id, user, k, tags, spread, cached, us, spans })
             }
         };
-        let (flight, capture) = (&shared.obs.flight, &shared.obs.capture);
-        verbs::record_request(flight, capture, &record, record.resolved, &response);
-        response
+        shared.hop.finish(&record, record.resolved, response)
     }
-}
-
-/// The one error finisher: books a `BUSY` or `ERR` under its own counter
-/// (`busy`, `deadline`, else `errors`), records it, and hands it back.
-fn finish_err(shared: &Shared, record: &RequestRecord, response: Response) -> Response {
-    let c = &shared.counters;
-    match &response {
-        Response::Busy => c.busy.inc(),
-        Response::Err { code: ErrorCode::Deadline, .. } => c.deadline_exceeded.inc(),
-        _ => c.errors.inc(),
-    }
-    let (flight, capture) = (&shared.obs.flight, &shared.obs.capture);
-    verbs::record_request(flight, capture, record, record.resolved, &response);
-    response
 }
 
 /// The completion of a dispatched request: the worker's reply becomes the
@@ -1168,9 +1009,8 @@ fn handle_update(shared: &Arc<Shared>, op: UpdateOp) -> Response {
         // A prepared snapshot no longer reflects the overlay once new ops
         // land; rather than silently invalidating a barrier in flight,
         // refuse until the coordinator COMMITs (or RELOADs) it.
-        shared.counters.errors.inc();
         let message = "a prepared reload is pending; COMMIT (or RELOAD) it first".to_string();
-        return Response::Err { code: ErrorCode::BadUpdate, message };
+        return shared.hop.error(ErrorCode::BadUpdate, message);
     }
     match admin.overlay.apply(op.clone()) {
         Ok(()) => {
@@ -1190,9 +1030,8 @@ fn handle_update(shared: &Arc<Shared>, op: UpdateOp) -> Response {
                         overlay.apply(prior).expect("previously validated ops re-apply");
                     }
                     admin.overlay = overlay;
-                    shared.counters.errors.inc();
                     let message = format!("wal append failed: {e}");
-                    return Response::Err { code: ErrorCode::Internal, message };
+                    return shared.hop.error(ErrorCode::Internal, message);
                 }
             }
             shared.counters.updates_applied.inc();
@@ -1200,10 +1039,7 @@ fn handle_update(shared: &Arc<Shared>, op: UpdateOp) -> Response {
             shared.counters.updates_pending.set(pending);
             Response::Updated { epoch: shared.store.epoch(), pending }
         }
-        Err(e) => {
-            shared.counters.errors.inc();
-            Response::Err { code: ErrorCode::BadUpdate, message: e.to_string() }
-        }
+        Err(e) => shared.hop.error(ErrorCode::BadUpdate, e.to_string()),
     }
 }
 
@@ -1260,10 +1096,7 @@ fn stage_reload(shared: &Arc<Shared>, overlay: &ModelOverlay) -> Result<StagedRe
             handle.planner().inherit(snapshot.handle.planner());
             Ok(StagedReload { new_model, handle, affected, dirty_members, reply })
         }
-        Err(e) => {
-            shared.counters.errors.inc();
-            Err(Response::Err { code: ErrorCode::Internal, message: e.to_string() })
-        }
+        Err(e) => Err(shared.hop.error(ErrorCode::Internal, e.to_string())),
     }
 }
 
@@ -1328,7 +1161,7 @@ fn commit_staged(
 /// Books a non-fatal WAL failure (the swap already happened; recovery
 /// degrades to "one epoch behind", which the prober heals).
 fn log_wal_failure(shared: &Arc<Shared>, what: &str, e: &WalError) {
-    shared.counters.errors.inc();
+    shared.hop.errors.inc();
     eprintln!("pitex-serve: wal {what} failed: {e}");
 }
 
@@ -1430,13 +1263,12 @@ fn handle_commit(shared: &Arc<Shared>) -> Response {
 fn handle_sync(shared: &Arc<Shared>, from_epoch: u64) -> Response {
     let admin = shared.admin_state.lock().unwrap();
     if from_epoch < admin.history_base {
-        shared.counters.errors.inc();
         let message = format!(
             "history starts at epoch {} (older epochs were compacted); \
              a replica at epoch {from_epoch} must resync from artifacts",
             admin.history_base
         );
-        return Response::Err { code: ErrorCode::BadRequest, message };
+        return shared.hop.error(ErrorCode::BadRequest, message);
     }
     let records: Vec<CommittedBatch> =
         admin.history.iter().filter(|b| b.epoch > from_epoch).cloned().collect();
@@ -1510,40 +1342,13 @@ fn invalidate_cache(
     });
 }
 
-fn record_latency(shared: &Shared, us: u64) {
-    let mut latency = shared.latency.lock().unwrap();
-    latency.0.record(us);
-    latency.1.push(us as f64);
-}
-
-fn stats_reply(shared: &Shared) -> StatsReply {
-    StatsReply::new(stats_fields(shared))
-}
-
-/// The SLO verdict this shard reports for itself (origin `self`).
-fn health_verdict(shared: &Shared) -> HealthVerdict {
-    pitex_support::obs::slo::evaluate(&shared.obs.timeseries, &shared.obs.slo, SHARD_INPUTS)
-}
-
 /// Every field this server exports, built through the obs [`FieldSet`] so
 /// each name is asserted against the registration schema (a field without
 /// a declared kind + merge rule cannot ship). `STATS` and the `METRICS`
 /// Prometheus exposition are two renderings of this one list.
 fn stats_fields(shared: &Shared) -> Vec<(String, String)> {
-    let c = &shared.counters;
     let cache = shared.cache.counters();
-    let uptime = shared.started.elapsed();
-    let ok = c.ok.get();
-    let (p50, p90, p99, mean, hist_wire) = {
-        let latency = shared.latency.lock().unwrap();
-        (
-            latency.0.quantile(0.50),
-            latency.0.quantile(0.90),
-            latency.0.quantile(0.99),
-            if latency.1.count() == 0 { 0.0 } else { latency.1.mean() },
-            latency.0.to_wire(),
-        )
-    };
+    let uptime = shared.hop.started.elapsed();
     let hit_rate = if cache.hits + cache.misses == 0 { 0.0 } else { cache.hit_rate() };
     let snapshot = shared.store.current();
     let mut fields = FieldSet::new();
@@ -1562,46 +1367,19 @@ fn stats_fields(shared: &Shared) -> Vec<(String, String)> {
     fields.push("backend", snapshot.handle.backend().cli_name());
     fields.push("workers", shared.options.workers.max(1));
     fields.push("uptime_us", uptime.as_micros() as u64);
-    fields.push("uptime_s", format!("{:.1}", uptime.as_secs_f64()));
     fields.push("epoch", snapshot.epoch);
     fields.push("prepared", u8::from(shared.prepared.load(Ordering::Relaxed)));
-    fields.push("updates_applied", c.updates_applied.get());
-    fields.push("updates_pending", c.updates_pending.get());
-    fields.push("reloads", c.reloads.get());
     fields.push("wal", u8::from(shared.options.wal.is_some()));
-    fields.push("wal_replayed_records", c.wal_replayed_records.get());
-    fields.push("wal_replayed_ops", c.wal_replayed_ops.get());
-    fields.push("wal_truncated_bytes", c.wal_truncated_bytes.get());
-    fields.push("wal_compactions", c.wal_compactions.get());
-    fields.push("sync_served", c.sync_served.get());
-    fields.push("requests", c.requests.get());
-    fields.push("ok", ok);
-    fields.push("busy", c.busy.get());
-    fields.push("deadline", c.deadline_exceeded.get());
-    fields.push("errors", c.errors.get());
-    fields.push("worker_panics", c.worker_panics.get());
-    fields.push("conn_aborted", c.conn_aborted.get());
     fields.push("cache_hits", cache.hits);
     fields.push("cache_misses", cache.misses);
     fields.push("cache_insertions", cache.insertions);
     fields.push("cache_evictions", cache.evictions);
     fields.push("cache_len", shared.cache.len());
     fields.push("cache_hit_rate", format!("{hit_rate:.4}"));
-    fields.push("qps", format!("{:.2}", ok as f64 / uptime.as_secs_f64().max(1e-9)));
-    fields.push("lat_p50_us", p50);
-    fields.push("lat_p90_us", p90);
-    fields.push("lat_p99_us", p99);
-    fields.push("lat_mean_us", format!("{mean:.1}"));
-    // The raw log2 buckets, so a scatter-gather router can merge
-    // per-shard distributions instead of "averaging" percentiles.
-    fields.push("lat_hist", hist_wire);
-    // Flight recorder + WAL timing families (append = write + fsync,
-    // fsync alone bounds UPDATE ack latency, compact = snapshot + rewrite).
-    fields.push("flight_recorded", shared.obs.flight.recorded());
-    fields.push("slow_queries", shared.obs.flight.slow_count());
-    fields.push("capture_records", shared.obs.capture.recorded());
-    fields.push("capture_dropped", shared.obs.capture.dropped());
-    let wal_t = &shared.obs.wal_timings;
+    fields.push("qps", format!("{:.2}", shared.hop.ok_per_s()));
+    // WAL timing families (append = write + fsync, fsync alone bounds
+    // UPDATE ack latency, compact = snapshot + rewrite).
+    let wal_t = &shared.wal_timings;
     for (name, p99_name, hist) in [
         ("wal_append_hist", "wal_append_p99_us", &wal_t.append),
         ("wal_fsync_hist", "wal_fsync_p99_us", &wal_t.fsync),
@@ -1611,6 +1389,7 @@ fn stats_fields(shared: &Shared) -> Vec<(String, String)> {
         fields.push(p99_name, snap.quantile(0.99));
         fields.push(name, snap.to_wire());
     }
+    shared.hop.fields(&mut fields);
     fields.into_fields()
 }
 
@@ -2454,14 +2233,13 @@ mod tests {
                 // its blocker whether or not the worker has taken it yet.
                 let queue_depth = if case == Deadline { 2 } else { 1 };
                 let options = ServeOptions { workers: 1, queue_depth, ..ServeOptions::default() };
-                let server =
+                let (server, shared) =
                     Server::spawn_stalled(paper_handle(), ("127.0.0.1", 0), options, stall_us)
                         .unwrap();
-                let shared = &server.shared;
                 let counts = || {
-                    let c = &shared.counters;
-                    let busy = c.busy.get();
-                    [c.requests.get(), c.ok.get(), busy, c.errors.get(), c.deadline_exceeded.get()]
+                    let c = &shared.hop;
+                    let (busy, deadline) = (c.busy.get(), c.deadline.as_ref().unwrap().get());
+                    [c.requests.get(), c.ok.get(), busy, c.errors.get(), deadline]
                 };
                 let cache = || {
                     let c = shared.cache.counters();
@@ -2568,7 +2346,7 @@ mod tests {
                 let got: Vec<u64> = counts().iter().zip(before).map(|(a, b)| a - b).collect();
                 assert_eq!(got, deltas, "{name}: [requests, ok, busy, errors, deadline]");
 
-                let flight = shared.obs.flight.dump();
+                let flight = shared.hop.flight.dump();
                 let entry = flight
                     .iter()
                     .rev()

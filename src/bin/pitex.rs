@@ -682,14 +682,22 @@ fn cmd_router(opts: &Opts) -> Result<(), CliError> {
     let map = ShardMap::from_file_bytes(&bytes).map_err(|e| format!("{path}: {e}"))?;
     let port: u16 = opts.get("port").map(|s| parse(s, "--port")).transpose()?.unwrap_or(0);
     let mut options = RouterOptions::default().with_env();
-    if let Some(v) = opts.get("max-in-flight") {
-        options.pool.max_in_flight = parse(v, "--max-in-flight")?;
+    // Zero would shed every query or spin the prober.
+    let positive = |flag: &str| -> Result<Option<u64>, String> {
+        let Some(v) = opts.get(flag) else { return Ok(None) };
+        match parse(v, &format!("--{flag}"))? {
+            0 => Err(format!("--{flag} must be at least 1")),
+            n => Ok(Some(n)),
+        }
+    };
+    if let Some(n) = positive("max-in-flight")? {
+        options.pool.max_in_flight = n as usize;
     }
     if let Some(v) = opts.get("idle-conns") {
         options.pool.idle_per_replica = parse(v, "--idle-conns")?;
     }
-    if let Some(v) = opts.get("probe-ms") {
-        options.probe_interval = Duration::from_millis(parse(v, "--probe-ms")?);
+    if let Some(n) = positive("probe-ms")? {
+        options.probe_interval = Duration::from_millis(n);
     }
     options.admin = !opts.contains_key("no-admin");
     let shards = map.num_shards();
