@@ -67,7 +67,7 @@
 use crate::pool::{CallError, PoolOptions, ShardPools};
 use crate::shardmap::ShardMap;
 use pitex_live::UpdateOp;
-use pitex_serve::conn::{Admit, Handled, ReplyTo, Service, Wire, WireCounters, POLL};
+use pitex_serve::conn::{Admission, Admit, Handled, ReplyTo, Service, Wire, WireCounters, POLL};
 use pitex_serve::hop::{self, Hop, HopHandle, RequestRecord};
 use pitex_serve::{ErrorCode, ReloadReply, Request, Response, StatsReply, TraceReply};
 use pitex_support::obs::slo::{HealthVerdict, SloStatus, SloVerdict, ROUTER_NAMES};
@@ -280,7 +280,7 @@ fn internal(shared: &Shared, message: String) -> Response {
 #[derive(Clone)]
 struct RouterService(Arc<Shared>);
 
-impl Service for RouterService {
+impl Admission for RouterService {
     fn counters(&self) -> WireCounters<'_> {
         self.0.hop.counters()
     }
@@ -292,7 +292,9 @@ impl Service for RouterService {
     fn admit(&mut self, request: Request, to: &ReplyTo) -> Admit {
         self.0.hop.admit(request, to, |request, _| Admit::Blocking(request))
     }
+}
 
+impl Service for RouterService {
     fn call(&mut self, request: Request, wire: Wire) -> Handled {
         self.0.hop.call(request, wire, |request| handle_request(&self.0, request))
     }

@@ -538,6 +538,21 @@ impl EngineHandle {
         self.planner.predicted_us(backend, &self.plan_input(user, k, None))
     }
 
+    /// The certified worst-case work of `(user, k)` on `backend` over this
+    /// handle's snapshots ([`registry::BackendSpec::work_bound`]): `Some`
+    /// only for a backend that certifies one, and only within
+    /// [`registry::INLINE_WORK`].
+    pub fn work_bound(&self, backend: EngineBackend, user: NodeId, k: usize) -> Option<u64> {
+        let parts = EngineParts {
+            model: &self.model,
+            rr_index: self.rr_index.as_deref(),
+            delay_index: self.delay_index.as_deref(),
+            config: self.config,
+        };
+        let k = k.clamp(1, self.model.num_tags());
+        registry::spec(backend)?.work_bound(&parts, user, k)
+    }
+
     fn plan_input(&self, user: NodeId, k: usize, budget: Option<Duration>) -> PlanInput {
         let graph = self.model.graph();
         let degree = if (user as usize) < graph.num_nodes() { graph.out_degree(user) } else { 0 };

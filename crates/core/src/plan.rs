@@ -24,9 +24,9 @@
 //!   regime ordering, not absolute truth;
 //! * an **online EWMA** of measured per-query service times, fed back by
 //!   every executed query ([`Planner::observe`]). After
-//!   `PITEX_PLAN_WARMUP` observations the EWMA replaces the seed entirely,
-//!   so the planner converges on what *this* machine and model actually
-//!   cost.
+//!   `PITEX_PLAN_WARMUP` observations (at least one) the EWMA replaces the
+//!   seed entirely, so the planner converges on what *this* machine and
+//!   model actually cost.
 //!
 //! Every decision is observable: [`PlanDecision`] records the prediction
 //! and the rejected alternatives (serve's `EXPLAIN` verb prints it), and
@@ -128,6 +128,25 @@ fn env_u64(key: &str, default: u64) -> u64 {
     std::env::var(key).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 
+/// The three `PITEX_PLAN_*` knobs, as read — [`Planner::with_knobs`]
+/// mends what is out of range.
+#[derive(Clone, Copy, Debug)]
+struct PlanKnobs {
+    alpha: f64,
+    warmup: u64,
+    edge_ns: f64,
+}
+
+impl PlanKnobs {
+    fn from_env() -> Self {
+        Self {
+            alpha: env_f64("PITEX_PLAN_ALPHA", 0.2),
+            warmup: env_u64("PITEX_PLAN_WARMUP", 3),
+            edge_ns: env_f64("PITEX_PLAN_EDGE_NS", 5.0),
+        }
+    }
+}
+
 /// Graph/model shape the static cost seeds are computed from.
 #[derive(Clone, Copy, Debug)]
 pub struct ModelStats {
@@ -146,10 +165,11 @@ pub struct Planner {
     delay_available: bool,
     epsilon: f64,
     delta: f64,
-    /// EWMA smoothing factor α (`PITEX_PLAN_ALPHA`, default 0.2).
+    /// EWMA smoothing factor α (`PITEX_PLAN_ALPHA`, default 0.2, clamped
+    /// to `[0.01, 1]`).
     alpha: f64,
     /// Observations before the EWMA replaces the static seed
-    /// (`PITEX_PLAN_WARMUP`, default 3).
+    /// (`PITEX_PLAN_WARMUP`, default 3; at least 1).
     warmup: u64,
     /// Static-seed cost per edge probe in nanoseconds
     /// (`PITEX_PLAN_EDGE_NS`, default 5).
@@ -202,6 +222,23 @@ impl Planner {
         epsilon: f64,
         delta: f64,
     ) -> Self {
+        let knobs = PlanKnobs::from_env();
+        Self::with_knobs(stats, rr_available, delay_available, epsilon, delta, knobs)
+    }
+
+    /// [`from_stats`](Self::from_stats) with the knobs given instead of
+    /// read from the process environment. Out-of-range knobs are mended
+    /// here: a non-finite α falls back to 0.2, and a backend keeps its
+    /// static seed until it has at least one observation whatever the
+    /// warmup says — an empty EWMA predicts nothing.
+    fn with_knobs(
+        stats: ModelStats,
+        rr_available: bool,
+        delay_available: bool,
+        epsilon: f64,
+        delta: f64,
+        knobs: PlanKnobs,
+    ) -> Self {
         let avg_degree = stats.edges as f64 / stats.nodes.max(1) as f64;
         Self {
             stats,
@@ -210,9 +247,9 @@ impl Planner {
             delay_available,
             epsilon,
             delta,
-            alpha: env_f64("PITEX_PLAN_ALPHA", 0.2).clamp(0.01, 1.0),
-            warmup: env_u64("PITEX_PLAN_WARMUP", 3),
-            edge_ns: env_f64("PITEX_PLAN_EDGE_NS", 5.0).max(0.001),
+            alpha: if knobs.alpha.is_finite() { knobs.alpha.clamp(0.01, 1.0) } else { 0.2 },
+            warmup: knobs.warmup.max(1),
+            edge_ns: knobs.edge_ns.max(0.001),
             ewma: std::array::from_fn(|_| Ewma::new()),
             decisions: std::array::from_fn(|_| AtomicU64::new(0)),
             degraded: AtomicU64::new(0),
@@ -590,6 +627,46 @@ mod tests {
         new.inherit(&old);
         assert_eq!(new.ewma_us(EngineBackend::Lazy), old.ewma_us(EngineBackend::Lazy));
         assert_eq!(new.predicted_us(EngineBackend::Lazy, &input(2, 2, None)), 250);
+    }
+
+    fn knobs(alpha: f64, warmup: u64) -> PlanKnobs {
+        PlanKnobs { alpha, warmup, edge_ns: 5.0 }
+    }
+
+    #[test]
+    fn zero_warmup_keeps_the_seed_until_the_first_observation() {
+        let planner = Planner::with_knobs(big(), true, true, 0.7, 1000.0, knobs(0.2, 0));
+        // An unobserved backend must not predict a fake 1 µs: on a big
+        // graph EXACT's seed stays astronomical, so `auto` never walks
+        // into it however many backends it has already tried.
+        for _ in 0..EngineBackend::ALL.len() {
+            let decision = planner.plan(input(12, 3, None));
+            assert_ne!(decision.chosen, EngineBackend::Exact);
+            planner.observe(decision.chosen, 50_000);
+        }
+        assert!(planner.predicted_us(EngineBackend::Exact, &input(12, 3, None)) > 1_000_000);
+        // With one observation the EWMA takes over at once.
+        planner.observe(EngineBackend::Lazy, 70);
+        assert_eq!(planner.predicted_us(EngineBackend::Lazy, &input(12, 3, None)), 70);
+    }
+
+    #[test]
+    fn a_nan_alpha_falls_back_to_the_default() {
+        let planner = Planner::with_knobs(tiny(), false, false, 0.7, 1000.0, knobs(f64::NAN, 1));
+        planner.observe(EngineBackend::Lazy, 100);
+        planner.observe(EngineBackend::Lazy, 200);
+        let ewma = planner.ewma_us(EngineBackend::Lazy).unwrap();
+        assert!((ewma - 120.0).abs() < 1e-9, "α = 0.2 smooths 100 then 200 to 120: {ewma}");
+        // Measurements keep steering `auto`: a backend that turns slow
+        // loses the pick, the deadline can degrade it.
+        for _ in 0..20 {
+            planner.observe(EngineBackend::Lazy, 900_000);
+        }
+        let decision = planner.plan(input(2, 2, Some(1_000)));
+        assert_ne!(decision.chosen, EngineBackend::Lazy);
+        let infinite =
+            Planner::with_knobs(tiny(), false, false, 0.7, 1000.0, knobs(f64::INFINITY, 1));
+        assert_eq!(infinite.alpha, 0.2);
     }
 
     #[test]

@@ -12,10 +12,15 @@
 //! ([`crate::plan::Planner`]) chooses *among* these specs; nothing outside
 //! this module and `core::plan` should ever match over the full backend
 //! list again.
+//!
+//! A spec may also certify a query's worst-case work before it runs
+//! ([`BackendSpec::work_bound`]): serve's event loop answers a miss on its
+//! own thread only when that bound fits [`INLINE_WORK`].
 
 use crate::backends::EngineBackend;
 use crate::engine::PitexConfig;
 use crate::tim::TimEstimator;
+use pitex_graph::NodeId;
 use pitex_index::{DelayMatEstimator, DelayMatIndex, IndexEstimator, IndexPlusEstimator, RrIndex};
 use pitex_model::TicModel;
 use pitex_sampling::{
@@ -143,6 +148,60 @@ pub trait BackendSpec: Send + Sync {
         &self,
         parts: &EngineParts<'a>,
     ) -> Result<Box<dyn SpreadEstimator + 'a>, MissingIndexError>;
+
+    /// The certified worst-case work of the query `(user, k)` (`k` already
+    /// clamped to the vocabulary), in units of one estimate or one index
+    /// entry touched — `Some` only when it is at most [`INLINE_WORK`].
+    /// `None` for a backend with no such bound; it never runs where one is
+    /// required.
+    fn work_bound(&self, _parts: &EngineParts<'_>, _user: NodeId, _k: usize) -> Option<u64> {
+        None
+    }
+}
+
+/// The most certified work ([`BackendSpec::work_bound`]) that may run on a
+/// thread that must not stall — serve's event loop, per wake. 2¹⁴ units:
+/// an eligible INDEXEST+ query on stackbench's `D1` costs about 1 ns per
+/// unit at reference speed (3.3 ns at p99 when its view is compiled
+/// afresh), so a wake holds the loop for tens of µs at most
+/// (EXPERIMENTS.md, "Small misses inline").
+pub const INLINE_WORK: u64 = 1 << 14;
+
+/// The RR-Graph estimators' bound, `W(u, k) = sets(k) · (1 + view(u))`:
+/// `sets(k) = Σ_{i=0..k} C(|Ω|, i)` counts every tag set best-effort
+/// exploration can bound or estimate, and `view(u) = Σ_{g ∋ u} (|V_g| +
+/// |E_g|)` bounds the compiled view and any one estimate's fill, list scan
+/// and DFS; the 1 is the estimate itself, so a user in no RR-Graph is not
+/// certified at zero work. Each member graph counts at least 1, so the
+/// O(1) pre-check `sets(k) · θ(u) < INLINE_WORK` comes first, and the sum
+/// stops once it passes the budget: it never reads more than
+/// `INLINE_WORK / sets(k)` graph headers.
+fn rr_work_bound(parts: &EngineParts<'_>, user: NodeId, k: usize) -> Option<u64> {
+    let index = parts.rr_index.filter(|index| (user as usize) < index.num_nodes())?;
+    let sets = tag_sets_up_to(parts.model.num_tags() as u64, k as u64);
+    let members = index.graphs_containing(user);
+    let max_view = (INLINE_WORK / sets).checked_sub(1)?;
+    if members.len() as u64 > max_view {
+        return None;
+    }
+    let view = members.iter().try_fold(0u64, |view, &g| {
+        let graph = index.graph(g as usize);
+        Some(view + (graph.num_nodes() + graph.num_edges()) as u64).filter(|&v| v <= max_view)
+    })?;
+    Some(sets * (1 + view))
+}
+
+/// `Σ_{i=0..k} C(n, i)`, saturating at `u64::MAX`.
+fn tag_sets_up_to(n: u64, k: u64) -> u64 {
+    let (mut choose, mut total) = (1u128, 1u128);
+    for i in 1..=k.min(n) {
+        choose = choose * u128::from(n - i + 1) / u128::from(i);
+        total += choose;
+        if total > u128::from(u64::MAX) {
+            return u64::MAX;
+        }
+    }
+    total as u64
 }
 
 macro_rules! online_spec {
@@ -212,6 +271,9 @@ impl BackendSpec for IndexEstSpec {
         let index = parts.rr_index.ok_or(MissingIndexError { backend: self.backend() })?;
         Ok(Box::new(IndexEstimator::new(index)))
     }
+    fn work_bound(&self, parts: &EngineParts<'_>, user: NodeId, k: usize) -> Option<u64> {
+        rr_work_bound(parts, user, k)
+    }
 }
 
 struct IndexEstPlusSpec;
@@ -237,6 +299,9 @@ impl BackendSpec for IndexEstPlusSpec {
     ) -> Result<Box<dyn SpreadEstimator + 'a>, MissingIndexError> {
         let index = parts.rr_index.ok_or(MissingIndexError { backend: self.backend() })?;
         Ok(Box::new(IndexPlusEstimator::new(index, parts.model.edge_topics())))
+    }
+    fn work_bound(&self, parts: &EngineParts<'_>, user: NodeId, k: usize) -> Option<u64> {
+        rr_work_bound(parts, user, k)
     }
 }
 
@@ -396,6 +461,57 @@ mod tests {
             let model_free = spec.build_for_nodes(7).is_some();
             assert_eq!(model_free, spec.artifact() == ArtifactNeed::None, "{}", spec.cli_name());
         }
+    }
+
+    #[test]
+    fn tag_sets_up_to_sums_the_binomials() {
+        assert_eq!(tag_sets_up_to(4, 0), 1);
+        assert_eq!(tag_sets_up_to(4, 2), 1 + 4 + 6);
+        assert_eq!(tag_sets_up_to(4, 9), 16, "k past |Ω| counts every subset once");
+        assert_eq!(tag_sets_up_to(50, 3), 1 + 50 + 1_225 + 19_600);
+        assert_eq!(tag_sets_up_to(10_000, 40), u64::MAX, "saturates");
+    }
+
+    fn rr_parts<'a>(model: &'a TicModel, rr: &'a RrIndex) -> EngineParts<'a> {
+        EngineParts { model, rr_index: Some(rr), delay_index: None, config: PitexConfig::default() }
+    }
+
+    #[test]
+    fn only_the_rr_graph_estimators_certify_work() {
+        let model = TicModel::paper_example();
+        let rr = RrIndex::build(&model, pitex_index::IndexBudget::Fixed(200), 3);
+        let parts = rr_parts(&model, &rr);
+        for spec in all_specs() {
+            let bounded = (0..7).any(|u| spec.work_bound(&parts, u, 1).is_some());
+            let want = spec.artifact() == ArtifactNeed::RrIndex;
+            assert_eq!(bounded, want, "{}", spec.cli_name());
+        }
+    }
+
+    #[test]
+    fn the_rr_bound_is_sets_times_the_member_graphs_size() {
+        let model = TicModel::paper_example();
+        let rr = RrIndex::build(&model, pitex_index::IndexBudget::Fixed(2_000), 3);
+        let parts = rr_parts(&model, &rr);
+        let spec = spec(EngineBackend::IndexEstPlus).unwrap();
+        // [over the budget, within it]
+        let mut outcomes = [0; 2];
+        for user in 0..7u32 {
+            let view: u64 = rr
+                .graphs()
+                .filter(|g| g.contains(user))
+                .map(|g| (g.num_nodes() + g.num_edges()) as u64)
+                .sum();
+            for k in 1..=4usize {
+                let want = tag_sets_up_to(4, k as u64) * (1 + view);
+                let got = spec.work_bound(&parts, user, k);
+                assert_eq!(got, (want <= INLINE_WORK).then_some(want), "user {user} k {k}");
+                outcomes[got.is_some() as usize] += 1;
+            }
+        }
+        assert!(outcomes[0] > 0 && outcomes[1] > 0, "within and over the budget: {outcomes:?}");
+        let none = EngineParts { rr_index: None, ..parts };
+        assert_eq!(spec.work_bound(&none, 0, 1), None, "no index, no bound");
     }
 
     #[test]

@@ -186,6 +186,12 @@ pub static SCHEMA: &[FieldSpec] = &[
         help: "worker threads that panicked mid-query",
     },
     FieldSpec {
+        pattern: "queries_inline",
+        kind: MetricKind::Counter,
+        merge: MergeRule::Sum,
+        help: "cache misses run on the event loop's own thread",
+    },
+    FieldSpec {
         pattern: "conn_aborted",
         kind: MetricKind::Counter,
         merge: MergeRule::Sum,

@@ -242,7 +242,7 @@ fn bad_request(counters: WireCounters<'_>, message: String) -> Handled {
     Handled::Reply(Response::Err { code: ErrorCode::BadRequest, message }, false)
 }
 
-/// What [`Service::admit`] decided.
+/// What [`Admission::admit`] decided.
 pub enum Admit {
     /// Answered on the spot.
     Inline(Handled),
@@ -276,10 +276,9 @@ impl WireCounters<'_> {
     }
 }
 
-/// What sits behind the connection core: a shard, a router, a test fake.
-/// Every driver thread owns its own clone, so per-thread state (a pinned
-/// snapshot) needs no lock.
-pub trait Service: Clone + Send + 'static {
+/// The half of a [`Service`] a driver admits through. Object-safe: the
+/// event loop admits through whatever [`Service::on_loop`] lends it.
+pub trait Admission {
     fn counters(&self) -> WireCounters<'_>;
 
     /// Called by every driver thread at least once per [`POLL`] while it
@@ -289,9 +288,23 @@ pub trait Service: Clone + Send + 'static {
     /// Must not block. A request it counts is booked under `requests`
     /// here; one it returns as [`Admit::Blocking`] is booked by `call`.
     fn admit(&mut self, request: Request, to: &ReplyTo) -> Admit;
+}
 
+/// What sits behind the connection core: a shard, a router, a test fake.
+/// Every driver thread owns its own clone, so per-thread state (a pinned
+/// snapshot) needs no lock.
+pub trait Service: Admission + Clone + Send + 'static {
     /// Runs one request to completion, however long it takes.
     fn call(&mut self, request: Request, wire: Wire) -> Handled;
+
+    /// The event loop's own thread runs every wake through this: `wake`
+    /// runs one and reports whether the hop is still running. A service
+    /// whose loop-thread admission borrows state pinned per epoch (the
+    /// shard's inline engines) pins it in this frame and admits through
+    /// what it lends `wake`. The default pins nothing.
+    fn on_loop(&mut self, wake: &mut dyn FnMut(&mut dyn Admission) -> bool) {
+        while wake(self) {}
+    }
 }
 
 /// Text-side input: bytes not yet consumed as lines.
@@ -439,7 +452,10 @@ impl Conn {
     /// — returned with its return address for the driver to run and
     /// [`complete`](Self::complete) — or until nothing more can be
     /// admitted (input exhausted, draining, or a text request in flight).
-    pub fn admit_next<S: Service>(&mut self, service: &mut S) -> Option<(ReplyTo, Request)> {
+    pub fn admit_next<A: Admission + ?Sized>(
+        &mut self,
+        service: &mut A,
+    ) -> Option<(ReplyTo, Request)> {
         while let Some(request) = self.decode(service.counters()) {
             self.to.room = self.in_flight < PIPELINE_CAP;
             match service.admit(request, &self.to) {
@@ -705,7 +721,7 @@ mod tests {
         Handled::Reply(Response::Ok(reply), false)
     }
 
-    impl Service for Fake {
+    impl Admission for Fake {
         fn counters(&self) -> WireCounters<'_> {
             WireCounters {
                 requests: &self.requests,
@@ -730,7 +746,9 @@ mod tests {
                 other => Admit::Blocking(other),
             }
         }
+    }
 
+    impl Service for Fake {
         fn call(&mut self, request: Request, _wire: Wire) -> Handled {
             match request {
                 Request::Quit => Handled::Reply(Response::Bye, true),

@@ -17,7 +17,12 @@
 //! * **Slow lane** — what the service hands back as blocking work (admin
 //!   folds, `STATS`/`EPOCH`/`HEALTH` scrapes) runs on one side thread so
 //!   it can never stall the loop. No query verb is blocking work: `QUERY`,
-//!   `EXPLAIN` and `TRACE` answer inline or ride the worker pool.
+//!   `EXPLAIN` and `TRACE` answer inline — a small miss included, which
+//!   the shard runs on this thread under a certified work bound — or ride
+//!   the worker pool.
+//! * **Per-epoch frame** — the loop runs each wake through
+//!   [`Service::on_loop`], so a service can pin per-epoch state (the
+//!   shard's inline engines) on this thread's stack and admit through it.
 //! * **Completion queue** — workers and the slow lane finish requests on
 //!   their own threads and push the encoded reply to a mutex-guarded
 //!   queue, waking the loop through the poller's `eventfd` notifier. A
@@ -26,7 +31,9 @@
 //!   reused, so a late reply can never reach the wrong client.
 
 use crate::conn::blocking::{self, ConnThreads};
-use crate::conn::{Conn, Handled, Reply, ReplySink, ReplyTo, Service, Wire, POLL, READ_CHUNK};
+use crate::conn::{
+    Admission, Conn, Handled, Reply, ReplySink, ReplyTo, Service, Wire, POLL, READ_CHUNK,
+};
 use crate::protocol::{ErrorCode, Request, Response};
 use polling::{Event, Events, PollMode, Poller};
 use std::collections::HashMap;
@@ -71,18 +78,28 @@ struct Slot {
     armed: (bool, bool),
 }
 
-/// Loop-wide context threaded through the per-connection handlers.
-struct LoopCtx<'a, S> {
-    service: S,
+/// The loop's own state across wakes: everything but the admission, which
+/// the service lends wake by wake ([`Service::on_loop`]).
+struct Front<'a, S> {
     lp: &'a Arc<LoopShared>,
+    listener: &'a TcpListener,
+    threads: &'a ConnThreads,
+    conn_thread: &'a str,
     slow_tx: mpsc::Sender<(ReplyTo, Request)>,
+    /// What each hand-off thread's service is cloned from; it never
+    /// admits, so nothing it would pin per wake is ever built.
+    spare: S,
+    slots: HashMap<usize, Slot>,
+    next_key: usize,
+    events: Events,
+    dirty: Vec<usize>,
 }
 
 /// Runs the event loop until the service reports the hop stopping. Falls
 /// back to the thread-per-connection driver when the platform has no
 /// poller.
 pub fn run<S: Service>(
-    service: S,
+    mut service: S,
     listener: TcpListener,
     threads: &ConnThreads,
     conn_thread: &str,
@@ -113,60 +130,75 @@ pub fn run<S: Service>(
         }
     }
 
-    let mut ctx = LoopCtx { service, lp: &lp, slow_tx };
-    let mut slots: HashMap<usize, Slot> = HashMap::new();
-    let mut next_key = LISTENER_KEY + 1;
-    let mut events = Events::new();
-    let mut dirty: Vec<usize> = Vec::new();
-    loop {
-        events.clear();
-        let _ = lp.poller.wait(&mut events, Some(POLL));
-        // Once per wake: refresh the service's per-thread state.
-        if !ctx.service.tick() {
-            // A binary SHUTDOWN's BYE rides the completion queue and may
-            // not have been drained yet — deliver what is (or is about to
-            // be) queued and flush before going down, so binary clients
-            // see an orderly reply stream, not an abrupt EOF, exactly as
-            // text clients get their Bye line before the stop.
-            shutdown_flush(&lp, &mut slots);
-            return;
+    let mut front = Front {
+        lp: &lp,
+        listener: &listener,
+        threads,
+        conn_thread,
+        slow_tx,
+        spare: service.clone(),
+        slots: HashMap::new(),
+        next_key: LISTENER_KEY + 1,
+        events: Events::new(),
+        dirty: Vec::new(),
+    };
+    service.on_loop(&mut |admission| front.wake(admission));
+    // A binary SHUTDOWN's BYE rides the completion queue and may not have
+    // been drained yet — deliver what is (or is about to be) queued and
+    // flush before going down, so binary clients see an orderly reply
+    // stream, not an abrupt EOF, exactly as text clients get their Bye
+    // line before the stop.
+    shutdown_flush(&lp, &mut front.slots);
+}
+
+impl<S: Service> Front<'_, S> {
+    /// One wake: wait for readiness, deliver completions, admit what the
+    /// ready connections sent, flush. `false` once the hop is stopping.
+    fn wake(&mut self, service: &mut dyn Admission) -> bool {
+        self.events.clear();
+        let _ = self.lp.poller.wait(&mut self.events, Some(POLL));
+        // Once per wake: refresh the per-thread state, the spare's too.
+        self.spare.tick();
+        if !service.tick() {
+            return false;
         }
 
-        dirty.clear();
-        for reply in lp.drain() {
-            match slots.get_mut(&reply.key) {
+        self.dirty.clear();
+        for reply in self.lp.drain() {
+            match self.slots.get_mut(&reply.key) {
                 Some(slot) => {
-                    dirty.push(reply.key);
+                    self.dirty.push(reply.key);
                     slot.conn.complete(reply);
                 }
                 // The connection died while its reply was being computed.
-                None => ctx.service.counters().aborted(1),
+                None => service.counters().aborted(1),
             }
         }
 
-        for event in events.iter() {
+        for event in self.events.iter() {
             if event.key == LISTENER_KEY {
-                accept_burst(&lp, &listener, &mut slots, &mut next_key);
+                accept_burst(self.lp, self.listener, &mut self.slots, &mut self.next_key);
                 continue;
             }
-            let Some(slot) = slots.get_mut(&event.key) else { continue };
-            match conn_event(&mut ctx, slot, event.readable) {
-                Outcome::Keep => dirty.push(event.key),
+            let Some(slot) = self.slots.get_mut(&event.key) else { continue };
+            match conn_event(service, &self.slow_tx, slot, event.readable) {
+                Outcome::Keep => self.dirty.push(event.key),
                 Outcome::HandOff => {
                     let Slot { stream, conn, .. } =
-                        slots.remove(&event.key).expect("present above");
-                    let _ = lp.poller.delete(&stream);
-                    threads.spawn(conn_thread, ctx.service.clone(), stream, Some(conn));
+                        self.slots.remove(&event.key).expect("present above");
+                    let _ = self.lp.poller.delete(&stream);
+                    self.threads.spawn(self.conn_thread, self.spare.clone(), stream, Some(conn));
                 }
-                Outcome::Drop => drop_slot(&ctx, &mut slots, event.key),
+                Outcome::Drop => drop_slot(self.lp, service, &mut self.slots, event.key),
             }
         }
 
-        dirty.sort_unstable();
-        dirty.dedup();
-        for &key in &dirty {
-            flush_and_rearm(&ctx, &mut slots, key);
+        self.dirty.sort_unstable();
+        self.dirty.dedup();
+        for &key in &self.dirty {
+            flush_and_rearm(self.lp, service, &mut self.slots, key);
         }
+        true
     }
 }
 
@@ -250,7 +282,12 @@ enum Outcome {
 
 /// Handles one readiness event on a connection: drain the socket into the
 /// core and admit the whole burst.
-fn conn_event<S: Service>(ctx: &mut LoopCtx<'_, S>, slot: &mut Slot, readable: bool) -> Outcome {
+fn conn_event(
+    service: &mut dyn Admission,
+    slow_tx: &mpsc::Sender<(ReplyTo, Request)>,
+    slot: &mut Slot,
+    readable: bool,
+) -> Outcome {
     let Slot { stream, conn, .. } = slot;
     if !readable || !conn.wants_read() {
         return Outcome::Keep;
@@ -285,8 +322,8 @@ fn conn_event<S: Service>(ctx: &mut LoopCtx<'_, S>, slot: &mut Slot, readable: b
         // unless the peer is gone (a torn prefix is never a request).
         None => return if conn.wants_read() { Outcome::Keep } else { Outcome::Drop },
     }
-    while let Some((to, request)) = conn.admit_next(&mut ctx.service) {
-        if let Err(mpsc::SendError((to, _))) = ctx.slow_tx.send((to, request)) {
+    while let Some((to, request)) = conn.admit_next(service) {
+        if let Err(mpsc::SendError((to, _))) = slow_tx.send((to, request)) {
             let message = "server is shutting down".to_string();
             let response = Response::Err { code: ErrorCode::Internal, message };
             conn.complete(to.encode(Handled::Reply(response, false)));
@@ -296,13 +333,18 @@ fn conn_event<S: Service>(ctx: &mut LoopCtx<'_, S>, slot: &mut Slot, readable: b
 }
 
 /// Removes a dead connection, booking its undeliverable replies.
-fn drop_slot<S: Service>(ctx: &LoopCtx<'_, S>, slots: &mut HashMap<usize, Slot>, key: usize) {
+fn drop_slot(
+    lp: &LoopShared,
+    service: &dyn Admission,
+    slots: &mut HashMap<usize, Slot>,
+    key: usize,
+) {
     if let Some(slot) = slots.remove(&key) {
         // Queued-but-unwritten frames are completed replies with nowhere
         // to go; in-flight ones are counted when their completion finds
         // the key gone.
-        ctx.service.counters().aborted(slot.conn.orphaned());
-        let _ = ctx.lp.poller.delete(&slot.stream);
+        service.counters().aborted(slot.conn.orphaned());
+        let _ = lp.poller.delete(&slot.stream);
     }
 }
 
@@ -310,14 +352,19 @@ fn drop_slot<S: Service>(ctx: &LoopCtx<'_, S>, slots: &mut HashMap<usize, Slot>,
 /// or retires it when it is done (or its peer is gone). The armed interest
 /// is cached on the slot, so the steady state (reply flushed whole, still
 /// reading) issues zero `epoll_ctl` calls.
-fn flush_and_rearm<S: Service>(ctx: &LoopCtx<'_, S>, slots: &mut HashMap<usize, Slot>, key: usize) {
+fn flush_and_rearm(
+    lp: &LoopShared,
+    service: &dyn Admission,
+    slots: &mut HashMap<usize, Slot>,
+    key: usize,
+) {
     let Some(slot) = slots.get_mut(&key) else { return };
     if slot.conn.flush(&mut &slot.stream).is_err() {
-        return drop_slot(ctx, slots, key);
+        return drop_slot(lp, service, slots, key);
     }
     if slot.conn.finished() {
         let slot = slots.remove(&key).expect("present above");
-        let _ = ctx.lp.poller.delete(&slot.stream);
+        let _ = lp.poller.delete(&slot.stream);
         return;
     }
     // `(readable, writable)`: writable only while a partial write is
@@ -328,9 +375,9 @@ fn flush_and_rearm<S: Service>(ctx: &LoopCtx<'_, S>, slots: &mut HashMap<usize, 
         return;
     }
     let interest = Event { key, readable: want.0, writable: want.1 };
-    if ctx.lp.poller.modify_with_mode(&slot.stream, interest, PollMode::Level).is_ok() {
+    if lp.poller.modify_with_mode(&slot.stream, interest, PollMode::Level).is_ok() {
         slot.armed = want;
     } else {
-        drop_slot(ctx, slots, key);
+        drop_slot(lp, service, slots, key);
     }
 }

@@ -19,9 +19,16 @@
 //!
 //! The `(user, k, backend)` result cache is consulted at admission,
 //! *before* the queue: repeated queries never cost a queue slot or a
-//! sampling pass. Shutdown is graceful: `ServerHandle::shutdown` (or the
-//! `SHUTDOWN` verb) stops the acceptor, lets workers drain in-flight jobs,
-//! unblocks idle connections, and `join` reaps every thread.
+//! sampling pass. A miss is deferred to the workers unless it is smaller
+//! than the hand-off: on the event loop's own thread, a miss whose backend
+//! certifies a work bound ([`EngineHandle::work_bound`]) within what is
+//! left of this wake's [`INLINE_WORK`] runs right there, on an engine the
+//! loop pins per epoch, exactly as a worker would run it
+//! (`queries_inline` counts them).
+//!
+//! Shutdown is graceful: `ServerHandle::shutdown` (or the `SHUTDOWN` verb)
+//! stops the acceptor, lets workers drain in-flight jobs, unblocks idle
+//! connections, and `join` reaps every thread.
 //!
 //! ## Live updates
 //!
@@ -41,13 +48,13 @@
 //! sweep runs after the swap, so the stale-insert race is closed from both
 //! sides.
 
-use crate::conn::{Admit, Handled, ReplyTo, Service, Wire, WireCounters, POLL};
+use crate::conn::{Admission, Admit, Handled, ReplyTo, Service, Wire, WireCounters, POLL};
 use crate::hop::{self, Hop, HopHandle, RequestRecord};
 use crate::protocol::{
     ErrorCode, ExplainReply, QueryReply, ReloadReply, Request, Response, StatsReply, TraceReply,
 };
 use pitex_core::plan::PlanDecision;
-use pitex_core::registry::{self, CacheScope};
+use pitex_core::registry::{self, CacheScope, INLINE_WORK};
 use pitex_core::{EngineBackend, EngineHandle, PitexEngine};
 use pitex_index::DelayMatIndex;
 use pitex_live::{
@@ -211,6 +218,8 @@ enum WorkerReply {
 /// request counters and the latency histogram the hop runtime keeps.
 struct Counters {
     worker_panics: Counter,
+    /// Misses the event loop ran on its own thread.
+    queries_inline: Counter,
     /// `UPDATE` ops accepted into the overlay since boot.
     updates_applied: Counter,
     /// Ops currently staged (mirrors `overlay.pending()` so `STATS` never
@@ -231,6 +240,7 @@ impl Counters {
     fn register(registry: &Registry) -> Self {
         Self {
             worker_panics: registry.counter("worker_panics"),
+            queries_inline: registry.counter("queries_inline"),
             updates_applied: registry.counter("updates_applied"),
             updates_pending: registry.gauge("updates_pending"),
             reloads: registry.counter("reloads"),
@@ -562,19 +572,13 @@ fn worker_loop(shared: &Arc<Shared>, job_rx: &Arc<Mutex<mpsc::Receiver<Job>>>) {
 
 /// Serves jobs against one pinned snapshot until the epoch advances or the
 /// pool shuts down.
-///
-/// Engines are built lazily per *resolved* backend and reused: a fixed
-/// server populates exactly one slot; an `auto` server (or per-request
-/// overrides) grows one engine per backend the planner actually picks, so
-/// each keeps its own memoisation cache warm.
 fn run_worker_epoch(
     shared: &Arc<Shared>,
     snapshot: &Snapshot,
     job_rx: &Arc<Mutex<mpsc::Receiver<Job>>>,
     carried: Option<Job>,
 ) -> WorkerExit {
-    let mut engines: Vec<Option<PitexEngine<'_>>> = Vec::new();
-    engines.resize_with(EngineBackend::ALL.len(), || None);
+    let mut engines = no_engines();
     let mut next_job = carried;
     loop {
         let job = match next_job.take() {
@@ -606,68 +610,132 @@ fn run_worker_epoch(
         if shared.store.epoch() != snapshot.epoch {
             return WorkerExit::Rebuild(Some(Box::new(job)));
         }
-        let ctx = job.sink.ctx();
-        if Instant::now() >= ctx.deadline {
-            // Completion counts the DEADLINE outcome — counting here too
-            // would double-book it (likewise every error below).
-            job.sink.deliver(WorkerReply::Deadline);
-            continue;
-        }
-        // Queue wait ends here: everything after (engine build included)
-        // is work done *for* this job, booked under its execute span.
-        let queue_us = job.enqueued.elapsed().as_micros() as u64;
-        let (user, k, backend) = (ctx.user, ctx.k, ctx.resolved);
-        let slot = backend as usize;
-        if engines[slot].is_none() {
-            match snapshot.handle.engine_for(backend) {
-                Ok(engine) => engines[slot] = Some(engine),
-                Err(e) => {
-                    job.sink.deliver(WorkerReply::Unavailable(e.to_string()));
-                    continue;
-                }
-            }
-        }
-        let engine = engines[slot].as_mut().expect("filled above");
-        let started = Instant::now();
-        // Fault injection for health drills: the stall lands inside the
-        // measured execute window, so it surfaces in lat_hist, the planner
-        // EWMAs and the per-request execute span — exactly like a real
-        // slowdown would.
-        if shared.stall_us > 0 {
-            std::thread::sleep(Duration::from_micros(shared.stall_us));
-        }
-        let outcome =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.query(user, k)));
-        let reply = match outcome {
-            Ok(result) => {
-                let exec_us = started.elapsed().as_micros() as u64;
-                // Feed the measurement back into the planner's EWMA — this
-                // is how `auto` converges on what this machine really costs.
-                snapshot.handle.planner().observe(backend, exec_us);
-                WorkerReply::Done {
-                    tags: result.tags,
-                    spread: result.spread,
-                    epoch: snapshot.epoch,
-                    run: Run { enqueued: job.enqueued, queue_us, exec_us },
-                }
-            }
-            Err(_) => {
-                shared.counters.worker_panics.inc();
-                // The engine may hold poisoned internal state; drop it so
-                // the next job on this backend rebuilds from the snapshot.
-                engines[slot] = None;
-                WorkerReply::Panicked
-            }
-        };
+        let reply = execute(shared, snapshot, &mut engines, job.sink.ctx(), Some(job.enqueued));
         job.sink.deliver(reply);
     }
 }
 
+/// One engine slot per backend, built lazily and reused: a fixed server
+/// populates exactly one; an `auto` server (or per-request overrides)
+/// grows one per backend the planner actually picks, so each keeps its
+/// own memoisation cache warm.
+type Engines<'s> = Vec<Option<PitexEngine<'s>>>;
+
+fn no_engines<'s>() -> Engines<'s> {
+    let mut engines = Vec::new();
+    engines.resize_with(EngineBackend::ALL.len(), || None);
+    engines
+}
+
+/// Runs one admitted miss against `snapshot` on `engines` — a worker's,
+/// or the event loop's own — as every miss runs: the deadline check, the
+/// stall injection, the panic fence and the planner's observation.
+/// `enqueued` is when a worker's job was queued; an inline run was never
+/// queued and books a 0 µs wait.
+fn execute<'s>(
+    shared: &Shared,
+    snapshot: &'s Snapshot,
+    engines: &mut Engines<'s>,
+    ctx: &QueryCtx,
+    enqueued: Option<Instant>,
+) -> WorkerReply {
+    if Instant::now() >= ctx.deadline {
+        // Completion counts the DEADLINE outcome — counting here too
+        // would double-book it (likewise every error below).
+        return WorkerReply::Deadline;
+    }
+    // Queue wait ends here: everything after (engine build included) is
+    // work done *for* this request, booked under its execute span.
+    let (enqueued, queue_us) = match enqueued {
+        Some(at) => (at, at.elapsed().as_micros() as u64),
+        None => (Instant::now(), 0),
+    };
+    let (user, k, backend) = (ctx.user, ctx.k, ctx.resolved);
+    let slot = backend as usize;
+    if engines[slot].is_none() {
+        match snapshot.handle.engine_for(backend) {
+            Ok(engine) => engines[slot] = Some(engine),
+            Err(e) => return WorkerReply::Unavailable(e.to_string()),
+        }
+    }
+    let engine = engines[slot].as_mut().expect("filled above");
+    let started = Instant::now();
+    // Fault injection for health drills: the stall lands inside the
+    // measured execute window, so it surfaces in lat_hist, the planner
+    // EWMAs and the per-request execute span — exactly like a real
+    // slowdown would.
+    if shared.stall_us > 0 {
+        std::thread::sleep(Duration::from_micros(shared.stall_us));
+    }
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.query(user, k)));
+    match outcome {
+        Ok(result) => {
+            let exec_us = started.elapsed().as_micros() as u64;
+            // Feed the measurement back into the planner's EWMA — this
+            // is how `auto` converges on what this machine really costs.
+            snapshot.handle.planner().observe(backend, exec_us);
+            WorkerReply::Done {
+                tags: result.tags,
+                spread: result.spread,
+                epoch: snapshot.epoch,
+                run: Run { enqueued, queue_us, exec_us },
+            }
+        }
+        Err(_) => {
+            shared.counters.worker_panics.inc();
+            // The engine may hold poisoned internal state; drop it so the
+            // next request on this backend rebuilds from the snapshot.
+            engines[slot] = None;
+            WorkerReply::Panicked
+        }
+    }
+}
+
+/// The event loop's own engines, pinned to one epoch for as long as the
+/// loop runs in [`ShardService::on_loop`]'s frame, and the certified work
+/// they have run since the loop last woke.
+struct Lane<'s> {
+    snapshot: &'s Snapshot,
+    engines: Engines<'s>,
+    spent: u64,
+}
+
+impl<'s> Lane<'s> {
+    fn new(snapshot: &'s Snapshot) -> Self {
+        Self { snapshot, engines: no_engines(), spent: 0 }
+    }
+
+    /// Whether `ctx` runs here, and if so its work is booked against this
+    /// wake: the service is still pinned to this lane's epoch, no stall is
+    /// injected, and the backend certifies a work bound within what is
+    /// left of [`INLINE_WORK`]. Everything else rides the worker pool.
+    fn admits(&mut self, shared: &Shared, pinned: &Snapshot, ctx: &QueryCtx) -> bool {
+        if shared.stall_us > 0 || pinned.epoch != self.snapshot.epoch {
+            return false;
+        }
+        match self.snapshot.handle.work_bound(ctx.resolved, ctx.user, ctx.k) {
+            Some(work) if work <= INLINE_WORK - self.spent => {
+                self.spent += work;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Runs an admitted miss on the loop thread, exactly as a worker would.
+    fn run(&mut self, shared: &Shared, ctx: QueryCtx) -> Response {
+        shared.counters.queries_inline.inc();
+        let reply = execute(shared, self.snapshot, &mut self.engines, &ctx, None);
+        complete_query(shared, ctx, reply)
+    }
+}
+
 /// The shard behind the connection core's [`Service`] seam: `PING`, cache
-/// hits and admission errors answer inline, every other `QUERY`, `EXPLAIN`
-/// and `TRACE` is deferred to the worker pool, every other verb is blocking
-/// work. Each driver thread owns a clone, and with it a pinned snapshot it
-/// refreshes without a lock.
+/// hits and admission errors answer inline, and so, on the event loop's own
+/// thread, does a miss whose certified work is smaller than the hand-off
+/// ([`Lane`]); every other `QUERY`, `EXPLAIN` and `TRACE` is deferred to the
+/// worker pool, every other verb is blocking work. Each driver thread owns
+/// a clone, and with it a pinned snapshot it refreshes without a lock.
 #[derive(Clone)]
 struct ShardService {
     shared: Arc<Shared>,
@@ -689,9 +757,16 @@ impl ShardService {
         }
     }
 
+    /// Admission through the hop's switch; `lane` is the event loop's own.
+    fn admit_with(&mut self, request: Request, to: &ReplyTo, lane: Option<&mut Lane<'_>>) -> Admit {
+        self.repin();
+        self.shared.hop.admit(request, to, |request, to| self.admit_query(request, to, lane))
+    }
+
     /// Admission of `QUERY`, `EXPLAIN` and `TRACE`: a cache hit or an
-    /// admission error answers inline, a miss is deferred to the workers.
-    fn admit_query(&self, request: Request, to: &ReplyTo) -> Admit {
+    /// admission error answers inline, a miss runs on `lane` when it
+    /// admits it and is deferred to the workers otherwise.
+    fn admit_query(&self, request: Request, to: &ReplyTo, lane: Option<&mut Lane<'_>>) -> Admit {
         let shared = &self.shared;
         let inline = |response| Admit::Inline(Handled::Reply(response, false));
         let ctx = match prepare_query(shared, &self.snapshot, &request) {
@@ -701,6 +776,11 @@ impl ShardService {
             }
             PreparedQuery::Dispatch(ctx) => ctx,
         };
+        if let Some(lane) = lane {
+            if lane.admits(shared, &self.snapshot, &ctx) {
+                return inline(lane.run(shared, ctx));
+            }
+        }
         let sink = QuerySink { shared: shared.clone(), to: to.clone(), ctx: Some(ctx) };
         match self.job_tx.try_send(Job { enqueued: Instant::now(), sink }) {
             Ok(()) => Admit::Deferred,
@@ -716,7 +796,7 @@ impl ShardService {
     }
 }
 
-impl Service for ShardService {
+impl Admission for ShardService {
     fn counters(&self) -> WireCounters<'_> {
         self.shared.hop.counters()
     }
@@ -730,13 +810,54 @@ impl Service for ShardService {
     }
 
     fn admit(&mut self, request: Request, to: &ReplyTo) -> Admit {
-        self.repin();
-        self.shared.hop.admit(request, to, |request, to| self.admit_query(request, to))
+        self.admit_with(request, to, None)
     }
+}
 
+impl Service for ShardService {
     fn call(&mut self, request: Request, wire: Wire) -> Handled {
         self.repin();
         self.shared.hop.call(request, wire, |request| handle_request(&self.shared, request))
+    }
+
+    /// One frame per epoch, as a worker pins one: the lane's engines
+    /// borrow `pinned`, and a wake that re-pinned the service to a newer
+    /// epoch ends the frame, so the next one rebuilds them. Each wake
+    /// starts with the whole [`INLINE_WORK`] budget.
+    fn on_loop(&mut self, wake: &mut dyn FnMut(&mut dyn Admission) -> bool) {
+        loop {
+            let pinned = self.snapshot.clone();
+            let mut lane = Lane::new(&pinned);
+            loop {
+                lane.spent = 0;
+                if !wake(&mut OnLoop { service: self, lane: &mut lane }) {
+                    return;
+                }
+                if self.snapshot.epoch != pinned.epoch {
+                    break;
+                }
+            }
+        }
+    }
+}
+
+/// The event loop's admission: the shard's, with its [`Lane`].
+struct OnLoop<'f, 's> {
+    service: &'f mut ShardService,
+    lane: &'f mut Lane<'s>,
+}
+
+impl Admission for OnLoop<'_, '_> {
+    fn counters(&self) -> WireCounters<'_> {
+        self.service.counters()
+    }
+
+    fn tick(&mut self) -> bool {
+        self.service.tick()
+    }
+
+    fn admit(&mut self, request: Request, to: &ReplyTo) -> Admit {
+        self.service.admit_with(request, to, Some(self.lane))
     }
 }
 
@@ -2358,6 +2479,36 @@ mod tests {
                 }
                 server.stop().unwrap();
             }
+        }
+    }
+
+    #[test]
+    fn nothing_runs_inline_under_stall_injection() {
+        let model = Arc::new(TicModel::paper_example());
+        let budget = pitex_index::IndexBudget::Fixed(2_000);
+        let index = Arc::new(pitex_index::RrIndex::build_with_threads(&model, budget, 3, 1));
+        let handle = EngineHandle::with_indexes(
+            model,
+            EngineBackend::IndexEstPlus,
+            Some(index),
+            None,
+            PitexConfig::default(),
+        )
+        .unwrap();
+        for stall_us in [0, 1_000] {
+            let options = ServeOptions { cache_capacity: 0, ..ServeOptions::default() };
+            let (server, shared) =
+                Server::spawn_stalled(handle.clone(), ("127.0.0.1", 0), options, stall_us).unwrap();
+            let mut client = crate::client::ServeClient::connect_binary(server.addr()).unwrap();
+            let small = (0..7).filter(|&u| handle.work_bound(handle.backend(), u, 1).is_some());
+            let small = small.count() as u64;
+            assert!(small > 0, "the paper example has small misses");
+            for user in 0..7 {
+                assert!(matches!(client.query(user, 1).unwrap(), Response::Ok(_)));
+            }
+            let inline = shared.counters.queries_inline.get();
+            assert_eq!(inline, if stall_us == 0 { small } else { 0 }, "stall {stall_us} µs");
+            server.stop().unwrap();
         }
     }
 }

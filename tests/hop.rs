@@ -72,6 +72,7 @@ const SHARD_KEYS: &[&str] = &[
     "plan_tim",
     "prepared",
     "qps",
+    "queries_inline",
     "reloads",
     "requests",
     "slow_queries",
@@ -131,6 +132,7 @@ const ROUTER_KEYS: &[&str] = &[
     "plan_tim",
     "prepared",
     "qps",
+    "queries_inline",
     "reloads",
     "replicas",
     "replicas_up",
