@@ -10,8 +10,8 @@
 //!   admin loops `UPDATE` + `RELOAD` as fast as the server lets it,
 //!   printed as p50/p99 against the no-storm baseline.
 //!
-//! Model scale follows `PITEX_SCALE` (see EXPERIMENTS.md); the repair
-//! threshold follows `PITEX_LIVE_DIRTY_THRESHOLD`.
+//! Model scale follows `PITEX_SCALE` (see EXPERIMENTS.md); repair runs
+//! with the default dirty threshold (0.25).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pitex_bench::{banner, BenchEnv};
@@ -147,12 +147,12 @@ fn swap_storm(model: &Arc<TicModel>, budget: IndexBudget, seed: u64, opts: &Repa
 fn bench_live(c: &mut Criterion) {
     banner(
         "bench_live: online-update costs (overlay apply, repair vs rebuild, swap storm)",
-        "lastfm-like model at 0.05 x PITEX_SCALE; PITEX_LIVE_DIRTY_THRESHOLD gates repair",
+        "lastfm-like model at 0.05 x PITEX_SCALE; the default 0.25 dirty threshold gates repair",
     );
     let env = BenchEnv::from_env();
     let model = Arc::new(small_model(&env));
     let budget = IndexBudget::PerVertex(4.0);
-    let opts = RepairOptions::default().with_env();
+    let opts = RepairOptions::default();
     bench_update_apply(c, &model);
     bench_repair_vs_rebuild(c, &model, budget, env.seed, &opts);
     swap_storm(&model, budget, env.seed, &opts);

@@ -8,7 +8,7 @@
 //! * `PITEX_SCALE` — multiplies the per-dataset default scales (default 1;
 //!   the built-in defaults already shrink dblp/twitter, see
 //!   [`BenchEnv::profiles`]);
-//! * `PITEX_QUERIES` — queries per configuration (default 5; the paper
+//! * `PITEX_QUERIES` — queries per configuration (default 3; the paper
 //!   averages 100);
 //! * `PITEX_INDEX_C` — RR-Graphs per vertex for index construction
 //!   (default 8; `theoretical` budgets are impractical, see DESIGN.md);

@@ -34,10 +34,11 @@ pub struct PoolOptions {
     /// Concurrent calls allowed per shard before the pool sheds
     /// ([`CallError::Saturated`] → `BUSY`).
     pub max_in_flight: usize,
-    /// How long a failed replica stays down before calls re-try it.
+    /// How long a failed replica stays down before calls re-try it
+    /// (default 500 ms).
     pub probe_cooldown: Duration,
     /// TCP dial timeout for pool connections (kept across a client's
-    /// reconnect).
+    /// reconnect; default 1 s).
     pub connect_timeout: Duration,
 }
 

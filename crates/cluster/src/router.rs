@@ -62,7 +62,9 @@
 //!
 //! The router trusts the map, not a directory service: everything is a
 //! pure function of the `ShardMap` file, and the only cluster-wide state
-//! is the epoch the barrier maintains.
+//! is the epoch the barrier maintains. Nor does it read the environment:
+//! [`RouterOptions`] arrive whole from the caller (`pitex router` sets
+//! them from its flags), and the hop runtime reads the obs knobs at spawn.
 
 use crate::pool::{CallError, PoolOptions, ShardPools};
 use crate::shardmap::ShardMap;
@@ -81,11 +83,10 @@ use std::net::ToSocketAddrs;
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-/// Tuning knobs for [`Router::spawn`]. The `PITEX_CLUSTER_*` environment
-/// variables (see [`RouterOptions::with_env`]) override the defaults.
-/// `pool.max_in_flight`, `pool.connect_timeout` and `probe_interval` must
-/// be non-zero: zero would shed every query, fail every dial, or spin the
-/// prober, so [`Router::spawn`] refuses it.
+/// Tuning knobs for [`Router::spawn`]; `pitex router` sets some of them
+/// from its flags. `pool.max_in_flight`, `pool.connect_timeout` and
+/// `probe_interval` must be non-zero: zero would shed every query, fail
+/// every dial, or spin the prober, so [`Router::spawn`] refuses it.
 #[derive(Clone, Debug)]
 pub struct RouterOptions {
     /// Connection-pool tuning (failover, health gating, shedding).
@@ -113,40 +114,7 @@ impl Default for RouterOptions {
     }
 }
 
-fn env_u64(key: &str) -> Option<u64> {
-    std::env::var(key).ok().and_then(|v| v.parse().ok())
-}
-
-fn env_positive(key: &str) -> Option<u64> {
-    env_u64(key).filter(|&v| v > 0)
-}
-
 impl RouterOptions {
-    /// Applies the `PITEX_CLUSTER_*` environment overrides:
-    /// `PITEX_CLUSTER_MAX_IN_FLIGHT` (per-shard concurrency before `BUSY`),
-    /// `PITEX_CLUSTER_IDLE_CONNS` (pooled idle connections per replica),
-    /// `PITEX_CLUSTER_PROBE_MS` (prober interval), `PITEX_CLUSTER_COOLDOWN_MS`
-    /// (down-replica cooldown), `PITEX_CLUSTER_CONNECT_TIMEOUT_MS`. A zero
-    /// in-flight cap, probe interval or connect timeout is ignored.
-    pub fn with_env(mut self) -> Self {
-        if let Some(v) = env_positive("PITEX_CLUSTER_MAX_IN_FLIGHT") {
-            self.pool.max_in_flight = v as usize;
-        }
-        if let Some(v) = env_u64("PITEX_CLUSTER_IDLE_CONNS") {
-            self.pool.idle_per_replica = v as usize;
-        }
-        if let Some(v) = env_positive("PITEX_CLUSTER_PROBE_MS") {
-            self.probe_interval = Duration::from_millis(v);
-        }
-        if let Some(v) = env_u64("PITEX_CLUSTER_COOLDOWN_MS") {
-            self.pool.probe_cooldown = Duration::from_millis(v);
-        }
-        if let Some(v) = env_positive("PITEX_CLUSTER_CONNECT_TIMEOUT_MS") {
-            self.pool.connect_timeout = Duration::from_millis(v);
-        }
-        self
-    }
-
     /// `InvalidInput` naming the first field that is zero but must not be.
     fn check(&self) -> std::io::Result<()> {
         let zero = [
@@ -762,38 +730,55 @@ mod tests {
     }
 
     /// `Router::spawn` refuses `options` with `InvalidInput` naming
-    /// `field`, and `with_env` ignores `var=0`.
-    fn refuses_zero(options: RouterOptions, field: &str, var: &str) {
+    /// `field`.
+    fn refuses_zero(options: RouterOptions, field: &str) {
         let map = ShardMap::new(vec![vec!["127.0.0.1:1".to_string()]]).unwrap();
         let Err(e) = Router::spawn(map, ("127.0.0.1", 0), options) else {
             panic!("a zero {field} must be refused")
         };
         assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput);
         assert!(e.to_string().contains(field), "{e}");
-        std::env::set_var(var, "0");
-        let options = RouterOptions::default().with_env();
-        std::env::remove_var(var);
-        assert!(options.check().is_ok(), "{var}=0 is ignored");
+    }
+
+    #[test]
+    fn metrics_without_a_reachable_shard_fails_fast_on_both_wires() {
+        let map = ShardMap::new(vec![vec!["127.0.0.1:1".to_string()]]).unwrap();
+        let router = Router::spawn(map, ("127.0.0.1", 0), RouterOptions::default()).unwrap();
+        for binary in [false, true] {
+            let addr = router.addr();
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let result = ServeClient::connect_with(addr, None, binary)
+                    .and_then(|mut client| client.metrics());
+                let _ = tx.send(result.map_err(|e| e.to_string()));
+            });
+            let result = rx
+                .recv_timeout(Duration::from_secs(5))
+                .unwrap_or_else(|_| panic!("METRICS (binary: {binary}) still blocked after 5 s"));
+            let err = result.expect_err("no shard answered, so no exposition");
+            assert!(err.contains("Internal"), "binary: {binary}: {err}");
+        }
+        router.stop().unwrap();
     }
 
     #[test]
     fn zero_max_in_flight_is_refused() {
         let mut options = RouterOptions::default();
         options.pool.max_in_flight = 0;
-        refuses_zero(options, "max_in_flight", "PITEX_CLUSTER_MAX_IN_FLIGHT");
+        refuses_zero(options, "max_in_flight");
     }
 
     #[test]
     fn zero_connect_timeout_is_refused() {
         let mut options = RouterOptions::default();
         options.pool.connect_timeout = Duration::ZERO;
-        refuses_zero(options, "connect_timeout", "PITEX_CLUSTER_CONNECT_TIMEOUT_MS");
+        refuses_zero(options, "connect_timeout");
     }
 
     #[test]
     fn zero_probe_interval_is_refused() {
         let options = RouterOptions { probe_interval: Duration::ZERO, ..RouterOptions::default() };
-        refuses_zero(options, "probe_interval", "PITEX_CLUSTER_PROBE_MS");
+        refuses_zero(options, "probe_interval");
     }
 
     #[test]

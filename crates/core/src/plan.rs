@@ -20,13 +20,13 @@
 //! * a **static seed** from graph/model statistics — `n`, `m`, the query
 //!   user's out-degree, `k`, the best-effort candidate count φ_k and the
 //!   Lemma-2 sampling threshold Λ — scaled by a per-edge-probe cost
-//!   (`PITEX_PLAN_EDGE_NS`). The coefficients encode the paper's measured
-//!   regime ordering, not absolute truth;
-//! * an **online EWMA** of measured per-query service times, fed back by
-//!   every executed query ([`Planner::observe`]). After
-//!   `PITEX_PLAN_WARMUP` observations (at least one) the EWMA replaces the
-//!   seed entirely, so the planner converges on what *this* machine and
-//!   model actually cost.
+//!   ([`EDGE_NS`]). The coefficients encode the paper's measured regime
+//!   ordering, not absolute truth;
+//! * an **online EWMA** (smoothing [`ALPHA`]) of measured per-query
+//!   service times, fed back by every executed query
+//!   ([`Planner::observe`]). After [`WARMUP`] observations the EWMA
+//!   replaces the seed entirely, so the planner converges on what *this*
+//!   machine and model actually cost.
 //!
 //! Every decision is observable: [`PlanDecision`] records the prediction
 //! and the rejected alternatives (serve's `EXPLAIN` verb prints it), and
@@ -120,32 +120,14 @@ pub struct PlanDecision {
     pub rejected: Vec<RejectedPlan>,
 }
 
-fn env_f64(key: &str, default: f64) -> f64 {
-    std::env::var(key).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
+/// EWMA smoothing factor α of the per-backend latency estimates.
+pub const ALPHA: f64 = 0.2;
 
-fn env_u64(key: &str, default: u64) -> u64 {
-    std::env::var(key).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
+/// Observations of a backend before its EWMA replaces the static seed.
+pub const WARMUP: u64 = 3;
 
-/// The three `PITEX_PLAN_*` knobs, as read — [`Planner::with_knobs`]
-/// mends what is out of range.
-#[derive(Clone, Copy, Debug)]
-struct PlanKnobs {
-    alpha: f64,
-    warmup: u64,
-    edge_ns: f64,
-}
-
-impl PlanKnobs {
-    fn from_env() -> Self {
-        Self {
-            alpha: env_f64("PITEX_PLAN_ALPHA", 0.2),
-            warmup: env_u64("PITEX_PLAN_WARMUP", 3),
-            edge_ns: env_f64("PITEX_PLAN_EDGE_NS", 5.0),
-        }
-    }
-}
+/// Static-seed cost of one edge probe, in nanoseconds.
+pub const EDGE_NS: f64 = 5.0;
 
 /// Graph/model shape the static cost seeds are computed from.
 #[derive(Clone, Copy, Debug)]
@@ -165,15 +147,6 @@ pub struct Planner {
     delay_available: bool,
     epsilon: f64,
     delta: f64,
-    /// EWMA smoothing factor α (`PITEX_PLAN_ALPHA`, default 0.2, clamped
-    /// to `[0.01, 1]`).
-    alpha: f64,
-    /// Observations before the EWMA replaces the static seed
-    /// (`PITEX_PLAN_WARMUP`, default 3; at least 1).
-    warmup: u64,
-    /// Static-seed cost per edge probe in nanoseconds
-    /// (`PITEX_PLAN_EDGE_NS`, default 5).
-    edge_ns: f64,
     /// Per-backend latency EWMA (the shared lock-free
     /// [`pitex_support::obs::Ewma`] — the same handle type `STATS` exports).
     ewma: [Ewma; NUM_BACKENDS],
@@ -192,8 +165,7 @@ impl std::fmt::Debug for Planner {
 }
 
 impl Planner {
-    /// A planner over `model`'s shape and the given artifact availability,
-    /// reading the `PITEX_PLAN_*` environment knobs.
+    /// A planner over `model`'s shape and the given artifact availability.
     pub fn new(
         model: &TicModel,
         rr_available: bool,
@@ -222,23 +194,6 @@ impl Planner {
         epsilon: f64,
         delta: f64,
     ) -> Self {
-        let knobs = PlanKnobs::from_env();
-        Self::with_knobs(stats, rr_available, delay_available, epsilon, delta, knobs)
-    }
-
-    /// [`from_stats`](Self::from_stats) with the knobs given instead of
-    /// read from the process environment. Out-of-range knobs are mended
-    /// here: a non-finite α falls back to 0.2, and a backend keeps its
-    /// static seed until it has at least one observation whatever the
-    /// warmup says — an empty EWMA predicts nothing.
-    fn with_knobs(
-        stats: ModelStats,
-        rr_available: bool,
-        delay_available: bool,
-        epsilon: f64,
-        delta: f64,
-        knobs: PlanKnobs,
-    ) -> Self {
         let avg_degree = stats.edges as f64 / stats.nodes.max(1) as f64;
         Self {
             stats,
@@ -247,9 +202,6 @@ impl Planner {
             delay_available,
             epsilon,
             delta,
-            alpha: if knobs.alpha.is_finite() { knobs.alpha.clamp(0.01, 1.0) } else { 0.2 },
-            warmup: knobs.warmup.max(1),
-            edge_ns: knobs.edge_ns.max(0.001),
             ewma: std::array::from_fn(|_| Ewma::new()),
             decisions: std::array::from_fn(|_| AtomicU64::new(0)),
             degraded: AtomicU64::new(0),
@@ -271,7 +223,7 @@ impl Planner {
     pub fn predicted_us(&self, backend: EngineBackend, input: &PlanInput) -> u64 {
         let i = Self::index(backend);
         let ewma = &self.ewma[i];
-        if ewma.count() >= self.warmup {
+        if ewma.count() >= WARMUP {
             return ewma.value().unwrap_or(0.0).max(1.0) as u64;
         }
         (self.seed_cost_us(backend, input).max(1.0)).min(u64::MAX as f64 / 2.0) as u64
@@ -316,7 +268,7 @@ impl Planner {
             EngineBackend::DelayMat => candidates * (input.k as f64 + 1.0) * 8.0,
             EngineBackend::Auto => unreachable!("auto is resolved before costing"),
         };
-        units * self.edge_ns / 1_000.0
+        units * EDGE_NS / 1_000.0
     }
 
     /// Plans one query: see the module docs for the policy. Increments the
@@ -412,7 +364,7 @@ impl Planner {
 
     /// Feeds one measured service time back into the backend's EWMA.
     pub fn observe(&self, backend: EngineBackend, actual_us: u64) {
-        self.ewma[Self::index(backend)].observe(actual_us as f64, self.alpha);
+        self.ewma[Self::index(backend)].observe(actual_us as f64, ALPHA);
     }
 
     /// The backend's current latency EWMA in microseconds (`None` before
@@ -627,46 +579,6 @@ mod tests {
         new.inherit(&old);
         assert_eq!(new.ewma_us(EngineBackend::Lazy), old.ewma_us(EngineBackend::Lazy));
         assert_eq!(new.predicted_us(EngineBackend::Lazy, &input(2, 2, None)), 250);
-    }
-
-    fn knobs(alpha: f64, warmup: u64) -> PlanKnobs {
-        PlanKnobs { alpha, warmup, edge_ns: 5.0 }
-    }
-
-    #[test]
-    fn zero_warmup_keeps_the_seed_until_the_first_observation() {
-        let planner = Planner::with_knobs(big(), true, true, 0.7, 1000.0, knobs(0.2, 0));
-        // An unobserved backend must not predict a fake 1 µs: on a big
-        // graph EXACT's seed stays astronomical, so `auto` never walks
-        // into it however many backends it has already tried.
-        for _ in 0..EngineBackend::ALL.len() {
-            let decision = planner.plan(input(12, 3, None));
-            assert_ne!(decision.chosen, EngineBackend::Exact);
-            planner.observe(decision.chosen, 50_000);
-        }
-        assert!(planner.predicted_us(EngineBackend::Exact, &input(12, 3, None)) > 1_000_000);
-        // With one observation the EWMA takes over at once.
-        planner.observe(EngineBackend::Lazy, 70);
-        assert_eq!(planner.predicted_us(EngineBackend::Lazy, &input(12, 3, None)), 70);
-    }
-
-    #[test]
-    fn a_nan_alpha_falls_back_to_the_default() {
-        let planner = Planner::with_knobs(tiny(), false, false, 0.7, 1000.0, knobs(f64::NAN, 1));
-        planner.observe(EngineBackend::Lazy, 100);
-        planner.observe(EngineBackend::Lazy, 200);
-        let ewma = planner.ewma_us(EngineBackend::Lazy).unwrap();
-        assert!((ewma - 120.0).abs() < 1e-9, "α = 0.2 smooths 100 then 200 to 120: {ewma}");
-        // Measurements keep steering `auto`: a backend that turns slow
-        // loses the pick, the deadline can degrade it.
-        for _ in 0..20 {
-            planner.observe(EngineBackend::Lazy, 900_000);
-        }
-        let decision = planner.plan(input(2, 2, Some(1_000)));
-        assert_ne!(decision.chosen, EngineBackend::Lazy);
-        let infinite =
-            Planner::with_knobs(tiny(), false, false, 0.7, 1000.0, knobs(f64::INFINITY, 1));
-        assert_eq!(infinite.alpha, 0.2);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!   crash-safe and shippable: acked ops are fsynced to an append-only
 //!   [`Wal`] before the `UPDATE` ack, torn tails truncate on open (loud
 //!   error on mid-record corruption), the log compacts into an
-//!   epoch-stamped base snapshot past `PITEX_WAL_*` bounds, and a
+//!   epoch-stamped base snapshot past the [`WalOptions`] bounds, and a
 //!   [`SyncBundle`] ships the history suffix a stale replica replays to
 //!   rejoin its cluster bit-identically.
 //! * **Epoch-versioned snapshots** ([`epoch`]) — a [`SnapshotStore`] that

@@ -50,10 +50,11 @@ use std::sync::Arc;
 /// run under mismatched sampling parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct RepairOptions {
-    /// Worker threads for resampling / rebuilding (result-invariant).
+    /// Worker threads for resampling / rebuilding (result-invariant;
+    /// default: the available parallelism).
     pub threads: usize,
     /// Fall back to a full rebuild when more than this fraction of graphs
-    /// is dirty (`PITEX_LIVE_DIRTY_THRESHOLD`, default 0.25).
+    /// is dirty (default 0.25; `pitex serve --dirty-threshold`).
     pub dirty_threshold: f64,
 }
 
@@ -72,21 +73,6 @@ impl RepairOptions {
     /// every update.
     pub fn is_valid_threshold(t: f64) -> bool {
         (0.0..=1.0).contains(&t)
-    }
-
-    /// Applies the `PITEX_LIVE_DIRTY_THRESHOLD` and `PITEX_LIVE_THREADS`
-    /// environment overrides, when set, parseable and (for the threshold)
-    /// valid.
-    pub fn with_env(mut self) -> Self {
-        let threshold =
-            std::env::var("PITEX_LIVE_DIRTY_THRESHOLD").ok().and_then(|s| s.parse().ok());
-        if let Some(t) = threshold.filter(|&t| Self::is_valid_threshold(t)) {
-            self.dirty_threshold = t;
-        }
-        if let Some(t) = std::env::var("PITEX_LIVE_THREADS").ok().and_then(|s| s.parse().ok()) {
-            self.threads = t;
-        }
-        self
     }
 }
 
@@ -380,17 +366,6 @@ mod tests {
             assert_eq!(shared, diff_models(&unshared, &new), "the merge-join disagrees");
             assert_eq!(shared, (heads, None));
         }
-    }
-
-    #[test]
-    fn with_env_ignores_a_threshold_that_is_not_a_fraction() {
-        let defaults = RepairOptions { threads: 2, dirty_threshold: 0.25 };
-        let kept = ["nan", "-0.5", "1.01", "inf", "x"].map(|value| (value, 0.25));
-        for (value, expected) in kept.into_iter().chain([("0", 0.0), ("0.6", 0.6), ("1", 1.0)]) {
-            std::env::set_var("PITEX_LIVE_DIRTY_THRESHOLD", value);
-            assert_eq!(defaults.with_env().dirty_threshold, expected, "{value}");
-        }
-        std::env::remove_var("PITEX_LIVE_DIRTY_THRESHOLD");
     }
 
     #[test]

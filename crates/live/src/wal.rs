@@ -102,8 +102,8 @@ impl From<DecodeError> for WalError {
 }
 
 /// Compaction bounds: when the log exceeds either, the serving layer
-/// folds it into a fresh `base.snap`. Overridable via `PITEX_WAL_MAX_BYTES`
-/// and `PITEX_WAL_MAX_OPS`.
+/// folds it into a fresh `base.snap`. A server runs with the defaults;
+/// tests and benches construct tighter bounds.
 #[derive(Clone, Copy, Debug)]
 pub struct WalOptions {
     /// Compact once `update.wal` exceeds this many bytes (default 64 MiB).
@@ -115,20 +115,6 @@ pub struct WalOptions {
 impl Default for WalOptions {
     fn default() -> Self {
         Self { max_bytes: 64 * 1024 * 1024, max_ops: 65_536 }
-    }
-}
-
-impl WalOptions {
-    /// Applies the `PITEX_WAL_MAX_BYTES` / `PITEX_WAL_MAX_OPS` overrides.
-    pub fn from_env() -> Self {
-        let mut options = Self::default();
-        if let Some(v) = std::env::var("PITEX_WAL_MAX_BYTES").ok().and_then(|v| v.parse().ok()) {
-            options.max_bytes = v;
-        }
-        if let Some(v) = std::env::var("PITEX_WAL_MAX_OPS").ok().and_then(|v| v.parse().ok()) {
-            options.max_ops = v;
-        }
-        options
     }
 }
 
@@ -803,18 +789,5 @@ mod tests {
         assert!(SyncBundle::from_hex("abc").is_err(), "odd length");
         assert!(SyncBundle::from_hex("zz").is_err(), "bad digit");
         assert!(SyncBundle::from_hex("00ff").is_err(), "bad magic");
-    }
-
-    #[test]
-    fn wal_options_env_overrides() {
-        // Serialized via a unique var read-modify-write; from_env reads
-        // the live environment so set/remove around the call.
-        std::env::set_var("PITEX_WAL_MAX_BYTES", "1234");
-        std::env::set_var("PITEX_WAL_MAX_OPS", "7");
-        let options = WalOptions::from_env();
-        std::env::remove_var("PITEX_WAL_MAX_BYTES");
-        std::env::remove_var("PITEX_WAL_MAX_OPS");
-        assert_eq!(options.max_bytes, 1234);
-        assert_eq!(options.max_ops, 7);
     }
 }

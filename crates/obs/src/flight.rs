@@ -29,8 +29,8 @@ pub struct FlightEntry {
 /// Flight-recorder knobs, read from the environment once at server boot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ObsOptions {
-    /// Ring capacity (`PITEX_OBS_FLIGHT`, default 256; 0 disables
-    /// recording entirely).
+    /// Ring capacity (default 256; 0 disables recording entirely). Not an
+    /// environment knob: unit tests size small rings with it.
     pub flight_capacity: usize,
     /// Slow-query threshold in microseconds (`PITEX_OBS_SLOW_US`,
     /// default 0 = disabled): requests at or over it are copied into the
@@ -45,16 +45,11 @@ impl Default for ObsOptions {
 }
 
 impl ObsOptions {
-    /// Reads `PITEX_OBS_FLIGHT` / `PITEX_OBS_SLOW_US`, falling back to the
-    /// defaults on unset or unparsable values.
+    /// The defaults with the slow-query threshold read from
+    /// `PITEX_OBS_SLOW_US` (unset or unparsable: off).
     pub fn from_env() -> Self {
-        let parse = |key: &str| std::env::var(key).ok().and_then(|v| v.parse::<u64>().ok());
-        Self {
-            flight_capacity: parse("PITEX_OBS_FLIGHT")
-                .map(|v| v as usize)
-                .unwrap_or(Self::default().flight_capacity),
-            slow_us: parse("PITEX_OBS_SLOW_US").unwrap_or(Self::default().slow_us),
-        }
+        let slow_us = std::env::var("PITEX_OBS_SLOW_US").ok().and_then(|v| v.parse().ok());
+        Self { slow_us: slow_us.unwrap_or(0), ..Self::default() }
     }
 }
 

@@ -29,72 +29,54 @@ use crate::hist::LatencyHistogram;
 use crate::timeseries::{SeriesPoints, SeriesRes, TimeSeriesStore};
 use std::fmt;
 
-/// Objective targets and window geometry, resolved once at boot.
-#[derive(Clone, Debug, PartialEq)]
+/// Availability target: good = non-error fraction of requests.
+pub const AVAIL_TARGET: f64 = 0.999;
+
+/// Latency threshold in µs — a request slower than this is "bad" for the
+/// latency objective.
+pub const LATENCY_THRESHOLD_US: u64 = 100_000;
+
+/// Latency target: fraction of requests that must beat the threshold.
+pub const LATENCY_TARGET: f64 = 0.999;
+
+/// Fast-window burn rate that yields `warn`.
+pub const WARN_BURN: f64 = 2.0;
+
+/// Fast-window burn rate that (with a confirming slow window) yields
+/// `page`.
+pub const PAGE_BURN: f64 = 10.0;
+
+/// Window geometry, resolved once at boot. The targets and burn
+/// thresholds are constants ([`AVAIL_TARGET`], [`LATENCY_THRESHOLD_US`],
+/// [`LATENCY_TARGET`], [`WARN_BURN`], [`PAGE_BURN`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SloOptions {
-    /// Availability target: good = non-error fraction of requests
-    /// (`PITEX_SLO_AVAIL_TARGET`, default 0.999).
-    pub avail_target: f64,
-    /// Latency threshold in µs — a request slower than this is "bad" for
-    /// the latency objective (`PITEX_SLO_P99_US`, default 100_000).
-    pub latency_threshold_us: u64,
-    /// Latency target: fraction of requests that must beat the threshold
-    /// (`PITEX_SLO_LAT_TARGET`, default 0.999).
-    pub latency_target: f64,
     /// Fast window, in mid-ring windows (`PITEX_SLO_FAST_WINDOWS`,
     /// default 30 ≈ 5 minutes at the default 10 s mid window).
     pub fast_windows: usize,
     /// Slow window, in mid-ring windows (`PITEX_SLO_SLOW_WINDOWS`,
     /// default 360 ≈ 1 hour).
     pub slow_windows: usize,
-    /// Fast-window burn rate that yields `warn` (`PITEX_SLO_WARN_BURN`,
-    /// default 2.0).
-    pub warn_burn: f64,
-    /// Fast-window burn rate that (with a confirming slow window) yields
-    /// `page` (`PITEX_SLO_PAGE_BURN`, default 10.0).
-    pub page_burn: f64,
 }
 
 impl Default for SloOptions {
     fn default() -> Self {
-        Self {
-            avail_target: 0.999,
-            latency_threshold_us: 100_000,
-            latency_target: 0.999,
-            fast_windows: 30,
-            slow_windows: 360,
-            warn_burn: 2.0,
-            page_burn: 10.0,
-        }
+        Self { fast_windows: 30, slow_windows: 360 }
     }
 }
 
 impl SloOptions {
-    /// Reads the `PITEX_SLO_*` knobs, falling back to the defaults.
+    /// Reads `PITEX_SLO_FAST_WINDOWS` / `PITEX_SLO_SLOW_WINDOWS`, falling
+    /// back to the defaults on unset or unparsable values; a zero window
+    /// counts as one.
     pub fn from_env() -> Self {
-        Self::from_vars(|key| std::env::var(key).ok())
-    }
-
-    /// [`from_env`](Self::from_env) over any variable lookup. A value that
-    /// does not parse or is out of range falls back to its default: the
-    /// targets must lie in `[0, 1)`, the burn thresholds must be finite
-    /// and positive (a NaN threshold never trips, so it would silently
-    /// disable paging; a negative one warns with zero traffic).
-    pub fn from_vars(var: impl Fn(&str) -> Option<String>) -> Self {
-        let int = |key: &str| var(key).and_then(|v| v.parse::<u64>().ok());
-        let float = |key: &str| var(key).and_then(|v| v.parse::<f64>().ok());
-        let target = |key: &str| float(key).filter(|t| (0.0..1.0).contains(t));
-        let burn = |key: &str| float(key).filter(|b| b.is_finite() && *b > 0.0);
-        let windows = |key: &str| int(key).map(|n| n.max(1) as usize);
+        let windows = |key: &str| {
+            std::env::var(key).ok().and_then(|v| v.parse::<u64>().ok()).map(|n| n.max(1) as usize)
+        };
         let d = Self::default();
         Self {
-            avail_target: target("PITEX_SLO_AVAIL_TARGET").unwrap_or(d.avail_target),
-            latency_threshold_us: int("PITEX_SLO_P99_US").unwrap_or(d.latency_threshold_us),
-            latency_target: target("PITEX_SLO_LAT_TARGET").unwrap_or(d.latency_target),
             fast_windows: windows("PITEX_SLO_FAST_WINDOWS").unwrap_or(d.fast_windows),
             slow_windows: windows("PITEX_SLO_SLOW_WINDOWS").unwrap_or(d.slow_windows),
-            warn_burn: burn("PITEX_SLO_WARN_BURN").unwrap_or(d.warn_burn),
-            page_burn: burn("PITEX_SLO_PAGE_BURN").unwrap_or(d.page_burn),
         }
     }
 }
@@ -275,8 +257,7 @@ fn availability_verdict(
     verdict(
         "availability",
         inputs.errors,
-        options.avail_target,
-        options,
+        AVAIL_TARGET,
         bad_fraction(options.fast_windows),
         bad_fraction(options.slow_windows),
     )
@@ -288,13 +269,12 @@ fn latency_verdict(store: &TimeSeriesStore, options: &SloOptions, inputs: &HopNa
         if merged.count() == 0 {
             return None;
         }
-        Some(fraction_above(&merged, options.latency_threshold_us))
+        Some(fraction_above(&merged, LATENCY_THRESHOLD_US))
     };
     verdict(
         "latency",
         inputs.lat_hist,
-        options.latency_target,
-        options,
+        LATENCY_TARGET,
         bad_fraction(options.fast_windows),
         bad_fraction(options.slow_windows),
     )
@@ -307,16 +287,15 @@ fn verdict(
     name: &str,
     field: &str,
     target: f64,
-    options: &SloOptions,
     fast_bad: Option<f64>,
     slow_bad: Option<f64>,
 ) -> SloVerdict {
     let budget = (1.0 - target).max(f64::EPSILON);
     let fast_burn = fast_bad.unwrap_or(0.0) / budget;
     let slow_burn = slow_bad.unwrap_or(0.0) / budget;
-    let (status, window, burn) = if fast_burn >= options.page_burn && slow_burn >= 1.0 {
+    let (status, window, burn) = if fast_burn >= PAGE_BURN && slow_burn >= 1.0 {
         (SloStatus::Page, "fast", fast_burn)
-    } else if fast_burn >= options.warn_burn {
+    } else if fast_burn >= WARN_BURN {
         (SloStatus::Warn, "fast", fast_burn)
     } else if slow_burn >= 1.0 {
         (SloStatus::Warn, "slow", slow_burn)
@@ -397,7 +376,7 @@ mod tests {
     }
 
     fn options() -> SloOptions {
-        SloOptions { fast_windows: 3, slow_windows: 6, ..SloOptions::default() }
+        SloOptions { fast_windows: 3, slow_windows: 6 }
     }
 
     /// Pushes one *mid* window's worth of ticks with the given cumulative
@@ -491,7 +470,7 @@ mod tests {
     #[test]
     fn short_blip_warns_but_does_not_page() {
         let store = store();
-        let opts = SloOptions { fast_windows: 1, slow_windows: 6, ..SloOptions::default() };
+        let opts = SloOptions { fast_windows: 1, slow_windows: 6 };
         let mut hist = LatencyHistogram::new();
         let mut requests = 0;
         // Five clean high-traffic windows, then one window with a burst of
@@ -513,7 +492,7 @@ mod tests {
         let lat = verdict.slos.iter().find(|v| v.name == "latency").unwrap();
         assert_eq!(lat.status, SloStatus::Warn, "verdict: {verdict:?}");
         assert_eq!(lat.window, "fast");
-        assert!(lat.burn >= opts.page_burn, "fast window alone would have paged: {}", lat.burn);
+        assert!(lat.burn >= PAGE_BURN, "fast window alone would have paged: {}", lat.burn);
     }
 
     #[test]
@@ -559,29 +538,5 @@ mod tests {
             assert_eq!(SloStatus::parse(s.name()), Some(s));
         }
         assert_eq!(SloStatus::parse("bogus"), None);
-    }
-
-    #[test]
-    fn burn_thresholds_must_be_finite_and_positive() {
-        for bad in ["nan", "-1", "inf"] {
-            let opts = SloOptions::from_vars(|key| key.ends_with("_BURN").then(|| bad.to_string()));
-            assert_eq!(opts, SloOptions::default(), "PITEX_SLO_*_BURN={bad}");
-        }
-        let opts = SloOptions::from_vars(|key| key.ends_with("_BURN").then(|| "3".to_string()));
-        assert_eq!((opts.warn_burn, opts.page_burn), (3.0, 3.0));
-    }
-
-    #[test]
-    fn env_knobs_parse() {
-        std::env::set_var("PITEX_SLO_P99_US", "5000");
-        std::env::set_var("PITEX_SLO_PAGE_BURN", "4.5");
-        std::env::set_var("PITEX_SLO_AVAIL_TARGET", "1.5"); // out of range: ignored
-        let opts = SloOptions::from_env();
-        std::env::remove_var("PITEX_SLO_P99_US");
-        std::env::remove_var("PITEX_SLO_PAGE_BURN");
-        std::env::remove_var("PITEX_SLO_AVAIL_TARGET");
-        assert_eq!(opts.latency_threshold_us, 5000);
-        assert_eq!(opts.page_burn, 4.5);
-        assert_eq!(opts.avail_target, SloOptions::default().avail_target);
     }
 }

@@ -362,7 +362,8 @@ impl ServeClient {
 
     /// `METRICS`: the Prometheus text exposition. The reply is the one
     /// multi-line response in the protocol; it is read through to its
-    /// `# EOF` terminator (and includes it).
+    /// `# EOF` terminator (and includes it). A first line that is a
+    /// one-line reply (`ERR …`, `BUSY`) ends the read as an error.
     pub fn metrics(&mut self) -> std::io::Result<String> {
         if self.binary {
             let id = self.next_id;
@@ -381,6 +382,11 @@ impl ServeClient {
             let n = self.reader.read_line(&mut line)?;
             if n == 0 {
                 return Err(closed("connection closed before # EOF"));
+            }
+            if text.is_empty() {
+                if let Ok(other) = Response::parse(line.trim_end()) {
+                    return Err(invalid(format!("expected raw exposition reply, got {other:?}")));
+                }
             }
             let done = line.trim() == "# EOF";
             text.push_str(&line);

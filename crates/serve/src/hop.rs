@@ -290,8 +290,7 @@ impl Hop {
     /// `FLIGHT` (admin): the newest ring entries (capped so the reply stays
     /// one line) plus the slow-query log.
     fn flight(&self) -> Response {
-        /// Newest ring entries included; the ring itself may be larger
-        /// (`PITEX_OBS_FLIGHT`).
+        /// Newest ring entries included; the ring itself is larger (256).
         const FLIGHT_REPLY_CAP: usize = 64;
         let wire = |e: &FlightEntry| FlightWireEntry {
             trace_id: e.trace_id,

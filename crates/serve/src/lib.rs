@@ -72,7 +72,7 @@
 //!   epoch-stamped log *before* its ack, boot replays the recovered
 //!   history (resuming the pre-crash epoch, torn tails truncated, loud
 //!   error on corruption), and the log compacts into a base snapshot past
-//!   the `PITEX_WAL_*` bounds. The `SYNC <from_epoch>` verb streams the
+//!   the [`pitex_live::WalOptions`] bounds. The `SYNC <from_epoch>` verb streams the
 //!   committed-history suffix as a [`pitex_live::SyncBundle`] so a stale
 //!   replica (or the cluster prober acting for it) can replay its way
 //!   back to the current epoch — bit-identically, because both folding

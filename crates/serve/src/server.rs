@@ -83,7 +83,9 @@ pub struct ServeOptions {
     pub workers: usize,
     /// Bounded request-queue depth; a full queue answers `BUSY`.
     pub queue_depth: usize,
-    /// Deadline applied when a `QUERY` carries no `timeout_us`.
+    /// Deadline applied when a `QUERY` carries no `timeout_us`. Must be
+    /// non-zero (zero would refuse every such query): [`Server::spawn`]
+    /// refuses it with `InvalidInput`.
     pub default_deadline: Duration,
     /// Result-cache capacity in entries (0 disables caching).
     pub cache_capacity: usize,
@@ -99,7 +101,7 @@ pub struct ServeOptions {
     /// durability: acked `UPDATE`s live only in memory, exactly as before.
     /// With a WAL, every `UPDATE` is fsynced before its ack, boot replays
     /// the recovered history (restoring the pre-crash epoch), and the log
-    /// compacts into a base snapshot past the `PITEX_WAL_*` bounds.
+    /// compacts into a base snapshot past the [`WalOptions`] bounds.
     pub wal: Option<PathBuf>,
     /// Workload-capture override for tests and embedders; `None` reads
     /// `PITEX_OBS_CAPTURE` / `PITEX_OBS_CAPTURE_RATE` from the
@@ -295,9 +297,6 @@ struct Shared {
     /// the admin lock (a slow PREPARE holds it across index repair).
     prepared: AtomicBool,
     options: ServeOptions,
-    /// Compaction bounds for the WAL (env-resolved once at spawn) —
-    /// also the in-memory history trim bound.
-    wal_options: WalOptions,
     cache: ShardedLru<(u32, usize, EngineBackend), CachedAnswer>,
     counters: Counters,
     /// The WAL's append/fsync/compaction histograms, read by `STATS`
@@ -432,10 +431,13 @@ impl Server {
         options: ServeOptions,
         stall_us: u64,
     ) -> std::io::Result<(ServerHandle, Arc<Shared>)> {
+        if options.default_deadline.is_zero() {
+            let message = "ServeOptions::default_deadline must be non-zero";
+            return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, message));
+        }
         let listener = hop::bind(addr)?;
         let workers = options.workers.max(1);
         let queue_depth = options.queue_depth.max(1);
-        let wal_options = WalOptions::from_env();
 
         // With a WAL directory, recover the durable history before serving:
         // replay it over the recovered base, rebuild the indexes (repair is
@@ -444,7 +446,8 @@ impl Server {
         // a log it cannot trust.
         let wal_boot = match &options.wal {
             Some(dir) => {
-                let (wal, recovery) = Wal::open(dir, 1, wal_options).map_err(wal_to_io)?;
+                let (wal, recovery) =
+                    Wal::open(dir, 1, WalOptions::default()).map_err(wal_to_io)?;
                 Some((wal, recovery))
             }
             None => None,
@@ -512,7 +515,6 @@ impl Server {
             }),
             prepared: AtomicBool::new(false),
             options,
-            wal_options,
             wal_timings,
             stall_us,
         });
@@ -1245,7 +1247,7 @@ fn commit_staged(
 
     admin.overlay = ModelOverlay::new(new_model.clone());
     admin.history.push(CommittedBatch { epoch: reply.epoch, ops: folded_ops });
-    trim_history(admin, &shared.wal_options);
+    trim_history(admin);
 
     if let Some(wal) = admin.wal.as_mut() {
         // The commit record lands *after* the swap: a crash between the
@@ -1289,11 +1291,12 @@ fn log_wal_failure(shared: &Arc<Shared>, what: &str, e: &WalError) {
 /// Bounds the in-memory `SYNC` history by the same ops budget as the WAL
 /// (plus a hard batch cap): a donor serves catch-up from RAM, so a
 /// replica further behind than the window must resync from artifacts.
-fn trim_history(admin: &mut AdminState, options: &WalOptions) {
+fn trim_history(admin: &mut AdminState) {
     const MAX_HISTORY_BATCHES: usize = 4096;
+    let max_ops = WalOptions::default().max_ops;
     let mut total_ops: u64 = admin.history.iter().map(|b| b.ops.len() as u64).sum();
     while admin.history.len() > 1
-        && (total_ops > options.max_ops || admin.history.len() > MAX_HISTORY_BATCHES)
+        && (total_ops > max_ops || admin.history.len() > MAX_HISTORY_BATCHES)
     {
         let dropped = admin.history.remove(0);
         total_ops -= dropped.ops.len() as u64;
@@ -1563,6 +1566,16 @@ mod tests {
         assert_eq!(reply.tags, vec![2, 3]);
         assert_eq!(roundtrip(&mut stream, "QUIT"), Response::Bye);
         server.stop().unwrap();
+    }
+
+    #[test]
+    fn zero_default_deadline_is_refused() {
+        let options = ServeOptions { default_deadline: Duration::ZERO, ..ServeOptions::default() };
+        let Err(e) = Server::spawn(paper_handle(), ("127.0.0.1", 0), options) else {
+            panic!("a zero default deadline must be refused")
+        };
+        assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(e.to_string().contains("default_deadline"), "{e}");
     }
 
     #[test]

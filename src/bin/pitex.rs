@@ -165,25 +165,26 @@ OBSERVABILITY: `client --trace` runs one traced query and prints its span
           rolling sparklines from the SERIES time-series rings
           (`top --json` prints one machine-readable snapshot and exits);
           `replay --json` prints the replay report the same way.
-          PITEX_OBS_FLIGHT sizes the ring, PITEX_OBS_SLOW_US sets the
-          slow-query threshold (0 = off).
+          The ring keeps the last 256 requests; PITEX_OBS_SLOW_US sets
+          the slow-query threshold (0 = off).
 
 HEALTH:   every server and router keeps rolling time-series of its stats
           fields (PITEX_OBS_TS_TICK_MS per tick; SERIES <field>
           fast|mid|slow dumps a ring) and evaluates SLO burn rates over
-          them (PITEX_SLO_* thresholds; HEALTH answers ok|warn|page with
-          the tripping window + burn). The same listener answers HTTP:
-          GET /metrics, /health (503 on page), /series?field=NAME.
+          them (99.9% of requests ok and under 100 ms; the windows are
+          PITEX_SLO_FAST_WINDOWS / PITEX_SLO_SLOW_WINDOWS; HEALTH
+          answers ok|warn|page with the tripping window + burn). The
+          same listener answers HTTP: GET /metrics, /health (503 on page), /series?field=NAME.
           `doctor` probes every hop (--map adds each shard replica),
           ranks the burning objectives, and traces the worst hop to name
           the slow phase. PITEX_OBS_STALL_US=N injects an N-us execute
           stall (fault drill).
 
-CAPTURE:  PITEX_OBS_CAPTURE=FILE makes a server (or router) sample
+CAPTURE:  PITEX_OBS_CAPTURE=FILE makes a server (or router) record
           admitted requests into a PWRK workload log;
-          PITEX_OBS_CAPTURE_RATE=N keeps 1-in-N. `record` toggles or
-          rotates the log at runtime (admin-gated). `replay --log`
-          re-issues a recording OPEN-LOOP — latency measured from each
+          PITEX_OBS_CAPTURE_RATE=N keeps 1-in-N (default: every one).
+          `record` toggles or rotates the log at runtime (admin-gated).
+          `replay --log` re-issues a recording OPEN-LOOP — latency measured from each
           request's scheduled arrival, so stalls show up in the tail
           instead of being coordinated-omitted away — with `--verify`
           asserting bit-identical answers; `replay --rate` synthesizes
@@ -205,17 +206,15 @@ SHARDMAP: --replicas lists shards separated by ';', each shard its replica
           addresses separated by ','. A router is a drop-in single server:
           point `pitex client` at it unchanged.
 
-WIRE:     `client --binary` / `replay --binary` (or PITEX_CLIENT_BINARY=1)
-          speak the pipelined PFRM binary frame protocol; servers and
-          routers auto-detect text, binary and HTTP per connection on one
-          port. The router->shard hop is always binary. `client --bench
+WIRE:     `client --binary` / `replay --binary` speak the pipelined
+          PFRM binary frame protocol; servers and routers auto-detect
+          text, binary and HTTP per connection on one port. The router->shard hop is always binary. `client --bench
           --binary --pipeline N` keeps N queries in flight per connection.
 
 WAL:      `serve --wal DIR` persists every acknowledged UPDATE to an
           epoch-stamped log (fsynced before the ack); a restart replays it
-          and resumes at the pre-crash epoch. PITEX_WAL_MAX_BYTES /
-          PITEX_WAL_MAX_OPS bound the log before it compacts into DIR's
-          base snapshot.
+          and resumes at the pre-crash epoch. Past 64 MiB or 65 536 ops
+          the log compacts into DIR's base snapshot.
 
 UPDATE OPS: ADD_EDGE s d z:p[,z:p..] | REMOVE_EDGE s d | SET_EDGE s d z:p[,..]
             | ATTACH_TAG w z:p[,..] | DETACH_TAG w | ADD_USER  ('-' = empty row)";
@@ -251,6 +250,16 @@ fn want<'a>(opts: &'a Opts, key: &str) -> Result<&'a str, String> {
 
 fn parse<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
     s.parse().map_err(|_| format!("cannot parse {what} from {s:?}"))
+}
+
+/// `--flag N` for a flag where zero would break the hop (shed every query,
+/// spin the prober, refuse every deadline-less query): `None` when absent.
+fn positive(opts: &Opts, flag: &str) -> Result<Option<u64>, String> {
+    let Some(v) = opts.get(flag) else { return Ok(None) };
+    match parse(v, &format!("--{flag}"))? {
+        0 => Err(format!("--{flag} must be at least 1")),
+        n => Ok(Some(n)),
+    }
 }
 
 fn load_model(opts: &Opts) -> Result<TicModel, String> {
@@ -503,7 +512,7 @@ fn build_handle(opts: &Opts) -> Result<EngineHandle, CliError> {
 /// (written by `pitex index`), so repair always reproduces the exact
 /// streams the index was built from.
 fn repair_from_opts(opts: &Opts) -> Result<RepairOptions, String> {
-    let mut repair = RepairOptions::default().with_env();
+    let mut repair = RepairOptions::default();
     if let Some(t) = opts.get("dirty-threshold") {
         repair.dirty_threshold = parse(t, "--dirty-threshold")?;
         if !RepairOptions::is_valid_threshold(repair.dirty_threshold) {
@@ -520,12 +529,7 @@ fn cmd_serve(opts: &Opts) -> Result<(), CliError> {
     let options = ServeOptions {
         workers: opts.get("threads").map(|s| parse(s, "--threads")).transpose()?.unwrap_or(4),
         queue_depth: opts.get("queue").map(|s| parse(s, "--queue")).transpose()?.unwrap_or(64),
-        default_deadline: Duration::from_millis(
-            opts.get("deadline-ms")
-                .map(|s| parse(s, "--deadline-ms"))
-                .transpose()?
-                .unwrap_or(5_000),
-        ),
+        default_deadline: Duration::from_millis(positive(opts, "deadline-ms")?.unwrap_or(5_000)),
         cache_capacity: opts.get("cache").map(|s| parse(s, "--cache")).transpose()?.unwrap_or(1024),
         admin: !opts.contains_key("no-admin"),
         repair: repair_from_opts(opts)?,
@@ -681,22 +685,14 @@ fn cmd_router(opts: &Opts) -> Result<(), CliError> {
     let bytes = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
     let map = ShardMap::from_file_bytes(&bytes).map_err(|e| format!("{path}: {e}"))?;
     let port: u16 = opts.get("port").map(|s| parse(s, "--port")).transpose()?.unwrap_or(0);
-    let mut options = RouterOptions::default().with_env();
-    // Zero would shed every query or spin the prober.
-    let positive = |flag: &str| -> Result<Option<u64>, String> {
-        let Some(v) = opts.get(flag) else { return Ok(None) };
-        match parse(v, &format!("--{flag}"))? {
-            0 => Err(format!("--{flag} must be at least 1")),
-            n => Ok(Some(n)),
-        }
-    };
-    if let Some(n) = positive("max-in-flight")? {
+    let mut options = RouterOptions::default();
+    if let Some(n) = positive(opts, "max-in-flight")? {
         options.pool.max_in_flight = n as usize;
     }
     if let Some(v) = opts.get("idle-conns") {
         options.pool.idle_per_replica = parse(v, "--idle-conns")?;
     }
-    if let Some(n) = positive("probe-ms")? {
+    if let Some(n) = positive(opts, "probe-ms")? {
         options.probe_interval = Duration::from_millis(n);
     }
     options.admin = !opts.contains_key("no-admin");
@@ -1063,7 +1059,7 @@ fn cmd_replay(opts: &Opts) -> Result<(), CliError> {
             .map(|s| parse(s, "--trace-every"))
             .transpose()?
             .unwrap_or(16),
-        binary: binary_wire(opts),
+        binary: opts.contains_key("binary"),
     };
     let report = replay.run(addr, &items).map_err(|e| format!("replay failed: {e}"))?;
     if opts.contains_key("json") {
@@ -1168,16 +1164,9 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Whether a serving-side command should speak the `PFRM` binary frames:
-/// the `--binary` flag, or `PITEX_CLIENT_BINARY` (any value but `0`).
-fn binary_wire(opts: &Opts) -> bool {
-    opts.contains_key("binary")
-        || std::env::var("PITEX_CLIENT_BINARY").map(|v| v != "0").unwrap_or(false)
-}
-
 fn cmd_client(opts: &Opts) -> Result<(), CliError> {
     let addr = want(opts, "addr")?;
-    let binary = binary_wire(opts);
+    let binary = opts.contains_key("binary");
     let connect = || {
         ServeClient::connect_with(addr, None, binary)
             .map_err(|e| format!("connecting to {addr}: {e}"))

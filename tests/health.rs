@@ -70,14 +70,13 @@ fn router_health_pages_on_a_stalled_shard_and_names_it() {
     let _guard = ENV_LOCK.lock().unwrap();
 
     // Shrink the sampler/SLO clocks: 25 ms ticks make a mid window 250 ms,
-    // the fast window 500 ms, the slow window 2 s. A 100 ms p99 threshold
-    // sits far above the exact engine's replies (and the front door's
+    // the fast window 500 ms, the slow window 2 s. The fixed 100 ms latency
+    // threshold sits far above the exact engine's replies (and the front door's
     // occasional connection-setup hiccup) and far below the 250 ms
     // injected stall.
     std::env::set_var("PITEX_OBS_TS_TICK_MS", "25");
     std::env::set_var("PITEX_SLO_FAST_WINDOWS", "2");
     std::env::set_var("PITEX_SLO_SLOW_WINDOWS", "8");
-    std::env::set_var("PITEX_SLO_P99_US", "100000");
 
     // shard0 healthy; shard1 booted under the stall injector (the knob is
     // read once at spawn, so scoping the set/remove to this boot confines
@@ -256,12 +255,7 @@ fn router_health_pages_on_a_stalled_shard_and_names_it() {
     stop.store(true, Ordering::SeqCst);
     driver.join().unwrap();
 
-    for var in [
-        "PITEX_OBS_TS_TICK_MS",
-        "PITEX_SLO_FAST_WINDOWS",
-        "PITEX_SLO_SLOW_WINDOWS",
-        "PITEX_SLO_P99_US",
-    ] {
+    for var in ["PITEX_OBS_TS_TICK_MS", "PITEX_SLO_FAST_WINDOWS", "PITEX_SLO_SLOW_WINDOWS"] {
         std::env::remove_var(var);
     }
 

@@ -294,3 +294,22 @@ fn load_shedding_accounts_for_every_request() {
     assert_eq!(report.cached, 0, "cache disabled");
     server.stop().unwrap();
 }
+
+/// `pitex serve --deadline-ms 0` would refuse every query that carries no
+/// `timeout_us` of its own, so the CLI refuses the flag instead of booting.
+#[test]
+fn serve_refuses_a_zero_default_deadline() {
+    let dir = std::env::temp_dir().join(format!("pitex-serve-deadline-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let model_path = dir.join("model.bin");
+    pitex::model::serial::save(&TicModel::paper_example(), &model_path).unwrap();
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_pitex"))
+        .args(["serve", "--model", model_path.to_str().unwrap(), "--port", "0"])
+        .args(["--deadline-ms", "0"])
+        .output()
+        .expect("running the pitex binary");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(output.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("--deadline-ms must be at least 1"), "{stderr}");
+}
