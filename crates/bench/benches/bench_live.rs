@@ -10,11 +10,11 @@
 //!   admin loops `UPDATE` + `RELOAD` as fast as the server lets it,
 //!   printed as p50/p99 against the no-storm baseline.
 //!
-//! Model scale follows `PITEX_SCALE` (see EXPERIMENTS.md); repair runs
-//! with the default dirty threshold (0.25).
+//! The model is lastfm-like at scale 0.05 (see EXPERIMENTS.md); repair
+//! runs with the default dirty threshold (0.25).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pitex_bench::{banner, BenchEnv};
+use pitex_bench::{banner, SEED};
 use pitex_core::{EngineBackend, EngineHandle, PitexConfig};
 use pitex_index::{IndexBudget, RrIndex};
 use pitex_live::{repair_rr_index, ModelOverlay, RepairOptions, UpdateOp};
@@ -25,9 +25,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-fn small_model(env: &BenchEnv) -> TicModel {
+fn small_model() -> TicModel {
     use pitex_datasets::DatasetProfile;
-    DatasetProfile::lastfm_like().scaled(0.05 * env.scale).generate()
+    DatasetProfile::lastfm_like().scaled(0.05).generate()
 }
 
 fn bench_update_apply(c: &mut Criterion, model: &Arc<TicModel>) {
@@ -147,15 +147,14 @@ fn swap_storm(model: &Arc<TicModel>, budget: IndexBudget, seed: u64, opts: &Repa
 fn bench_live(c: &mut Criterion) {
     banner(
         "bench_live: online-update costs (overlay apply, repair vs rebuild, swap storm)",
-        "lastfm-like model at 0.05 x PITEX_SCALE; the default 0.25 dirty threshold gates repair",
+        "lastfm-like model at scale 0.05; the default 0.25 dirty threshold gates repair",
     );
-    let env = BenchEnv::from_env();
-    let model = Arc::new(small_model(&env));
+    let model = Arc::new(small_model());
     let budget = IndexBudget::PerVertex(4.0);
     let opts = RepairOptions::default();
     bench_update_apply(c, &model);
-    bench_repair_vs_rebuild(c, &model, budget, env.seed, &opts);
-    swap_storm(&model, budget, env.seed, &opts);
+    bench_repair_vs_rebuild(c, &model, budget, SEED, &opts);
+    swap_storm(&model, budget, SEED, &opts);
 }
 
 criterion_group!(benches, bench_live);

@@ -1,20 +1,14 @@
 //! Shared experiment harness for the PITEX evaluation (§7).
 //!
-//! Every bench target under `benches/` reproduces one table or figure of the
-//! paper and prints the same rows/series the paper plots. The harness keys
-//! its work off environment variables so the whole suite finishes on a
-//! laptop by default while remaining scalable:
-//!
-//! * `PITEX_SCALE` — multiplies the per-dataset default scales (default 1;
-//!   the built-in defaults already shrink dblp/twitter, see
-//!   [`BenchEnv::profiles`]);
-//! * `PITEX_QUERIES` — queries per configuration (default 3; the paper
-//!   averages 100);
-//! * `PITEX_INDEX_C` — RR-Graphs per vertex for index construction
-//!   (default 8; `theoretical` budgets are impractical, see DESIGN.md);
-//! * `PITEX_SEED` — master seed (default 42).
+//! [`repro`] reproduces every table and figure of the paper through
+//! `pitex repro`; the gated `bench_*`/`micro_*` targets under `benches/`
+//! share its [`banner`]. Two settings scale a run, the CLI's
+//! `--scale` and `--queries` ([`BenchEnv`]); the index budget and the
+//! master seed are the constants [`INDEX_PER_VERTEX`] and [`SEED`].
 
-use pitex_core::{ExplorationStrategy, PitexConfig, PitexEngine, PitexResult};
+pub mod repro;
+
+use pitex_core::{EngineBackend, ExplorationStrategy, PitexConfig, PitexEngine, PitexResult};
 use pitex_datasets::{DatasetProfile, UserGroup, UserGroups};
 use pitex_index::{DelayMatIndex, IndexBudget, RrIndex};
 use pitex_model::TicModel;
@@ -22,36 +16,56 @@ use pitex_support::{OnlineStats, Timer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Experiment-wide settings resolved from the environment.
+/// RR-Graphs per vertex for index construction: Eq. 7's θ is impractical
+/// (see DESIGN.md), so the index size is this fixed budget.
+pub const INDEX_PER_VERTEX: f64 = 8.0;
+
+/// The master seed every experiment derives its randomness from.
+pub const SEED: u64 = 42;
+
+/// The seven methods of the §7 comparison, in the paper's plotting order.
+pub const SECTION7: [EngineBackend; 7] = [
+    EngineBackend::Rr,
+    EngineBackend::Mc,
+    EngineBackend::Lazy,
+    EngineBackend::Tim,
+    EngineBackend::IndexEst,
+    EngineBackend::IndexEstPlus,
+    EngineBackend::DelayMat,
+];
+
+/// The methods compared after Fig. 7/8 ("we only compare Lazy with the
+/// other offline solutions in the remaining part of this section").
+pub const OFFLINE_PLUS_LAZY: [EngineBackend; 4] = [
+    EngineBackend::Lazy,
+    EngineBackend::IndexEst,
+    EngineBackend::IndexEstPlus,
+    EngineBackend::DelayMat,
+];
+
+/// The online sampling methods (Figs. 6 and 13).
+pub const ONLINE: [EngineBackend; 3] = [EngineBackend::Rr, EngineBackend::Mc, EngineBackend::Lazy];
+
+/// How large a run is: `scale` multiplies the per-dataset scales, and
+/// `queries` is the number of query users per configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct BenchEnv {
     pub scale: f64,
     pub queries: usize,
-    pub index_per_vertex: f64,
-    pub seed: u64,
 }
 
-fn env_f64(key: &str, default: f64) -> f64 {
-    std::env::var(key).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+impl Default for BenchEnv {
+    /// Scale 1 (the bench-default profiles) and 3 queries per cell (the
+    /// paper averages 100).
+    fn default() -> Self {
+        Self { scale: 1.0, queries: 3 }
+    }
 }
 
 impl BenchEnv {
-    pub fn from_env() -> Self {
-        Self {
-            scale: env_f64("PITEX_SCALE", 1.0),
-            queries: env_usize("PITEX_QUERIES", 3),
-            index_per_vertex: env_f64("PITEX_INDEX_C", 8.0),
-            seed: env_usize("PITEX_SEED", 42) as u64,
-        }
-    }
-
     /// The four profiles at bench-default scales. The paper-relative scale
-    /// factors (1, 0.2, 0.01, 0.002) keep each figure in laptop-minutes;
-    /// `PITEX_SCALE` multiplies them. Tag vocabularies of the two big
+    /// factors (1, 0.05, 0.002, 0.002) keep each figure in laptop-minutes;
+    /// `scale` multiplies them. Tag vocabularies of the two big
     /// stand-ins shrink so `C(|Ω|, 3)` stays tractable for the *online*
     /// methods the figures include (documented in EXPERIMENTS.md).
     pub fn profiles(&self) -> Vec<DatasetProfile> {
@@ -76,7 +90,7 @@ impl BenchEnv {
     }
 
     pub fn index_budget(&self) -> IndexBudget {
-        IndexBudget::PerVertex(self.index_per_vertex)
+        IndexBudget::PerVertex(INDEX_PER_VERTEX)
     }
 }
 
@@ -113,78 +127,6 @@ pub fn build_indexes(model: &TicModel, budget: IndexBudget, seed: u64) -> Indexe
     Indexes { rr, rr_build_secs, delay, delay_build_secs }
 }
 
-/// Every method of the §7 comparison, in the paper's plotting order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Method {
-    Rr,
-    Mc,
-    Lazy,
-    Tim,
-    IndexEst,
-    IndexEstPlus,
-    DelayMat,
-}
-
-impl Method {
-    pub const ALL: [Method; 7] = [
-        Method::Rr,
-        Method::Mc,
-        Method::Lazy,
-        Method::Tim,
-        Method::IndexEst,
-        Method::IndexEstPlus,
-        Method::DelayMat,
-    ];
-
-    /// The methods compared after Fig. 7/8 ("we only compare Lazy with the
-    /// other offline solutions in the remaining part of this section").
-    pub const OFFLINE_PLUS_LAZY: [Method; 4] =
-        [Method::Lazy, Method::IndexEst, Method::IndexEstPlus, Method::DelayMat];
-
-    /// The online sampling methods (Figs. 6 and 13).
-    pub const ONLINE: [Method; 3] = [Method::Rr, Method::Mc, Method::Lazy];
-
-    pub fn label(self) -> &'static str {
-        match self {
-            Method::Rr => "RR",
-            Method::Mc => "MC",
-            Method::Lazy => "LAZY",
-            Method::Tim => "TIM",
-            Method::IndexEst => "INDEXEST",
-            Method::IndexEstPlus => "INDEXEST+",
-            Method::DelayMat => "DELAYMAT",
-        }
-    }
-
-    pub fn needs_index(self) -> bool {
-        matches!(self, Method::IndexEst | Method::IndexEstPlus | Method::DelayMat)
-    }
-
-    /// Builds an engine for this method.
-    pub fn engine<'a>(
-        self,
-        model: &'a TicModel,
-        indexes: Option<&'a Indexes>,
-        config: PitexConfig,
-    ) -> PitexEngine<'a> {
-        match self {
-            Method::Rr => PitexEngine::with_rr(model, config),
-            Method::Mc => PitexEngine::with_mc(model, config),
-            Method::Lazy => PitexEngine::with_lazy(model, config),
-            Method::Tim => PitexEngine::with_tim(model, config),
-            Method::IndexEst => {
-                PitexEngine::with_index(model, &indexes.expect("index required").rr, config)
-            }
-            Method::IndexEstPlus => {
-                PitexEngine::with_index_plus(model, &indexes.expect("index required").rr, config)
-            }
-            Method::DelayMat => {
-                PitexEngine::with_delay(model, &indexes.expect("index required").delay, config)
-            }
-        }
-    }
-}
-
 /// Averaged outcome of a query batch.
 #[derive(Clone, Copy, Debug)]
 pub struct BatchOutcome {
@@ -195,14 +137,17 @@ pub struct BatchOutcome {
 
 /// Runs `k`-tag PITEX queries for every user in `users` and averages.
 pub fn run_batch(
-    method: Method,
+    method: EngineBackend,
     model: &TicModel,
     indexes: Option<&Indexes>,
     users: &[u32],
     k: usize,
     config: PitexConfig,
 ) -> BatchOutcome {
-    let mut engine = method.engine(model, indexes, config);
+    let rr = indexes.map(|i| &i.rr);
+    let delay = indexes.map(|i| &i.delay);
+    let mut engine = PitexEngine::with_backend(model, method, rr, delay, config)
+        .unwrap_or_else(|e| panic!("{e}"));
     let mut time = OnlineStats::new();
     let mut spread = OnlineStats::new();
     let mut edges = OnlineStats::new();
@@ -218,7 +163,7 @@ pub fn run_batch(
 
 /// Draws the default mid-group query users for a dataset.
 pub fn default_queries(data: &PreparedDataset, env: &BenchEnv, group: UserGroup) -> Vec<u32> {
-    let mut rng = StdRng::seed_from_u64(env.seed ^ 0xBEEF);
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0xBEEF);
     data.groups.sample(group, env.queries, &mut rng)
 }
 
@@ -241,7 +186,7 @@ pub fn banner(title: &str, detail: &str) {
 pub struct GroupFigureRow {
     pub dataset: &'static str,
     pub group: UserGroup,
-    pub method: Method,
+    pub method: EngineBackend,
     pub outcome: BatchOutcome,
 }
 
@@ -249,17 +194,17 @@ pub struct GroupFigureRow {
 /// Indexes are built once per dataset when any method needs them.
 pub fn group_figure(
     env: &BenchEnv,
-    methods: &[Method],
+    methods: &[EngineBackend],
     profiles: Vec<DatasetProfile>,
     k: usize,
 ) -> Vec<GroupFigureRow> {
     let mut rows = Vec::new();
-    let needs_index = methods.iter().any(|m| m.needs_index());
+    let needs_index = methods.iter().any(|m| m.needs_rr_index() || m.needs_delay_index());
     for profile in profiles {
         let name = profile.name;
         eprintln!("[prepare] {name} ({} nodes)", profile.num_nodes);
         let data = prepare(profile);
-        let indexes = needs_index.then(|| build_indexes(&data.model, env.index_budget(), env.seed));
+        let indexes = needs_index.then(|| build_indexes(&data.model, env.index_budget(), SEED));
         for group in UserGroup::ALL {
             let users = default_queries(&data, env, group);
             for &method in methods {
@@ -269,7 +214,7 @@ pub fn group_figure(
                     indexes.as_ref(),
                     &users,
                     k,
-                    default_config(env.seed),
+                    default_config(SEED),
                 );
                 eprintln!(
                     "[done] {name}/{}/{}: {:.4}s avg",
@@ -288,7 +233,7 @@ pub fn group_figure(
 pub struct SweepRow {
     pub dataset: &'static str,
     pub value: f64,
-    pub method: Method,
+    pub method: EngineBackend,
     pub outcome: BatchOutcome,
 }
 
@@ -296,22 +241,22 @@ pub struct SweepRow {
 /// `apply` mutates the engine config (or chooses k) per value.
 pub fn param_sweep(
     env: &BenchEnv,
-    methods: &[Method],
+    methods: &[EngineBackend],
     profiles: Vec<DatasetProfile>,
     values: &[f64],
     mut apply: impl FnMut(&mut PitexConfig, &mut usize, f64),
 ) -> Vec<SweepRow> {
     let mut rows = Vec::new();
-    let needs_index = methods.iter().any(|m| m.needs_index());
+    let needs_index = methods.iter().any(|m| m.needs_rr_index() || m.needs_delay_index());
     for profile in profiles {
         let name = profile.name;
         eprintln!("[prepare] {name} ({} nodes)", profile.num_nodes);
         let data = prepare(profile);
-        let indexes = needs_index.then(|| build_indexes(&data.model, env.index_budget(), env.seed));
+        let indexes = needs_index.then(|| build_indexes(&data.model, env.index_budget(), SEED));
         let users = default_queries(&data, env, UserGroup::Mid);
         for &value in values {
             for &method in methods {
-                let mut config = default_config(env.seed);
+                let mut config = default_config(SEED);
                 let mut k = 3usize;
                 apply(&mut config, &mut k, value);
                 let outcome = run_batch(method, &data.model, indexes.as_ref(), &users, k, config);
@@ -327,23 +272,29 @@ pub fn param_sweep(
     rows
 }
 
+/// Prints a table's `--- title ---` line and its header row: `first`
+/// padded to `width`, then one column per method.
+pub fn print_header(title: &str, first: &str, width: usize, methods: &[EngineBackend]) {
+    println!();
+    println!("--- {title} ---");
+    print!("{first:<width$}");
+    for m in methods {
+        print!(" {:>12}", m.label());
+    }
+    println!();
+}
+
 /// Prints a group-figure table with one metric column per method.
 pub fn print_group_table(
     rows: &[GroupFigureRow],
-    methods: &[Method],
+    methods: &[EngineBackend],
     metric: impl Fn(&BatchOutcome) -> f64,
     metric_name: &str,
 ) {
     let mut datasets: Vec<&'static str> = rows.iter().map(|r| r.dataset).collect();
     datasets.dedup();
     for dataset in datasets {
-        println!();
-        println!("--- {dataset}: {metric_name} ---");
-        print!("{:<8}", "group");
-        for m in methods {
-            print!(" {:>12}", m.label());
-        }
-        println!();
+        print_header(&format!("{dataset}: {metric_name}"), "group", 8, methods);
         for group in UserGroup::ALL {
             print!("{:<8}", group.label());
             for &m in methods {
@@ -362,7 +313,7 @@ pub fn print_group_table(
 /// Prints a sweep table with one metric column per method.
 pub fn print_sweep_table(
     rows: &[SweepRow],
-    methods: &[Method],
+    methods: &[EngineBackend],
     param_name: &str,
     metric: impl Fn(&BatchOutcome) -> f64,
     metric_name: &str,
@@ -370,13 +321,7 @@ pub fn print_sweep_table(
     let mut datasets: Vec<&'static str> = rows.iter().map(|r| r.dataset).collect();
     datasets.dedup();
     for dataset in datasets {
-        println!();
-        println!("--- {dataset}: {metric_name} vs {param_name} ---");
-        print!("{:<10}", param_name);
-        for m in methods {
-            print!(" {:>12}", m.label());
-        }
-        println!();
+        print_header(&format!("{dataset}: {metric_name} vs {param_name}"), param_name, 10, methods);
         let mut values: Vec<f64> =
             rows.iter().filter(|r| r.dataset == dataset).map(|r| r.value).collect();
         values.dedup();
@@ -401,7 +346,7 @@ mod tests {
 
     #[test]
     fn env_defaults_are_sane() {
-        let env = BenchEnv { scale: 1.0, queries: 5, index_per_vertex: 8.0, seed: 42 };
+        let env = BenchEnv { scale: 1.0, queries: 5 };
         let profiles = env.profiles();
         assert_eq!(profiles.len(), 4);
         assert_eq!(profiles[0].num_nodes, 1_300);
@@ -410,13 +355,13 @@ mod tests {
 
     #[test]
     fn batch_runs_all_methods_on_a_tiny_dataset() {
-        let env = BenchEnv { scale: 1.0, queries: 2, index_per_vertex: 4.0, seed: 1 };
+        let env = BenchEnv { scale: 1.0, queries: 2 };
         let data = prepare(DatasetProfile::lastfm_like().scaled(0.1));
-        let indexes = build_indexes(&data.model, env.index_budget(), env.seed);
+        let indexes = build_indexes(&data.model, env.index_budget(), SEED);
         let users = default_queries(&data, &env, UserGroup::Mid);
-        for method in Method::ALL {
+        for method in SECTION7 {
             let out =
-                run_batch(method, &data.model, Some(&indexes), &users, 2, default_config(env.seed));
+                run_batch(method, &data.model, Some(&indexes), &users, 2, default_config(SEED));
             assert_eq!(out.time.count(), 2, "{}", method.label());
             assert!(out.spread.mean() >= 0.0);
         }

@@ -20,8 +20,8 @@ pub enum GraphKind {
 /// A synthetic stand-in for one of the paper's datasets.
 ///
 /// `num_nodes`/`num_edges` are the *paper's* sizes; [`Self::scaled`] shrinks
-/// them proportionally (dblp and twitter default to 2% and 0.5% in the
-/// benches — set `PITEX_SCALE=1` to attempt paper scale).
+/// them proportionally (`pitex repro` runs dblp and twitter at 0.2% by
+/// default; its `--scale` flag multiplies that toward paper scale).
 #[derive(Clone, Debug, PartialEq)]
 pub struct DatasetProfile {
     pub name: &'static str,

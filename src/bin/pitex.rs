@@ -17,6 +17,7 @@
 //! pitex doctor  --addr 127.0.0.1:7400 [--map cluster.map] [--user N] [--k N]
 //! pitex record  --addr 127.0.0.1:7411 (--on | --off | --rotate)
 //! pitex replay  --addr 127.0.0.1:7411 (--log capture.pwrk [--verify] | --rate 500) [--json]
+//! pitex repro   [--only fig7,table3] [--scale 0.1] [--queries 2]
 //! ```
 //!
 //! The CLI covers the offline/online lifecycle end-to-end: generate (or
@@ -29,7 +30,8 @@
 //! production traffic: capture the arrival stream into a PWRK workload
 //! log, replay it open-loop at recorded (or scaled, or synthetic Poisson)
 //! pace, verify answers bit-identically, and attribute tail latency to
-//! the serving phases.
+//! the serving phases. `repro` reproduces the paper's §7 tables and
+//! figures.
 
 use pitex::index::serial;
 use pitex::live::{ops_from_file_bytes, repair_rr_index};
@@ -112,6 +114,7 @@ fn main() -> ExitCode {
         "doctor" => cmd_doctor(&opts),
         "record" => cmd_record(&opts),
         "replay" => cmd_replay(&opts),
+        "repro" => cmd_repro(&opts),
         "help" | "--help" | "-h" => write_stdout(format_args!("{USAGE}")),
         other => Err(CliError::Msg(format!("unknown command {other:?}"))),
     };
@@ -156,6 +159,7 @@ USAGE:
                  [--update-every N] [--k N] [--seed N])
                [--conns N] [--trace-every N] [--backend NAME] [--timeout-us N]
                [--binary] [--json]
+  pitex repro  [--only NAME,...] [--scale F] [--queries N]
 
 OBSERVABILITY: `client --trace` runs one traced query and prints its span
           timeline (through a router: `shard.*` spans show the hop);
@@ -215,6 +219,12 @@ WAL:      `serve --wal DIR` persists every acknowledged UPDATE to an
           epoch-stamped log (fsynced before the ack); a restart replays it
           and resumes at the pre-crash epoch. Past 64 MiB or 65 536 ops
           the log compacts into DIR's base snapshot.
+
+REPRO:    runs each §7 experiment once and prints the tables and figures
+          it feeds (fig6..fig14, table2..table4, ablation-cut-policy,
+          ablation-lazy-sparsity, ablation-stopping-rule); --scale
+          multiplies the dataset sizes (default 1), --queries sets the
+          query users per cell (default 3).
 
 UPDATE OPS: ADD_EDGE s d z:p[,z:p..] | REMOVE_EDGE s d | SET_EDGE s d z:p[,..]
             | ATTACH_TAG w z:p[,..] | DETACH_TAG w | ADD_USER  ('-' = empty row)";
@@ -964,6 +974,23 @@ fn cmd_doctor(opts: &Opts) -> Result<(), CliError> {
         }
     }
     Ok(())
+}
+
+/// `pitex repro`: the §7 experiments, each run once for every artifact
+/// `--only` asks for (all of them by default).
+fn cmd_repro(opts: &Opts) -> Result<(), CliError> {
+    let mut env = pitex::bench::BenchEnv::default();
+    if let Some(v) = opts.get("scale") {
+        env.scale = parse(v, "--scale")?;
+    }
+    if !(env.scale.is_finite() && env.scale > 0.0) {
+        return Err("--scale must be finite and greater than 0".into());
+    }
+    if let Some(n) = positive(opts, "queries")? {
+        env.queries = n as usize;
+    }
+    let only: Vec<&str> = opts.get("only").map_or(Vec::new(), |v| v.split(',').collect());
+    Ok(pitex::bench::repro::run(&env, &only)?)
 }
 
 /// `pitex record`: control a server's (or router's) PWRK workload

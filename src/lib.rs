@@ -29,7 +29,9 @@
 //! | [`serve`] | the concurrent query server: TCP line protocol, worker pool, result cache |
 //! | [`cluster`] | sharded serving: user-hash shard map, scatter-gather router, epoch-coordinated cluster reloads |
 //! | [`datasets`] | synthetic evaluation datasets, workloads, case study |
+//! | [`mod@bench`] | the §7 experiment runner behind `pitex repro` |
 
+pub use pitex_bench as bench;
 pub use pitex_cluster as cluster;
 pub use pitex_core as core;
 pub use pitex_datasets as datasets;
