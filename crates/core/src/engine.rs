@@ -1,5 +1,20 @@
 //! The PITEX query engine: enumeration (§4) and best-effort exploration
 //! (§5.2, Algo. 5).
+//!
+//! Both strategies run in one loop, `PitexEngine::explore`: §4 offers every
+//! size-`k` set in `KSubsets` order; Algo. 5 pops the `Frontier` and
+//! offers the size-`k` sets it reaches, bounding each partial set with
+//! Lemma 8 and pruning it (or, at the top of the frontier, everything left)
+//! once the bound cannot beat the incumbent. The incumbent is the only
+//! difference between [`PitexEngine::query`] and
+//! [`PitexEngine::query_top_n`], and each keeps its tie rule — exact ties
+//! are ordinary, as the index estimators' spreads are ratios of integer hit
+//! counts:
+//!
+//! * `query` keeps the first strictly larger spread, in `KSubsets` order or
+//!   in pop order;
+//! * `query_top_n` keeps the `n` best in a min-heap, and on a tie in spread
+//!   the smaller set stays.
 
 use crate::backends::EngineBackend;
 use crate::frontier::Frontier;
@@ -206,16 +221,11 @@ impl<'a> PitexEngine<'a> {
     /// # Panics
     /// If `k` is 0 or `user` is out of range.
     pub fn query(&mut self, user: NodeId, k: usize) -> PitexResult {
-        assert!(k >= 1, "PITEX queries select at least one tag");
-        assert!((user as usize) < self.model.graph().num_nodes(), "user {user} out of range");
-        let k = k.min(self.model.num_tags());
-        let params = self.sampling_params(k);
         let timer = Timer::start();
-        let (tags, spread, mut stats) = match self.config.strategy {
-            ExplorationStrategy::Enumerate => self.enumerate(user, k, &params),
-            ExplorationStrategy::BestEffort => self.best_effort(user, k, &params),
-        };
+        let mut best = Best::default();
+        let (k, mut stats) = self.explore(user, k, &mut best);
         stats.elapsed = timer.elapsed();
+        let (tags, spread) = best.answer();
         PitexResult { user, k, tags, spread, stats }
     }
 
@@ -229,44 +239,50 @@ impl<'a> PitexEngine<'a> {
     }
 
     /// Exploration variant of the PITEX query: the `n` best size-`k` tag
-    /// sets ranked by estimated spread, descending. Supports the paper's
-    /// "explore how she influences the network" use case beyond a single
-    /// argmax — a user inspecting their selling points wants a ranking.
+    /// sets ranked by estimated spread, descending, and the work it took.
+    /// Supports the paper's "explore how she influences the network" use
+    /// case beyond a single argmax — a user inspecting their selling points
+    /// wants a ranking.
     ///
     /// Best-effort pruning remains sound: a partial set is pruned only when
     /// its upper bound cannot beat the *n-th best* incumbent.
-    pub fn query_top_n(&mut self, user: NodeId, k: usize, n: usize) -> Vec<(TagSet, f64)> {
-        assert!(k >= 1 && n >= 1);
-        assert!((user as usize) < self.model.graph().num_nodes());
+    ///
+    /// # Panics
+    /// If `k` or `n` is 0 or `user` is out of range.
+    pub fn query_top_n(
+        &mut self,
+        user: NodeId,
+        k: usize,
+        n: usize,
+    ) -> (Vec<(TagSet, f64)>, QueryStats) {
+        assert!(n >= 1, "a ranking holds at least one tag set");
+        let timer = Timer::start();
+        let mut top = TopN { n, heap: BinaryHeap::new() };
+        let (_, mut stats) = self.explore(user, k, &mut top);
+        stats.elapsed = timer.elapsed();
+        (top.ranking(), stats)
+    }
+
+    /// The one exploration loop: §4 or Algo. 5, by the configured strategy,
+    /// offering every size-`k` set it estimates to `incumbent`. Returns `k`
+    /// clamped to `|Ω|` and the work counts (`elapsed` left to the caller).
+    fn explore(
+        &mut self,
+        user: NodeId,
+        k: usize,
+        incumbent: &mut impl Incumbent,
+    ) -> (usize, QueryStats) {
+        assert!(k >= 1, "PITEX queries select at least one tag");
+        assert!((user as usize) < self.model.graph().num_nodes(), "user {user} out of range");
         let k = k.min(self.model.num_tags());
         let params = self.sampling_params(k);
         let mut stats = QueryStats::default();
-
-        // Min-heap of the current top n (by spread, ties to larger sets
-        // pruned deterministically via the set ordering).
-        let mut top: BinaryHeap<Reverse<(OrdF64, Reverse<TagSet>)>> = BinaryHeap::new();
-        let offer = |top: &mut BinaryHeap<Reverse<(OrdF64, Reverse<TagSet>)>>,
-                     tags: TagSet,
-                     spread: f64| {
-            top.push(Reverse((OrdF64(spread), Reverse(tags))));
-            if top.len() > n {
-                top.pop();
-            }
-        };
-        let nth_best = |top: &BinaryHeap<Reverse<(OrdF64, Reverse<TagSet>)>>| -> f64 {
-            if top.len() < n {
-                f64::NEG_INFINITY
-            } else {
-                top.peek().map(|Reverse((OrdF64(s), _))| *s).unwrap_or(f64::NEG_INFINITY)
-            }
-        };
-
         match self.config.strategy {
             ExplorationStrategy::Enumerate => {
                 for subset in KSubsets::new(self.model.num_tags() as u32, k) {
                     let tags = TagSet::new(subset);
                     let spread = self.estimate_full(user, &tags, &params, &mut stats);
-                    offer(&mut top, tags, spread);
+                    incumbent.offer(&tags, spread);
                 }
             }
             ExplorationStrategy::BestEffort => {
@@ -274,27 +290,33 @@ impl<'a> PitexEngine<'a> {
                 frontier.reset(self.model.num_tags() as TagId);
                 let mut tags = TagSet::empty();
                 while let Some(inherited) = frontier.pop(&mut tags) {
-                    if inherited <= nth_best(&top) {
+                    // The frontier is bound-ordered: once the incumbent beats
+                    // the top, every remaining entry is prunable at once.
+                    if inherited <= incumbent.bar() {
+                        stats.partials_pruned += 1 + frontier.remaining();
                         break;
                     }
                     if tags.len() == k {
                         let spread = self.estimate_full(user, &tags, &params, &mut stats);
-                        offer(&mut top, tags.clone(), spread);
+                        incumbent.offer(&tags, spread);
                         continue;
                     }
+                    // Partial set: refresh its own (tighter) bound before
+                    // expanding.
                     let bound = self.estimate_bound(user, &tags, k, &params, &mut stats);
-                    if bound <= nth_best(&top) {
+                    if bound <= incumbent.bar() {
+                        stats.partials_pruned += 1;
                         continue;
                     }
+                    // Canonical expansion (Appx. C): extend only with tags
+                    // smaller than every current member, so each subset is
+                    // generated once.
                     frontier.expand(&tags, bound.min(inherited));
                 }
                 self.frontier = frontier;
             }
         }
-        let mut out: Vec<(TagSet, f64)> =
-            top.into_iter().map(|Reverse((OrdF64(s), Reverse(tags)))| (tags, s)).collect();
-        out.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        out
+        (k, stats)
     }
 
     /// Estimates a full-size candidate; infeasible sets cost nothing and
@@ -341,69 +363,69 @@ impl<'a> PitexEngine<'a> {
         stats.absorb(&est);
         est.spread
     }
+}
 
-    /// §4's enumeration framework over all size-`k` subsets.
-    fn enumerate(
-        &mut self,
-        user: NodeId,
-        k: usize,
-        params: &SamplingParams,
-    ) -> (TagSet, f64, QueryStats) {
-        let mut stats = QueryStats::default();
-        let mut best: Option<(TagSet, f64)> = None;
-        for subset in KSubsets::new(self.model.num_tags() as u32, k) {
-            let tags = TagSet::new(subset);
-            let spread = self.estimate_full(user, &tags, params, &mut stats);
-            if best.as_ref().map_or(true, |&(_, s)| spread > s) {
-                best = Some((tags, spread));
-            }
-        }
-        let (tags, spread) = best.unwrap_or((TagSet::empty(), 1.0));
-        (tags, spread, stats)
+/// What [`PitexEngine::explore`] offers each estimated size-`k` set to.
+trait Incumbent {
+    /// The spread a set or a bound must beat to matter: `−∞` until the
+    /// incumbent is full.
+    fn bar(&self) -> f64;
+    fn offer(&mut self, tags: &TagSet, spread: f64);
+}
+
+/// `query`'s incumbent: the first strictly larger spread wins.
+#[derive(Default)]
+struct Best(Option<(TagSet, f64)>);
+
+impl Best {
+    /// The winner; `(∅, 1)` when nothing was offered.
+    fn answer(self) -> (TagSet, f64) {
+        self.0.unwrap_or((TagSet::empty(), 1.0))
+    }
+}
+
+impl Incumbent for Best {
+    fn bar(&self) -> f64 {
+        self.0.as_ref().map_or(f64::NEG_INFINITY, |&(_, s)| s)
     }
 
-    /// Algo. 5: best-effort exploration with Lemma-8 pruning.
-    fn best_effort(
-        &mut self,
-        user: NodeId,
-        k: usize,
-        params: &SamplingParams,
-    ) -> (TagSet, f64, QueryStats) {
-        let mut stats = QueryStats::default();
-        let mut frontier = std::mem::take(&mut self.frontier);
-        frontier.reset(self.model.num_tags() as TagId);
-        let mut tags = TagSet::empty();
-        let mut best: Option<(TagSet, f64)> = None;
-        let mut i_star = f64::NEG_INFINITY;
-
-        while let Some(inherited) = frontier.pop(&mut tags) {
-            // The frontier is bound-ordered: once the incumbent beats the
-            // top, every remaining entry is prunable at once.
-            if best.is_some() && inherited <= i_star {
-                stats.partials_pruned += 1 + frontier.remaining();
-                break;
-            }
-            if tags.len() == k {
-                let spread = self.estimate_full(user, &tags, params, &mut stats);
-                if best.is_none() || spread > i_star {
-                    i_star = spread;
-                    best = Some((tags.clone(), spread));
-                }
-                continue;
-            }
-            // Partial set: refresh its own (tighter) bound before expanding.
-            let bound = self.estimate_bound(user, &tags, k, params, &mut stats);
-            if best.is_some() && bound <= i_star {
-                stats.partials_pruned += 1;
-                continue;
-            }
-            // Canonical expansion (Appx. C): extend only with tags smaller
-            // than every current member, so each subset is generated once.
-            frontier.expand(&tags, bound.min(inherited));
+    fn offer(&mut self, tags: &TagSet, spread: f64) {
+        if self.0.as_ref().map_or(true, |&(_, s)| spread > s) {
+            self.0 = Some((tags.clone(), spread));
         }
-        self.frontier = frontier;
-        let (tags, spread) = best.unwrap_or((TagSet::empty(), 1.0));
-        (tags, spread, stats)
+    }
+}
+
+/// `query_top_n`'s incumbent: a min-heap of the `n` best by spread, where
+/// on a tie the larger set is evicted and the smaller set stays.
+struct TopN {
+    n: usize,
+    heap: BinaryHeap<Reverse<(OrdF64, Reverse<TagSet>)>>,
+}
+
+impl TopN {
+    /// The kept sets by spread, descending, ties ascending by set.
+    fn ranking(self) -> Vec<(TagSet, f64)> {
+        let mut out: Vec<(TagSet, f64)> =
+            self.heap.into_iter().map(|Reverse((OrdF64(s), Reverse(tags)))| (tags, s)).collect();
+        out.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        out
+    }
+}
+
+impl Incumbent for TopN {
+    fn bar(&self) -> f64 {
+        match self.heap.peek() {
+            Some(Reverse((OrdF64(s), _))) if self.heap.len() >= self.n => *s,
+            _ => f64::NEG_INFINITY,
+        }
+    }
+
+    fn offer(&mut self, tags: &TagSet, spread: f64) {
+        self.heap.push(Reverse((OrdF64(spread), Reverse(tags.clone()))));
+        if self.heap.len() > self.n {
+            self.heap.pop();
+        }
     }
 }
 
@@ -763,13 +785,15 @@ mod tests {
             let k = k.min(model.num_tags());
             let params = lazy.sampling_params(k);
             for user in (0..n as NodeId).step_by(n / 4) {
-                let (tags, spread, stats) = lazy.best_effort(user, k, &params);
+                let mut best = Best::default();
+                let (_, stats) = lazy.explore(user, k, &mut best);
+                let (tags, spread) = best.answer();
                 let want = eager::best_effort(&mut heap, user, k, &params);
                 prop_assert_eq!(&tags, &want.0, "user {} k {}", user, k);
                 prop_assert_eq!(spread.to_bits(), want.1.to_bits());
                 prop_assert_eq!(stats, want.2);
                 for top in [1, 2, 5] {
-                    let got = lazy.query_top_n(user, k, top);
+                    let got = lazy.query_top_n(user, k, top).0;
                     let want = eager::top_n(&mut heap, user, k, top);
                     let bits = |ranked: &[(TagSet, f64)]| -> Vec<(TagSet, u64)> {
                         ranked.iter().map(|(t, s)| (t.clone(), s.to_bits())).collect()
@@ -923,34 +947,107 @@ mod tests {
     fn top_n_ranks_all_pairs_exactly() {
         let (model, config) = exact_engine(ExplorationStrategy::Enumerate);
         let mut engine = PitexEngine::with_exact(&model, config);
-        let all = engine.query_top_n(0, 2, 6);
+        let all = engine.query_top_n(0, 2, 6).0;
         assert_eq!(all.len(), 6, "C(4,2) candidates");
         assert_eq!(all[0].0, TagSet::from([2, 3]), "W* ranks first");
         for pair in all.windows(2) {
             assert!(pair[0].1 >= pair[1].1, "descending order");
         }
         // Top-1 agrees with the plain query.
-        let top1 = engine.query_top_n(0, 2, 1);
+        let top1 = engine.query_top_n(0, 2, 1).0;
         assert_eq!(top1[0].0, engine.query(0, 2).tags);
     }
 
+    /// Seeded models small enough for EXACT: the paper example, Fig. 3(a)'s
+    /// low-impact stars and sparse Erdős–Rényi graphs.
+    fn exact_sized_models() -> Vec<TicModel> {
+        let mut models = vec![TicModel::paper_example()];
+        for seed in 0..4u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let graph = match seed {
+                0 => pitex_graph::gen::star_low_impact(12),
+                1 => pitex_graph::gen::star_low_impact(5),
+                _ => pitex_graph::gen::erdos_renyi(8, 13, &mut rng),
+            };
+            let num_topics = rng.gen_range(2..5);
+            let cfg = ModelGenConfig {
+                num_topics,
+                num_tags: rng.gen_range(4..7),
+                density: rng.gen_range(0.3..0.7),
+                topics_per_edge: (1, num_topics.min(3)),
+                edge_prob: EdgeProbKind::Uniform { lo: 0.05, hi: 0.9 },
+            };
+            models.push(random_model(graph, &cfg, &mut rng));
+        }
+        models
+    }
+
+    /// Lemma 8 at spread level: under EXACT, the bound the engine prunes a
+    /// partial set `W` with is at least the spread of every size-`k`
+    /// completion of `W`.
+    #[test]
+    fn lemma8_bound_dominates_every_completion_under_exact() {
+        for (m, model) in exact_sized_models().iter().enumerate() {
+            let mut engine = PitexEngine::with_exact(model, PitexConfig::default());
+            let num_tags = model.num_tags() as u32;
+            for user in 0..model.graph().num_nodes() as NodeId {
+                for k in 1..=3 {
+                    let params = engine.sampling_params(k);
+                    let mut stats = QueryStats::default();
+                    let full: Vec<(TagSet, f64)> = KSubsets::new(num_tags, k)
+                        .map(TagSet::new)
+                        .map(|tags| {
+                            let spread = engine.estimate_full(user, &tags, &params, &mut stats);
+                            (tags, spread)
+                        })
+                        .collect();
+                    let partials = (1..k).flat_map(|size| KSubsets::new(num_tags, size));
+                    for partial in std::iter::once(TagSet::empty()).chain(partials.map(TagSet::new))
+                    {
+                        let bound = engine.estimate_bound(user, &partial, k, &params, &mut stats);
+                        for (tags, spread) in full.iter().filter(|(t, _)| partial.is_subset_of(t)) {
+                            assert!(
+                                bound >= spread - 1e-9,
+                                "model {m} user {user} k {k}: bound {bound} of {partial} \
+                                 < spread {spread} of {tags}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// With EXACT, pruning loses nothing: best-effort answers with
+    /// enumeration's spread bit for bit, and ranks the same spreads.
     #[test]
     fn top_n_best_effort_matches_enumeration() {
-        let (model, _) = exact_engine(ExplorationStrategy::BestEffort);
-        for n in [1usize, 2, 3, 6] {
-            let mut enumerate = PitexEngine::with_exact(
-                &model,
-                PitexConfig { strategy: ExplorationStrategy::Enumerate, ..Default::default() },
-            );
-            let mut besteff = PitexEngine::with_exact(
-                &model,
-                PitexConfig { strategy: ExplorationStrategy::BestEffort, ..Default::default() },
-            );
-            let a = enumerate.query_top_n(0, 2, n);
-            let b = besteff.query_top_n(0, 2, n);
-            assert_eq!(a.len(), b.len(), "n = {n}");
-            for (x, y) in a.iter().zip(&b) {
-                assert!((x.1 - y.1).abs() < 1e-9, "n = {n}: {} vs {}", x.1, y.1);
+        for (m, model) in exact_sized_models().iter().enumerate() {
+            let engine = |strategy| {
+                PitexEngine::with_exact(model, PitexConfig { strategy, ..Default::default() })
+            };
+            let mut enumerate = engine(ExplorationStrategy::Enumerate);
+            let mut besteff = engine(ExplorationStrategy::BestEffort);
+            for user in 0..model.graph().num_nodes() as NodeId {
+                for k in 1..=3 {
+                    let a = enumerate.query(user, k);
+                    let b = besteff.query(user, k);
+                    assert_eq!(
+                        a.spread.to_bits(),
+                        b.spread.to_bits(),
+                        "model {m} user {user} k {k}"
+                    );
+                    for n in [1usize, 2, 5] {
+                        let spreads = |ranked: Vec<(TagSet, f64)>| -> Vec<u64> {
+                            ranked.iter().map(|(_, s)| s.to_bits()).collect()
+                        };
+                        assert_eq!(
+                            spreads(enumerate.query_top_n(user, k, n).0),
+                            spreads(besteff.query_top_n(user, k, n).0),
+                            "model {m} user {user} k {k} n {n}"
+                        );
+                    }
+                }
             }
         }
     }

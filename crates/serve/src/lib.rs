@@ -32,7 +32,7 @@
 //!   ([`pitex_support::lru`]) consulted before any sampling; `STATS`
 //!   exposes hit rates, throughput and latency percentiles.
 //! * **Adaptive backend planning** — `QUERY` accepts an optional backend
-//!   operand; `auto` (per request, or as the server's `--method`) asks the
+//!   operand; `auto` (per request, or as the server's `--backend`) asks the
 //!   cost-based planner ([`pitex_core::plan`]) to pick the cheapest
 //!   suitable estimator for the query's shape and *remaining* deadline,
 //!   degrading to a cheaper backend rather than burning the budget.

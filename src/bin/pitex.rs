@@ -4,9 +4,9 @@
 //! pitex gen     --profile lastfm [--scale 0.5] --out model.bin
 //! pitex stats   --model model.bin
 //! pitex index   --model model.bin --out index.bin [--per-vertex 8] [--delay]
-//! pitex query   --model model.bin --user 42 --k 3 [--method lazy|mc|rr|tim|exact|lt]
+//! pitex query   --model model.bin --user 42 --k 3 [--backend lazy|mc|rr|tim|exact|lt]
 //!               [--index index.bin] [--top 5] [--epsilon 0.7] [--delta 1000]
-//! pitex serve   --model model.bin [--port 7411] [--threads 4] [--method lazy]
+//! pitex serve   --model model.bin [--port 7411] [--threads 4] [--backend lazy]
 //! pitex update  --model model.bin --out new.bin (--ops FILE | --op "SET_EDGE 0 1 0:0.9")
 //! pitex client  --addr 127.0.0.1:7411 --user 42 --k 3 | --stats [--json] | --shutdown
 //!               | --bench | --update "OP…" | --admin epoch|reload
@@ -93,30 +93,33 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let opts = match parse_opts(rest) {
-        Ok(opts) => opts,
+    let run: fn(&Opts) -> Result<(), CliError> = match command.as_str() {
+        "gen" => cmd_gen,
+        "stats" => cmd_stats,
+        "index" => cmd_index,
+        "query" => cmd_query,
+        "serve" => cmd_serve,
+        "update" => cmd_update,
+        "client" => cmd_client,
+        "shardmap" => cmd_shardmap,
+        "router" => cmd_router,
+        "top" => cmd_top,
+        "doctor" => cmd_doctor,
+        "record" => cmd_record,
+        "replay" => cmd_replay,
+        "repro" => cmd_repro,
+        "help" | "--help" | "-h" => |_: &Opts| write_stdout(format_args!("{USAGE}")),
+        other => {
+            eprintln!("error: unknown command {other:?}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let result = match parse_opts(command, rest) {
+        Ok(opts) => run(&opts),
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
             return ExitCode::FAILURE;
         }
-    };
-    let result = match command.as_str() {
-        "gen" => cmd_gen(&opts),
-        "stats" => cmd_stats(&opts),
-        "index" => cmd_index(&opts),
-        "query" => cmd_query(&opts),
-        "serve" => cmd_serve(&opts),
-        "update" => cmd_update(&opts),
-        "client" => cmd_client(&opts),
-        "shardmap" => cmd_shardmap(&opts),
-        "router" => cmd_router(&opts),
-        "top" => cmd_top(&opts),
-        "doctor" => cmd_doctor(&opts),
-        "record" => cmd_record(&opts),
-        "replay" => cmd_replay(&opts),
-        "repro" => cmd_repro(&opts),
-        "help" | "--help" | "-h" => write_stdout(format_args!("{USAGE}")),
-        other => Err(CliError::Msg(format!("unknown command {other:?}"))),
     };
     match result {
         // A closed pipe downstream is not an error; exit quietly.
@@ -201,7 +204,7 @@ INDEX:    `index` writes a `PRRI` v3 artifact (header + one dump per
           earlier format are refused with \"unsupported version\" —
           rebuild them with `pitex index`.
 
-BACKENDS (--backend / --method): lazy (default), mc, rr, tim, exact, lt,
+BACKENDS (--backend): lazy (default), mc, rr, tim, exact, lt,
          indexest / indexest+ / delaymat (require --index),
          auto — the cost-based planner picks per query (an --index widens
          its options); --explain prints the decision it made.
@@ -237,13 +240,34 @@ const BOOL_FLAGS: [&str; 16] = [
     "trace", "metrics", "flight", "verify", "on", "off", "rotate",
 ];
 
-fn parse_opts(args: &[String]) -> Result<Opts, String> {
+/// The flags `pitex <command>` documents: every `--flag` of its `USAGE`
+/// entry, the line naming the command and the indented lines under it.
+fn usage_flags(command: &str) -> Vec<&'static str> {
+    let head = format!("  pitex {command} ");
+    let mut entry = USAGE.lines().skip_while(|line| !line.starts_with(&head));
+    entry
+        .next()
+        .into_iter()
+        .chain(entry.take_while(|line| line.starts_with("    ")))
+        .flat_map(|line| line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')))
+        .filter_map(|word| word.strip_prefix("--"))
+        .filter(|flag| !flag.is_empty())
+        .collect()
+}
+
+/// Parses `pitex <command>`'s arguments, refusing any flag its `USAGE`
+/// entry does not document (a misspelled flag must not be ignored).
+fn parse_opts(command: &str, args: &[String]) -> Result<Opts, String> {
+    let documented = usage_flags(command);
     let mut opts = Opts::new();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let Some(key) = flag.strip_prefix("--") else {
             return Err(format!("expected --flag, found {flag:?}"));
         };
+        if !documented.contains(&key) {
+            return Err(format!("unknown flag --{key} for `pitex {command}`"));
+        }
         if BOOL_FLAGS.contains(&key) {
             opts.insert(key.to_string(), "true".to_string());
             continue;
@@ -262,13 +286,17 @@ fn parse<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
     s.parse().map_err(|_| format!("cannot parse {what} from {s:?}"))
 }
 
+/// `--flag VALUE` parsed, `None` when the flag is absent.
+fn opt<T: std::str::FromStr>(opts: &Opts, flag: &str) -> Result<Option<T>, String> {
+    opts.get(flag).map(|s| parse(s, &format!("--{flag}"))).transpose()
+}
+
 /// `--flag N` for a flag where zero would break the hop (shed every query,
 /// spin the prober, refuse every deadline-less query): `None` when absent.
 fn positive(opts: &Opts, flag: &str) -> Result<Option<u64>, String> {
-    let Some(v) = opts.get(flag) else { return Ok(None) };
-    match parse(v, &format!("--{flag}"))? {
-        0 => Err(format!("--{flag} must be at least 1")),
-        n => Ok(Some(n)),
+    match opt(opts, flag)? {
+        Some(0) => Err(format!("--{flag} must be at least 1")),
+        n => Ok(n),
     }
 }
 
@@ -286,11 +314,11 @@ fn cmd_gen(opts: &Opts) -> Result<(), CliError> {
         "twitter" => DatasetProfile::twitter_like(),
         other => return Err(format!("unknown profile {other:?}").into()),
     };
-    if let Some(scale) = opts.get("scale") {
-        profile = profile.scaled(parse(scale, "--scale")?);
+    if let Some(scale) = opt(opts, "scale")? {
+        profile = profile.scaled(scale);
     }
-    if let Some(tags) = opts.get("tags") {
-        profile = profile.with_tags(parse(tags, "--tags")?);
+    if let Some(tags) = opt(opts, "tags")? {
+        profile = profile.with_tags(tags);
     }
     let out = want(opts, "out")?;
     let t = Instant::now();
@@ -320,13 +348,11 @@ fn cmd_stats(opts: &Opts) -> Result<(), CliError> {
 fn cmd_index(opts: &Opts) -> Result<(), CliError> {
     let model = load_model(opts)?;
     let out = want(opts, "out")?;
-    let per_vertex: f64 =
-        opts.get("per-vertex").map(|s| parse(s, "--per-vertex")).transpose()?.unwrap_or(8.0);
+    let per_vertex: f64 = opt(opts, "per-vertex")?.unwrap_or(8.0);
     // The index sampling seed. `serve`/`update` repair the index under the
     // same `--index-seed` flag and default, so repairs stay bit-identical
     // to rebuilds without the user threading a value through.
-    let index_seed: u64 =
-        opts.get("index-seed").map(|s| parse(s, "--index-seed")).transpose()?.unwrap_or(42);
+    let index_seed: u64 = opt(opts, "index-seed")?.unwrap_or(42);
     let budget = IndexBudget::PerVertex(per_vertex);
     let t = Instant::now();
     let bytes = if opts.contains_key("delay") {
@@ -352,10 +378,9 @@ fn cmd_query(opts: &Opts) -> Result<(), CliError> {
     if k == 0 {
         return Err("--k must be at least 1".into());
     }
-    let top: usize = opts.get("top").map(|s| parse(s, "--top")).transpose()?.unwrap_or(1);
+    let top: usize = opt(opts, "top")?.unwrap_or(1);
     let explain = opts.contains_key("explain");
-    let timeout_us: Option<u64> =
-        opts.get("timeout-us").map(|s| parse(s, "--timeout-us")).transpose()?;
+    let timeout_us: Option<u64> = opt(opts, "timeout-us")?;
     let budget = timeout_us.map(Duration::from_micros);
     let handle = build_handle(opts)?;
     let nodes = handle.model().graph().num_nodes();
@@ -379,14 +404,7 @@ fn cmd_query(opts: &Opts) -> Result<(), CliError> {
             backend.label(),
             human_duration(t.elapsed())
         );
-        outln!(
-            "evaluated {} sets, {} infeasible, {} subtrees pruned, {} samples, {} edge probes",
-            result.stats.tag_sets_evaluated,
-            result.stats.tag_sets_infeasible,
-            result.stats.partials_pruned,
-            result.stats.samples_used,
-            result.stats.edges_visited
-        );
+        print_work(&result.stats)?;
         if explain {
             print_plan(&handle, user, k, decision, result.stats.elapsed)?;
         }
@@ -397,7 +415,7 @@ fn cmd_query(opts: &Opts) -> Result<(), CliError> {
             (handle.backend() == EngineBackend::Auto).then(|| handle.plan(user, k, budget));
         let backend = decision.as_ref().map(|d| d.chosen).unwrap_or_else(|| handle.backend());
         let mut engine = handle.engine_for(backend).map_err(|e| CliError::Msg(e.to_string()))?;
-        let ranking = engine.query_top_n(user, k, top);
+        let (ranking, stats) = engine.query_top_n(user, k, top);
         outln!(
             "top-{top} tag sets [{} backend, {}]:",
             backend.label(),
@@ -406,10 +424,24 @@ fn cmd_query(opts: &Opts) -> Result<(), CliError> {
         for (rank, (tags, spread)) in ranking.iter().enumerate() {
             outln!("  {:>2}. {tags}  spread {spread:.4}", rank + 1);
         }
+        print_work(&stats)?;
         if explain {
             print_plan(&handle, user, k, decision, t.elapsed())?;
         }
     }
+    Ok(())
+}
+
+/// The work line both `query` paths print under the answer.
+fn print_work(stats: &QueryStats) -> Result<(), CliError> {
+    outln!(
+        "evaluated {} sets, {} infeasible, {} subtrees pruned, {} samples, {} edge probes",
+        stats.tag_sets_evaluated,
+        stats.tag_sets_infeasible,
+        stats.partials_pruned,
+        stats.samples_used,
+        stats.edges_visited
+    );
     Ok(())
 }
 
@@ -454,19 +486,17 @@ fn print_plan(
 /// Shared by `query` and `serve`: accuracy/seed flags → engine config.
 fn config_from_opts(opts: &Opts) -> Result<PitexConfig, String> {
     Ok(PitexConfig {
-        epsilon: opts.get("epsilon").map(|s| parse(s, "--epsilon")).transpose()?.unwrap_or(0.7),
-        delta: opts.get("delta").map(|s| parse(s, "--delta")).transpose()?.unwrap_or(1000.0),
-        seed: opts.get("seed").map(|s| parse(s, "--seed")).transpose()?.unwrap_or(42),
+        epsilon: opt(opts, "epsilon")?.unwrap_or(0.7),
+        delta: opt(opts, "delta")?.unwrap_or(1000.0),
+        seed: opt(opts, "seed")?.unwrap_or(42),
         strategy: ExplorationStrategy::BestEffort,
     })
 }
 
-/// Shared by `query`, `client` and `serve`: resolves the `--backend` (or
-/// legacy `--method`) name; an unknown name lists every valid method from
-/// the backend registry.
+/// Shared by `query`, `client` and `serve`: resolves the `--backend` name;
+/// an unknown name lists every valid method from the backend registry.
 fn backend_from_opts(opts: &Opts) -> Result<EngineBackend, String> {
-    let method =
-        opts.get("backend").or_else(|| opts.get("method")).map(|s| s.as_str()).unwrap_or("lazy");
+    let method = opts.get("backend").map(|s| s.as_str()).unwrap_or("lazy");
     EngineBackend::parse(method).ok_or_else(|| {
         format!("unknown method {method:?} (valid: {})", pitex::core::registry::method_names())
     })
@@ -535,12 +565,12 @@ fn repair_from_opts(opts: &Opts) -> Result<RepairOptions, String> {
 fn cmd_serve(opts: &Opts) -> Result<(), CliError> {
     let handle = build_handle(opts)?;
     let backend = handle.backend();
-    let port: u16 = opts.get("port").map(|s| parse(s, "--port")).transpose()?.unwrap_or(0);
+    let port: u16 = opt(opts, "port")?.unwrap_or(0);
     let options = ServeOptions {
-        workers: opts.get("threads").map(|s| parse(s, "--threads")).transpose()?.unwrap_or(4),
-        queue_depth: opts.get("queue").map(|s| parse(s, "--queue")).transpose()?.unwrap_or(64),
+        workers: opt(opts, "threads")?.unwrap_or(4),
+        queue_depth: opt(opts, "queue")?.unwrap_or(64),
         default_deadline: Duration::from_millis(positive(opts, "deadline-ms")?.unwrap_or(5_000)),
-        cache_capacity: opts.get("cache").map(|s| parse(s, "--cache")).transpose()?.unwrap_or(1024),
+        cache_capacity: opt(opts, "cache")?.unwrap_or(1024),
         admin: !opts.contains_key("no-admin"),
         repair: repair_from_opts(opts)?,
         wal: opts.get("wal").map(std::path::PathBuf::from),
@@ -652,8 +682,7 @@ fn cmd_shardmap(opts: &Opts) -> Result<(), CliError> {
     if let Some(path) = opts.get("map") {
         let bytes = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
         let map = ShardMap::from_file_bytes(&bytes).map_err(|e| format!("{path}: {e}"))?;
-        if let Some(user) = opts.get("user") {
-            let user: u32 = parse(user, "--user")?;
+        if let Some(user) = opt::<u32>(opts, "user")? {
             let shard = map.shard_of(user);
             outln!("user {user} -> shard {shard} [{}]", map.replicas(shard).join(" "));
         } else {
@@ -672,7 +701,7 @@ fn cmd_shardmap(opts: &Opts) -> Result<(), CliError> {
                 .collect()
         })
         .collect();
-    let seed: u64 = opts.get("seed").map(|s| parse(s, "--seed")).transpose()?.unwrap_or(42);
+    let seed: u64 = opt(opts, "seed")?.unwrap_or(42);
     let map = ShardMap::with_seed(shards, seed)?;
     let out = want(opts, "out")?;
     let bytes =
@@ -694,13 +723,13 @@ fn cmd_router(opts: &Opts) -> Result<(), CliError> {
     let path = want(opts, "map")?;
     let bytes = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
     let map = ShardMap::from_file_bytes(&bytes).map_err(|e| format!("{path}: {e}"))?;
-    let port: u16 = opts.get("port").map(|s| parse(s, "--port")).transpose()?.unwrap_or(0);
+    let port: u16 = opt(opts, "port")?.unwrap_or(0);
     let mut options = RouterOptions::default();
     if let Some(n) = positive(opts, "max-in-flight")? {
         options.pool.max_in_flight = n as usize;
     }
-    if let Some(v) = opts.get("idle-conns") {
-        options.pool.idle_per_replica = parse(v, "--idle-conns")?;
+    if let Some(n) = opt(opts, "idle-conns")? {
+        options.pool.idle_per_replica = n;
     }
     if let Some(n) = positive(opts, "probe-ms")? {
         options.probe_interval = Duration::from_millis(n);
@@ -726,9 +755,8 @@ fn cmd_router(opts: &Opts) -> Result<(), CliError> {
 /// unquoted — `pitex top --json | jq .qps`) and exits.
 fn cmd_top(opts: &Opts) -> Result<(), CliError> {
     let addr = want(opts, "addr")?;
-    let interval_ms: u64 =
-        opts.get("interval-ms").map(|s| parse(s, "--interval-ms")).transpose()?.unwrap_or(1000);
-    let count: u64 = opts.get("count").map(|s| parse(s, "--count")).transpose()?.unwrap_or(0);
+    let interval_ms: u64 = opt(opts, "interval-ms")?.unwrap_or(1000);
+    let count: u64 = opt(opts, "count")?.unwrap_or(0);
     let mut client =
         ServeClient::connect(addr).map_err(|e| format!("connecting to {addr}: {e}"))?;
     if opts.contains_key("json") {
@@ -860,8 +888,8 @@ struct DoctorHop {
 /// cold key: a cache hit skips the execute phase being diagnosed).
 fn cmd_doctor(opts: &Opts) -> Result<(), CliError> {
     let addr = want(opts, "addr")?;
-    let user: u32 = opts.get("user").map(|s| parse(s, "--user")).transpose()?.unwrap_or(0);
-    let k: usize = opts.get("k").map(|s| parse(s, "--k")).transpose()?.unwrap_or(2);
+    let user: u32 = opt(opts, "user")?.unwrap_or(0);
+    let k: usize = opt(opts, "k")?.unwrap_or(2);
 
     let mut targets: Vec<(String, String)> = vec![("front".to_string(), addr.to_string())];
     if let Some(path) = opts.get("map") {
@@ -980,8 +1008,8 @@ fn cmd_doctor(opts: &Opts) -> Result<(), CliError> {
 /// `--only` asks for (all of them by default).
 fn cmd_repro(opts: &Opts) -> Result<(), CliError> {
     let mut env = pitex::bench::BenchEnv::default();
-    if let Some(v) = opts.get("scale") {
-        env.scale = parse(v, "--scale")?;
+    if let Some(scale) = opt(opts, "scale")? {
+        env.scale = scale;
     }
     if !(env.scale.is_finite() && env.scale > 0.0) {
         return Err("--scale must be finite and greater than 0".into());
@@ -1025,11 +1053,10 @@ fn cmd_record(opts: &Opts) -> Result<(), CliError> {
 /// compared answer is bit-identical to the recording.
 fn cmd_replay(opts: &Opts) -> Result<(), CliError> {
     let addr = want(opts, "addr")?;
-    let backend_override: Option<EngineBackend> =
-        match opts.get("backend").or_else(|| opts.get("method")) {
-            Some(_) => Some(backend_from_opts(opts)?),
-            None => None,
-        };
+    let backend_override: Option<EngineBackend> = match opts.get("backend") {
+        Some(_) => Some(backend_from_opts(opts)?),
+        None => None,
+    };
     let verify = opts.contains_key("verify");
     let items = if let Some(path) = opts.get("log") {
         let bytes = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
@@ -1040,7 +1067,7 @@ fn cmd_replay(opts: &Opts) -> Result<(), CliError> {
                 log.truncated_bytes
             );
         }
-        let speed: f64 = opts.get("speed").map(|s| parse(s, "--speed")).transpose()?.unwrap_or(1.0);
+        let speed: f64 = opt(opts, "speed")?.unwrap_or(1.0);
         schedule_from_log(&log, speed)
     } else if let Some(rate) = opts.get("rate") {
         if verify {
@@ -1049,27 +1076,15 @@ fn cmd_replay(opts: &Opts) -> Result<(), CliError> {
         let defaults = SyntheticSchedule::default();
         SyntheticSchedule {
             rate: parse(rate, "--rate")?,
-            requests: opts
-                .get("requests")
-                .map(|s| parse(s, "--requests"))
-                .transpose()?
-                .unwrap_or(defaults.requests),
-            users: opts.get("users").map(|s| parse(s, "--users")).transpose()?.unwrap_or(64),
-            zipf: opts.get("zipf").map(|s| parse(s, "--zipf")).transpose()?.unwrap_or(1.0),
-            k: opts.get("k").map(|s| parse(s, "--k")).transpose()?.unwrap_or(2),
-            burst: opts.get("burst").map(|s| parse(s, "--burst")).transpose()?.unwrap_or(0),
-            update_every: opts
-                .get("update-every")
-                .map(|s| parse(s, "--update-every"))
-                .transpose()?
-                .unwrap_or(0),
+            requests: opt(opts, "requests")?.unwrap_or(defaults.requests),
+            users: opt(opts, "users")?.unwrap_or(64),
+            zipf: opt(opts, "zipf")?.unwrap_or(1.0),
+            k: opt(opts, "k")?.unwrap_or(2),
+            burst: opt(opts, "burst")?.unwrap_or(0),
+            update_every: opt(opts, "update-every")?.unwrap_or(0),
             backend: backend_override,
-            timeout_us: opts.get("timeout-us").map(|s| parse(s, "--timeout-us")).transpose()?,
-            seed: opts
-                .get("seed")
-                .map(|s| parse(s, "--seed"))
-                .transpose()?
-                .unwrap_or(defaults.seed),
+            timeout_us: opt(opts, "timeout-us")?,
+            seed: opt(opts, "seed")?.unwrap_or(defaults.seed),
         }
         .build()
     } else {
@@ -1079,13 +1094,9 @@ fn cmd_replay(opts: &Opts) -> Result<(), CliError> {
         return Err("nothing to replay (the schedule is empty)".into());
     }
     let replay = Replay {
-        conns: opts.get("conns").map(|s| parse(s, "--conns")).transpose()?.unwrap_or(4),
+        conns: opt(opts, "conns")?.unwrap_or(4),
         verify,
-        trace_every: opts
-            .get("trace-every")
-            .map(|s| parse(s, "--trace-every"))
-            .transpose()?
-            .unwrap_or(16),
+        trace_every: opt(opts, "trace-every")?.unwrap_or(16),
         binary: opts.contains_key("binary"),
     };
     let report = replay.run(addr, &items).map_err(|e| format!("replay failed: {e}"))?;
@@ -1290,29 +1301,20 @@ fn cmd_client(opts: &Opts) -> Result<(), CliError> {
     }
     // An explicit per-request backend override (absent = server's default;
     // `auto` asks the server-side planner).
-    let backend_override: Option<EngineBackend> =
-        match opts.get("backend").or_else(|| opts.get("method")) {
-            Some(_) => Some(backend_from_opts(opts)?),
-            None => None,
-        };
+    let backend_override: Option<EngineBackend> = match opts.get("backend") {
+        Some(_) => Some(backend_from_opts(opts)?),
+        None => None,
+    };
     if opts.contains_key("bench") {
         let gen = LoadGen {
-            clients: opts.get("clients").map(|s| parse(s, "--clients")).transpose()?.unwrap_or(4),
-            requests_per_client: opts
-                .get("requests")
-                .map(|s| parse(s, "--requests"))
-                .transpose()?
-                .unwrap_or(64),
-            user: opts.get("user").map(|s| parse(s, "--user")).transpose()?.unwrap_or(0),
-            k: opts.get("k").map(|s| parse(s, "--k")).transpose()?.unwrap_or(2),
-            timeout_us: opts.get("timeout-us").map(|s| parse(s, "--timeout-us")).transpose()?,
+            clients: opt(opts, "clients")?.unwrap_or(4),
+            requests_per_client: opt(opts, "requests")?.unwrap_or(64),
+            user: opt(opts, "user")?.unwrap_or(0),
+            k: opt(opts, "k")?.unwrap_or(2),
+            timeout_us: opt(opts, "timeout-us")?,
             backend: backend_override,
             binary,
-            pipeline: opts
-                .get("pipeline")
-                .map(|s| parse(s, "--pipeline"))
-                .transpose()?
-                .unwrap_or(1),
+            pipeline: opt(opts, "pipeline")?.unwrap_or(1),
         };
         let report = gen.run(addr).map_err(|e| format!("load generation: {e}"))?;
         outln!(
@@ -1347,9 +1349,8 @@ fn cmd_client(opts: &Opts) -> Result<(), CliError> {
     // Plain query mode.
     let user: u32 = parse(want(opts, "user")?, "--user")?;
     let k: usize = parse(want(opts, "k")?, "--k")?;
-    let repeat: usize = opts.get("repeat").map(|s| parse(s, "--repeat")).transpose()?.unwrap_or(1);
-    let timeout_us: Option<u64> =
-        opts.get("timeout-us").map(|s| parse(s, "--timeout-us")).transpose()?;
+    let repeat: usize = opt(opts, "repeat")?.unwrap_or(1);
+    let timeout_us: Option<u64> = opt(opts, "timeout-us")?;
     let mut client = connect()?;
     if opts.contains_key("trace") {
         let reply = client
@@ -1436,6 +1437,74 @@ fn cmd_client(opts: &Opts) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+
+    /// The flags a function of this file reads: the string literal after
+    /// `opts.<method>(` or `(opts, `, and what every function it hands
+    /// `opts` to reads.
+    fn flags_read<'a>(name: &str, bodies: &HashMap<&'a str, &'a str>, out: &mut BTreeSet<&'a str>) {
+        let body = bodies[name];
+        for (i, _) in body.match_indices("opts") {
+            let after = &body[i + 4..];
+            let literal = if let Some(rest) = after.strip_prefix(", \"") {
+                rest
+            } else if let Some(rest) = after.strip_prefix('.') {
+                let Some(open) = rest.find("(\"") else { continue };
+                if !rest[..open].chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
+                    continue;
+                }
+                &rest[open + 2..]
+            } else {
+                continue;
+            };
+            out.insert(&literal[..literal.find('"').expect("a closed literal")]);
+        }
+        for (callee, _) in bodies.iter().filter(|(callee, _)| **callee != name) {
+            if body.contains(&format!("{callee}(opts")) {
+                flags_read(callee, bodies, out);
+            }
+        }
+    }
+
+    #[test]
+    fn every_flag_a_subcommand_reads_is_in_its_usage_entry() {
+        let source = include_str!("pitex.rs");
+        let source = &source[..source.find("#[cfg(test)]").unwrap()];
+        let bodies: HashMap<&str, &str> = source
+            .split("\nfn ")
+            .skip(1)
+            .map(|chunk| (&chunk[..chunk.find(['(', '<']).unwrap()], chunk))
+            .collect();
+        let commands: Vec<&str> = USAGE
+            .lines()
+            .filter_map(|line| line.strip_prefix("  pitex "))
+            .map(|rest| rest.split_whitespace().next().unwrap())
+            .collect();
+        assert_eq!(commands.len(), 14, "{commands:?}");
+        for command in commands {
+            let mut read = BTreeSet::new();
+            flags_read(&format!("cmd_{command}"), &bodies, &mut read);
+            let documented: BTreeSet<&str> = usage_flags(command).into_iter().collect();
+            assert!(!read.is_empty(), "pitex {command} reads no flag");
+            let undocumented: Vec<_> = read.difference(&documented).collect();
+            assert!(undocumented.is_empty(), "pitex {command} reads {undocumented:?}");
+            let unread: Vec<_> = documented.difference(&read).collect();
+            assert!(unread.is_empty(), "pitex {command} documents {unread:?}");
+        }
+    }
+
+    #[test]
+    fn a_flag_outside_the_usage_entry_is_refused_by_name() {
+        let args = |list: &[&str]| list.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        let err = parse_opts("query", &args(&["--user", "1", "--backnd", "exact"])).unwrap_err();
+        assert!(err.contains("--backnd"), "{err}");
+        let err = parse_opts("repro", &args(&["--sclae", "0.1"])).unwrap_err();
+        assert!(err.contains("--sclae"), "{err}");
+        let err = parse_opts("query", &args(&["--method", "lazy"])).unwrap_err();
+        assert!(err.contains("--method"), "{err}");
+        let opts = parse_opts("query", &args(&["--backend", "exact", "--explain"])).unwrap();
+        assert_eq!(opts.get("backend").map(String::as_str), Some("exact"));
+    }
 
     #[test]
     fn a_dirty_threshold_outside_zero_one_is_refused() {

@@ -2,8 +2,10 @@
 //! land within the sampling tolerance of the exact possible-world value,
 //! for arbitrary users and tag sets — the empirical face of Theorem 2.
 
-use pitex::model::genmodel::{random_model, EdgeProbKind, ModelGenConfig};
+use pitex::model::genmodel::{mixed_prob, random_model, EdgeProbKind, ModelGenConfig};
+use pitex::model::FixedEdgeProbs;
 use pitex::prelude::*;
+use pitex::sampling::exact_spread;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -46,6 +48,45 @@ fn samplers_track_exact_values() {
                     );
                 }
             }
+        }
+    }
+}
+
+/// LAZY is unbiased (Lemmas 6–7) on the adversarial probability mix:
+/// exactly 0 and 1, subnormals (too small for `ln(1 − p)` to tell from 0)
+/// and `1 − 2⁻²⁴`. For every user, the mean of `R` fixed-budget estimates
+/// lies within 5 standard errors of the exact spread. `RARE` covers the
+/// outcomes of probability about 2⁻²⁴ that `R · SAMPLES` draws cannot see
+/// (one failing `1 − 2⁻²⁴` edge moves the truth by at most 2⁻²⁴ · |V|).
+#[test]
+fn lazy_is_unbiased_against_exact_on_mixed_probabilities() {
+    const R: u64 = 200;
+    const SAMPLES: u64 = 64;
+    const RARE: f64 = 1e-4;
+    for seed in 1u64..=8 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        // At most 20 edges, so EXACT's budget of uncertain edges holds.
+        let graph = pitex::graph::gen::erdos_renyi(8, 20, &mut rng);
+        let probs =
+            FixedEdgeProbs::new((0..graph.num_edges()).map(|_| mixed_prob(&mut rng)).collect());
+        let mut lazy = LazySampler::new(graph.num_nodes());
+        for user in 0..graph.num_nodes() as NodeId {
+            let truth = exact_spread(&graph, user, &mut probs.clone());
+            let estimates: Vec<f64> = (0..R)
+                .map(|r| {
+                    let params = SamplingParams::paper_defaults(1, 1)
+                        .with_fixed_budget(SAMPLES)
+                        .with_seed(seed << 32 | r);
+                    lazy.estimate(&graph, user, &mut probs.clone(), &params).spread
+                })
+                .collect();
+            let mean = estimates.iter().sum::<f64>() / R as f64;
+            let var = estimates.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (R - 1) as f64;
+            let se = (var / R as f64).sqrt();
+            assert!(
+                (mean - truth).abs() <= 5.0 * se + RARE,
+                "seed {seed} user {user}: LAZY mean {mean} ± {se} vs exact {truth}"
+            );
         }
     }
 }

@@ -72,7 +72,7 @@ fn lt_case_study_recovers_planted_truth() {
 fn lt_top_n_is_ordered_and_consistent() {
     let model = TicModel::paper_example();
     let mut engine = PitexEngine::with_lt(&model, PitexConfig::default());
-    let ranking = engine.query_top_n(0, 2, 4);
+    let ranking = engine.query_top_n(0, 2, 4).0;
     assert!(!ranking.is_empty());
     for pair in ranking.windows(2) {
         assert!(pair[0].1 >= pair[1].1);
