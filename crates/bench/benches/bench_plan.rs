@@ -45,7 +45,7 @@ fn bench_plan(c: &mut Criterion) {
     // Warm every plannable backend's EWMA with real measurements so the
     // sweep below reflects observed costs, not static seeds.
     for backend in EngineBackend::ALL {
-        if backend == EngineBackend::Lt || !handle.planner().available(backend) {
+        if !handle.planner().available(backend) {
             continue;
         }
         for _ in 0..5 {

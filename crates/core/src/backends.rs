@@ -3,7 +3,7 @@
 //! The attribute and construction knowledge for each backend lives in the
 //! [`crate::registry`] table; the enums here are the *names* every layer
 //! passes around. [`EngineBackend::Auto`] is the planner directive — it
-//! resolves to one of the nine concrete constructions per query through
+//! resolves to one of the eight concrete constructions per query through
 //! [`crate::plan::Planner`].
 
 use crate::registry;
@@ -64,12 +64,12 @@ impl BackendKind {
 }
 
 /// Every engine construction the CLI and the serving layer can name —
-/// the online samplers of [`BackendKind`], the LT variant, the three
-/// index-based estimators (which additionally need an index artifact; see
+/// the online samplers of [`BackendKind`] and the three index-based
+/// estimators (which additionally need an index artifact; see
 /// [`crate::EngineHandle`]) — plus [`Auto`](EngineBackend::Auto), which
 /// defers the choice to the cost-based planner per query.
 ///
-/// The discriminants of the nine concrete variants index the
+/// The discriminants of the eight concrete variants index the
 /// [`crate::registry`] table; keep declaration order and
 /// [`ALL`](Self::ALL) in sync.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -84,8 +84,6 @@ pub enum EngineBackend {
     Tim,
     /// Possible-world enumeration (tiny graphs only).
     Exact,
-    /// Linear Threshold propagation (footnote 1).
-    Lt,
     /// INDEXEST over a prebuilt RR-Graph index.
     IndexEst,
     /// INDEXEST+ (edge-cut filtered) over a prebuilt RR-Graph index.
@@ -99,22 +97,21 @@ pub enum EngineBackend {
 }
 
 impl EngineBackend {
-    /// All nine concrete constructions, in CLI listing order (`Auto` is a
+    /// All eight concrete constructions, in CLI listing order (`Auto` is a
     /// directive, not a construction, and is deliberately absent).
-    pub const ALL: [EngineBackend; 9] = [
+    pub const ALL: [EngineBackend; 8] = [
         EngineBackend::Lazy,
         EngineBackend::Mc,
         EngineBackend::Rr,
         EngineBackend::Tim,
         EngineBackend::Exact,
-        EngineBackend::Lt,
         EngineBackend::IndexEst,
         EngineBackend::IndexEstPlus,
         EngineBackend::DelayMat,
     ];
 
     /// Parses the CLI / wire-protocol method name (`lazy`, `mc`, `rr`,
-    /// `tim`, `exact`, `lt`, `indexest`, `indexest+`, `delaymat`, `auto`).
+    /// `tim`, `exact`, `indexest`, `indexest+`, `delaymat`, `auto`).
     pub fn parse(name: &str) -> Option<EngineBackend> {
         if name == "auto" {
             return Some(EngineBackend::Auto);

@@ -158,12 +158,6 @@ impl<'a> PitexEngine<'a> {
         Self::with_online(model, EngineBackend::Tim, config)
     }
 
-    /// Engine with Linear Threshold propagation (footnote 1 of the paper):
-    /// tag-aware edge weights drive the LT live-edge process instead of IC.
-    pub fn with_lt(model: &'a TicModel, config: PitexConfig) -> Self {
-        Self::with_online(model, EngineBackend::Lt, config)
-    }
-
     /// Engine with the plain RR-Graph index (INDEXEST).
     pub fn with_index(model: &'a TicModel, index: &'a RrIndex, config: PitexConfig) -> Self {
         Self::with_backend(model, EngineBackend::IndexEst, Some(index), None, config)
@@ -1053,17 +1047,6 @@ mod tests {
     }
 
     #[test]
-    fn lt_backend_answers_the_paper_query() {
-        // Under LT the live subgraph for {w3, w4} is tree-like, so the
-        // ranking matches IC on this example.
-        let (model, config) = exact_engine(ExplorationStrategy::BestEffort);
-        let mut engine = PitexEngine::with_lt(&model, config);
-        assert_eq!(engine.backend_name(), "LT");
-        let result = engine.query(0, 2);
-        assert_eq!(result.tags, TagSet::from([2, 3]));
-    }
-
-    #[test]
     fn handle_builds_every_index_free_backend() {
         let model = Arc::new(TicModel::paper_example());
         for backend in [
@@ -1072,7 +1055,6 @@ mod tests {
             EngineBackend::Rr,
             EngineBackend::Tim,
             EngineBackend::Exact,
-            EngineBackend::Lt,
         ] {
             let handle = EngineHandle::new(model.clone(), backend, PitexConfig::default()).unwrap();
             let mut engine = handle.engine();

@@ -59,8 +59,6 @@ pub struct PlanInput {
 pub enum RejectReason {
     /// The required index artifact is not loaded.
     MissingArtifact,
-    /// LT answers a different diffusion model — never substituted.
-    DifferentSemantics,
     /// Accurate but predicted to cost more than the chosen backend.
     Costlier,
     /// Would not finish inside the remaining deadline budget.
@@ -75,7 +73,6 @@ impl RejectReason {
     pub fn as_str(self) -> &'static str {
         match self {
             RejectReason::MissingArtifact => "missing-index",
-            RejectReason::DifferentSemantics => "different-model",
             RejectReason::Costlier => "costlier",
             RejectReason::OverBudget => "over-budget",
             RejectReason::NoGuarantee => "no-guarantee",
@@ -86,7 +83,6 @@ impl RejectReason {
     pub fn parse(s: &str) -> Option<RejectReason> {
         Some(match s {
             "missing-index" => RejectReason::MissingArtifact,
-            "different-model" => RejectReason::DifferentSemantics,
             "costlier" => RejectReason::Costlier,
             "over-budget" => RejectReason::OverBudget,
             "no-guarantee" => RejectReason::NoGuarantee,
@@ -258,7 +254,6 @@ impl Planner {
             EngineBackend::Mc => mc,
             EngineBackend::Rr => 1.3 * mc,
             EngineBackend::Lazy => 0.35 * mc,
-            EngineBackend::Lt => 1.1 * mc,
             // A single deterministic tree pass, no sampling.
             EngineBackend::Tim => candidates * edges_per_pass,
             // Membership scans over prebuilt RR-Graphs.
@@ -303,11 +298,6 @@ impl Planner {
             }
             let predicted = self.predicted_us(backend, &input);
             match spec.plannability() {
-                Plannability::Excluded => rejected.push(RejectedPlan {
-                    backend,
-                    predicted_us: Some(predicted),
-                    reason: RejectReason::DifferentSemantics,
-                }),
                 Plannability::Accurate => accurate.push((backend, predicted)),
                 Plannability::Fallback => fallback.push((backend, predicted)),
             }
@@ -466,15 +456,6 @@ mod tests {
     }
 
     #[test]
-    fn lt_is_never_substituted() {
-        let planner = Planner::from_stats(tiny(), true, true, 0.7, 1000.0);
-        let decision = planner.plan(input(2, 2, None));
-        assert_ne!(decision.chosen, EngineBackend::Lt);
-        let reject = decision.rejected.iter().find(|r| r.backend == EngineBackend::Lt).unwrap();
-        assert_eq!(reject.reason, RejectReason::DifferentSemantics);
-    }
-
-    #[test]
     fn tight_budget_degrades_to_a_cheaper_backend() {
         let planner = Planner::from_stats(tiny(), false, false, 0.7, 1000.0);
         // Teach the planner that every accurate backend is slow and TIM is
@@ -585,7 +566,6 @@ mod tests {
     fn reject_reasons_round_trip() {
         for reason in [
             RejectReason::MissingArtifact,
-            RejectReason::DifferentSemantics,
             RejectReason::Costlier,
             RejectReason::OverBudget,
             RejectReason::NoGuarantee,

@@ -2,7 +2,7 @@
 //! every spread estimator, what artifacts each needs, and how each behaves
 //! under cache invalidation and planning.
 //!
-//! Before this module existed, the same nine-way backend dispatch lived in
+//! Before this module existed, the same per-backend dispatch lived in
 //! three places (the CLI, [`crate::EngineHandle`], and the serve layer's
 //! cache-invalidation policy), each free to drift from the others. The
 //! registry collapses them: one [`BackendSpec`] per estimator describes its
@@ -23,9 +23,7 @@ use crate::tim::TimEstimator;
 use pitex_graph::NodeId;
 use pitex_index::{DelayMatEstimator, DelayMatIndex, IndexEstimator, IndexPlusEstimator, RrIndex};
 use pitex_model::TicModel;
-use pitex_sampling::{
-    ExactEstimator, LazySampler, LtSampler, McSampler, RrSampler, SpreadEstimator,
-};
+use pitex_sampling::{ExactEstimator, LazySampler, McSampler, RrSampler, SpreadEstimator};
 
 /// Which prebuilt artifact a backend needs before it can be constructed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -46,12 +44,9 @@ pub enum ArtifactNeed {
 /// out-edges of vertices forward-reachable from the user, so an unaffected
 /// user replays bit-identically; the RR-index estimators additionally drift
 /// for members of resampled graphs (their RNG streams diverge after the
-/// first mutated probe). LT is *not* scopable: its per-vertex weight
-/// normalizer sums **all** in-edges of every contacted vertex, so an
-/// estimate can depend on an edge whose source the user never reaches.
-/// RR/TIM sampling draws global targets per query — estimates anywhere can
-/// move. Those clear outright, as does DELAYMAT (its counters are rebuilt
-/// wholesale).
+/// first mutated probe). RR/TIM sampling draws global targets per query —
+/// estimates anywhere can move. Those clear outright, as does DELAYMAT (its
+/// counters are rebuilt wholesale).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CacheScope {
     /// Only users whose true answer can change (reverse-reachability set).
@@ -71,9 +66,6 @@ pub enum Plannability {
     /// No accuracy guarantee (the TIM baseline): only chosen when the
     /// deadline cannot fit any accurate backend.
     Fallback,
-    /// Answers a *different* question (LT propagation instead of IC) — the
-    /// planner never substitutes it.
-    Excluded,
 }
 
 /// The shared immutable state an estimator is built over.
@@ -245,7 +237,6 @@ online_spec!(TimSpec, Tim, "tim", "TIM", Everything, Fallback, |n| TimEstimator:
 online_spec!(ExactSpec, Exact, "exact", "EXACT", AffectedUsers, Accurate, |_n| {
     ExactEstimator::new()
 });
-online_spec!(LtSpec, Lt, "lt", "LT", Everything, Excluded, |n| LtSampler::new(n));
 
 struct IndexEstSpec;
 impl BackendSpec for IndexEstSpec {
@@ -333,13 +324,12 @@ impl BackendSpec for DelayMatSpec {
 
 /// The registry table, indexed by `EngineBackend as usize` (declaration
 /// order, i.e. [`EngineBackend::ALL`] order).
-static REGISTRY: [&dyn BackendSpec; 9] = [
+static REGISTRY: [&dyn BackendSpec; EngineBackend::ALL.len()] = [
     &LazySpec,
     &McSpec,
     &RrSpec,
     &TimSpec,
     &ExactSpec,
-    &LtSpec,
     &IndexEstSpec,
     &IndexEstPlusSpec,
     &DelayMatSpec,
@@ -352,7 +342,7 @@ pub fn spec(backend: EngineBackend) -> Option<&'static dyn BackendSpec> {
 }
 
 /// All concrete specs, in [`EngineBackend::ALL`] order.
-pub fn all_specs() -> &'static [&'static dyn BackendSpec; 9] {
+pub fn all_specs() -> &'static [&'static dyn BackendSpec; EngineBackend::ALL.len()] {
     &REGISTRY
 }
 

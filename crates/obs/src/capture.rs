@@ -34,6 +34,7 @@
 //! correlated offline without per-subsystem clock skew.
 
 use crate::codec::{frame_record, DecodeError, Decoder, Encoder, Records};
+use crate::{knob, Lookup};
 use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -228,14 +229,12 @@ pub struct CaptureOptions {
 
 impl CaptureOptions {
     /// Reads `PITEX_OBS_CAPTURE` / `PITEX_OBS_CAPTURE_RATE`, falling back
-    /// to disabled / record-everything on unset or unparsable values.
-    pub fn from_env() -> Self {
-        let path = std::env::var("PITEX_OBS_CAPTURE").ok().filter(|v| !v.is_empty());
-        let rate = std::env::var("PITEX_OBS_CAPTURE_RATE")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(1);
-        Self { path: path.map(PathBuf::from), rate }
+    /// to disabled / record-everything when unset; a rate that is not a
+    /// whole number is refused.
+    pub fn from_env(lookup: Lookup<'_>) -> std::io::Result<Self> {
+        let path = lookup("PITEX_OBS_CAPTURE").filter(|v| !v.is_empty());
+        let rate = knob(lookup, "PITEX_OBS_CAPTURE_RATE")?.unwrap_or(1);
+        Ok(Self { path: path.map(PathBuf::from), rate })
     }
 }
 

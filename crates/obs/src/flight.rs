@@ -3,6 +3,7 @@
 //! node misbehaves, `FLIGHT` dumps what it was *just* doing — no need to
 //! have had tracing enabled in advance.
 
+use crate::{knob, Lookup};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -46,10 +47,10 @@ impl Default for ObsOptions {
 
 impl ObsOptions {
     /// The defaults with the slow-query threshold read from
-    /// `PITEX_OBS_SLOW_US` (unset or unparsable: off).
-    pub fn from_env() -> Self {
-        let slow_us = std::env::var("PITEX_OBS_SLOW_US").ok().and_then(|v| v.parse().ok());
-        Self { slow_us: slow_us.unwrap_or(0), ..Self::default() }
+    /// `PITEX_OBS_SLOW_US` (unset: off; not a whole number: refused).
+    pub fn from_env(lookup: Lookup<'_>) -> std::io::Result<Self> {
+        let slow_us = knob(lookup, "PITEX_OBS_SLOW_US")?;
+        Ok(Self { slow_us: slow_us.unwrap_or(0), ..Self::default() })
     }
 }
 

@@ -61,3 +61,48 @@ pub use trace::{
     format_trace_id, mint_trace_id, parse_trace_id, spans_from_wire, spans_to_wire, Span,
     SpanRecorder,
 };
+
+/// Where a hop's boot reads its environment knobs: [`env()`] in a server,
+/// a table in a test, because concurrent tests share the process
+/// environment.
+pub type Lookup<'a> = &'a dyn Fn(&str) -> Option<String>;
+
+/// The process environment as a [`Lookup`].
+pub fn env(key: &str) -> Option<String> {
+    std::env::var_os(key).map(|value| value.to_string_lossy().into_owned())
+}
+
+/// Knob `key` as a whole number: `None` when unset, and an `InvalidInput`
+/// error naming the variable when it is set to anything else.
+pub fn knob(lookup: Lookup<'_>, key: &str) -> std::io::Result<Option<u64>> {
+    let Some(value) = lookup(key) else { return Ok(None) };
+    let n = value.parse().map_err(|_| bad_knob(key, &value, "is not a whole number"))?;
+    Ok(Some(n))
+}
+
+/// The boot error for knob `key` set to `value`: `why` says what is wrong.
+pub(crate) fn bad_knob(key: &str, value: &str, why: &str) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidInput, format!("{key}={value:?} {why}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn knobs_keep_defaults_when_unset_and_refuse_what_does_not_parse() {
+        let set = |value: &'static str| move |_: &str| Some(value.to_string());
+        assert_eq!(knob(&|_| None, "PITEX_OBS_SLOW_US").unwrap(), None);
+        assert_eq!(knob(&set("50000"), "PITEX_OBS_SLOW_US").unwrap(), Some(50_000));
+        assert_eq!(ObsOptions::from_env(&|_| None).unwrap(), ObsOptions::default());
+        assert_eq!(CaptureOptions::from_env(&|_| None).unwrap().rate, 1);
+        for value in ["", "-1", "5ms", "1e3", " 7"] {
+            let err = ObsOptions::from_env(&set(value)).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+            assert!(err.to_string().contains("PITEX_OBS_SLOW_US"), "{err}");
+        }
+        let rate = |key: &str| (key == "PITEX_OBS_CAPTURE_RATE").then(|| "every".to_string());
+        let err = CaptureOptions::from_env(&rate).unwrap_err();
+        assert!(err.to_string().contains("PITEX_OBS_CAPTURE_RATE"), "{err}");
+    }
+}

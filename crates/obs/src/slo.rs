@@ -26,8 +26,9 @@
 //! verdict names the worst shard outright.
 
 use crate::hist::LatencyHistogram;
-use crate::timeseries::{SeriesPoints, SeriesRes, TimeSeriesStore};
-use std::fmt;
+use crate::timeseries::{SeriesPoints, SeriesRes, TimeSeriesStore, MID_SLOTS};
+use crate::{bad_knob, knob, Lookup};
+use std::{fmt, io};
 
 /// Availability target: good = non-error fraction of requests.
 pub const AVAIL_TARGET: f64 = 0.999;
@@ -66,18 +67,24 @@ impl Default for SloOptions {
 }
 
 impl SloOptions {
-    /// Reads `PITEX_SLO_FAST_WINDOWS` / `PITEX_SLO_SLOW_WINDOWS`, falling
-    /// back to the defaults on unset or unparsable values; a zero window
-    /// counts as one.
-    pub fn from_env() -> Self {
-        let windows = |key: &str| {
-            std::env::var(key).ok().and_then(|v| v.parse::<u64>().ok()).map(|n| n.max(1) as usize)
+    /// Reads `PITEX_SLO_FAST_WINDOWS` / `PITEX_SLO_SLOW_WINDOWS`, keeping
+    /// the defaults when unset; a zero window counts as one. A value that
+    /// is not a whole number, or one above the [`MID_SLOTS`] windows the
+    /// mid ring holds, is refused rather than quietly shortened.
+    pub fn from_env(lookup: Lookup<'_>) -> io::Result<Self> {
+        let windows = |key: &str, default: usize| match knob(lookup, key)? {
+            None => Ok(default),
+            Some(n) if n > MID_SLOTS as u64 => {
+                let why = format!("is more than the {MID_SLOTS} windows the mid ring holds");
+                Err(bad_knob(key, &n.to_string(), &why))
+            }
+            Some(n) => Ok(n.max(1) as usize),
         };
         let d = Self::default();
-        Self {
-            fast_windows: windows("PITEX_SLO_FAST_WINDOWS").unwrap_or(d.fast_windows),
-            slow_windows: windows("PITEX_SLO_SLOW_WINDOWS").unwrap_or(d.slow_windows),
-        }
+        Ok(Self {
+            fast_windows: windows("PITEX_SLO_FAST_WINDOWS", d.fast_windows)?,
+            slow_windows: windows("PITEX_SLO_SLOW_WINDOWS", d.slow_windows)?,
+        })
     }
 }
 
@@ -367,12 +374,7 @@ mod tests {
     use std::time::Duration as StdDuration;
 
     fn store() -> TimeSeriesStore {
-        TimeSeriesStore::new(TsOptions {
-            tick: StdDuration::from_millis(10),
-            fast_slots: 8,
-            mid_slots: 64,
-            slow_slots: 8,
-        })
+        TimeSeriesStore::new(TsOptions { tick: StdDuration::from_millis(10) })
     }
 
     fn options() -> SloOptions {
@@ -529,6 +531,31 @@ mod tests {
         assert!((f - 0.5).abs() < 0.01, "fraction: {f}");
         assert_eq!(fraction_above(&h, 1023), 0.0);
         assert_eq!(fraction_above(&h, 100), 1.0);
+    }
+
+    #[test]
+    fn window_knobs_parse_and_refuse_what_the_mid_ring_cannot_hold() {
+        let read = |fast: Option<&str>, slow: Option<&str>| {
+            SloOptions::from_env(&|key: &str| match key {
+                "PITEX_SLO_FAST_WINDOWS" => fast.map(str::to_string),
+                "PITEX_SLO_SLOW_WINDOWS" => slow.map(str::to_string),
+                other => panic!("unexpected knob {other}"),
+            })
+        };
+        assert_eq!(read(None, None).unwrap(), SloOptions::default());
+        let max = MID_SLOTS.to_string();
+        let opts = read(Some("0"), Some(max.as_str())).unwrap();
+        assert_eq!((opts.fast_windows, opts.slow_windows), (1, MID_SLOTS), "zero counts as one");
+        for (fast, slow, named) in [
+            (None, Some("720"), "PITEX_SLO_SLOW_WINDOWS"),
+            (Some("361"), None, "PITEX_SLO_FAST_WINDOWS"),
+            (Some("5m"), None, "PITEX_SLO_FAST_WINDOWS"),
+            (None, Some(""), "PITEX_SLO_SLOW_WINDOWS"),
+        ] {
+            let err = read(fast, slow).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+            assert!(err.to_string().contains(named), "{err}");
+        }
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! Point-in-time metrics cannot answer "when did p99 start climbing?" —
 //! by the time an operator looks, the spike is averaged into the
 //! since-boot aggregate. A [`TimeSeriesStore`] keeps the recent past in
-//! fixed-size ring buffers at three resolutions (by default 1-tick,
-//! 10-tick and 60-tick windows over a 1s tick: 2 minutes of fine grain,
-//! an hour of medium, a day of coarse). A background sampler calls
+//! fixed-size ring buffers at two resolutions, each kept for its one
+//! reader: [`FAST_SLOTS`] 1-tick windows (2 minutes at the default 1 s
+//! tick) for `pitex top`'s sparklines, and [`MID_SLOTS`] 10-tick windows
+//! (an hour) for the SLO engine's burn windows. A background sampler calls
 //! [`TimeSeriesStore::tick`] with the server's full stats-field export;
 //! the store classifies each field through the registration [`SCHEMA`](crate::metrics::SCHEMA):
 //!
@@ -30,67 +31,53 @@
 
 use crate::hist::LatencyHistogram;
 use crate::metrics::{capture_for, pattern_subst, spec_for, MergeRule, MetricKind};
+use crate::{knob, Lookup};
 use std::collections::{BTreeMap, VecDeque};
+use std::io;
 use std::sync::Mutex;
 use std::time::Duration;
+
+/// Windows in the fast ring: two minutes at the default tick.
+pub const FAST_SLOTS: usize = 120;
+
+/// Windows in the mid ring: an hour at the default tick.
+pub const MID_SLOTS: usize = 360;
 
 /// Tuning knobs for a [`TimeSeriesStore`], resolved once at boot.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TsOptions {
     /// Sampler tick interval (`PITEX_OBS_TS_TICK_MS`, default 1000).
     pub tick: Duration,
-    /// Slots in the 1-tick-per-window ring (120 — two minutes at the
-    /// default tick).
-    pub fast_slots: usize,
-    /// Slots in the 10-tick ring (360 — an hour at the default tick).
-    pub mid_slots: usize,
-    /// Slots in the 60-tick ring (1440 — a day at the default tick).
-    pub slow_slots: usize,
 }
 
 impl Default for TsOptions {
     fn default() -> Self {
-        Self {
-            tick: Duration::from_millis(1000),
-            fast_slots: 120,
-            mid_slots: 360,
-            slow_slots: 1440,
-        }
+        Self { tick: Duration::from_millis(1000) }
     }
 }
 
 impl TsOptions {
-    /// The defaults with the tick read from `PITEX_OBS_TS_TICK_MS`; the
-    /// ring sizes are fixed.
-    pub fn from_env() -> Self {
-        let tick = std::env::var("PITEX_OBS_TS_TICK_MS").ok().and_then(|v| v.parse::<u64>().ok());
-        let d = Self::default();
-        Self { tick: tick.map(|ms| Duration::from_millis(ms.max(1))).unwrap_or(d.tick), ..d }
-    }
-
-    fn slots(&self, res: SeriesRes) -> usize {
-        match res {
-            SeriesRes::Fast => self.fast_slots,
-            SeriesRes::Mid => self.mid_slots,
-            SeriesRes::Slow => self.slow_slots,
-        }
+    /// The defaults with the tick read from `PITEX_OBS_TS_TICK_MS` (a zero
+    /// tick counts as 1 ms); a set value that is not a whole number of
+    /// milliseconds is refused.
+    pub fn from_env(lookup: Lookup<'_>) -> io::Result<Self> {
+        let tick = knob(lookup, "PITEX_OBS_TS_TICK_MS")?;
+        Ok(tick.map_or_else(Self::default, |ms| Self { tick: Duration::from_millis(ms.max(1)) }))
     }
 }
 
-/// The three ring resolutions, named by how fresh they are rather than by
+/// The two ring resolutions, named by how fresh they are rather than by
 /// wall-clock width — window widths scale with the configured tick.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SeriesRes {
-    /// 1 tick per window.
+    /// 1 tick per window, [`FAST_SLOTS`] windows.
     Fast,
-    /// 10 ticks per window.
+    /// 10 ticks per window, [`MID_SLOTS`] windows.
     Mid,
-    /// 60 ticks per window.
-    Slow,
 }
 
 /// Every resolution, ring-array order.
-pub const ALL_RES: [SeriesRes; 3] = [SeriesRes::Fast, SeriesRes::Mid, SeriesRes::Slow];
+pub const ALL_RES: [SeriesRes; 2] = [SeriesRes::Fast, SeriesRes::Mid];
 
 impl SeriesRes {
     /// Ticks aggregated into one window at this resolution.
@@ -98,7 +85,6 @@ impl SeriesRes {
         match self {
             SeriesRes::Fast => 1,
             SeriesRes::Mid => 10,
-            SeriesRes::Slow => 60,
         }
     }
 
@@ -106,24 +92,17 @@ impl SeriesRes {
         match self {
             SeriesRes::Fast => "fast",
             SeriesRes::Mid => "mid",
-            SeriesRes::Slow => "slow",
         }
     }
 
     pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "fast" => Some(SeriesRes::Fast),
-            "mid" => Some(SeriesRes::Mid),
-            "slow" => Some(SeriesRes::Slow),
-            _ => None,
-        }
+        ALL_RES.into_iter().find(|res| res.name() == s)
     }
 
-    fn index(self) -> usize {
+    fn slots(self) -> usize {
         match self {
-            SeriesRes::Fast => 0,
-            SeriesRes::Mid => 1,
-            SeriesRes::Slow => 2,
+            SeriesRes::Fast => FAST_SLOTS,
+            SeriesRes::Mid => MID_SLOTS,
         }
     }
 }
@@ -244,7 +223,7 @@ enum Prev {
 struct FieldSeries {
     kind: SeriesKind,
     prev: Prev,
-    rings: [RingData; 3],
+    rings: [RingData; ALL_RES.len()],
 }
 
 #[derive(Debug, Default)]
@@ -295,9 +274,10 @@ impl TimeSeriesStore {
                 MetricKind::Label => continue,
                 MetricKind::Counter => {
                     let Ok(cur) = value.parse::<u64>() else { continue };
-                    let entry = inner.fields.entry(name.to_string()).or_insert_with(|| {
-                        field_series(SeriesKind::Counter, Prev::Counter(cur), &self.options)
-                    });
+                    let entry = inner
+                        .fields
+                        .entry(name.to_string())
+                        .or_insert_with(|| field_series(SeriesKind::Counter, Prev::Counter(cur)));
                     let Prev::Counter(prev) = &mut entry.prev else { continue };
                     let delta = cur.saturating_sub(*prev);
                     *prev = cur;
@@ -309,9 +289,10 @@ impl TimeSeriesStore {
                 }
                 MetricKind::Gauge => {
                     let Ok(cur) = value.parse::<f64>() else { continue };
-                    let entry = inner.fields.entry(name.to_string()).or_insert_with(|| {
-                        field_series(SeriesKind::Gauge, Prev::Gauge, &self.options)
-                    });
+                    let entry = inner
+                        .fields
+                        .entry(name.to_string())
+                        .or_insert_with(|| field_series(SeriesKind::Gauge, Prev::Gauge));
                     for ring in entry.rings.iter_mut() {
                         if let RingData::Gauge { last, .. } = ring {
                             *last = cur;
@@ -320,9 +301,10 @@ impl TimeSeriesStore {
                 }
                 MetricKind::Histogram => {
                     let Ok(cur) = LatencyHistogram::from_wire(value) else { continue };
-                    let entry = inner.fields.entry(name.to_string()).or_insert_with(|| {
-                        field_series(SeriesKind::Hist, Prev::Hist(cur.clone()), &self.options)
-                    });
+                    let entry = inner
+                        .fields
+                        .entry(name.to_string())
+                        .or_insert_with(|| field_series(SeriesKind::Hist, Prev::Hist(cur.clone())));
                     let Prev::Hist(prev) = &mut entry.prev else { continue };
                     let delta = hist_delta(prev, &cur);
                     *prev = cur;
@@ -338,9 +320,8 @@ impl TimeSeriesStore {
         let tick_no = inner.tick_no;
         for res in ALL_RES {
             if tick_no % res.window_ticks() == 0 {
-                let cap = self.options.slots(res);
                 for series in inner.fields.values_mut() {
-                    series.rings[res.index()].seal(cap);
+                    series.rings[res as usize].seal(res.slots());
                 }
             }
         }
@@ -354,7 +335,7 @@ impl TimeSeriesStore {
         let inner = self.inner.lock().unwrap();
         let dump = |name: &str| -> Option<(SeriesKind, SeriesPoints)> {
             let entry = inner.fields.get(name)?;
-            let points = match &entry.rings[res.index()] {
+            let points = match &entry.rings[res as usize] {
                 RingData::Counter { points, .. } => {
                     SeriesPoints::Scalar(points.iter().map(|&v| v as f64).collect())
                 }
@@ -398,26 +379,20 @@ impl TimeSeriesStore {
     }
 }
 
-fn field_series(kind: SeriesKind, prev: Prev, options: &TsOptions) -> FieldSeries {
+fn field_series(kind: SeriesKind, prev: Prev) -> FieldSeries {
     let ring = |res: SeriesRes| match kind {
-        SeriesKind::Counter => RingData::Counter {
-            acc: 0,
-            points: VecDeque::with_capacity(options.slots(res).min(1024)),
-        },
-        SeriesKind::Gauge => RingData::Gauge {
-            last: 0.0,
-            points: VecDeque::with_capacity(options.slots(res).min(1024)),
-        },
+        SeriesKind::Counter => {
+            RingData::Counter { acc: 0, points: VecDeque::with_capacity(res.slots()) }
+        }
+        SeriesKind::Gauge => {
+            RingData::Gauge { last: 0.0, points: VecDeque::with_capacity(res.slots()) }
+        }
         SeriesKind::Hist => RingData::Hist {
             acc: LatencyHistogram::new(),
-            points: VecDeque::with_capacity(options.slots(res).min(1024)),
+            points: VecDeque::with_capacity(res.slots()),
         },
     };
-    FieldSeries {
-        kind,
-        prev,
-        rings: [ring(SeriesRes::Fast), ring(SeriesRes::Mid), ring(SeriesRes::Slow)],
-    }
+    FieldSeries { kind, prev, rings: ALL_RES.map(ring) }
 }
 
 /// Bucket-wise `cur - prev`, saturating: a histogram that shrank (server
@@ -435,12 +410,7 @@ mod tests {
     use super::*;
 
     fn tiny() -> TimeSeriesStore {
-        TimeSeriesStore::new(TsOptions {
-            tick: Duration::from_millis(10),
-            fast_slots: 4,
-            mid_slots: 3,
-            slow_slots: 2,
-        })
+        TimeSeriesStore::new(TsOptions { tick: Duration::from_millis(10) })
     }
 
     fn scalar(dump: &SeriesDump) -> Vec<f64> {
@@ -468,12 +438,13 @@ mod tests {
     fn fast_ring_evicts_oldest() {
         let store = tiny();
         store.tick([("requests", "0")]);
-        for i in 1..=6u64 {
+        for i in 1..=FAST_SLOTS as u64 + 2 {
             store.tick([("requests", i.to_string().as_str())]);
         }
         let dump = store.series("requests", SeriesRes::Fast).unwrap();
-        // 7 completed windows, capacity 4: the first three fell off.
-        assert_eq!(scalar(&dump), vec![1.0, 1.0, 1.0, 1.0]);
+        // FAST_SLOTS + 3 completed windows: the first three, the zero
+        // baseline among them, fell off.
+        assert_eq!(scalar(&dump), vec![1.0; FAST_SLOTS]);
     }
 
     #[test]
@@ -488,6 +459,13 @@ mod tests {
         // Baseline tick contributes 0; ticks 2..=10 contribute 2 each
         // (18), then 2 * 10 = 20 for the second full window.
         assert_eq!(scalar(&dump), vec![18.0, 20.0]);
+        // Past MID_SLOTS windows the oldest, the 18, falls off.
+        for i in 20..(MID_SLOTS as u64 + 1) * 10 {
+            let v = (i * 2).to_string();
+            store.tick([("requests", v.as_str())]);
+        }
+        let dump = store.series("requests", SeriesRes::Mid).unwrap();
+        assert_eq!(scalar(&dump), vec![20.0; MID_SLOTS]);
     }
 
     #[test]
@@ -550,9 +528,17 @@ mod tests {
 
     #[test]
     fn env_knobs_parse() {
-        std::env::set_var("PITEX_OBS_TS_TICK_MS", "250");
-        let options = TsOptions::from_env();
-        std::env::remove_var("PITEX_OBS_TS_TICK_MS");
-        assert_eq!(options.tick, Duration::from_millis(250));
+        let tick = |value: Option<&str>| {
+            TsOptions::from_env(&|key: &str| {
+                assert_eq!(key, "PITEX_OBS_TS_TICK_MS");
+                value.map(str::to_string)
+            })
+        };
+        assert_eq!(tick(Some("250")).unwrap().tick, Duration::from_millis(250));
+        assert_eq!(tick(Some("0")).unwrap().tick, Duration::from_millis(1));
+        assert_eq!(tick(None).unwrap(), TsOptions::default());
+        let err = tick(Some("25ms")).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("PITEX_OBS_TS_TICK_MS"), "{err}");
     }
 }

@@ -27,7 +27,6 @@ pub mod geometric;
 pub mod lazy;
 #[cfg(test)]
 mod lazy_reference;
-pub mod lt;
 pub mod mc;
 pub mod rr;
 
@@ -35,6 +34,5 @@ pub use bounds::{SampleBudget, SamplingParams};
 pub use estimator::{Estimate, SpreadEstimator};
 pub use exact::{exact_spread, ExactEstimator};
 pub use lazy::LazySampler;
-pub use lt::{exact_spread_lt, LtSampler};
 pub use mc::McSampler;
 pub use rr::RrSampler;

@@ -218,13 +218,13 @@ fn http_route(target: &str) -> Result<Request, String> {
                     Ok(Request::Series { field: field.to_string(), res: Some(res) })
                 }
                 (None, _) => bad("missing ?field=<name>\n"),
-                (_, None) => bad("bad ?res= (want fast|mid|slow)\n"),
+                (_, None) => bad("bad ?res= (want fast|mid)\n"),
             }
         }
         _ => Err(http::response(
             "404 Not Found",
             TEXT_PLAIN,
-            "try /metrics, /health or /series?field=<name>[&res=fast|mid|slow]\n",
+            "try /metrics, /health or /series?field=<name>[&res=fast|mid]\n",
         )),
     }
 }
@@ -888,7 +888,7 @@ mod tests {
         input
     }
 
-    const HTTP_TRANSCRIPTS: [&str; 7] = [
+    const HTTP_TRANSCRIPTS: [&str; 8] = [
         "GET /metrics HTTP/1.1\r\nHost: x\r\nAccept: */*\r\n\r\nPING\n",
         "GET /series?field=requests&res=mid HTTP/1.0\r\n\r\n",
         "GET /series?field=nope HTTP/1.0\r\n\r\n",
@@ -896,6 +896,7 @@ mod tests {
         "GET /frobnicate HTTP/1.0\r\n\r\n",
         "PING\nGET /health HTTP/1.0\r\n\r\n",
         "GET /series?field=requests&res=hourly HTTP/1.0\r\n\r\n",
+        "GET /series?field=requests&res=slow HTTP/1.0\r\n\r\n",
     ];
 
     #[test]
@@ -957,9 +958,10 @@ mod tests {
         let health = status(HTTP_TRANSCRIPTS[5]);
         assert!(health.starts_with("PONG\nHTTP/1.0 200 OK\r\n"), "{health}");
         assert!(health.contains("\"status\":\"ok\""), "{health}");
-        let typo = status(HTTP_TRANSCRIPTS[6]);
-        assert!(typo.starts_with("HTTP/1.0 400 Bad Request\r\n"), "{typo}");
-        assert!(typo.ends_with("(want fast|mid|slow)\n"), "{typo}");
+        for typo in [status(HTTP_TRANSCRIPTS[6]), status(HTTP_TRANSCRIPTS[7])] {
+            assert!(typo.starts_with("HTTP/1.0 400 Bad Request\r\n"), "{typo}");
+            assert!(typo.ends_with("(want fast|mid)\n"), "{typo}");
+        }
     }
 
     #[test]
@@ -1102,7 +1104,7 @@ mod tests {
 
         #[test]
         fn prop_chunking_never_changes_the_conversation(
-            which in 0usize..9,
+            which in 0..HTTP_TRANSCRIPTS.len() + 2,
             cuts in proptest::collection::vec(0usize..6000, 0..24),
         ) {
             let input = match which {

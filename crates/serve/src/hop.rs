@@ -27,7 +27,7 @@ use crate::protocol::{CaptureAction, ErrorCode, FlightReply, FlightWireEntry, Re
 use pitex_support::obs::slo::{self, HealthVerdict, HopNames, SloOptions};
 use pitex_support::obs::timeseries::{SeriesRes, TimeSeriesStore, TsOptions};
 use pitex_support::obs::{
-    wall_now_us, AtomicHistogram, CaptureOptions, CaptureRecord, CaptureRecorder, Counter,
+    env, wall_now_us, AtomicHistogram, CaptureOptions, CaptureRecord, CaptureRecorder, Counter,
     FieldSet, FlightEntry, FlightRecorder, ObsOptions, Registry,
 };
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
@@ -106,15 +106,19 @@ pub fn bind(addr: impl ToSocketAddrs) -> std::io::Result<TcpListener> {
 impl Hop {
     /// Reads the obs options from the environment — `capture` overrides
     /// `PITEX_OBS_CAPTURE` — and registers the request counters and the
-    /// latency histogram under `names`. A capture path that cannot be
-    /// opened is a boot error, not a silent no-op: the operator asked for
-    /// a workload log.
+    /// latency histogram under `names`. A knob set to a value it cannot
+    /// take, or a capture path that cannot be opened, is a boot error
+    /// naming it, not a silent default: the operator asked for something.
     pub fn new(
         names: &'static HopNames,
         capture: Option<CaptureOptions>,
         admin: bool,
     ) -> std::io::Result<Hop> {
-        let capture = CaptureRecorder::new(capture.unwrap_or_else(CaptureOptions::from_env))?;
+        let capture = match capture {
+            Some(capture) => capture,
+            None => CaptureOptions::from_env(&env)?,
+        };
+        let capture = CaptureRecorder::new(capture)?;
         let registry = Registry::new();
         Ok(Hop {
             names,
@@ -128,10 +132,10 @@ impl Hop {
             latency: registry.histogram(names.lat_hist),
             latency_sum_us: Counter::new(),
             registry,
-            flight: FlightRecorder::new(ObsOptions::from_env()),
+            flight: FlightRecorder::new(ObsOptions::from_env(&env)?),
             capture,
-            timeseries: TimeSeriesStore::new(TsOptions::from_env()),
-            slo: SloOptions::from_env(),
+            timeseries: TimeSeriesStore::new(TsOptions::from_env(&env)?),
+            slo: SloOptions::from_env(&env)?,
             started: Instant::now(),
             stop: AtomicBool::new(false),
             conns: ConnThreads::default(),

@@ -12,7 +12,7 @@
 //!   verb returns), `200`;
 //! * `GET /health` — the SLO verdict as JSON, `200` when `ok`/`warn`,
 //!   `503` when `page`, so any HTTP load balancer can act on it;
-//! * `GET /series?field=<name>[&res=fast|mid|slow]` — one ring dump as
+//! * `GET /series?field=<name>[&res=fast|mid]` — one ring dump as
 //!   JSON (what the `SERIES` verb returns).
 //!
 //! Only what a scraper needs is implemented: the header block is read and

@@ -22,7 +22,7 @@
 //! STATS                             server counters and latency percentiles
 //! METRICS                           Prometheus text exposition (the one
 //!                                   multi-line reply: lines until `# EOF`)
-//! SERIES <field> [fast|mid|slow]    one registry field's rolling ring from
+//! SERIES <field> [fast|mid]         one registry field's rolling ring from
 //!                                   the background sampler (default fast);
 //!                                   counters come back as per-window
 //!                                   deltas, histograms as per-window
@@ -90,7 +90,7 @@
 //! CAPTURED enabled=<0|1> recorded=<n> dropped=<n>
 //!                                   capture recorder state after a CAPTURE
 //!                                   verb (counts are since boot)
-//! SERIESED field=<f> res=<fast|mid|slow> tick_ms=<n> window_ticks=<n>
+//! SERIESED field=<f> res=<fast|mid> tick_ms=<n> window_ticks=<n>
 //!          kind=<counter|gauge|hist> n=<count> points=<p1;p2;..|->
 //!                                   ring contents oldest-first; a point is
 //!                                   a number (counter/gauge) or a
@@ -402,10 +402,10 @@ impl Request {
                     Request::Trace(TraceRequest { query, trace_id })
                 }
                 Request::Series { .. } => {
-                    let field = tokens.next().ok_or("SERIES needs <field> [fast|mid|slow]")?;
+                    let field = tokens.next().ok_or("SERIES needs <field> [fast|mid]")?;
                     let res = match tokens.next() {
                         Some(token) => Some(SeriesRes::parse(token).ok_or_else(|| {
-                            format!("bad series resolution {token:?} (want fast|mid|slow)")
+                            format!("bad series resolution {token:?} (want fast|mid)")
                         })?),
                         None => None,
                     };
@@ -1233,10 +1233,6 @@ mod tests {
                 Request::Series { field: "lat_p99_us".into(), res: Some(SeriesRes::Mid) },
                 "SERIES lat_p99_us mid",
             ),
-            (
-                Request::Series { field: "qps".into(), res: Some(SeriesRes::Slow) },
-                "SERIES qps slow",
-            ),
             (Request::Health, "HEALTH"),
             (Request::Capture(CaptureAction::On), "CAPTURE on"),
             (Request::Capture(CaptureAction::Off), "CAPTURE off"),
@@ -1314,6 +1310,7 @@ mod tests {
             ("QUERY x 2", "bad user"),
             ("QUERY 1 -3", "bad k"),
             ("QUERY 1 2 fast", "unknown backend"),
+            ("QUERY 1 2 lt", "unknown backend"),
             ("QUERY 1 2 3 4", "unknown backend"),
             ("QUERY 1 2 3 lazy extra", "trailing"),
             ("EXPLAIN", "needs"),
@@ -1340,6 +1337,7 @@ mod tests {
             ("FLIGHT all", "trailing"),
             ("SERIES", "needs <field>"),
             ("SERIES lat_hist hourly", "bad series resolution"),
+            ("SERIES lat_hist slow", "bad series resolution"),
             ("SERIES lat_hist fast extra", "trailing"),
             ("HEALTH check", "trailing"),
             ("CAPTURE", "needs <on|off|rotate>"),
@@ -1602,13 +1600,13 @@ mod tests {
             (
                 Response::Series(SeriesReply {
                     field: "lat_p99_us".into(),
-                    res: SeriesRes::Slow,
+                    res: SeriesRes::Mid,
                     tick_ms: 250,
-                    window_ticks: 60,
+                    window_ticks: 10,
                     kind: SeriesKind::Gauge,
                     points: vec![],
                 }),
-                "SERIESED field=lat_p99_us res=slow tick_ms=250 window_ticks=60 kind=gauge n=0 \
+                "SERIESED field=lat_p99_us res=mid tick_ms=250 window_ticks=10 kind=gauge n=0 \
                  points=-",
             ),
             (

@@ -65,8 +65,8 @@ use pitex_model::{TagSet, TicModel};
 use pitex_support::lru::ShardedLru;
 use pitex_support::obs::slo::SHARD_NAMES;
 use pitex_support::obs::{
-    mint_trace_id, render_prometheus, CaptureOptions, Counter, FieldSet, Gauge, Registry,
-    SpanRecorder,
+    env, knob, mint_trace_id, render_prometheus, CaptureOptions, Counter, FieldSet, Gauge,
+    Registry, SpanRecorder,
 };
 use std::collections::BTreeSet;
 use std::io::ErrorKind;
@@ -418,8 +418,7 @@ impl Server {
         addr: impl ToSocketAddrs,
         options: ServeOptions,
     ) -> std::io::Result<ServerHandle> {
-        let stall_us =
-            std::env::var("PITEX_OBS_STALL_US").ok().and_then(|v| v.parse().ok()).unwrap_or(0);
+        let stall_us = knob(&env, "PITEX_OBS_STALL_US")?.unwrap_or(0);
         Ok(Self::spawn_stalled(handle, addr, options, stall_us)?.0)
     }
 
@@ -435,6 +434,9 @@ impl Server {
             let message = "ServeOptions::default_deadline must be non-zero";
             return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, message));
         }
+        // The obs knobs are read here, so a value they cannot take refuses
+        // the boot before the WAL directory is created or replayed.
+        let hop = Arc::new(Hop::new(&SHARD_NAMES, options.capture.clone(), options.admin)?);
         let listener = hop::bind(addr)?;
         let workers = options.workers.max(1);
         let queue_depth = options.queue_depth.max(1);
@@ -500,7 +502,6 @@ impl Server {
             })?;
         }
         let pending_count = overlay.pending() as u64;
-        let hop = Arc::new(Hop::new(&SHARD_NAMES, options.capture.clone(), options.admin)?);
         let shared = Arc::new(Shared {
             counters: Counters::register(&hop.registry),
             hop,

@@ -4,7 +4,7 @@
 //! pitex gen     --profile lastfm [--scale 0.5] --out model.bin
 //! pitex stats   --model model.bin
 //! pitex index   --model model.bin --out index.bin [--per-vertex 8] [--delay]
-//! pitex query   --model model.bin --user 42 --k 3 [--backend lazy|mc|rr|tim|exact|lt]
+//! pitex query   --model model.bin --user 42 --k 3 [--backend lazy|mc|rr|tim|exact]
 //!               [--index index.bin] [--top 5] [--epsilon 0.7] [--delta 1000]
 //! pitex serve   --model model.bin [--port 7411] [--threads 4] [--backend lazy]
 //! pitex update  --model model.bin --out new.bin (--ops FILE | --op "SET_EDGE 0 1 0:0.9")
@@ -177,7 +177,7 @@ OBSERVABILITY: `client --trace` runs one traced query and prints its span
 
 HEALTH:   every server and router keeps rolling time-series of its stats
           fields (PITEX_OBS_TS_TICK_MS per tick; SERIES <field>
-          fast|mid|slow dumps a ring) and evaluates SLO burn rates over
+          fast|mid dumps a ring) and evaluates SLO burn rates over
           them (99.9% of requests ok and under 100 ms; the windows are
           PITEX_SLO_FAST_WINDOWS / PITEX_SLO_SLOW_WINDOWS; HEALTH
           answers ok|warn|page with the tripping window + burn). The
@@ -204,7 +204,7 @@ INDEX:    `index` writes a `PRRI` v3 artifact (header + one dump per
           earlier format are refused with \"unsupported version\" —
           rebuild them with `pitex index`.
 
-BACKENDS (--backend): lazy (default), mc, rr, tim, exact, lt,
+BACKENDS (--backend): lazy (default), mc, rr, tim, exact,
          indexest / indexest+ / delaymat (require --index),
          auto — the cost-based planner picks per query (an --index widens
          its options); --explain prints the decision it made.
@@ -578,7 +578,7 @@ fn cmd_serve(opts: &Opts) -> Result<(), CliError> {
         event_loop: None, // the platform default: epoll where there is a poller
     };
     let server = Server::spawn(handle, ("127.0.0.1", port), options.clone())
-        .map_err(|e| format!("binding 127.0.0.1:{port}: {e}"))?;
+        .map_err(|e| format!("starting on 127.0.0.1:{port}: {e}"))?;
     // One parseable line for scripts (stdout is line-buffered: flushed now),
     // then block until a client sends SHUTDOWN.
     outln!(
@@ -738,7 +738,7 @@ fn cmd_router(opts: &Opts) -> Result<(), CliError> {
     let shards = map.num_shards();
     let replicas = map.num_replicas();
     let router = Router::spawn(map, ("127.0.0.1", port), options)
-        .map_err(|e| format!("binding 127.0.0.1:{port}: {e}"))?;
+        .map_err(|e| format!("starting on 127.0.0.1:{port}: {e}"))?;
     // One parseable line for scripts, then block until SHUTDOWN.
     outln!("pitex_router listening on {} [{shards} shards, {replicas} replicas]", router.addr());
     router.join().map_err(|_| "a router thread panicked".to_string())?;

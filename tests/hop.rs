@@ -49,7 +49,6 @@ const SHARD_KEYS: &[&str] = &[
     "ewma_indexest+_us",
     "ewma_indexest_us",
     "ewma_lazy_us",
-    "ewma_lt_us",
     "ewma_mc_us",
     "ewma_rr_us",
     "ewma_tim_us",
@@ -66,7 +65,6 @@ const SHARD_KEYS: &[&str] = &[
     "plan_indexest",
     "plan_indexest+",
     "plan_lazy",
-    "plan_lt",
     "plan_mc",
     "plan_rr",
     "plan_tim",
@@ -126,7 +124,6 @@ const ROUTER_KEYS: &[&str] = &[
     "plan_indexest",
     "plan_indexest+",
     "plan_lazy",
-    "plan_lt",
     "plan_mc",
     "plan_rr",
     "plan_tim",

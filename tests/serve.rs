@@ -313,3 +313,56 @@ fn serve_refuses_a_zero_default_deadline() {
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("--deadline-ms must be at least 1"), "{stderr}");
 }
+
+/// Runs `pitex <args>` over the paper model with `envs` set, killing it if
+/// it has not exited within 30 s (a server that boots never would), and
+/// returns its exit code and stderr.
+fn run_pitex_on_paper_model(tag: &str, args: &[&str], envs: &[(&str, &str)]) -> (i32, String) {
+    let dir = std::env::temp_dir().join(format!("pitex-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let model_path = dir.join("model.bin");
+    pitex::model::serial::save(&TicModel::paper_example(), &model_path).unwrap();
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_pitex"))
+        .args(args.iter().map(|a| a.replace("{model}", model_path.to_str().unwrap())))
+        .envs(envs.iter().copied())
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("running the pitex binary");
+    let started = std::time::Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if started.elapsed() > Duration::from_secs(30) {
+            child.kill().unwrap();
+            panic!("pitex {args:?} did not exit");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    (status.code().expect("exited, not signalled"), stderr)
+}
+
+/// A slow SLO window longer than the 360 windows the mid ring holds would
+/// be evaluated over an hour instead of the two asked for; the server
+/// refuses to boot and names the variable instead.
+#[test]
+fn serve_refuses_an_slo_window_the_mid_ring_cannot_hold() {
+    let args = ["serve", "--model", "{model}", "--port", "0"];
+    let (code, stderr) =
+        run_pitex_on_paper_model("slo-window", &args, &[("PITEX_SLO_SLOW_WINDOWS", "720")]);
+    assert_eq!(code, 1, "{stderr}");
+    assert!(stderr.contains("PITEX_SLO_SLOW_WINDOWS"), "{stderr}");
+}
+
+/// LT is not a backend: naming it is refused with the list of those that are.
+#[test]
+fn query_refuses_the_lt_backend_by_name() {
+    let args = ["query", "--model", "{model}", "--user", "0", "--k", "2", "--backend", "lt"];
+    let (code, stderr) = run_pitex_on_paper_model("backend-lt", &args, &[]);
+    assert_eq!(code, 1, "{stderr}");
+    assert!(stderr.contains(&pitex::core::registry::method_names()), "{stderr}");
+}
